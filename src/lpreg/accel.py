@@ -10,27 +10,25 @@ proximal-point iteration with a step-scale search.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import (
-    BisectionStallError,
-    BudgetExceededError,
-    InvalidInputError,
-)
+from .errors import BisectionStallError, InvalidInputError
 from .lewis import WEIGHT_FLOOR, LewisOverestimate, lewis_overestimates
 from .linalg import DenseMatrix, DiagonalWeights, SolveCounter, gram_solve
 from .problem import ProblemInstance, pnorm
-from .refine import lp_dual_bound
-from .report import SolveReport
+from .refine import BracketSteps, certified_solve, lp_dual_bound
 
 PROX_ALPHA_SCALE = 1.0 / 128.0     # alpha = 1/(128 p^2)
 INNER_RATE_CONSTANT = 64.0 * math.e ** 2
 MS_BISECTION_CAP = 60
 HALVING_DISTANCE_COEFF = 2.0 ** 1.5
+# Largest supported exponent: C_p = e p^p and the step-scale powers leave
+# the float range as p grows.  At 60x4 (four families, seeds 0-2) p = 14
+# always solves; p = 16 already divides by an underflowed power once.
+MAX_ACCEL_P = 14.0
 
 
 def fpow(base: float, expo: float) -> float:
@@ -425,57 +423,27 @@ def halve_error(A: DenseMatrix, b: np.ndarray, p: float,
 def solve_pnorm_accel(instance: ProblemInstance, seed=0,
                       counter: SolveCounter | None = None,
                       max_halvings: int = 300):
-    """Full accelerated solve: least-squares start, then error halvings."""
-    A, b, p, eps = instance.A, instance.b, instance.p, instance.eps
-    if p < 2:
+    """Full accelerated solve: error halvings inside the certified bracket."""
+    if instance.p < 2:
         raise InvalidInputError("acceleration path requires p >= 2")
     counter = counter if counter is not None else SolveCounter()
-    t0 = time.perf_counter()
-    weights = lewis_overestimates(A, p, seed=seed, counter=counter)
-    x = gram_solve(A, DiagonalWeights.ones(A.n), A.a.T @ b, counter=counter,
-                   phase="init")
-    b_scale = pnorm(b, p)
 
-    def certify(xc):
-        return lp_dual_bound(A, b, xc, p, counter=counter)
+    def make_steps(unit):
+        A, b, p = unit.A, unit.b, unit.p
+        weights = lewis_overestimates(A, p, seed=seed, counter=counter)
+        stats = {"prox_calls": 0, "inner_iterations": 0}
 
-    stats: dict = {}
-    certified = False
-    lower = 0.0
-    for _ in range(max_halvings):
-        hi = instance.residual_norm(x)
-        if hi <= 1e-13 * max(b_scale, 1.0):
-            certified = True
-            break
-        lower = min(max(lower, certify(x)), hi)
-        if lower > 0 and hi <= (1.0 + eps) * lower:
-            certified = True
-            break
-        err = max(hi ** p - lower ** p, 1e-300)
-        x_new = halve_error(A, b, p, weights, x, err, counter=counter,
-                            lower_bound_fn=lambda xc: certify(xc) ** p,
-                            seed=seed, stats=stats)
-        if instance.residual_norm(x_new) < hi:
-            x = x_new
-        else:
-            break
-    u = A.a @ x - b
-    hi = instance.residual_norm(x)
-    if hi <= 1e-13 * max(b_scale, 1.0):
-        certified = True
-        gap = 0.0
-    else:
-        gap = (hi / lower - 1.0) if lower > 0 else math.inf
-    if not certified:
-        raise BudgetExceededError(
-            f"acceleration stalled at relative gap {gap:.3g}")
-    report = SolveReport(
-        method="accel", p=p, eps=eps, n=A.n, d=A.d, seed=None,
-        gram_solves=counter.gram_solves,
-        sketch_applications=counter.sketch_applications,
-        phase_counts={"prox_calls": stats.get("prox_calls", 0),
-                      "inner_iterations": stats.get("inner_iterations", 0),
-                      **counter.by_phase},
-        residual_lp=hi, residual_l2=float(np.linalg.norm(u)),
-        certified_gap=gap, wall_time=time.perf_counter() - t0)
-    return x, report
+        def lower_bound(xc):
+            return lp_dual_bound(A, b, xc, p, counter=counter)
+
+        def step(x, lo, hi):
+            x_new = halve_error(A, b, p, weights, x, max(hi ** p - lo ** p, 1e-300),
+                                counter=counter,
+                                lower_bound_fn=lambda xc: lower_bound(xc) ** p,
+                                seed=seed, stats=stats)
+            return x_new if pnorm(A.a @ x_new - b, p) < hi else None
+
+        return BracketSteps(lower_bound, step, stats)
+
+    return certified_solve(instance, "accel", make_steps, counter=counter,
+                           seed=seed, max_rounds=max_halvings)

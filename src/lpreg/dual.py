@@ -9,25 +9,17 @@ product certifies (1+eps) accuracy.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BudgetExceededError,
-    InfeasibleError,
-    InvalidInputError,
-    PotentialViolationError,
-)
+from .errors import InfeasibleError, InvalidInputError, PotentialViolationError
 from .lewis import WEIGHT_FLOOR, reg_lewis
 from .linalg import DenseMatrix, DiagonalWeights, SolveCounter, gram_solve, gram_solve_multi
 from .problem import ProblemInstance, pnorm
-from .refine import bregman_terms, line_search_lp
-from .report import SolveReport
+from .refine import BracketSteps, bregman_terms, certified_solve, line_search_lp
 
 DUAL_QUAD_BOUND = 6.0              # proof value 3, slack 2
-ZERO_RESIDUAL_RTOL = 1e-13
 
 
 def dual_exponent(q: float) -> float:
@@ -69,14 +61,14 @@ def dual_reduce(A: DenseMatrix, b: np.ndarray, q: float):
 
     Returns (p, y0) where y0 is the minimum-Euclidean-norm feasible point,
     or raises InfeasibleError when b lies in the column space of A (the
-    primal residual is then zero and the caller short-circuits).
+    primal residual is then zero).  :func:`solve_lq` needs no such fit:
+    it receives b already shifted (see :func:`certified_solve`).
     """
     p = dual_exponent(q)
     b = np.asarray(b, dtype=float)
-    x0 = gram_solve(A, DiagonalWeights.ones(A.n), A.a.T @ b)
-    resid = b - A.a @ x0
+    resid = b - A.a @ np.linalg.lstsq(A.a, b, rcond=None)[0]
     denom = float(b @ resid)
-    if denom <= (1e-14 * max(np.linalg.norm(b), 1.0)) ** 2:
+    if not denom > (1e-14 * float(np.linalg.norm(b))) ** 2:
         raise InfeasibleError("b lies in the column space of A")
     return p, resid / denom
 
@@ -272,72 +264,64 @@ class DualStepOracle:
 def solve_lq(instance: ProblemInstance, seed=0,
              counter: SolveCounter | None = None, max_rounds: int = 400,
              max_retries: int = 60):
-    """Full lq regression solve for q in (1, 2] with certified accuracy."""
-    A, b, q, eps = instance.A, instance.b, instance.p, instance.eps
+    """Full lq regression solve for q in (1, 2] with certified accuracy.
+
+    The bracket's lower bound is 1/||y||_p at the dual iterate y; each step
+    recovers a primal point from y and then advances y by one reweighted
+    refinement step.
+    """
+    q = instance.p
+    p = dual_exponent(q)
     counter = counter if counter is not None else SolveCounter()
-    t0 = time.perf_counter()
-    n, d = A.n, A.d
 
-    def finish(x, certified_gap, phase_counts):
-        u = A.a @ x - b
-        return x, SolveReport(
-            method="dual", p=q, eps=eps, n=n, d=d,
-            gram_solves=counter.gram_solves,
-            sketch_applications=counter.sketch_applications,
-            phase_counts=phase_counts,
-            residual_lp=pnorm(u, q), residual_l2=float(np.linalg.norm(u)),
-            certified_gap=certified_gap, wall_time=time.perf_counter() - t0)
+    def make_steps(unit):
+        A, b, d = unit.A, unit.b, unit.A.d
+        counts = {"oracle_calls": 0, "accepted_steps": 0}
+        # b is a unit vector orthogonal to range(A), so it is already the
+        # minimum-norm point of A^T y = 0, b^T y = 1.
+        y = b / float(b @ b)
+        oracle = DualStepOracle(A, b, p, seed=seed, counter=counter)
+        recovered, nu_prev = False, None
 
-    try:
-        p, y = dual_reduce(A, b, q)
-    except InfeasibleError:
-        x = gram_solve(A, DiagonalWeights.ones(n), A.a.T @ b, counter=counter,
-                       phase="init")
-        return finish(x, 0.0, {"rounds": 0, "short_circuit": 1})
+        def lower_bound(x):
+            return 1.0 / pnorm(y, p)
 
-    oracle = DualStepOracle(A, b, p, seed=seed, counter=counter)
-    best_x = None
-    rounds = calls = accepted = 0
-    gap = math.inf
-    nu_prev = None
-    for _ in range(max_rounds):
-        rounds += 1
-        x_hat = primal_recover(A, b, y, p, counter=counter)
-        primal = pnorm(A.a @ x_hat - b, q)
-        dual_norm = pnorm(y, p)
-        if best_x is None or primal < pnorm(A.a @ best_x - b, q):
-            best_x = x_hat
-        gap = primal * dual_norm - 1.0
-        if gap <= eps:
-            return finish(best_x, max(gap, 0.0),
-                          {"rounds": rounds, "oracle_calls": calls,
-                           "accepted_steps": accepted, **counter.by_phase})
-        g, r = bregman_terms(y, p)
-        f_cur = float(np.sum(np.abs(y) ** p))
-        gap_f = max(f_cur - primal ** -p, 1e-300)
-        nu = gap_f if nu_prev is None else min(gap_f, 4.0 * nu_prev)
-        moved = False
-        for _ in range(max_retries):
-            calls += 1
-            try:
-                z = oracle(nu, g, DiagonalWeights(r), y)
-            except InfeasibleError:
+        def advance(hi):
+            nonlocal y, nu_prev
+            g, r = bregman_terms(y, p)
+            f_cur = float(np.sum(np.abs(y) ** p))
+            gap_f = max(f_cur - hi ** -p, 1e-300)
+            nu = gap_f if nu_prev is None else min(gap_f, 4.0 * nu_prev)
+            for _ in range(max_retries):
+                counts["oracle_calls"] += 1
+                try:
+                    z = oracle(nu, g, DiagonalWeights(r), y)
+                except InfeasibleError:
+                    nu /= 2.0
+                    continue
+                c_star, f_new = line_search_lp(y, z - y, p)
+                if f_new < f_cur * (1.0 - 1e-15):
+                    y = y + c_star * (z - y)
+                    # kill constraint drift
+                    coef = np.linalg.solve(
+                        oracle._gram_Mb,
+                        oracle._Mb.T @ y - np.append(np.zeros(d), 1.0))
+                    y = y - oracle._Mb @ coef
+                    nu_prev = nu
+                    counts["accepted_steps"] += 1
+                    return True
                 nu /= 2.0
-                continue
-            c_star, f_new = line_search_lp(y, z - y, p)
-            if f_new < f_cur * (1.0 - 1e-15):
-                y = y + c_star * (z - y)
-                # kill constraint drift
-                coef = np.linalg.solve(oracle._gram_Mb,
-                                       oracle._Mb.T @ y - np.append(np.zeros(d), 1.0))
-                y = y - oracle._Mb @ coef
-                nu_prev = nu
-                accepted = accepted + 1
-                moved = True
-                break
-            nu /= 2.0
-        if not moved:
-            break
-    raise BudgetExceededError(
-        f"dual refinement stalled at certified gap {gap:.3g} "
-        f"(target {eps:.3g}) after {rounds} rounds")
+            return False
+
+        def step(x, lo, hi):
+            nonlocal recovered
+            if recovered and not advance(hi):
+                return None
+            recovered = True
+            x_hat = primal_recover(A, b, y, p, counter=counter)
+            return x_hat if pnorm(A.a @ x_hat - b, q) < hi else x
+
+        return BracketSteps(lower_bound, step, counts)
+
+    return certified_solve(instance, "dual", make_steps, counter=counter,
+                           seed=seed, max_rounds=max_rounds)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .accel import solve_pnorm_accel
+from .accel import MAX_ACCEL_P, solve_pnorm_accel
 from .dual import DualInstance, solve_lq, stack_instance
 from .errors import (
     InvalidInputError,
@@ -23,11 +23,10 @@ from .errors import (
     NoConvergenceError,
     RankDeficientError,
 )
-from .linalg import DenseMatrix, DiagonalWeights, SolveCounter, gram_solve
+from .linalg import DenseMatrix, DiagonalWeights
 from .linf import linf_regress
-from .mwu import MAX_MWU_P, MwuGammaSolver, ResidualInstance
+from .mwu import MAX_MWU_P, ResidualInstance, solve_mwu
 from .problem import ProblemInstance, pnorm
-from .refine import GammaSolverContract, refine_to_accuracy
 from .report import SolveReport
 
 FAMILIES = ("gaussian", "ill_conditioned", "planted_residual", "coherent_rows")
@@ -216,15 +215,19 @@ def oracle_opt(instance: ProblemInstance, tol: float = 1e-9) -> float:
     A, b, p = instance.A, instance.b, instance.p
     if A.n > 500 or A.d > 20:
         raise InvalidInputError("oracle is desk-scale only (n <= 500, d <= 20)")
-    a = A.a
-    # shift out the least-squares fit and normalize: an exact symmetry that
-    # keeps nearly consistent systems resolvable in floating point
-    x_shift = np.linalg.lstsq(a, b, rcond=None)[0]
-    resid0 = b - a @ x_shift
-    scale = float(np.linalg.norm(resid0))
-    if scale <= 1e-14 * max(float(np.linalg.norm(b)), 1.0):
+    # Rescale A and b by powers of two (exact, so the optimum scales with b
+    # alone), then shift out the least-squares fit and normalize: exact
+    # symmetries that keep tiny, huge and nearly consistent data resolvable
+    # in floating point.
+    b_exp = -math.frexp(float(np.max(np.abs(b))))[1]
+    a = np.ldexp(A.a, -math.frexp(float(np.max(np.abs(A.a))))[1])
+    b = np.ldexp(b, b_exp)
+    resid0 = b - a @ np.linalg.lstsq(a, b, rcond=None)[0]
+    norm0 = float(np.linalg.norm(resid0))
+    if not norm0 > 1e-14 * float(np.linalg.norm(b)):
         return 0.0
-    b = resid0 / scale
+    scale = math.ldexp(norm0, -b_exp)
+    b = resid0 / norm0
     x = np.zeros(A.d)
     if p == 2.0:
         return scale * float(np.linalg.norm(b))
@@ -251,68 +254,31 @@ def oracle_opt(instance: ProblemInstance, tol: float = 1e-9) -> float:
 
 
 def solve(instance: ProblemInstance, method: str, seed: int = 0):
-    """Dispatch a solve; returns (x, SolveReport) with the seed recorded.
+    """Check the method against the exponent and dispatch.
 
-    Before dispatching, the right-hand side is shifted by the least-squares
-    fit and normalized; this is an exact symmetry of the problem and keeps
-    nearly consistent systems (tiny optimum against large data) at unit
-    scale, where certificates and tolerances are meaningful.
+    Returns (x, SolveReport).  Every method runs inside
+    :func:`lpreg.refine.certified_solve`, which rescales the data exactly
+    and shifts out the least-squares fit, so results do not depend on the
+    scale of the data.
     """
     if method not in METHODS:
         raise InvalidInputError(f"unknown method {method!r}")
     p = instance.p
-    counter = SolveCounter()
     if method == "refine":
         method = ("linf" if p == math.inf else
                   "dual" if p < 2 else
                   "mwu" if p <= MAX_MWU_P else "accel")
     if method == "mwu" and not 2 <= p <= MAX_MWU_P:
         raise InvalidInputError(f"mwu requires 2 <= p <= {MAX_MWU_P}")
-    if method == "accel" and (p < 2 or p == math.inf):
-        raise InvalidInputError("accel requires finite p >= 2")
+    if method == "accel" and not 2 <= p <= MAX_ACCEL_P:
+        raise InvalidInputError(f"accel requires 2 <= p <= {MAX_ACCEL_P}")
     if method == "dual" and not 1 < p <= 2:
         raise InvalidInputError("dual requires q in (1, 2]")
     if method == "linf" and p != math.inf:
         raise InvalidInputError("linf requires p = inf")
-
-    A, b = instance.A, instance.b
-    x_ls = gram_solve(A, DiagonalWeights.ones(A.n), A.a.T @ b,
-                      counter=counter, phase="init")
-    b_eff = b - A.a @ x_ls
-    scale = float(np.linalg.norm(b_eff))
-    if scale <= 1e-15 * max(float(np.linalg.norm(b)), 1.0):
-        u = A.a @ x_ls - b
-        report = SolveReport(method=method, p=p, eps=instance.eps,
-                             n=A.n, d=A.d, seed=seed,
-                             gram_solves=counter.gram_solves,
-                             phase_counts=dict(counter.by_phase),
-                             residual_lp=pnorm(u, p),
-                             residual_l2=float(np.linalg.norm(u)),
-                             certified_gap=0.0, wall_time=0.0)
-        return x_ls, report
-    inner = ProblemInstance(A, b_eff / scale, p, eps=instance.eps)
-
-    if method == "mwu":
-        solver = MwuGammaSolver(A, p, seed=seed, counter=counter)
-        x_in, report = refine_to_accuracy(
-            inner, GammaSolverContract(solver.gamma, solver), counter=counter)
-        report.method = "mwu"
-        report.phase_counts["progress_steps"] = solver.progress_steps
-        report.phase_counts["boost_steps"] = solver.boost_steps
-    elif method == "accel":
-        x_in, report = solve_pnorm_accel(inner, seed=seed, counter=counter)
-    elif method == "dual":
-        x_in, report = solve_lq(inner, seed=seed, counter=counter)
-    else:
-        x_in, report = linf_regress(inner, seed=seed, counter=counter)
-    x = x_ls + scale * x_in
-    u = A.a @ x - b
-    report.seed = seed
-    report.n, report.d = A.n, A.d
-    report.gram_solves = counter.gram_solves
-    report.residual_lp = pnorm(u, p)
-    report.residual_l2 = float(np.linalg.norm(u))
-    return x, report
+    entry = {"mwu": solve_mwu, "accel": solve_pnorm_accel, "dual": solve_lq,
+             "linf": linf_regress}[method]
+    return entry(instance, seed=seed)
 
 
 @dataclass
@@ -380,31 +346,32 @@ def run_experiment(config: ExperimentConfig) -> dict:
             instance = gen_instance(config.family, n, d, seed, p=config.p,
                                     eps=config.eps)
             tag = f"{config.method}_{config.family}_{n}x{d}_s{seed}"
+            oracle_error = None
             try:
                 x, report = solve(instance, config.method, seed=seed)
                 if config.oracle:
                     opt = oracle_opt(instance, tol=config.oracle_tol)
-                    gap = ((report.residual_lp - opt) / opt if opt > 0
-                           else report.residual_lp)
-                    report.certified_gap = gap
+                    if opt > 0:
+                        oracle_error = report.residual_lp / opt - 1.0
             except LpregError as exc:
                 report = SolveReport(method=config.method, p=config.p,
                                      eps=config.eps, n=n, d=d, seed=seed,
                                      error=f"{type(exc).__name__}: {exc}")
             (out / f"{tag}.json").write_text(report.to_json(indent=2))
-            rows.append(report)
+            rows.append((report, oracle_error))
     csv_path = out / "results.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "d", "method", "p", "eps", "gram_solves",
-                         "certified_gap", "error"])
-        for r in rows:
+                         "certified_gap", "oracle_error", "error"])
+        for r, oracle_error in rows:
             writer.writerow([
                 r.n, r.d, r.method, "inf" if r.p == math.inf else repr(r.p),
                 repr(r.eps), r.gram_solves,
                 "" if r.certified_gap is None else repr(r.certified_gap),
+                "" if oracle_error is None else repr(oracle_error),
                 r.error or ""])
-    ok = [r for r in rows if r.error is None]
+    ok = [r for r, _ in rows if r.error is None]
     summary = {"rows": len(rows), "failures": len(rows) - len(ok)}
     if ok:
         per_d = {}

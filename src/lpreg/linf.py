@@ -10,16 +10,15 @@ bracket, and the temperature is retuned as the bracket shrinks.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, InvalidInputError, PotentialViolationError
+from .errors import InvalidInputError, PotentialViolationError
 from .lewis import LewisOverestimate, lewis_overestimates
 from .linalg import DenseMatrix, DiagonalWeights, SolveCounter, gram_solve_multi
 from .problem import ProblemInstance
-from .report import SolveReport
+from .refine import BracketSteps, certified_solve
 
 SMOOTHING_DENOM = 20.0      # t = eps * opt_estimate / (20 log m)
 TRUST_RADIUS_FRACTION = 0.5  # step radius r = t/2 in the weight metric
@@ -195,114 +194,89 @@ def linf_regress(instance: ProblemInstance, seed=0,
                  max_outer: int = 200, max_newton: int = 400):
     """Minimax regression to (1+eps) relative accuracy, certified.
 
-    Starts from the least-squares point, smooths at a temperature tied to
-    the current optimum estimate, and runs metric-damped Newton steps with
-    a trust radius of t/2.  The bracket [lower bound, max residual] comes
-    from the softmax dual candidate and drives both the temperature
-    schedule and termination.
+    Each bracket round smooths at a temperature tied to the current
+    optimum estimate and runs metric-damped Newton steps with a trust
+    radius of t/2.  The bracket [lower bound, max residual] comes from the
+    softmax dual candidates and drives both the temperature schedule and
+    termination; a round that cannot improve sharpens the temperature.
     """
-    A, b, eps = instance.A, instance.b, instance.eps
     counter = counter if counter is not None else SolveCounter()
-    t0 = time.perf_counter()
-    n, d = A.n, A.d
-    weights = lewis_overestimates(A, math.inf, seed=seed, counter=counter)
-    wv = weights.weights
 
-    x = gram_solve_multi(A, DiagonalWeights.ones(n), A.a.T @ b,
-                         counter=counter, phase="init")
-    hi = float(np.max(np.abs(A.a @ x - b))) if n else 0.0
-    b_scale = float(np.max(np.abs(b))) if n else 0.0
-    lo = 0.0
-    newton_steps = 0
-    arity = 2 * n
+    def make_steps(unit):
+        A, b, eps, n = unit.A, unit.b, unit.eps, unit.A.n
+        wv = lewis_overestimates(A, math.inf, seed=seed, counter=counter).weights
+        counts = {"newton_steps": 0}
+        t_shrink = 1.0
 
-    def metric_norm(v):
-        av = A.a @ v
-        return math.sqrt(float(av @ (wv * av)))
+        def metric_norm(v):
+            av = A.a @ v
+            return math.sqrt(float(av @ (wv * av)))
 
-    t_shrink = 1.0
-    for _ in range(max_outer):
-        u = A.a @ x - b
-        hi = float(np.max(np.abs(u)))
-        if hi <= 1e-13 * max(b_scale, 1.0):
-            break
-        lo = min(max(lo, best_linf_bound(A, b, x, counter)), hi)
-        if lo > 0 and hi <= (1.0 + eps) * lo:
-            break
-        opt_est = max(lo, hi / 2.0)
-        t = t_shrink * eps * opt_est / (SMOOTHING_DENOM * math.log(arity))
-        obj = LseObjective(A, b, t)
-        # Damping seeded so the first step lands near the stability radius
-        # t/2; afterwards the Levenberg loop plus the line search take over.
-        lam = 1e-8
-        improved = False
-        for _ in range(max_newton):
-            val, grad, pi = obj.value_grad(x)
-            if float(np.linalg.norm(grad)) <= 1e-15:
-                break
-            dtil = (pi[:n] + pi[n:]) / t
-            step = None
-            for _ in range(80):
-                # Hessian is A^T diag((pi+ + pi-)/t) A - grad grad^T / t;
-                # the rank-one part folds in by Sherman-Morrison.
-                diag = DiagonalWeights(dtil + lam * wv)
-                sol = gram_solve_multi(A, diag, grad, counter=counter,
-                                       phase="newton")
-                denom = t - float(grad @ sol)
-                if denom <= 1e-14 * t:
-                    lam *= 8.0
-                    continue
-                cand = -sol * (t / denom)
-                radius = TRUST_RADIUS_FRACTION * t
-                if lam <= 1e-8 and metric_norm(cand) > 1e3 * radius:
-                    # far outside the trust zone: damp before line-searching
-                    lam = max(lam, 1e-6)
-                    continue
-                step = cand
-                break
-            if step is None:
-                break
-            newton_steps += 1
-            new_val = obj.value_grad(x + step)[0]
-            shrink = 0
-            while new_val >= val and shrink < 50:
-                step *= 0.5
+        def lower_bound(x):
+            return best_linf_bound(A, b, x, counter)
+
+        def descend(x, lo, hi):
+            nonlocal t_shrink
+            t = (t_shrink * eps * max(lo, hi / 2.0)
+                 / (SMOOTHING_DENOM * math.log(2 * n)))
+            obj = LseObjective(A, b, t)
+            # Damping seeded so the first step lands near the stability
+            # radius t/2; afterwards the Levenberg loop plus the line search
+            # take over.
+            lam = 1e-8
+            improved = False
+            for _ in range(max_newton):
+                val, grad, pi = obj.value_grad(x)
+                if float(np.linalg.norm(grad)) <= 1e-15:
+                    break
+                dtil = (pi[:n] + pi[n:]) / t
+                step = None
+                for _ in range(80):
+                    # Hessian is A^T diag((pi+ + pi-)/t) A - grad grad^T / t;
+                    # the rank-one part folds in by Sherman-Morrison.
+                    diag = DiagonalWeights(dtil + lam * wv)
+                    sol = gram_solve_multi(A, diag, grad, counter=counter,
+                                           phase="newton")
+                    denom = t - float(grad @ sol)
+                    if denom <= 1e-14 * t:
+                        lam *= 8.0
+                        continue
+                    cand = -sol * (t / denom)
+                    radius = TRUST_RADIUS_FRACTION * t
+                    if lam <= 1e-8 and metric_norm(cand) > 1e3 * radius:
+                        # far outside the trust zone: damp before line-searching
+                        lam = max(lam, 1e-6)
+                        continue
+                    step = cand
+                    break
+                if step is None:
+                    break
+                counts["newton_steps"] += 1
                 new_val = obj.value_grad(x + step)[0]
-                shrink += 1
-            if new_val >= val:
-                if lam < 1e6:
-                    lam *= 16.0
-                    continue
-                break
-            x = x + step
-            lam = max(lam / 4.0, 1e-10)
-            improved = True
-            u_new = A.a @ x - b
-            if float(np.max(np.abs(u_new))) <= (1.0 + eps / 4.0) * lo and lo > 0:
-                break
-        if not improved:
-            u = A.a @ x - b
-            hi = float(np.max(np.abs(u)))
-            if lo > 0 and hi <= (1.0 + eps) * lo:
-                break
-            # the smoothed problem is solved but the bracket is open:
-            # sharpen the temperature and retry before giving up
-            t_shrink *= 0.25
-            if t_shrink < 1e-10:
-                raise BudgetExceededError(
-                    f"smoothed descent stalled at bracket [{lo:.6g}, {hi:.6g}]")
+                shrink = 0
+                while new_val >= val and shrink < 50:
+                    step *= 0.5
+                    new_val = obj.value_grad(x + step)[0]
+                    shrink += 1
+                if new_val >= val:
+                    if lam < 1e6:
+                        lam *= 16.0
+                        continue
+                    break
+                x = x + step
+                lam = max(lam / 4.0, 1e-10)
+                improved = True
+                if float(np.max(np.abs(A.a @ x - b))) <= (1.0 + eps / 4.0) * lo:
+                    break
+            if not improved:
+                # the smoothed problem is solved but the bracket is open:
+                # sharpen the temperature before giving up
+                t_shrink *= 0.25
+                if t_shrink < 1e-10:
+                    return None
+            return x
 
-    u = A.a @ x - b
-    hi = float(np.max(np.abs(u)))
-    gap = (hi / lo - 1.0) if lo > 0 else (0.0 if hi <= 1e-13 * max(b_scale, 1.0)
-                                          else math.inf)
-    if gap > eps:
-        raise BudgetExceededError(f"uncertified minimax bracket: gap {gap:.3g}")
-    report = SolveReport(
-        method="linf", p=math.inf, eps=eps, n=n, d=d,
-        gram_solves=counter.gram_solves,
-        sketch_applications=counter.sketch_applications,
-        phase_counts={"newton_steps": newton_steps, **counter.by_phase},
-        residual_lp=hi, residual_l2=float(np.linalg.norm(u)),
-        certified_gap=max(gap, 0.0), wall_time=time.perf_counter() - t0)
-    return x, report
+        return BracketSteps(lower_bound, descend, counts)
+
+    return certified_solve(instance, "linf", make_steps, counter=counter,
+                           seed=seed, max_rounds=max_outer)

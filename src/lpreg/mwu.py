@@ -27,6 +27,8 @@ from .errors import (
 )
 from .lewis import LewisOverestimate, lewis_overestimates
 from .linalg import DenseMatrix, DiagonalWeights, SolveCounter, gram_solve, gram_solve_multi
+from .problem import ProblemInstance
+from .refine import GammaSolverContract, certified_solve, refine_steps
 
 MAX_MWU_P = 16.0
 
@@ -385,8 +387,7 @@ class MwuGammaSolver:
         self.seed = seed
         self.counter = counter if counter is not None else SolveCounter()
         self.constraint = constraint
-        self.progress_steps = 0
-        self.boost_steps = 0
+        self.counts = {"progress_steps": 0, "boost_steps": 0}
         if constraint is None:
             self.basis = None
             self.A_eff = A
@@ -431,6 +432,20 @@ class MwuGammaSolver:
         y, info = width_reduced_oracle(inst, seed=self.seed,
                                        counter=self.counter,
                                        weights=self.weights)
-        self.progress_steps += info["progress_steps"]
-        self.boost_steps += info["boost_steps"]
+        for key in ("progress_steps", "boost_steps"):
+            self.counts[key] += info[key]
         return self.basis @ y if self.basis is not None else y
+
+
+def solve_mwu(instance: ProblemInstance, seed=0,
+              counter: SolveCounter | None = None):
+    """Full solve: iterative refinement with width-reduced steps, certified."""
+    counter = counter if counter is not None else SolveCounter()
+
+    def make_steps(unit):
+        solver = MwuGammaSolver(unit.A, unit.p, seed=seed, counter=counter)
+        return refine_steps(unit, GammaSolverContract(solver.gamma, solver),
+                            counter, counts=solver.counts)
+
+    return certified_solve(instance, "mwu", make_steps, counter=counter,
+                           seed=seed)

@@ -30,7 +30,7 @@ class ProblemInstance:
             raise InvalidInputError("b must have length n")
         if not np.all(np.isfinite(self.b)):
             raise NonFiniteError("b must be finite")
-        if self.p <= 1:
+        if not self.p > 1:
             raise InvalidInputError("exponent must exceed 1")
         if not 0 < self.eps < 1:
             raise InvalidInputError("eps must lie in (0, 1)")

@@ -1,12 +1,16 @@
-"""Iterative refinement: high-accuracy lp regression from approximate steps.
+"""The certified bracket shared by every solver, and iterative refinement.
 
-Each round linearizes the p-th power objective at the current residual,
-asks an approximate residual solver for a direction with a prescribed
-linear progress nu, and accepts the exact line-search point along it.
-A weak-duality certificate maintains a lower bound on the optimum, so
-termination at (1+eps) relative accuracy is certified rather than hoped
-for.  Rounds whose nu turns out infeasible for the solver shrink nu and
-retry; progress is monotone throughout.
+:func:`certified_solve` is the one place where a certificate is issued.
+It rescales the data exactly, shifts out the least-squares fit, and then
+brackets the optimum between the current residual and a weak-duality
+lower bound supplied by the solver until the two agree to (1+eps).  A
+solver contributes only its step and its lower bound (:class:`BracketSteps`).
+
+Iterative refinement is one such step: it linearizes the p-th power
+objective at the current residual, asks an approximate residual solver
+for a direction with a prescribed linear progress nu, and accepts the
+exact line-search point along it.  Rounds whose nu turns out infeasible
+for the solver shrink nu and retry; progress is monotone throughout.
 """
 from __future__ import annotations
 
@@ -29,7 +33,8 @@ from .problem import ProblemInstance, pnorm
 from .report import SolveReport
 
 REFINE_CALL_CONSTANT = 64.0
-ZERO_RESIDUAL_RTOL = 1e-13
+# Below this fraction of ||b|| the least-squares residual is rounding error.
+SHORT_CIRCUIT_RTOL = 1e-13
 
 
 def bregman_terms(x: np.ndarray, p: float):
@@ -162,21 +167,6 @@ class GammaCertificate:
         return quad_ok and pnorm_ok
 
 
-@dataclass
-class RefinementState:
-    """Bookkeeping for one refinement run."""
-
-    x: np.ndarray
-    residual_pth: float
-    lower: float = 0.0
-    upper: float = math.inf
-    rounds: int = 0
-    gamma_calls: int = 0
-    accepted: int = 0
-    nu: float | None = None
-    history: list = field(default_factory=list)
-
-
 def constrained_l2_start(A: DenseMatrix, b: np.ndarray, constraint,
                          counter: SolveCounter | None):
     """Feasible least-squares initializer (KKT solve when constrained)."""
@@ -184,8 +174,6 @@ def constrained_l2_start(A: DenseMatrix, b: np.ndarray, constraint,
     if constraint is None:
         return gram_solve(A, ones, A.a.T @ b, counter=counter, phase="init")
     C, v = constraint
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    v = np.asarray(v, dtype=float)
     sol = gram_solve_multi(A, ones, np.column_stack([C.T, A.a.T @ b]),
                            counter=counter, phase="init")
     JC, Jb = sol[:, :-1], sol[:, -1]
@@ -200,101 +188,196 @@ def _reproject(x, constraint):
     if constraint is None:
         return x
     C, v = constraint
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    resid = np.asarray(v, dtype=float) - C @ x
-    return x + C.T @ np.linalg.solve(C @ C.T, resid)
+    return x + C.T @ np.linalg.solve(C @ C.T, v - C @ x)
+
+
+@dataclass
+class UnitProblem:
+    """The instance as :func:`certified_solve` hands it to a solver.
+
+    A and b are rescaled by powers of two and b is shifted by its
+    least-squares fit and normalized: a unit vector orthogonal to range(A),
+    so the optimum is at least n^{-1/2}.  A constraint (C, v) becomes
+    (C, 0).  An iterate z is the caller's ``to_caller(z)``; a caller
+    direction is this problem's ``np.ldexp(delta, -a_exp)``.
+    """
+
+    A: DenseMatrix
+    b: np.ndarray
+    p: float
+    eps: float
+    constraint: tuple | None
+    a_exp: int
+    to_caller: Callable
+
+
+@dataclass
+class BracketSteps:
+    """A solver's part of a certified solve, built on the unit problem.
+
+    ``lower_bound(x)`` is a certified lower bound on the optimum;
+    ``step(x, lo, hi)`` returns the next iterate, or None when it can make
+    no progress.  ``counts`` holds the solver's counters for the report.
+    """
+
+    lower_bound: Callable
+    step: Callable
+    counts: dict = field(default_factory=dict)
+
+
+def _pow2_exponent(v: np.ndarray) -> int:
+    """k such that max |2^k v| lies in [1/2, 1); 0 for a zero array."""
+    return -math.frexp(float(np.max(np.abs(v), initial=0.0)))[1]
+
+
+def certified_solve(instance: ProblemInstance, method: str,
+                    make_steps: Callable[[UnitProblem], BracketSteps],
+                    counter: SolveCounter | None = None, seed=None,
+                    constraint=None, max_rounds: int = 500):
+    """The certification rule shared by every solver; returns (x, report).
+
+    1. Normalize: A and b are rescaled by powers of two, which is exact.
+    2. Start: one counted least-squares solve (the KKT form under a
+       constraint) shifts b.  If what is left is below SHORT_CIRCUIT_RTOL
+       relative to b, the least-squares point is returned with gap 0;
+       otherwise it is normalized to unit norm (see :class:`UnitProblem`).
+    3. Bracket: hi = ||Ax - b||_p, lo = the best lower bound so far; stop
+       once lo > 0 and hi <= (1 + eps) lo, else step.  A step that makes
+       no progress, or running out of rounds, raises BudgetExceededError.
+    4. Report: x is mapped back and measured on the caller's data.
+    """
+    t0 = time.perf_counter()
+    counter = counter if counter is not None else SolveCounter()
+    A, b, p, eps = instance.A, instance.b, instance.p, instance.eps
+    a_exp, b_exp = _pow2_exponent(A.a), _pow2_exponent(b)
+    a_unit = DenseMatrix.trusted(np.ldexp(A.a, a_exp))
+    b_scaled = np.ldexp(b, b_exp)
+    if constraint is not None:
+        C = np.atleast_2d(constraint[0])
+        constraint = (C, np.ldexp(constraint[1], b_exp - a_exp))
+    x0 = constrained_l2_start(a_unit, b_scaled, constraint, counter)
+    b_eff = b_scaled - a_unit.a @ x0
+    scale = float(np.linalg.norm(b_eff))
+
+    def to_caller(z):
+        return np.ldexp(x0 + scale * z, a_exp - b_exp)
+
+    z = np.zeros(A.d)
+    rounds, gap = 0, 0.0
+    if scale <= SHORT_CIRCUIT_RTOL * float(np.linalg.norm(b_scaled)):
+        counts = {"short_circuit": 1}
+    else:
+        unit = UnitProblem(
+            a_unit, b_eff / scale, p, eps,
+            None if constraint is None else (C, np.zeros(C.shape[0])),
+            a_exp, to_caller)
+        steps = make_steps(unit)
+        counts = steps.counts
+        lo, gap = 0.0, math.inf
+        while rounds < max_rounds:
+            rounds += 1
+            hi = pnorm(a_unit.a @ z - unit.b, p)
+            lo = min(max(lo, steps.lower_bound(z)), hi)
+            gap = hi / lo - 1.0 if lo > 0 else math.inf
+            if gap <= eps:
+                break
+            z_next = steps.step(z, lo, hi)
+            if z_next is None:
+                break
+            z = z_next
+        if not gap <= eps:
+            raise BudgetExceededError(
+                f"{method} stalled at relative gap {gap:.3g} (target "
+                f"{eps:.3g}) after {rounds} rounds")
+
+    x = to_caller(z)
+    u = A.a @ x - b
+    report = SolveReport(
+        method=method, p=p, eps=eps, n=A.n, d=A.d, seed=seed,
+        gram_solves=counter.gram_solves,
+        sketch_applications=counter.sketch_applications,
+        phase_counts={"rounds": rounds, **counts, **counter.by_phase},
+        residual_lp=pnorm(u, p), residual_l2=pnorm(u, 2.0),
+        certified_gap=max(gap, 0.0), wall_time=time.perf_counter() - t0)
+    return x, report
+
+
+def refine_steps(unit: UnitProblem, solver: GammaSolverContract,
+                 counter: SolveCounter, max_retries: int = 80,
+                 counts: dict | None = None) -> BracketSteps:
+    """Iterative-refinement steps driven by a residual-step solver.
+
+    Each step asks the solver for a direction with linear progress nu and
+    accepts the exact line-search point; nu shrinks on failure and retries.
+    The step counters are added to ``counts`` (the solver's own, if given).
+    """
+    A, b, p = unit.A, unit.b, unit.p
+    counts = {} if counts is None else counts
+    counts.update(gamma_calls=0, accepted_steps=0)
+    budget = min(REFINE_CALL_CONSTANT * p ** 3.5 * solver.gamma
+                 * math.log((A.n + A.d) / unit.eps), 1e18)
+    C = None if unit.constraint is None else unit.constraint[0]
+    nu_prev = None
+
+    def lower_bound(x):
+        return lp_dual_bound(A, b, x, p, constraint=unit.constraint,
+                             counter=counter)
+
+    def step(x, lo, hi):
+        nonlocal nu_prev
+        u = A.a @ x - b
+        g, r = bregman_terms(u, p)
+        if not np.any(g):
+            return None
+        R = DiagonalWeights(r)
+        f_cur = float(np.sum(np.abs(u) ** p))
+        gap = max(f_cur - lo ** p, 1e-300)
+        nu = gap if nu_prev is None else min(gap, 4.0 * nu_prev)
+        for _ in range(max_retries):
+            counts["gamma_calls"] += 1
+            if counts["gamma_calls"] > budget:
+                raise BudgetExceededError(
+                    f"{counts['gamma_calls']} residual-solver calls exceed "
+                    f"the contract budget {budget:.3g}")
+            try:
+                delta = solver.callback(nu, g, R, C, x=x)
+            except (InfeasibleError, BoostBudgetExceededError):
+                nu /= 2.0
+                continue
+            except ZeroGradientError:
+                return None
+            c_star, f_new = line_search_lp(u, A.a @ delta, p)
+            if f_new < f_cur * (1.0 - 1e-15):
+                nu_prev = nu
+                counts["accepted_steps"] += 1
+                return _reproject(x + c_star * delta, unit.constraint)
+            nu /= 2.0
+        return None
+
+    return BracketSteps(lower_bound, step, counts)
 
 
 def refine_to_accuracy(instance: ProblemInstance, solver: GammaSolverContract,
                        constraint=None, counter: SolveCounter | None = None,
                        max_rounds: int = 500, max_retries: int = 80):
-    """Drive the residual solver until (1+eps)-accuracy is certified.
+    """Drive a caller-built residual solver until (1+eps)-accuracy is certified.
 
-    Returns (x, report).  Raises BudgetExceededError if the theoretical
-    call budget is exhausted or progress stalls before certification,
-    which signals a broken solver contract.
+    The solver is bound to the caller's A: it receives iterates in the
+    caller's coordinates and its directions are mapped back.  Returns
+    (x, report).  Raises BudgetExceededError if the theoretical call
+    budget is exhausted or progress stalls before certification, which
+    signals a broken solver contract.
     """
-    A, b, p, eps = instance.A, instance.b, instance.p, instance.eps
-    if p < 2:
+    if instance.p < 2:
         raise InvalidInputError("refinement drives p >= 2 objectives")
     counter = counter if counter is not None else SolveCounter()
-    t0 = time.perf_counter()
-    n, d = A.n, A.d
 
-    state = RefinementState(x=np.zeros(d), residual_pth=math.inf)
-    if not np.any(b) and constraint is None:
-        state.x = np.zeros(d)
-    else:
-        state.x = constrained_l2_start(A, b, constraint, counter)
-    budget = min(REFINE_CALL_CONSTANT * p ** 3.5 * solver.gamma
-                 * math.log((n + d) / eps), 1e18)
-    C_mat = None if constraint is None else np.atleast_2d(constraint[0])
+    def make_steps(unit):
+        def callback(nu, g, R, C, x):
+            delta = solver.callback(nu, g, R, C, x=unit.to_caller(x))
+            return np.ldexp(delta, -unit.a_exp)
+        return refine_steps(unit, GammaSolverContract(solver.gamma, callback),
+                            counter, max_retries)
 
-    b_scale = pnorm(b, p)
-    certified = False
-    for _ in range(max_rounds):
-        state.rounds += 1
-        u = A.a @ state.x - b
-        hi = pnorm(u, p)
-        state.upper = hi
-        if hi <= ZERO_RESIDUAL_RTOL * max(b_scale, 1.0):
-            certified = True
-            break
-        lb = lp_dual_bound(A, b, state.x, p, constraint=constraint,
-                           counter=counter)
-        state.lower = min(max(state.lower, lb), hi)
-        if hi <= (1.0 + eps) * state.lower and state.lower > 0:
-            certified = True
-            break
-
-        g, r = bregman_terms(u, p)
-        if not np.any(g):
-            break
-        R = DiagonalWeights(r)
-        f_cur = float(np.sum(np.abs(u) ** p))
-        gap = max(f_cur - state.lower ** p, 1e-300)
-        nu = gap if state.nu is None else min(gap, 4.0 * state.nu)
-        moved = False
-        for _ in range(max_retries):
-            state.gamma_calls += 1
-            if state.gamma_calls > budget:
-                raise BudgetExceededError(
-                    f"{state.gamma_calls} residual-solver calls exceed the "
-                    f"contract budget {budget:.3g}")
-            try:
-                delta = solver.callback(nu, g, R, C_mat, x=state.x)
-            except (InfeasibleError, BoostBudgetExceededError):
-                nu /= 2.0
-                continue
-            except ZeroGradientError:
-                break
-            c_star, f_new = line_search_lp(u, A.a @ delta, p)
-            if f_new < f_cur * (1.0 - 1e-15):
-                state.x = _reproject(state.x + c_star * delta, constraint)
-                state.nu = nu
-                state.accepted += 1
-                moved = True
-                break
-            nu /= 2.0
-        if not moved:
-            break
-
-    u = A.a @ state.x - b
-    hi = pnorm(u, p)
-    gap = (hi / state.lower - 1.0) if state.lower > 0 else math.inf
-    if hi <= ZERO_RESIDUAL_RTOL * max(b_scale, 1.0):
-        certified, gap = True, 0.0
-    if not certified:
-        raise BudgetExceededError(
-            f"stalled at relative gap {gap:.3g} (target {eps:.3g}) after "
-            f"{state.rounds} rounds / {state.gamma_calls} solver calls")
-    report = SolveReport(
-        method="refine", p=p, eps=eps, n=n, d=d,
-        gram_solves=counter.gram_solves,
-        sketch_applications=counter.sketch_applications,
-        phase_counts={"rounds": state.rounds, "gamma_calls": state.gamma_calls,
-                      "accepted_steps": state.accepted,
-                      **counter.by_phase},
-        residual_lp=hi, residual_l2=float(np.linalg.norm(u)),
-        certified_gap=gap, wall_time=time.perf_counter() - t0)
-    return state.x, report
+    return certified_solve(instance, "refine", make_steps, counter=counter,
+                           constraint=constraint, max_rounds=max_rounds)

@@ -53,6 +53,18 @@ class TestSolveCommand:
         assert main(["solve", "--matrix", mpath, "--rhs", vpath, "--p", "4",
                      "--method", "dual"]) == 3
 
+    def test_nan_exponent_is_input_error(self, tmp_path, capsys):
+        inst, mpath, vpath = write_instance(tmp_path)
+        assert main(["solve", "--matrix", mpath, "--rhs", vpath,
+                     "--p", "nan"]) == 3
+        assert "exponent must exceed 1" in capsys.readouterr().err
+
+    def test_accel_exponent_cap_is_input_error(self, tmp_path, capsys):
+        inst, mpath, vpath = write_instance(tmp_path)
+        assert main(["solve", "--matrix", mpath, "--rhs", vpath,
+                     "--p", "200", "--method", "accel"]) == 3
+        assert "accel requires" in capsys.readouterr().err
+
     def test_solver_error_exit_code(self, tmp_path, capsys, monkeypatch):
         from lpreg import cli
         from lpreg.errors import BudgetExceededError

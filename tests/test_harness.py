@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -88,6 +89,14 @@ class TestOracleOpt:
         assert oracle_opt(ProblemInstance(A, b, 2.0)) \
             == pytest.approx(float(np.linalg.norm(A.a @ x - b)), rel=1e-12)
 
+    @pytest.mark.parametrize("p", [1.5, 4.0, math.inf])
+    @pytest.mark.parametrize("s", [1e-200, 1e-20, 1e20, 1e200])
+    def test_scale_covariant(self, s, p):
+        inst = gen_instance("gaussian", 30, 3, 4, p=p)
+        scaled = ProblemInstance(DenseMatrix(s * inst.A.a), s * inst.b, p)
+        assert oracle_opt(scaled) == pytest.approx(s * oracle_opt(inst),
+                                                   rel=1e-9, abs=0.0)
+
     def test_rejects_large_sizes(self):
         rng = np.random.default_rng(2)
         A = DenseMatrix(rng.standard_normal((40, 22)))
@@ -173,6 +182,20 @@ class TestRunExperiment:
         first = (tmp_path / "out" / "results.csv").read_bytes()
         run_experiment(cfg)
         assert (tmp_path / "out" / "results.csv").read_bytes() == first
+
+    def test_oracle_error_has_its_own_column(self, tmp_path):
+        cfg = self._config(tmp_path, oracle=True)
+        run_experiment(cfg)
+        with open(tmp_path / "out" / "results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        for row, seed in zip(rows, cfg.seeds):
+            report = json.loads((tmp_path / "out" /
+                                 f"accel_gaussian_20x3_s{seed}.json").read_text())
+            # the solver's certificate is written as issued
+            assert float(row["certified_gap"]) == report["certified_gap"]
+            assert 0.0 <= report["certified_gap"] <= cfg.eps
+            assert abs(float(row["oracle_error"])) <= report["certified_gap"] + 1e-6
 
     def test_error_rows_recorded_and_run_continues(self, tmp_path):
         cfg = self._config(tmp_path, method="dual", p=4.0)
