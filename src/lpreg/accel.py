@@ -27,7 +27,8 @@ MS_BISECTION_CAP = 60
 HALVING_DISTANCE_COEFF = 2.0 ** 1.5
 # Largest supported exponent: C_p = e p^p and the step-scale powers leave
 # the float range as p grows.  At 60x4 (four families, seeds 0-2) p = 14
-# always solves; p = 16 already divides by an underflowed power once.
+# always solves; p = 16 can underflow the step-scale power, which raises
+# BisectionStallError.
 MAX_ACCEL_P = 14.0
 
 
@@ -297,7 +298,7 @@ def distance_bound(d: int, p: float, err: float) -> float:
 def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
                   weights: LewisOverestimate, x0: np.ndarray, eps: float,
                   dist_bound: float, counter: SolveCounter | None = None,
-                  lower_bound_fn=None, seed=0, max_steps: int | None = None,
+                  lower_bound_fn=None, max_steps: int | None = None,
                   stats: dict | None = None):
     """Accelerated proximal-point loop reducing f error below eps.
 
@@ -355,7 +356,12 @@ def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
             dist = prob_center.m_norm(cert.x - x_tilde)
             if acc_weight == 0.0 or p == 2.0:
                 # x_tilde has no lambda dependence; set the scale directly.
-                lam_try = 1.0 / (p * cp * fpow(max(dist, 1e-30), p - 2.0))
+                denom = p * cp * fpow(max(dist, 1e-30), p - 2.0)
+                if not (math.isfinite(denom) and denom > 0.0):
+                    raise BisectionStallError(
+                        f"step scale left the float range: p C_p "
+                        f"dist^(p-2) = {denom:.3g} at dist {dist:.3g}")
+                lam_try = 1.0 / denom
                 break
             measure = lam_try * p * cp * fpow(dist, p - 2.0)
             if 0.5 <= measure <= 2.0:
@@ -411,12 +417,12 @@ def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
 def halve_error(A: DenseMatrix, b: np.ndarray, p: float,
                 weights: LewisOverestimate, x0: np.ndarray, err: float,
                 counter: SolveCounter | None = None, lower_bound_fn=None,
-                seed=0, stats: dict | None = None):
+                stats: dict | None = None):
     """Given f(x0) - f* <= err, produce x' with f(x') - f* <= err/2."""
     dist = distance_bound(A.d, p, err)
     x, _ = ms_accelerate(A, b, p, weights, x0, eps=err / 2.0, dist_bound=dist,
                          counter=counter, lower_bound_fn=lower_bound_fn,
-                         seed=seed, stats=stats)
+                         stats=stats)
     return x
 
 
@@ -430,7 +436,7 @@ def solve_pnorm_accel(instance: ProblemInstance, seed=0,
 
     def make_steps(unit):
         A, b, p = unit.A, unit.b, unit.p
-        weights = lewis_overestimates(A, p, seed=seed, counter=counter)
+        weights = lewis_overestimates(A, p)
         stats = {"prox_calls": 0, "inner_iterations": 0}
 
         def lower_bound(xc):
@@ -440,7 +446,7 @@ def solve_pnorm_accel(instance: ProblemInstance, seed=0,
             x_new = halve_error(A, b, p, weights, x, max(hi ** p - lo ** p, 1e-300),
                                 counter=counter,
                                 lower_bound_fn=lambda xc: lower_bound(xc) ** p,
-                                seed=seed, stats=stats)
+                                stats=stats)
             return x_new if pnorm(A.a @ x_new - b, p) < hi else None
 
         return BracketSteps(lower_bound, step, stats)

@@ -62,7 +62,7 @@ def _cmd_bench(args) -> int:
 def _cmd_weights(args) -> int:
     A = read_matrix(args.matrix)
     p = _parse_p(args.p)
-    est = lewis_overestimates(A, p, seed=args.seed)
+    est = lewis_overestimates(A, p)
     sig = leverage_scores(reweight_by(A, est.weights, half_minus_inv(p)))
     payload = {
         "p": "inf" if p == math.inf else p,
@@ -111,7 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     pw = sub.add_parser("weights", help="emit weight overestimates as JSON")
     pw.add_argument("--matrix", required=True)
     pw.add_argument("--p", required=True)
-    pw.add_argument("--seed", type=int, default=0)
     pw.add_argument("--out")
     pw.set_defaults(func=_cmd_weights)
     return parser

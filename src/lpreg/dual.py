@@ -84,7 +84,7 @@ def min_quadratic_on_affine(U: DenseMatrix, v: np.ndarray, diag: np.ndarray,
     """
     n, m = U.n, U.d
     w = 1.0 / np.maximum(diag, 1e-300)
-    lead = DenseMatrix(U.a[:, :m - 2])
+    lead = DenseMatrix.trusted(U.a[:, :m - 2])
     tail = U.a[:, m - 2:]
     D = DiagonalWeights(w)
     F = lead.a.T @ (w[:, None] * tail)                     # (m-2) x 2
@@ -105,7 +105,7 @@ def min_quadratic_on_affine(U: DenseMatrix, v: np.ndarray, diag: np.ndarray,
     return x
 
 
-def oracle_small(inst: DualInstance, seed=0,
+def oracle_small(inst: DualInstance,
                  counter: SolveCounter | None = None) -> np.ndarray:
     """Single-shot feasible point with small reweighted quadratic and p-norm.
 
@@ -124,7 +124,7 @@ def oracle_small(inst: DualInstance, seed=0,
         # dominated"; cap them well inside the floating-point range.
         c = np.minimum(m * np.maximum(r, 0.0) ** (p / (p - 2.0)), 1e150)
         q = p / (p - 1.0)
-        what = reg_lewis(U, c, q, seed=seed, counter=counter).weights
+        what = reg_lewis(U, c, q).weights
         diag = m ** (1.0 - 2.0 / p) * r + np.maximum(what, WEIGHT_FLOOR) ** (
             1.0 - 2.0 / p)
     y = min_quadratic_on_affine(U, v, diag, counter=counter, phase="oracle_small")
@@ -227,10 +227,9 @@ class DualStepOracle:
     orthogonalized against [A b] to keep the stack well conditioned.
     """
 
-    def __init__(self, A: DenseMatrix, b: np.ndarray, p: float, seed=0,
+    def __init__(self, A: DenseMatrix, b: np.ndarray, p: float,
                  counter: SolveCounter | None = None):
         self.A, self.b, self.p = A, np.asarray(b, dtype=float), p
-        self.seed = seed
         self.counter = counter if counter is not None else SolveCounter()
         self.gamma = dual_gamma_value(p, A.d + 2)
         self._Mb = np.column_stack([A.a, self.b])
@@ -257,7 +256,7 @@ class DualStepOracle:
         rhat = DiagonalWeights(R.values * (p / (8.0 * nu)) * sigma ** 2,
                                floor=R.floor)
         inst = stack_instance(self.A, sigma * self.b, ghat, rhat, p)
-        y_scaled = oracle_small(inst, seed=self.seed, counter=self.counter)
+        y_scaled = oracle_small(inst, counter=self.counter)
         return sigma * y_scaled
 
 
@@ -280,7 +279,7 @@ def solve_lq(instance: ProblemInstance, seed=0,
         # b is a unit vector orthogonal to range(A), so it is already the
         # minimum-norm point of A^T y = 0, b^T y = 1.
         y = b / float(b @ b)
-        oracle = DualStepOracle(A, b, p, seed=seed, counter=counter)
+        oracle = DualStepOracle(A, b, p, counter=counter)
         recovered, nu_prev = False, None
 
         def lower_bound(x):

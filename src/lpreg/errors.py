@@ -22,7 +22,7 @@ class ZeroGradientError(LpregError):
 
 
 class DominationFailure(LpregError):
-    """Weight certificate failed; retry with a different seed."""
+    """Weight certificate failed (mass or domination); fatal, not retryable."""
 
 
 class NegativeWeightError(LpregError):

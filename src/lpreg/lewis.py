@@ -18,7 +18,7 @@ from .errors import (
     NegativeWeightError,
     NoConvergenceError,
 )
-from .linalg import DenseMatrix, SolveCounter, approx_lev, leverage_scores, reweighted
+from .linalg import DenseMatrix, approx_lev, leverage_scores, reweighted
 
 WEIGHT_FLOOR = 1e-14
 DOMINATION_TOL = 1e-8
@@ -64,27 +64,25 @@ class RegularizedLewisWeights:
     q: float
 
 
-def lewis_overestimates(A: DenseMatrix, p: float, seed=0,
-                        counter: SolveCounter | None = None) -> LewisOverestimate:
+def lewis_overestimates(A: DenseMatrix, p: float) -> LewisOverestimate:
     """Compute lp weight overestimates for p >= 2 (p = inf allowed).
 
-    Runs T = ceil(10 log n) rounds of approximate leverage scores on the
-    reweighted matrix, starting from the uniform vector d/n, and returns
-    3/(2T) times the iterate sum.  The certificate (mass in [d, 2d] and
+    Runs T = ceil(10 log n) rounds of leverage scores (:func:`approx_lev`
+    at eps = 0.1, which is exact) on the reweighted matrix, starting from
+    the uniform vector d/n, and returns 3/(2T) times the iterate sum.  The certificate (mass in [d, 2d] and
     elementwise domination) is re-verified with one exact leverage
-    computation; failure raises DominationFailure, which signals a sketch
-    failure and is retryable with a fresh seed.
+    computation; failure raises DominationFailure.  The computation is
+    deterministic, so a failure would repeat on any retry.
     """
     if p < 2:
         raise InvalidInputError("overestimates require p >= 2")
     n, d = A.n, A.d
     expo = half_minus_inv(p)
-    rng = np.random.default_rng(seed)
     T = int(math.ceil(10 * math.log(max(n, 2))))
     w = np.full(n, d / n)
     acc = np.zeros(n)
     for _ in range(T):
-        w = approx_lev(reweight_by(A, w, expo), 0.1, seed=rng, counter=counter)
+        w = approx_lev(reweight_by(A, w, expo), 0.1)
         acc += w
     out = (3.0 / (2.0 * T)) * acc
 
@@ -145,14 +143,13 @@ def reg_lewis_update(A: DenseMatrix, w: np.ndarray, c: np.ndarray, q: float,
     return np.maximum(nxt, 0.0)
 
 
-def reg_lewis(A: DenseMatrix, c: np.ndarray, q: float, seed=0,
-              counter: SolveCounter | None = None) -> RegularizedLewisWeights:
+def reg_lewis(A: DenseMatrix, c: np.ndarray, q: float) -> RegularizedLewisWeights:
     """Approximate c-regularized lq weights for q in (1, 2].
 
     Starts from the all-ones vector and applies ceil(8 log log n) + 4
-    contraction steps, each powered by approximate leverage scores at
-    eps = 1/50; the returned vector is the approximate leverage scores
-    of the final reweighted matrix.
+    contraction steps, each powered by leverage scores (:func:`approx_lev`
+    at eps = 1/50, which is exact); the returned vector is the leverage
+    scores of the final reweighted matrix.
     """
     if not 1 < q <= 2:
         raise InvalidInputError("q must lie in (1, 2]")
@@ -160,15 +157,12 @@ def reg_lewis(A: DenseMatrix, c: np.ndarray, q: float, seed=0,
     if np.any(c < 0):
         raise InvalidInputError("regularizer must be nonnegative")
     n = A.n
-    rng = np.random.default_rng(seed)
     T = int(math.ceil(8 * math.log(math.log(max(n, 3))))) + 4
     w = np.ones(n)
     for _ in range(T):
-        sig = approx_lev(reweight_by(A, c + w, 0.5 - 1.0 / q), 1.0 / 50.0,
-                         seed=rng, counter=counter)
+        sig = approx_lev(reweight_by(A, c + w, 0.5 - 1.0 / q), 1.0 / 50.0)
         w = reg_lewis_update(A, w, c, q, sigma=sig)
-    final = approx_lev(reweight_by(A, c + w, 0.5 - 1.0 / q), 1.0 / 50.0,
-                       seed=rng, counter=counter)
+    final = approx_lev(reweight_by(A, c + w, 0.5 - 1.0 / q), 1.0 / 50.0)
     return RegularizedLewisWeights(final, c, q)
 
 

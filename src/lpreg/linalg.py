@@ -7,7 +7,6 @@ or its multi right-hand-side variant.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,9 +21,6 @@ from .errors import (
 
 DEFAULT_FLOOR = 1e-300
 DEFAULT_RTOL = 1e-12
-
-# Dense random-sign sketch size is ceil(SKETCH_C * eps^-2 * log n) rows.
-SKETCH_C = 8.0
 
 
 class DenseMatrix:
@@ -59,7 +55,7 @@ class DenseMatrix:
 
     @classmethod
     def trusted(cls, entries: np.ndarray) -> "DenseMatrix":
-        """Skip validation for an exact rescaling of a validated matrix."""
+        """Skip validation for a rank-preserving copy of a validated matrix."""
         obj = object.__new__(cls)
         obj.a = entries
         obj.row_labels = None
@@ -102,10 +98,9 @@ class DiagonalWeights:
 
 @dataclass
 class SolveCounter:
-    """Monotone tally of Gram solves and sketch applications."""
+    """Monotone tally of Gram solves, in total and by phase."""
 
     gram_solves: int = 0
-    sketch_applications: int = 0
     by_phase: dict = field(default_factory=dict)
 
     def tick(self, k: int = 1, phase: str | None = None):
@@ -198,46 +193,24 @@ def leverage_scores(A: DenseMatrix) -> np.ndarray:
     return np.clip(sig, 0.0, 1.0)
 
 
-def sketch_size(n: int, eps: float) -> int:
-    return int(math.ceil(SKETCH_C * eps ** -2 * math.log(max(n, 2))))
-
-
-def approx_lev(A: DenseMatrix, eps: float, seed=0,
-               counter: SolveCounter | None = None,
-               mode: str = "auto") -> np.ndarray:
+def approx_lev(A: DenseMatrix, eps: float) -> np.ndarray:
     """Leverage-score estimates within a (1 +- eps) factor of the truth.
 
-    Uses a dense random-sign projection with ceil(8 eps^-2 log n) rows,
-    each applied through one Gram solve.  When the sketch would have at
-    least as many rows as the matrix (always the case at small scale),
-    ``mode="auto"`` falls back to the exact QR computation, which
-    satisfies the estimate guarantee trivially and costs no solves.
-    ``mode="sketch"`` forces the projection path.
+    The exact QR scores meet that guarantee for every eps, so they are
+    returned as is; they cost no Gram solves.
     """
     if not 0 < eps < 1:
         raise InvalidInputError("eps must lie in (0, 1)")
-    if mode not in ("auto", "sketch", "exact"):
-        raise InvalidInputError(f"unknown mode {mode!r}")
-    n = A.n
-    k = sketch_size(n, eps)
-    if mode == "exact" or (mode == "auto" and k >= n):
-        return leverage_scores(A)
-
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    S = rng.choice([-1.0, 1.0], size=(k, n)) / math.sqrt(k)
-    SA = S @ A.a                                   # k x d
-    Y = gram_solve_multi(A, DiagonalWeights.ones(n), SA.T, counter=counter,
-                         phase="sketch")          # d x k
-    if counter is not None:
-        counter.sketch_applications += k
-    proj = A.a @ Y                                 # n x k, rows of S P
-    est = np.einsum("ij,ij->i", proj, proj)
-    return np.maximum(est, 0.0)
+    return leverage_scores(A)
 
 
 def reweighted(A: DenseMatrix, scale: np.ndarray) -> DenseMatrix:
-    """Row-scaled copy diag(scale) @ A, revalidated."""
-    return DenseMatrix(A.a * np.asarray(scale, dtype=float)[:, None])
+    """Row-scaled copy diag(scale) @ A for a positive finite scale.
+
+    Scaling rows by positive factors keeps full column rank, so the copy
+    is a trusted view and not revalidated.
+    """
+    return DenseMatrix.trusted(A.a * np.asarray(scale, dtype=float)[:, None])
 
 
 def read_matrix(path) -> DenseMatrix:

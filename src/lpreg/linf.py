@@ -204,7 +204,7 @@ def linf_regress(instance: ProblemInstance, seed=0,
 
     def make_steps(unit):
         A, b, eps, n = unit.A, unit.b, unit.eps, unit.A.n
-        wv = lewis_overestimates(A, math.inf, seed=seed, counter=counter).weights
+        wv = lewis_overestimates(A, math.inf).weights
         counts = {"newton_steps": 0}
         t_shrink = 1.0
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import (
     BoostBudgetExceededError,
-    DominationFailure,
     EnergyIncreaseViolationError,
     InfeasibleError,
     InvalidInputError,
@@ -40,12 +39,6 @@ KAPPA_BASE = 1.0      # kappa = p * d^{1/p}
 def _tol(*vals) -> float:
     """Absolute assertion slack, inflated to sit above fp noise at scale."""
     return 1e-9 + 4e-12 * sum(abs(float(v)) for v in vals)
-
-
-def _respawn(seed, attempt: int):
-    if attempt == 0 or isinstance(seed, np.random.Generator):
-        return seed
-    return int(seed) + 7919 * attempt
 
 
 @dataclass
@@ -307,7 +300,7 @@ def boosting_step(state: MwuState, z: np.ndarray) -> MwuState:
     return state
 
 
-def width_reduced_oracle(inst: ResidualInstance, seed=0,
+def width_reduced_oracle(inst: ResidualInstance,
                          counter: SolveCounter | None = None,
                          weights: LewisOverestimate | None = None):
     """Run the width-reduction loop and return (y, info).
@@ -319,7 +312,7 @@ def width_reduced_oracle(inst: ResidualInstance, seed=0,
     """
     p, d = inst.p, inst.A.d
     if weights is None:
-        weights = lewis_overestimates(inst.A, p, seed=seed, counter=counter)
+        weights = lewis_overestimates(inst.A, p)
     state = new_state(inst, weights, counter=counter)
     if inst.witness is not None:
         gerr, quad, pn = inst.witness_slack()
@@ -379,12 +372,11 @@ class MwuGammaSolver:
     are invariant under the per-call uniform rescaling of A.
     """
 
-    def __init__(self, A: DenseMatrix, p: float, seed=0,
+    def __init__(self, A: DenseMatrix, p: float,
                  counter: SolveCounter | None = None,
                  constraint: np.ndarray | None = None):
         self.p = float(p)
         self.gamma = gamma_value(self.p)
-        self.seed = seed
         self.counter = counter if counter is not None else SolveCounter()
         self.constraint = constraint
         self.counts = {"progress_steps": 0, "boost_steps": 0}
@@ -397,18 +389,9 @@ class MwuGammaSolver:
             self.basis = null_space(self.constraint)
             if self.basis.shape[1] == 0:
                 raise InfeasibleError("constraint leaves no free directions")
-            self.A_eff = DenseMatrix(A.a @ self.basis)
-        last_err = None
-        for attempt in range(3):
-            try:
-                self.weights = lewis_overestimates(
-                    self.A_eff, self.p, seed=_respawn(seed, attempt),
-                    counter=self.counter)
-                break
-            except DominationFailure as exc:   # retryable sketch failure
-                last_err = exc
-        else:
-            raise last_err
+            # An orthonormal basis keeps A's full column rank.
+            self.A_eff = DenseMatrix.trusted(A.a @ self.basis)
+        self.weights = lewis_overestimates(self.A_eff, self.p)
 
     def __call__(self, nu: float, g: np.ndarray, R: DiagonalWeights,
                  C: np.ndarray | None = None, x: np.ndarray | None = None):
@@ -423,14 +406,13 @@ class MwuGammaSolver:
         g_eff = self.A_eff.a.T @ np.asarray(g, dtype=float)
         scale_a = (2.0 ** (p + 1) * nu) ** (-1.0 / p)
         inst = ResidualInstance(
-            A=DenseMatrix(scale_a * self.A_eff.a),
+            A=DenseMatrix.trusted(scale_a * self.A_eff.a),
             g=g_eff / nu,
             R=DiagonalWeights(R.values * (p / (8.0 * nu)) / scale_a ** 2,
                               floor=R.floor),
             p=p,
         )
-        y, info = width_reduced_oracle(inst, seed=self.seed,
-                                       counter=self.counter,
+        y, info = width_reduced_oracle(inst, counter=self.counter,
                                        weights=self.weights)
         for key in ("progress_steps", "boost_steps"):
             self.counts[key] += info[key]
@@ -443,7 +425,7 @@ def solve_mwu(instance: ProblemInstance, seed=0,
     counter = counter if counter is not None else SolveCounter()
 
     def make_steps(unit):
-        solver = MwuGammaSolver(unit.A, unit.p, seed=seed, counter=counter)
+        solver = MwuGammaSolver(unit.A, unit.p, counter=counter)
         return refine_steps(unit, GammaSolverContract(solver.gamma, solver),
                             counter, counts=solver.counts)
 

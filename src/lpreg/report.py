@@ -19,7 +19,7 @@ class SolveReport:
     d: int
     seed: int | None = None
     gram_solves: int = 0
-    sketch_applications: int = 0
+    sketch_applications: int = 0   # always 0: leverage scores are exact
     phase_counts: dict = field(default_factory=dict)
     residual_lp: float = math.nan
     residual_l2: float = math.nan

@@ -15,7 +15,8 @@ from lpreg.accel import (
     solve_pnorm_accel,
     strong_convexity_check,
 )
-from lpreg.harness import oracle_opt
+from lpreg.errors import LpregError
+from lpreg.harness import gen_instance, oracle_opt
 from lpreg.lewis import lewis_overestimates
 from lpreg.linalg import DenseMatrix, SolveCounter
 from lpreg.problem import ProblemInstance, pnorm
@@ -25,7 +26,7 @@ def make_problem(n, d, p, seed, center_seed=None):
     rng = np.random.default_rng(seed)
     A = DenseMatrix(rng.standard_normal((n, d)))
     b = rng.standard_normal(n)
-    w = lewis_overestimates(A, p, seed=seed)
+    w = lewis_overestimates(A, p)
     y = np.random.default_rng(center_seed or seed + 1).standard_normal(d)
     return ProxProblem(A, b, p, w, y)
 
@@ -58,7 +59,7 @@ class TestProxSolve:
         rng = np.random.default_rng(8)
         A = DenseMatrix(rng.standard_normal((25, 3)))
         y = rng.standard_normal(3)
-        w = lewis_overestimates(A, 4.0, seed=0)
+        w = lewis_overestimates(A, 4.0)
         prob = ProxProblem(A, A.a @ y, 4.0, w, y)
         cert = prox_solve(prob, tol=1e-12)
         assert prob.m_norm(cert.x - y) <= 1e-3  # tol^{1/(p-1)} scale
@@ -68,7 +69,7 @@ class TestProxSolve:
         rng = np.random.default_rng(9)
         A = DenseMatrix(rng.standard_normal((20, 3)))
         b = rng.standard_normal(20)
-        w = lewis_overestimates(A, 2.0, seed=0)
+        w = lewis_overestimates(A, 2.0)
         y = rng.standard_normal(3)
         prob = ProxProblem(A, b, 2.0, w, y)
         cert = prox_solve(prob, tol=1e-12)
@@ -137,7 +138,7 @@ class TestDistanceFromFunctionError:
         inst = ProblemInstance(A, b, p, eps=1e-10)
         x_star, _ = solve_pnorm_accel(inst, seed=0)
         f_star = float(np.sum(np.abs(A.a @ x_star - b) ** p))
-        w = lewis_overestimates(A, p, seed=0)
+        w = lewis_overestimates(A, p)
         prob = ProxProblem(A, b, p, w, x_star)
         for trial in range(20):
             x = x_star + 0.3 * rng.standard_normal(4)
@@ -153,7 +154,7 @@ class TestAcceleration:
         A = DenseMatrix(rng.standard_normal((30, 3)))
         x0 = rng.standard_normal(3)
         b = A.a @ x0
-        w = lewis_overestimates(A, 4.0, seed=0)
+        w = lewis_overestimates(A, 4.0)
         x, info = ms_accelerate(A, b, 4.0, w, x0, eps=1e-8, dist_bound=1.0,
                                 lower_bound_fn=lambda xc: 0.0)
         assert info["prox_calls"] == 0
@@ -167,7 +168,7 @@ class TestAcceleration:
         inst = ProblemInstance(A, b, p, eps=1e-9)
         opt = oracle_opt(inst, tol=1e-10)
         f_star = opt ** p
-        w = lewis_overestimates(A, p, seed=0)
+        w = lewis_overestimates(A, p)
         x0 = np.linalg.lstsq(A.a, b, rcond=None)[0]
         err0 = float(np.sum(np.abs(A.a @ x0 - b) ** p)) - f_star
         eps_f = err0 / 2
@@ -185,7 +186,7 @@ class TestAcceleration:
         p = 4.0
         opt = oracle_opt(ProblemInstance(A, b, p), tol=1e-11)
         f_star = opt ** p
-        w = lewis_overestimates(A, p, seed=0)
+        w = lewis_overestimates(A, p)
         x = np.linalg.lstsq(A.a, b, rcond=None)[0]
         err = float(np.sum(np.abs(A.a @ x - b) ** p)) - f_star
         for _ in range(10):
@@ -204,6 +205,13 @@ class TestAcceleration:
         opt = oracle_opt(inst, tol=1e-9)
         assert rep.residual_lp <= (1 + 1e-6) * opt
         assert rep.certified_gap <= 1e-6
+
+    def test_underflowed_step_scale_is_a_solver_error(self):
+        # Above MAX_ACCEL_P the step-scale power dist^(p-2) can underflow
+        # to 0; that must surface as an LpregError, not ZeroDivisionError.
+        inst = gen_instance("ill_conditioned", 60, 4, 0, p=16.0)
+        with pytest.raises(LpregError):
+            solve_pnorm_accel(inst)
 
     def test_l2_initial_error_scale(self):
         # the least-squares start is at most n^{(p-2)/2} times optimal in

@@ -138,7 +138,7 @@ def weight_certificates():
         d = int(rng.integers(2, 9))
         A = DenseMatrix(rng.standard_normal((n, d)))
         for p in (2.0, 3.0, 4.0, 8.0, math.inf):
-            cases.append((A, p, lewis_overestimates(A, p, seed=i)))
+            cases.append((A, p, lewis_overestimates(A, p)))
     return cases
 
 
@@ -176,7 +176,7 @@ def test_criterion_06_energy_increase():
             rng = np.random.default_rng(5000 + trial)
             n, d = int(rng.integers(15, 60)), int(rng.integers(2, 7))
             A = DenseMatrix(rng.standard_normal((n, d)))
-            w = lewis_overestimates(A, p, seed=trial).weights
+            w = lewis_overestimates(A, p).weights
             D = DiagonalWeights(w ** (1.0 - 2.0 / p) + rng.uniform(0, 1, n))
             g = rng.standard_normal(d)
             v = rng.uniform(0.0, 1.0, n)
@@ -201,7 +201,7 @@ def test_criterion_07_potential_bookkeeping(pnorm_sweep):
     # witness-form inequality
     for seed in range(6):
         inst = plant_residual_instance(60, 5, 4.0, seed=seed)
-        width_reduced_oracle(inst, seed=seed)
+        width_reduced_oracle(inst)
     conclude("criterion 7 (potential bookkeeping never fires)", not fired,
              "" if not fired else f"{len(fired)} assertion errors")
 
@@ -216,7 +216,7 @@ def test_criterion_08_hessian_stability():
             n, d = int(rng_k.integers(20, 60)), int(rng_k.integers(2, 6))
             A = DenseMatrix(rng_k.standard_normal((n, d)))
             b = rng_k.standard_normal(n)
-            w = lewis_overestimates(A, p, seed=k)
+            w = lewis_overestimates(A, p)
             y = rng_k.standard_normal(d)
             prob = ProxProblem(A, b, p, w, y)
             step = rng_k.standard_normal(d)
@@ -228,7 +228,7 @@ def test_criterion_08_hessian_stability():
     fd_ok = True
     A_fd = DenseMatrix(rng.standard_normal((20, 3)))
     prob = ProxProblem(A_fd, rng.standard_normal(20), 4.0,
-                       lewis_overestimates(A_fd, 4.0, seed=0),
+                       lewis_overestimates(A_fd, 4.0),
                        rng.standard_normal(3))
     for fn, grad_fn in ((prob.f, prob.grad_f), (prob.f_reg, prob.grad_f_reg)):
         x = prob.center + 0.2 * rng.standard_normal(3)
@@ -313,7 +313,7 @@ def test_criterion_11_dual_postconditions():
             m = inst.U.d
             try:
                 from lpreg.dual import oracle_small
-                y = oracle_small(inst, seed=seed)
+                y = oracle_small(inst)
             except LpregError as exc:
                 bad.append(f"q={q} seed={seed}: {type(exc).__name__}")
                 continue
@@ -336,13 +336,13 @@ def test_criterion_12_regularized_weight_consistency():
         A = DenseMatrix(rng.standard_normal((n, d)))
         q = float(rng.choice([1.25, 1.5, 1.8]))
         c = rng.uniform(0.0, 0.5, n)
-        rw = reg_lewis(A, c, q, seed=i)
+        rw = reg_lewis(A, c, q)
         _, lo, hi = reg_lewis_residual(A, rw)
         if not (0.85 <= lo and hi <= 1.18):
             bad.append(f"q={q}: ratios [{lo:.3f}, {hi:.3f}]")
     rng = np.random.default_rng(4321)
     A = DenseMatrix(rng.standard_normal((40, 5)))
-    rw = reg_lewis(A, np.zeros(40), 2.0, seed=0)
+    rw = reg_lewis(A, np.zeros(40), 2.0)
     exact = exact_lewis_oracle(A, 2.0)
     agree = float(np.max(np.abs(rw.weights - exact)))
     if agree > 1e-6:

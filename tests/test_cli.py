@@ -66,16 +66,37 @@ class TestSolveCommand:
         assert "accel requires" in capsys.readouterr().err
 
     def test_solver_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        # Every LpregError subclass, however deep, maps to exit 3 (bad
+        # input) or exit 2 (solver failure); none escapes as a traceback.
         from lpreg import cli
-        from lpreg.errors import BudgetExceededError
+        from lpreg.errors import (
+            BoostBudgetExceededError,
+            InvalidInputError,
+            LpregError,
+            NonFiniteError,
+            RankDeficientError,
+        )
 
-        def broken(instance, method, seed=0):
-            raise BudgetExceededError("stalled")
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
 
-        monkeypatch.setattr(cli, "solve", broken)
+        input_errors = {InvalidInputError, RankDeficientError, NonFiniteError}
         inst, mpath, vpath = write_instance(tmp_path)
-        assert main(["solve", "--matrix", mpath, "--rhs", vpath,
-                     "--p", "4"]) == 2
+        every = list(subclasses(LpregError))
+        assert BoostBudgetExceededError in every    # a grandchild
+        wrong = {}
+        for err in every:
+            def broken(instance, method, seed=0, err=err):
+                raise err("raised by the test")
+
+            monkeypatch.setattr(cli, "solve", broken)
+            code = main(["solve", "--matrix", mpath, "--rhs", vpath,
+                         "--p", "4"])
+            if code != (3 if err in input_errors else 2):
+                wrong[err.__name__] = code
+        assert wrong == {}
 
 
 class TestWeightsCommand:

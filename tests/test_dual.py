@@ -69,7 +69,7 @@ class TestOracleSmall:
         v = np.array([0.0, 1.0, -1.0])
         inst = DualInstance(DenseMatrix(U), v,
                             DiagonalWeights(0.3 * np.ones(3)), 4.0)
-        y = oracle_small(inst, seed=0)
+        y = oracle_small(inst)
         assert np.allclose(y, np.linalg.solve(U.T, v), atol=1e-10)
 
     def test_zero_resistance_q2_is_min_norm(self):
@@ -77,7 +77,7 @@ class TestOracleSmall:
         U = DenseMatrix(rng.standard_normal((20, 5)))
         v = rng.standard_normal(5)
         inst = DualInstance(U, v, DiagonalWeights(np.zeros(20)), 2.0)
-        y = oracle_small(inst, seed=0)
+        y = oracle_small(inst)
         expect = np.linalg.pinv(U.a.T) @ v
         assert np.linalg.norm(y - expect) <= 1e-8 * max(np.linalg.norm(expect), 1)
 
@@ -87,7 +87,7 @@ class TestOracleSmall:
         for seed in range(5):
             inst = plant_dual_instance(60, 4, q, seed)
             m = inst.U.d
-            y = oracle_small(inst, seed=seed)
+            y = oracle_small(inst)
             assert np.max(np.abs(inst.U.a.T @ y - inst.v)) <= 1e-9
             assert float(y @ (inst.R.values * y)) <= 6.0
             assert float(np.sum(np.abs(y) ** p)) \
@@ -98,7 +98,7 @@ class TestOracleSmall:
         inst = plant_dual_instance(50, 4, 1.5, 0)
         p = inst.p
         c = np.minimum(inst.U.d * inst.R.values ** (p / (p - 2.0)), 1e150)
-        rw = reg_lewis(inst.U, c, p / (p - 1.0), seed=0)
+        rw = reg_lewis(inst.U, c, p / (p - 1.0))
         assert float(np.sum(rw.weights)) <= 1.1 * inst.U.d
 
 
@@ -141,7 +141,7 @@ class TestGammaContract:
             opt = dual_opt_bruteforce(inst)
             if opt < 0.25:
                 continue
-            y = oracle_small(inst, seed=seed)
+            y = oracle_small(inst)
             gamma = dual_gamma_value(p, inst.U.d)
             assert float(y @ (inst.R.values * y)) <= gamma * opt * (1 + 1e-9)
             assert float(np.sum(np.abs(y) ** p)) \

@@ -153,6 +153,32 @@ class TestSolveDispatch:
                       if k in solve_phases)
         assert tracked == rep.gram_solves
 
+    @pytest.mark.parametrize("method", ["mwu", "accel", "dual", "linf"])
+    def test_validation_at_boundary_and_seed_is_a_label(self, method,
+                                                        monkeypatch):
+        # Matrices are rank-checked where they enter; inside a solve only
+        # dual's stacked [A b g] (one per oracle call) is checked again.
+        # Leverage scores are exact, so the seed changes nothing but the
+        # report's label.
+        p = {"mwu": 4.0, "accel": 4.0, "dual": 1.5, "linf": math.inf}[method]
+        inst = gen_instance("gaussian", 60, 4, 0, p=p)
+        rank = np.linalg.matrix_rank
+        calls = []
+
+        def counted(*args, **kw):
+            calls.append(1)
+            return rank(*args, **kw)
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", counted)
+        x0, rep0 = solve(inst, method, seed=0)
+        checks = len(calls)
+        x7, rep7 = solve(inst, method, seed=7)
+        allowed = rep0.phase_counts["oracle_calls"] if method == "dual" else 0
+        assert checks <= allowed
+        assert np.array_equal(x0, x7)
+        assert rep0.gram_solves == rep7.gram_solves
+        assert (rep0.seed, rep7.seed) == (0, 7)
+
     @pytest.mark.parametrize("method", ["mwu", "accel"])
     def test_fractional_exponent(self, method):
         inst = gen_instance("gaussian", 30, 3, 3, p=2.5, eps=1e-6)

@@ -32,18 +32,18 @@ def check_certificate(A, est):
 
 class TestOverestimates:
     def test_identity_p4(self):
-        est = lewis_overestimates(DenseMatrix(np.eye(4)), 4.0, seed=0)
+        est = lewis_overestimates(DenseMatrix(np.eye(4)), 4.0)
         assert np.all(est.weights >= 1.35) and np.all(est.weights <= 1.65)
         assert 5.4 <= est.mass <= 6.6
 
     def test_identity_p2_dominates(self):
-        est = lewis_overestimates(DenseMatrix(np.eye(4)), 2.0, seed=0)
+        est = lewis_overestimates(DenseMatrix(np.eye(4)), 2.0)
         assert np.all(est.weights >= 1.35) and np.all(est.weights <= 1.65)
         assert np.all(est.weights >= 1.0)
 
     def test_gaussian_p8_certificate(self):
         A = random_matrix(100, 6, 7)
-        est = lewis_overestimates(A, 8.0, seed=1)
+        est = lewis_overestimates(A, 8.0)
         assert est.mass <= 12.0
         check_certificate(A, est)
 
@@ -54,7 +54,7 @@ class TestOverestimates:
             n = int(rng.integers(20, 80))
             d = int(rng.integers(2, 8))
             A = DenseMatrix(rng.standard_normal((n, d)))
-            check_certificate(A, lewis_overestimates(A, p, seed=seed))
+            check_certificate(A, lewis_overestimates(A, p))
 
     def test_rejects_small_p(self):
         with pytest.raises(InvalidInputError):
@@ -63,7 +63,7 @@ class TestOverestimates:
 
 class TestNormSandwich:
     def test_identity_p4_values(self):
-        est = lewis_overestimates(DenseMatrix(np.eye(2)), 4.0, seed=0)
+        est = lewis_overestimates(DenseMatrix(np.eye(2)), 4.0)
         est.weights[:] = 1.5
         lp, wl2, up = norm_sandwich_check(DenseMatrix(np.eye(2)), est,
                                           np.array([1.0, 0.0]))
@@ -72,7 +72,7 @@ class TestNormSandwich:
         assert abs(up - 3.0 ** 0.25) <= 1e-12
 
     def test_p2_everything_collapses(self):
-        est = lewis_overestimates(DenseMatrix(np.eye(2)), 2.0, seed=0)
+        est = lewis_overestimates(DenseMatrix(np.eye(2)), 2.0)
         est.weights[:] = 1.5
         lp, wl2, up = norm_sandwich_check(DenseMatrix(np.eye(2)), est,
                                           np.array([3.0, 4.0]))
@@ -83,7 +83,7 @@ class TestNormSandwich:
     @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 8.0, math.inf])
     def test_sandwich_sweep(self, p):
         A = random_matrix(50, 5, 13)
-        est = lewis_overestimates(A, p, seed=2)
+        est = lewis_overestimates(A, p)
         rng = np.random.default_rng(99)
         for _ in range(100):
             x = rng.standard_normal(5)
@@ -94,24 +94,23 @@ class TestNormSandwich:
 
 class TestRegLewis:
     def test_identity_q15(self):
-        rw = reg_lewis(DenseMatrix(np.eye(3)), np.zeros(3), 1.5, seed=0)
+        rw = reg_lewis(DenseMatrix(np.eye(3)), np.zeros(3), 1.5)
         assert np.all(rw.weights >= 0.96) and np.all(rw.weights <= 1.05)
 
     def test_duplicated_row_q2(self):
-        rw = reg_lewis(DenseMatrix(np.array([[1.0], [1.0]])), np.zeros(2), 2.0,
-                       seed=0)
+        rw = reg_lewis(DenseMatrix(np.array([[1.0], [1.0]])), np.zeros(2), 2.0)
         assert np.allclose(rw.weights, 0.5, rtol=0.02)
 
     def test_self_consistency(self):
         A = random_matrix(60, 4, 21)
-        rw = reg_lewis(A, 0.1 * np.ones(60), 1.5, seed=3)
+        rw = reg_lewis(A, 0.1 * np.ones(60), 1.5)
         rel, lo, hi = reg_lewis_residual(A, rw)
         assert rel <= 0.15
         assert 0.85 <= lo and hi <= 1.18
 
     def test_q2_ignores_regularizer(self):
         A = random_matrix(40, 5, 5)
-        rw = reg_lewis(A, 0.7 * np.ones(40), 2.0, seed=4)
+        rw = reg_lewis(A, 0.7 * np.ones(40), 2.0)
         assert np.allclose(rw.weights, leverage_scores(A), rtol=0.05, atol=1e-9)
 
     def test_rejects_bad_q(self):
@@ -139,7 +138,7 @@ class TestExactOracle:
     def test_agrees_with_reg_lewis_at_q2(self):
         A = random_matrix(30, 4, 30)
         w = exact_lewis_oracle(A, 2.0)
-        rw = reg_lewis(A, np.zeros(30), 2.0, seed=0)
+        rw = reg_lewis(A, np.zeros(30), 2.0)
         assert np.allclose(w, rw.weights, atol=1e-6)
 
 

@@ -16,7 +16,6 @@ from lpreg.linalg import (
     leverage_scores,
     read_matrix,
     read_vector,
-    sketch_size,
     write_matrix,
     write_vector,
 )
@@ -130,48 +129,34 @@ class TestLeverageScores:
 
 class TestApproxLev:
     def test_identity_exact(self):
-        w = approx_lev(DenseMatrix(np.eye(4)), 0.1, seed=0)
+        w = approx_lev(DenseMatrix(np.eye(4)), 0.1)
         assert np.all(w >= 1 / 1.1) and np.all(w <= 1 / 0.9)
 
     def test_duplicated_row(self):
-        w = approx_lev(DenseMatrix(np.array([[1.0], [1.0]])), 0.1, seed=1)
+        w = approx_lev(DenseMatrix(np.array([[1.0], [1.0]])), 0.1)
         assert np.all(w >= 0.4545) and np.all(w <= 0.5556)
 
     def test_gaussian_matches_exact(self):
         A = random_matrix(50, 5, 3)
-        w = approx_lev(A, 0.1, seed=0)
+        w = approx_lev(A, 0.1)
         sig = leverage_scores(A)
         assert np.all((1 - 0.1) * w <= sig + 1e-12)
         assert np.all(sig <= (1 + 0.1) * w + 1e-12)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_sketch_path_sandwich(self, seed):
-        # Force the projection even though the sketch is wider than A is tall.
-        rng = np.random.default_rng(seed)
-        n, d = 12 + 6 * seed, 3 + (seed % 3)
-        A = DenseMatrix(rng.standard_normal((n, d)))
-        c = SolveCounter()
-        w = approx_lev(A, 0.25, seed=seed, counter=c, mode="sketch")
-        sig = leverage_scores(A)
-        assert np.all((1 - 0.25) * w <= sig + 1e-12)
-        assert np.all(sig <= (1 + 0.25) * w + 1e-12)
-        assert c.gram_solves == sketch_size(n, 0.25)
-        assert c.sketch_applications == sketch_size(n, 0.25)
-
     def test_mode_auto_is_exact_at_small_scale(self):
         A = random_matrix(40, 4, 9)
-        w = approx_lev(A, 0.1, seed=5, mode="auto")
+        w = approx_lev(A, 0.1)
         assert np.allclose(w, leverage_scores(A), atol=1e-12)
 
     def test_eps_sandwich_sweep(self):
-        # 20 random matrices, seeds 0-4 on the sketch used at eps = 0.1.
+        # 20 random matrices at eps = 0.1.
         for seed in range(5):
             for trial in range(4):
                 rng = np.random.default_rng(1000 * seed + trial)
                 n = int(rng.integers(20, 200))
                 d = int(rng.integers(2, min(20, n // 2)))
                 A = DenseMatrix(rng.standard_normal((n, d)))
-                w = approx_lev(A, 0.1, seed=seed)
+                w = approx_lev(A, 0.1)
                 sig = leverage_scores(A)
                 assert np.all((1 - 0.1) * w <= sig + 1e-12)
                 assert np.all(sig <= (1 + 0.1) * w + 1e-12)

@@ -76,7 +76,7 @@ class TestHessianForms:
         rng = np.random.default_rng(3)
         A = DenseMatrix(rng.standard_normal((60, 4)))
         b = rng.standard_normal(60)
-        w = lewis_overestimates(A, math.inf, seed=0)
+        w = lewis_overestimates(A, math.inf)
         x = rng.standard_normal(4)
         smooth, qsc = qsc_check(A, b, w, x, t, directions=100, seed=4)
         assert smooth <= 1.0 + 1e-8
@@ -134,7 +134,7 @@ class TestLinfRegress:
         inst = ProblemInstance(A, b, math.inf, eps=1e-4)
         x_star, rep = linf_regress(inst, seed=0)
         opt = oracle_opt(inst, tol=1e-9)
-        w = lewis_overestimates(A, math.inf, seed=0).weights
+        w = lewis_overestimates(A, math.inf).weights
         found = 0
         for _ in range(200):
             x = x_star + 0.05 * rng.standard_normal(4)

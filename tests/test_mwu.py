@@ -72,7 +72,7 @@ class TestEnergyIncrease:
             rng = np.random.default_rng(1000 + trial)
             n, d = int(rng.integers(15, 50)), int(rng.integers(2, 6))
             A = DenseMatrix(rng.standard_normal((n, d)))
-            w = lewis_overestimates(A, p, seed=trial).weights
+            w = lewis_overestimates(A, p).weights
             extra = rng.uniform(0.0, 1.0, n)
             D = DiagonalWeights(w ** (1.0 - 2.0 / p) + extra)
             g = rng.standard_normal(d)
@@ -115,7 +115,7 @@ class TestBoostFormula:
 class TestProgressStep:
     def _state(self, p=4.0, n=12, d=3, seed=0):
         inst = plant_residual_instance(n, d, p, seed=seed)
-        w = lewis_overestimates(inst.A, p, seed=seed)
+        w = lewis_overestimates(inst.A, p)
         st = new_state(inst, w)
         st.refresh("progress")
         return st
@@ -149,7 +149,7 @@ class TestWoodburyConsistency:
         rng = np.random.default_rng(seed)
         n, d = 25, 4
         inst = plant_residual_instance(n, d, 4.0, seed=seed)
-        st = new_state(inst, lewis_overestimates(inst.A, 4.0, seed=seed))
+        st = new_state(inst, lewis_overestimates(inst.A, 4.0))
         st.refresh("progress")
         v = np.zeros(n)
         idx = rng.choice(n, size=6, replace=False)
@@ -166,7 +166,7 @@ class TestWidthReducedOracle:
         inst = ResidualInstance(DenseMatrix(np.eye(2)), np.array([-1.0, 0.0]),
                                 DiagonalWeights.ones(2), 4.0,
                                 witness=np.array([1.0, 0.0]))
-        y, info = width_reduced_oracle(inst, seed=0)
+        y, info = width_reduced_oracle(inst)
         assert abs(inst.g @ y + 1.0) <= 1e-9
         assert pnorm(inst.A.a @ y, 4.0) <= 320.0
         ay = inst.A.a @ y
@@ -179,7 +179,7 @@ class TestWidthReducedOracle:
         inst = ResidualInstance(DenseMatrix(np.eye(d)), g,
                                 DiagonalWeights.ones(d), 4.0,
                                 witness=-g)
-        y, info = width_reduced_oracle(inst, seed=0)
+        y, info = width_reduced_oracle(inst)
         assert abs(inst.g @ y + 1.0) <= 1e-9
         assert info["boost_steps"] == 0
 
@@ -187,7 +187,7 @@ class TestWidthReducedOracle:
         p = 4.0
         inst = plant_residual_instance(120, 8, p, seed=3)
         counter = SolveCounter()
-        y, info = width_reduced_oracle(inst, seed=0, counter=counter)
+        y, info = width_reduced_oracle(inst, counter=counter)
         _, alpha, _ = mwu_constants(p, 8)
         assert info["progress_steps"] <= math.floor(8 ** (1 / p) / alpha) + 1
         assert abs(inst.g @ y + 1.0) <= 1e-9
@@ -198,7 +198,7 @@ class TestWidthReducedOracle:
 
     def test_energy_and_potential_bookkeeping(self):
         inst = plant_residual_instance(60, 5, 4.0, seed=9)
-        y, info = width_reduced_oracle(inst, seed=1)
+        y, info = width_reduced_oracle(inst)
         phi = info["final_potential"]
         assert info["final_energy"] <= 2.0 * phi ** 0.5 * (1 + 1e-9)
         _, _, tau = mwu_constants(4.0, 5)
@@ -215,7 +215,7 @@ class TestWidthReducedOracle:
                                 DiagonalWeights.ones(2), 4.0,
                                 witness=np.array([5.0, 0.0]))
         with pytest.raises(InvalidInputError):
-            width_reduced_oracle(inst, seed=0)
+            width_reduced_oracle(inst)
 
     def test_infeasible_instance_detected(self):
         # a tiny gradient forces any g^T x = -1 point to be huge, so the
@@ -225,7 +225,7 @@ class TestWidthReducedOracle:
         g = rng.standard_normal(3) * 1e-8
         inst = ResidualInstance(A, g, DiagonalWeights(np.ones(20)), 4.0)
         with pytest.raises(InfeasibleError):
-            width_reduced_oracle(inst, seed=0)
+            width_reduced_oracle(inst)
 
 
 def residual_opt_bruteforce(A, g_n, R, p, nu, seed=0):
@@ -273,7 +273,7 @@ class TestGammaContract:
         g_n = p * np.abs(u) ** (p - 2.0) * u
         R = np.abs(u) ** (p - 2.0)
         nu = 0.5
-        solver = MwuGammaSolver(A, p, seed=0)
+        solver = MwuGammaSolver(A, p)
         delta = solver(nu, g_n, DiagonalWeights(R), None, x=None)
         assert abs(float(g_n @ (A.a @ delta)) + nu) <= 1e-8 * nu
         opt = residual_opt_bruteforce(A, g_n, R, p, nu)
@@ -287,7 +287,7 @@ class TestGammaContract:
         rng = np.random.default_rng(18)
         A = DenseMatrix(rng.standard_normal((30, 4)))
         C = rng.standard_normal((1, 4))
-        solver = MwuGammaSolver(A, 4.0, seed=0, constraint=C)
+        solver = MwuGammaSolver(A, 4.0, constraint=C)
         u = rng.standard_normal(30)
         g_n = 4.0 * np.abs(u) ** 2.0 * u
         delta = solver(0.3, g_n, DiagonalWeights(np.abs(u) ** 2.0), C)

@@ -165,8 +165,8 @@ class TestDualBound:
             assert lb <= best * (1 + 1e-6)
 
 
-def mwu_contract(A, p, seed=0, counter=None):
-    solver = MwuGammaSolver(A, p, seed=seed, counter=counter)
+def mwu_contract(A, p, counter=None):
+    solver = MwuGammaSolver(A, p, counter=counter)
     return GammaSolverContract(solver.gamma, solver)
 
 
@@ -216,7 +216,7 @@ class TestRefineToAccuracy:
         b = rng.standard_normal(30)
         inst = ProblemInstance(A, b, 3.0, eps=1e-6)
         seen = []
-        inner = MwuGammaSolver(A, 3.0, seed=0)
+        inner = MwuGammaSolver(A, 3.0)
 
         def spy(nu, g, R, C, x=None):
             seen.append(pnorm(A.a @ x - b, 3.0))
@@ -232,7 +232,7 @@ class TestRefineToAccuracy:
         C = rng.standard_normal((1, 4))
         v = np.array([1.3])
         inst = ProblemInstance(A, b, 4.0, eps=1e-6)
-        solver = MwuGammaSolver(A, 4.0, seed=0, constraint=C)
+        solver = MwuGammaSolver(A, 4.0, constraint=C)
         x, rep = refine_to_accuracy(inst, GammaSolverContract(solver.gamma, solver),
                                     constraint=(C, v))
         assert abs(float((C @ x)[0]) - 1.3) <= 1e-10
