@@ -25,6 +25,7 @@ PROX_ALPHA_SCALE = 1.0 / 128.0     # alpha = 1/(128 p^2)
 INNER_RATE_CONSTANT = 64.0 * math.e ** 2
 MS_BISECTION_CAP = 60
 HALVING_DISTANCE_COEFF = 2.0 ** 1.5
+MAX_HALVINGS = 300
 # Largest supported exponent: C_p = e p^p and the step-scale powers leave
 # the float range as p grows.  At 60x4 (four families, seeds 0-2) p = 14
 # always solves; p = 16 can underflow the step-scale power, which raises
@@ -298,8 +299,7 @@ def distance_bound(d: int, p: float, err: float) -> float:
 def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
                   weights: LewisOverestimate, x0: np.ndarray, eps: float,
                   dist_bound: float, counter: SolveCounter | None = None,
-                  lower_bound_fn=None, max_steps: int | None = None,
-                  stats: dict | None = None):
+                  lower_bound_fn=None, stats: dict | None = None):
     """Accelerated proximal-point loop reducing f error below eps.
 
     Maintains the usual (step-weight, momentum-point) pair; each step
@@ -312,9 +312,8 @@ def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
     cp = reg_coefficient(p)
     delta = max(eps / (1e20 * p ** 2 * max(dist_bound, 1e-30)), 1e-14)
     d = A.d
-    if max_steps is None:
-        k_theory = math.ceil(8.0 * p ** (2.0 / 3.0) * d ** ((p - 2.0) / (3 * p - 2.0)))
-        max_steps = min(int(k_theory * (6 + 60) ** 2), 10 ** 9)
+    k_theory = math.ceil(8.0 * p ** (2.0 / 3.0) * d ** ((p - 2.0) / (3 * p - 2.0)))
+    max_steps = min(int(k_theory * (6 + 60) ** 2), 10 ** 9)
 
     def f(x):
         with np.errstate(over="ignore"):
@@ -427,8 +426,7 @@ def halve_error(A: DenseMatrix, b: np.ndarray, p: float,
 
 
 def solve_pnorm_accel(instance: ProblemInstance, seed=0,
-                      counter: SolveCounter | None = None,
-                      max_halvings: int = 300):
+                      counter: SolveCounter | None = None):
     """Full accelerated solve: error halvings inside the certified bracket."""
     if instance.p < 2:
         raise InvalidInputError("acceleration path requires p >= 2")
@@ -452,4 +450,4 @@ def solve_pnorm_accel(instance: ProblemInstance, seed=0,
         return BracketSteps(lower_bound, step, stats)
 
     return certified_solve(instance, "accel", make_steps, counter=counter,
-                           seed=seed, max_rounds=max_halvings)
+                           seed=seed, max_rounds=MAX_HALVINGS)

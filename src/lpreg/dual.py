@@ -17,9 +17,12 @@ from .errors import InfeasibleError, InvalidInputError, PotentialViolationError
 from .lewis import WEIGHT_FLOOR, reg_lewis
 from .linalg import DenseMatrix, DiagonalWeights, SolveCounter, gram_solve, gram_solve_multi
 from .problem import ProblemInstance, pnorm
-from .refine import BracketSteps, bregman_terms, certified_solve, line_search_lp
+from .refine import BracketSteps, certified_solve, line_search_lp, refinement_round
 
 DUAL_QUAD_BOUND = 6.0              # proof value 3, slack 2
+MAX_DUAL_ROUNDS = 400
+RECOVER_RTOL = 1e-12               # golden-section bracket width, relative
+RECOVER_POLISH_STEPS = 12          # reweighted least-squares polish steps
 
 
 def dual_exponent(q: float) -> float:
@@ -147,8 +150,7 @@ def dual_gamma_value(p: float, m: int) -> float:
 
 
 def primal_recover(A: DenseMatrix, b: np.ndarray, y_dual: np.ndarray,
-                   p: float, counter: SolveCounter | None = None,
-                   rel_tol: float = 1e-12, polish_steps: int = 12) -> np.ndarray:
+                   p: float, counter: SolveCounter | None = None) -> np.ndarray:
     """Primal point from a near-optimal dual iterate.
 
     Shifts b along sign(y)|y|^{p-2} and least-squares projects, choosing
@@ -186,7 +188,7 @@ def primal_recover(A: DenseMatrix, b: np.ndarray, y_dual: np.ndarray,
     d_pt = a_pt + gr * (b_pt - a_pt)
     fc, fd = val(c_pt), val(d_pt)
     for _ in range(300):
-        if b_pt - a_pt <= rel_tol * max(1.0, abs(a_pt), abs(b_pt)):
+        if b_pt - a_pt <= RECOVER_RTOL * max(1.0, abs(a_pt), abs(b_pt)):
             break
         if fc < fd:
             b_pt, d_pt, fd = d_pt, c_pt, fc
@@ -201,7 +203,7 @@ def primal_recover(A: DenseMatrix, b: np.ndarray, y_dual: np.ndarray,
         lam = 0.0
     x_hat = sol[:, 0] + lam * sol[:, 1]
 
-    for _ in range(polish_steps):
+    for _ in range(RECOVER_POLISH_STEPS):
         u = A.a @ x_hat - b
         cur = pnorm(u, q)
         if cur == 0.0:
@@ -253,21 +255,20 @@ class DualStepOracle:
             raise InfeasibleError("progress constraint is degenerate here")
         sigma = 2.0 * max(pnorm(y_cur, p), 1e-300)
         ghat = -sigma * g_perp / beta_perp
-        rhat = DiagonalWeights(R.values * (p / (8.0 * nu)) * sigma ** 2,
-                               floor=R.floor)
+        rhat = DiagonalWeights(R.values * (p / (8.0 * nu)) * sigma ** 2)
         inst = stack_instance(self.A, sigma * self.b, ghat, rhat, p)
         y_scaled = oracle_small(inst, counter=self.counter)
         return sigma * y_scaled
 
 
 def solve_lq(instance: ProblemInstance, seed=0,
-             counter: SolveCounter | None = None, max_rounds: int = 400,
-             max_retries: int = 60):
+             counter: SolveCounter | None = None):
     """Full lq regression solve for q in (1, 2] with certified accuracy.
 
     The bracket's lower bound is 1/||y||_p at the dual iterate y; each step
-    recovers a primal point from y and then advances y by one reweighted
-    refinement step.
+    recovers a primal point from y and then advances y by one
+    :func:`refinement_round` on ||y||_p^p, whose proposals are the
+    reweighted oracle's points.
     """
     q = instance.p
     p = dual_exponent(q)
@@ -287,30 +288,23 @@ def solve_lq(instance: ProblemInstance, seed=0,
 
         def advance(hi):
             nonlocal y, nu_prev
-            g, r = bregman_terms(y, p)
-            f_cur = float(np.sum(np.abs(y) ** p))
-            gap_f = max(f_cur - hi ** -p, 1e-300)
-            nu = gap_f if nu_prev is None else min(gap_f, 4.0 * nu_prev)
-            for _ in range(max_retries):
-                counts["oracle_calls"] += 1
-                try:
-                    z = oracle(nu, g, DiagonalWeights(r), y)
-                except InfeasibleError:
-                    nu /= 2.0
-                    continue
-                c_star, f_new = line_search_lp(y, z - y, p)
-                if f_new < f_cur * (1.0 - 1e-15):
-                    y = y + c_star * (z - y)
-                    # kill constraint drift
-                    coef = np.linalg.solve(
-                        oracle._gram_Mb,
-                        oracle._Mb.T @ y - np.append(np.zeros(d), 1.0))
-                    y = y - oracle._Mb @ coef
-                    nu_prev = nu
-                    counts["accepted_steps"] += 1
-                    return True
-                nu /= 2.0
-            return False
+
+            def propose(nu, g, R):
+                z = oracle(nu, g, R, y)
+                return z - y, z - y
+
+            out = refinement_round(y, p, hi ** -p, nu_prev, propose, counts,
+                                   "oracle_calls")
+            if out is None:
+                return False
+            c_star, direction, nu_prev = out
+            y = y + c_star * direction
+            # kill constraint drift
+            coef = np.linalg.solve(
+                oracle._gram_Mb,
+                oracle._Mb.T @ y - np.append(np.zeros(d), 1.0))
+            y = y - oracle._Mb @ coef
+            return True
 
         def step(x, lo, hi):
             nonlocal recovered
@@ -323,4 +317,4 @@ def solve_lq(instance: ProblemInstance, seed=0,
         return BracketSteps(lower_bound, step, counts)
 
     return certified_solve(instance, "dual", make_steps, counter=counter,
-                           seed=seed, max_rounds=max_rounds)
+                           seed=seed, max_rounds=MAX_DUAL_ROUNDS)

@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -302,8 +301,14 @@ class ExperimentConfig:
         if self.family not in FAMILIES:
             raise InvalidInputError(f"unknown family {self.family!r}")
         if isinstance(self.p, str):
-            self.p = math.inf if self.p == "inf" else float(self.p)
-        for n, d in self.sizes:
+            try:
+                self.p = math.inf if self.p == "inf" else float(self.p)
+            except ValueError as exc:
+                raise InvalidInputError(f"bad exponent {self.p!r}") from exc
+        for size in self.sizes:
+            if not (isinstance(size, (list, tuple)) and len(size) == 2):
+                raise InvalidInputError(f"size {size!r} is not an [n, d] pair")
+            n, d = size
             if n > MAX_N or d > MAX_D:
                 raise InvalidInputError(f"size {n} x {d} over the caps")
         if not self.seeds:
@@ -313,6 +318,8 @@ class ExperimentConfig:
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise InvalidInputError("bad config: expected a JSON object")
         raw.setdefault("schema_version", 1)
         try:
             return cls(**raw)

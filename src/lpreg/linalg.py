@@ -19,14 +19,16 @@ from .errors import (
     SingularGramError,
 )
 
-DEFAULT_FLOOR = 1e-300
-DEFAULT_RTOL = 1e-12
+# Smallest diagonal weight a Gram solve uses; zero weights are lifted to it.
+WEIGHT_SOLVE_FLOOR = 1e-300
+# Relative residual per column that iterative refinement aims for.
+GRAM_RTOL = 1e-12
 
 
 class DenseMatrix:
     """A tall full-rank matrix with n >= d, validated at construction."""
 
-    def __init__(self, entries, row_labels=None):
+    def __init__(self, entries):
         a = np.asarray(entries, dtype=float)
         if a.ndim != 2:
             raise InvalidInputError("matrix must be two-dimensional")
@@ -40,7 +42,6 @@ class DenseMatrix:
         if np.linalg.matrix_rank(a) < d:
             raise RankDeficientError("matrix does not have full column rank")
         self.a = a
-        self.row_labels = list(row_labels) if row_labels is not None else None
 
     @property
     def n(self) -> int:
@@ -58,16 +59,14 @@ class DenseMatrix:
         """Skip validation for a rank-preserving copy of a validated matrix."""
         obj = object.__new__(cls)
         obj.a = entries
-        obj.row_labels = None
         return obj
 
 
 @dataclass
 class DiagonalWeights:
-    """Nonnegative per-row weights with a strictly positive solve floor."""
+    """Nonnegative per-row weights, lifted to WEIGHT_SOLVE_FLOOR in a solve."""
 
     values: np.ndarray
-    floor: float = DEFAULT_FLOOR
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -75,24 +74,20 @@ class DiagonalWeights:
             raise NonFiniteError("weights must be finite")
         if np.any(self.values < 0):
             raise InvalidInputError("weights must be nonnegative")
-        if self.floor <= 0:
-            raise InvalidInputError("floor must be positive")
 
     def clamped(self) -> np.ndarray:
         """Values with the floor applied, as used inside a Gram solve."""
-        return np.maximum(self.values, self.floor)
+        return np.maximum(self.values, WEIGHT_SOLVE_FLOOR)
 
     @classmethod
     def ones(cls, n: int) -> "DiagonalWeights":
         return cls(np.ones(n))
 
     @classmethod
-    def trusted(cls, values: np.ndarray,
-                floor: float = DEFAULT_FLOOR) -> "DiagonalWeights":
+    def trusted(cls, values: np.ndarray) -> "DiagonalWeights":
         """Skip validation for values produced by nonnegative arithmetic."""
         obj = object.__new__(cls)
         obj.values = values
-        obj.floor = floor
         return obj
 
 
@@ -125,7 +120,6 @@ def _factor_gram(gram: np.ndarray, d: int):
 
 
 def gram_solve_multi(A: DenseMatrix, D: DiagonalWeights, rhs: np.ndarray,
-                     rtol: float = DEFAULT_RTOL,
                      counter: SolveCounter | None = None,
                      phase: str | None = None,
                      quality: dict | None = None) -> np.ndarray:
@@ -133,7 +127,7 @@ def gram_solve_multi(A: DenseMatrix, D: DiagonalWeights, rhs: np.ndarray,
 
     One factorization is shared across columns; each column is counted
     as one Gram solve.  A few steps of iterative refinement push the
-    relative residual of each column down to ``rtol`` when conditioning
+    relative residual of each column down to GRAM_RTOL when conditioning
     permits.  When ``quality`` is supplied, the final residual matrix is
     stored under ``"residual"`` so callers can bound derived quantities.
     """
@@ -156,7 +150,7 @@ def gram_solve_multi(A: DenseMatrix, D: DiagonalWeights, rhs: np.ndarray,
     R = B - gram @ X
     for _ in range(25):
         rel = np.linalg.norm(R, axis=0) / bnorm
-        if np.all(rel <= rtol):
+        if np.all(rel <= GRAM_RTOL):
             break
         corr = cho_solve(fac, R, check_finite=False)
         Xn = X + corr
@@ -174,7 +168,6 @@ def gram_solve_multi(A: DenseMatrix, D: DiagonalWeights, rhs: np.ndarray,
 
 
 def gram_solve(A: DenseMatrix, D: DiagonalWeights, rhs: np.ndarray,
-               rtol: float = DEFAULT_RTOL,
                counter: SolveCounter | None = None,
                phase: str | None = None,
                quality: dict | None = None) -> np.ndarray:
@@ -182,7 +175,7 @@ def gram_solve(A: DenseMatrix, D: DiagonalWeights, rhs: np.ndarray,
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (A.d,):
         raise InvalidInputError(f"rhs must have length {A.d}")
-    return gram_solve_multi(A, D, rhs, rtol=rtol, counter=counter, phase=phase,
+    return gram_solve_multi(A, D, rhs, counter=counter, phase=phase,
                             quality=quality)
 
 

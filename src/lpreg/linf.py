@@ -18,20 +18,21 @@ from .errors import InvalidInputError, PotentialViolationError
 from .lewis import LewisOverestimate, lewis_overestimates
 from .linalg import DenseMatrix, DiagonalWeights, SolveCounter, gram_solve_multi
 from .problem import ProblemInstance
-from .refine import BracketSteps, certified_solve
+from .refine import BracketSteps, certified_solve, weak_duality_bound
 
 SMOOTHING_DENOM = 20.0      # t = eps * opt_estimate / (20 log m)
 TRUST_RADIUS_FRACTION = 0.5  # step radius r = t/2 in the weight metric
+MAX_OUTER_ROUNDS = 200
+MAX_NEWTON_STEPS = 400       # per outer round
 
 
 @dataclass
 class LseObjective:
-    """Soft-max smoothing of the residual vector at temperature t."""
+    """Soft maximum of (Ax-b, -(Ax-b)) at temperature t."""
 
     A: DenseMatrix
     b: np.ndarray
     t: float
-    symmetrized: bool = True
 
     def __post_init__(self):
         if self.t <= 0:
@@ -40,16 +41,13 @@ class LseObjective:
 
     def stacked(self, x: np.ndarray) -> np.ndarray:
         u = self.A.a @ x - self.b
-        return np.concatenate([u, -u]) if self.symmetrized else u
+        return np.concatenate([u, -u])
 
     def value_grad(self, x: np.ndarray):
         z = self.stacked(x)
         val, pi = lse_eval(z, self.t)
-        if self.symmetrized:
-            n = self.A.n
-            grad = self.A.a.T @ (pi[:n] - pi[n:])
-        else:
-            grad = self.A.a.T @ pi
+        n = self.A.n
+        grad = self.A.a.T @ (pi[:n] - pi[n:])
         return val, grad, pi
 
 
@@ -81,8 +79,7 @@ def lse_quad_form(J: np.ndarray, pi: np.ndarray, t: float, v: np.ndarray) -> flo
 
 
 def qsc_check(A: DenseMatrix, b: np.ndarray, w: LewisOverestimate,
-              x: np.ndarray, t: float, directions: int = 100, seed=0,
-              symmetrized: bool = True):
+              x: np.ndarray, t: float, directions: int = 100, seed=0):
     """Sampled smoothness and quasi-self-concordance in the weight metric.
 
     For random direction pairs (v, h) checks the Hessian quadratic form
@@ -90,8 +87,8 @@ def qsc_check(A: DenseMatrix, b: np.ndarray, w: LewisOverestimate,
     against (2/t) (v^T H v) ||h||, both measured in the A^T W A norm.
     Returns (worst smoothness ratio, worst third-order ratio).
     """
-    obj = LseObjective(A, b, t, symmetrized=symmetrized)
-    J = np.vstack([A.a, -A.a]) if symmetrized else A.a
+    obj = LseObjective(A, b, t)
+    J = np.vstack([A.a, -A.a])
     wv = np.asarray(w.weights, dtype=float)
     rng = np.random.default_rng(seed)
 
@@ -124,18 +121,6 @@ def qsc_check(A: DenseMatrix, b: np.ndarray, w: LewisOverestimate,
     return worst_smooth, worst_qsc
 
 
-def linf_dual_bound(A: DenseMatrix, b: np.ndarray, candidate: np.ndarray,
-                    counter: SolveCounter | None = None) -> float:
-    """Lower bound on min ||Ax - b||_inf from an l1-bounded dual candidate."""
-    sol = gram_solve_multi(A, DiagonalWeights.ones(A.n), A.a.T @ candidate,
-                           counter=counter, phase="certificate")
-    yhat = candidate - A.a @ sol
-    denom = float(np.sum(np.abs(yhat)))
-    if denom <= 0:
-        return 0.0
-    return max(-float(b @ yhat) / denom, 0.0)
-
-
 def best_linf_bound(A: DenseMatrix, b: np.ndarray, x: np.ndarray,
                     counter: SolveCounter | None = None) -> float:
     """Strongest available minimax lower bound at the current iterate.
@@ -143,8 +128,8 @@ def best_linf_bound(A: DenseMatrix, b: np.ndarray, x: np.ndarray,
     Assembles dual candidates two ways: softmax weights of the stacked
     residuals over a ladder of temperatures, and least-squares multipliers
     restricted to the top residual cluster (the near-active rows of an
-    almost-optimal point).  All candidates are projected, so every value
-    returned is a valid weak-duality bound; the best one wins.
+    almost-optimal point).  :func:`weak_duality_bound` projects them all,
+    so the value returned is a valid weak-duality bound.
     """
     u = A.a @ x - b
     hi = float(np.max(np.abs(u)))
@@ -177,21 +162,11 @@ def best_linf_bound(A: DenseMatrix, b: np.ndarray, x: np.ndarray,
         cand = np.zeros(n)
         cand[idx] = signs[idx] * mu / total
         candidates.append(cand)
-    rhs = A.a.T @ np.column_stack(candidates)
-    sols = gram_solve_multi(A, DiagonalWeights.ones(n), rhs, counter=counter,
-                            phase="certificate")
-    best = 0.0
-    for k, cand in enumerate(candidates):
-        yhat = cand - A.a @ sols[:, k]
-        denom = float(np.sum(np.abs(yhat)))
-        if denom > 0:
-            best = max(best, -float(b @ yhat) / denom)
-    return best
+    return weak_duality_bound(A, b, np.column_stack(candidates), 1.0, counter)
 
 
 def linf_regress(instance: ProblemInstance, seed=0,
-                 counter: SolveCounter | None = None,
-                 max_outer: int = 200, max_newton: int = 400):
+                 counter: SolveCounter | None = None):
     """Minimax regression to (1+eps) relative accuracy, certified.
 
     Each bracket round smooths at a temperature tied to the current
@@ -225,7 +200,7 @@ def linf_regress(instance: ProblemInstance, seed=0,
             # take over.
             lam = 1e-8
             improved = False
-            for _ in range(max_newton):
+            for _ in range(MAX_NEWTON_STEPS):
                 val, grad, pi = obj.value_grad(x)
                 if float(np.linalg.norm(grad)) <= 1e-15:
                     break
@@ -279,4 +254,4 @@ def linf_regress(instance: ProblemInstance, seed=0,
         return BracketSteps(lower_bound, descend, counts)
 
     return certified_solve(instance, "linf", make_steps, counter=counter,
-                           seed=seed, max_rounds=max_outer)
+                           seed=seed, max_rounds=MAX_OUTER_ROUNDS)

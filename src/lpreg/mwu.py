@@ -180,12 +180,9 @@ class MwuState:
 
 
 def new_state(inst: ResidualInstance, weights: LewisOverestimate,
-              counter: SolveCounter | None = None,
-              alpha_override: float | None = None) -> MwuState:
+              counter: SolveCounter | None = None) -> MwuState:
     d = inst.A.d
     kappa, alpha, tau = mwu_constants(inst.p, d)
-    if alpha_override is not None:
-        alpha = alpha_override
     base_r = d ** (1.0 - 2.0 / inst.p) * inst.R.clamped()
     return MwuState(inst=inst, s=weights.weights ** (1.0 / inst.p),
                     y=np.zeros(d), kappa=kappa, alpha=alpha, tau=tau,
@@ -367,56 +364,38 @@ def gamma_value(p: float) -> float:
 class MwuGammaSolver:
     """Adapter exposing the width-reduction loop as a residual-step solver.
 
-    Weight overestimates depend only on the (constrained) design matrix,
-    so they are computed once and reused across calls; leverage scores
-    are invariant under the per-call uniform rescaling of A.
+    Weight overestimates depend only on the design matrix, so they are
+    computed once and reused across calls; leverage scores are invariant
+    under the per-call uniform rescaling of A.
     """
 
     def __init__(self, A: DenseMatrix, p: float,
-                 counter: SolveCounter | None = None,
-                 constraint: np.ndarray | None = None):
+                 counter: SolveCounter | None = None):
         self.p = float(p)
         self.gamma = gamma_value(self.p)
         self.counter = counter if counter is not None else SolveCounter()
-        self.constraint = constraint
         self.counts = {"progress_steps": 0, "boost_steps": 0}
-        if constraint is None:
-            self.basis = None
-            self.A_eff = A
-        else:
-            from scipy.linalg import null_space
-            self.constraint = np.atleast_2d(np.asarray(constraint, dtype=float))
-            self.basis = null_space(self.constraint)
-            if self.basis.shape[1] == 0:
-                raise InfeasibleError("constraint leaves no free directions")
-            # An orthonormal basis keeps A's full column rank.
-            self.A_eff = DenseMatrix.trusted(A.a @ self.basis)
-        self.weights = lewis_overestimates(self.A_eff, self.p)
+        self.A = A
+        self.weights = lewis_overestimates(A, self.p)
 
     def __call__(self, nu: float, g: np.ndarray, R: DiagonalWeights,
-                 C: np.ndarray | None = None, x: np.ndarray | None = None):
+                 x: np.ndarray | None = None):
         if nu <= 0:
             raise InvalidInputError("nu must be positive")
-        if C is not None:
-            if self.constraint is None or not np.array_equal(
-                    np.atleast_2d(np.asarray(C, dtype=float)), self.constraint):
-                raise InvalidInputError(
-                    "constraint differs from the one this solver was built for")
         p = self.p
-        g_eff = self.A_eff.a.T @ np.asarray(g, dtype=float)
+        g_eff = self.A.a.T @ np.asarray(g, dtype=float)
         scale_a = (2.0 ** (p + 1) * nu) ** (-1.0 / p)
         inst = ResidualInstance(
-            A=DenseMatrix.trusted(scale_a * self.A_eff.a),
+            A=DenseMatrix.trusted(scale_a * self.A.a),
             g=g_eff / nu,
-            R=DiagonalWeights(R.values * (p / (8.0 * nu)) / scale_a ** 2,
-                              floor=R.floor),
+            R=DiagonalWeights(R.values * (p / (8.0 * nu)) / scale_a ** 2),
             p=p,
         )
         y, info = width_reduced_oracle(inst, counter=self.counter,
                                        weights=self.weights)
         for key in ("progress_steps", "boost_steps"):
             self.counts[key] += info[key]
-        return self.basis @ y if self.basis is not None else y
+        return y
 
 
 def solve_mwu(instance: ProblemInstance, seed=0,

@@ -33,6 +33,10 @@ from .problem import ProblemInstance, pnorm
 from .report import SolveReport
 
 REFINE_CALL_CONSTANT = 64.0
+# Proposals per refinement round; nu halves after each failed one.
+ROUND_RETRIES = 80
+LINE_SEARCH_DOUBLINGS = 200
+LINE_SEARCH_BISECTIONS = 80
 # Below this fraction of ||b|| the least-squares residual is rounding error.
 SHORT_CIRCUIT_RTOL = 1e-13
 
@@ -62,8 +66,7 @@ def scalar_refine_bounds(x: float, delta: float, p: float):
     return lower, upper, actual
 
 
-def line_search_lp(u: np.ndarray, w: np.ndarray, p: float,
-                   max_doublings: int = 200, bisections: int = 80):
+def line_search_lp(u: np.ndarray, w: np.ndarray, p: float):
     """Minimize sum |u + c w|^p over c >= 0 by bisection on the derivative."""
     def deriv(c):
         v = u + c * w
@@ -72,14 +75,14 @@ def line_search_lp(u: np.ndarray, w: np.ndarray, p: float,
     if deriv(0.0) >= 0.0:
         return 0.0, float(np.sum(np.abs(u) ** p))
     hi = 1.0
-    for _ in range(max_doublings):
+    for _ in range(LINE_SEARCH_DOUBLINGS):
         if deriv(hi) >= 0.0:
             break
         hi *= 2.0
     else:
         return hi, float(np.sum(np.abs(u + hi * w) ** p))
     lo = 0.0
-    for _ in range(bisections):
+    for _ in range(LINE_SEARCH_BISECTIONS):
         mid = 0.5 * (lo + hi)
         if deriv(mid) < 0.0:
             lo = mid
@@ -89,51 +92,52 @@ def line_search_lp(u: np.ndarray, w: np.ndarray, p: float,
     return c, float(np.sum(np.abs(u + c * w) ** p))
 
 
-def lp_dual_bound(A: DenseMatrix, b: np.ndarray, x: np.ndarray, p: float,
-                  constraint=None, counter: SolveCounter | None = None) -> float:
-    """Certified lower bound on min ||Ax - b||_p (subject to Cx = v).
+def weak_duality_bound(A: DenseMatrix, b: np.ndarray, Y: np.ndarray, q: float,
+                       counter: SolveCounter | None = None) -> float:
+    """Best weak-duality lower bound on min ||Ax - b||_p, 1/p + 1/q = 1.
 
-    Projects the norm-dual candidate at the current residual onto the
-    feasible dual set; weak duality makes the returned value a true lower
+    Each candidate (a column of Y, or Y itself) is projected onto
+    {y : A^T y = 0} by one multi-column Gram solve; for any such y,
+    -b^T y / ||y||_q <= ||Ax - b||_p at every x.  The best value over the
+    candidates is returned, and 0 when none is positive.
+    """
+    sol = gram_solve_multi(A, DiagonalWeights.ones(A.n), A.a.T @ Y,
+                           counter=counter, phase="certificate")
+    Y, sol = Y.reshape(A.n, -1), sol.reshape(A.d, -1)
+    best = 0.0
+    for k in range(Y.shape[1]):
+        yhat = Y[:, k] - A.a @ sol[:, k]
+        denom = float(np.sum(np.abs(yhat))) if q == 1.0 else pnorm(yhat, q)
+        if 0.0 < denom < math.inf:
+            best = max(best, -float(b @ yhat) / denom)
+    return best
+
+
+def lp_dual_bound(A: DenseMatrix, b: np.ndarray, x: np.ndarray, p: float,
+                  counter: SolveCounter | None = None) -> float:
+    """Certified lower bound on min ||Ax - b||_p from the iterate x.
+
+    The candidate is the norm-dual vector of the residual at x; weak
+    duality (:func:`weak_duality_bound`) makes the value a true lower
     bound no matter how rough the candidate is.
     """
     u = A.a @ x - b
     upn = pnorm(u, p)
     if upn == 0.0:
         return 0.0
-    q = p / (p - 1.0)
     m = float(np.max(np.abs(u)))
     y = (np.abs(u) / m) ** (p - 1.0) * np.sign(u)
     y /= (upn / m) ** (p - 1.0)
-    ones = DiagonalWeights.ones(A.n)
-    aty = A.a.T @ y
-    if constraint is None:
-        z = gram_solve(A, ones, aty, counter=counter, phase="certificate")
-        yhat = y - A.a @ z
-        num = -float(b @ yhat)
-    else:
-        C, v = constraint
-        C = np.atleast_2d(np.asarray(C, dtype=float))
-        sol = gram_solve_multi(A, ones, np.column_stack([C.T, aty]),
-                               counter=counter, phase="certificate")
-        JC, Jg = sol[:, :-1], sol[:, -1]
-        mu = np.linalg.solve(C @ JC, C @ Jg)
-        yhat = y - A.a @ (Jg - JC @ mu)
-        num = float(np.asarray(v) @ mu) - float(b @ yhat)
-    denom = pnorm(yhat, q)
-    if denom <= 0.0 or not math.isfinite(denom):
-        return 0.0
-    return max(num / denom, 0.0)
+    return weak_duality_bound(A, b, y, p / (p - 1.0), counter)
 
 
 @dataclass
 class GammaSolverContract:
     """An approximate residual-step solver together with its quality factor.
 
-    ``callback(nu, g, R, C, x=...)`` must return a direction with
-    C @ direction = 0 and g^T (A @ direction) = -nu whose quadratic form
-    and p-th power norm are within gamma (resp. gamma^{p-1}) of the best
-    achievable.
+    ``callback(nu, g, R, x=...)`` must return a direction with
+    g^T (A @ direction) = -nu whose quadratic form and p-th power norm are
+    within gamma (resp. gamma^{p-1}) of the best achievable.
     """
 
     gamma: float
@@ -167,46 +171,21 @@ class GammaCertificate:
         return quad_ok and pnorm_ok
 
 
-def constrained_l2_start(A: DenseMatrix, b: np.ndarray, constraint,
-                         counter: SolveCounter | None):
-    """Feasible least-squares initializer (KKT solve when constrained)."""
-    ones = DiagonalWeights.ones(A.n)
-    if constraint is None:
-        return gram_solve(A, ones, A.a.T @ b, counter=counter, phase="init")
-    C, v = constraint
-    sol = gram_solve_multi(A, ones, np.column_stack([C.T, A.a.T @ b]),
-                           counter=counter, phase="init")
-    JC, Jb = sol[:, :-1], sol[:, -1]
-    mu = np.linalg.solve(C @ JC, C @ Jb - v)
-    x = Jb - JC @ mu
-    if np.linalg.norm(C @ x - v) > 1e-8 * max(1.0, np.linalg.norm(v)):
-        raise InfeasibleError("constraint system has no solution")
-    return x
-
-
-def _reproject(x, constraint):
-    if constraint is None:
-        return x
-    C, v = constraint
-    return x + C.T @ np.linalg.solve(C @ C.T, v - C @ x)
-
-
 @dataclass
 class UnitProblem:
     """The instance as :func:`certified_solve` hands it to a solver.
 
     A and b are rescaled by powers of two and b is shifted by its
     least-squares fit and normalized: a unit vector orthogonal to range(A),
-    so the optimum is at least n^{-1/2}.  A constraint (C, v) becomes
-    (C, 0).  An iterate z is the caller's ``to_caller(z)``; a caller
-    direction is this problem's ``np.ldexp(delta, -a_exp)``.
+    so the optimum is at least n^{-1/2}.  An iterate z is the caller's
+    ``to_caller(z)``; a caller direction is this problem's
+    ``np.ldexp(delta, -a_exp)``.
     """
 
     A: DenseMatrix
     b: np.ndarray
     p: float
     eps: float
-    constraint: tuple | None
     a_exp: int
     to_caller: Callable
 
@@ -233,14 +212,14 @@ def _pow2_exponent(v: np.ndarray) -> int:
 def certified_solve(instance: ProblemInstance, method: str,
                     make_steps: Callable[[UnitProblem], BracketSteps],
                     counter: SolveCounter | None = None, seed=None,
-                    constraint=None, max_rounds: int = 500):
+                    max_rounds: int = 500):
     """The certification rule shared by every solver; returns (x, report).
 
     1. Normalize: A and b are rescaled by powers of two, which is exact.
-    2. Start: one counted least-squares solve (the KKT form under a
-       constraint) shifts b.  If what is left is below SHORT_CIRCUIT_RTOL
-       relative to b, the least-squares point is returned with gap 0;
-       otherwise it is normalized to unit norm (see :class:`UnitProblem`).
+    2. Start: one counted least-squares solve shifts b.  If what is left
+       is below SHORT_CIRCUIT_RTOL relative to b, the least-squares point
+       is returned with gap 0; otherwise it is normalized to unit norm
+       (see :class:`UnitProblem`).
     3. Bracket: hi = ||Ax - b||_p, lo = the best lower bound so far; stop
        once lo > 0 and hi <= (1 + eps) lo, else step.  A step that makes
        no progress, or running out of rounds, raises BudgetExceededError.
@@ -252,10 +231,8 @@ def certified_solve(instance: ProblemInstance, method: str,
     a_exp, b_exp = _pow2_exponent(A.a), _pow2_exponent(b)
     a_unit = DenseMatrix.trusted(np.ldexp(A.a, a_exp))
     b_scaled = np.ldexp(b, b_exp)
-    if constraint is not None:
-        C = np.atleast_2d(constraint[0])
-        constraint = (C, np.ldexp(constraint[1], b_exp - a_exp))
-    x0 = constrained_l2_start(a_unit, b_scaled, constraint, counter)
+    x0 = gram_solve(a_unit, DiagonalWeights.ones(A.n), a_unit.a.T @ b_scaled,
+                    counter=counter, phase="init")
     b_eff = b_scaled - a_unit.a @ x0
     scale = float(np.linalg.norm(b_eff))
 
@@ -267,10 +244,7 @@ def certified_solve(instance: ProblemInstance, method: str,
     if scale <= SHORT_CIRCUIT_RTOL * float(np.linalg.norm(b_scaled)):
         counts = {"short_circuit": 1}
     else:
-        unit = UnitProblem(
-            a_unit, b_eff / scale, p, eps,
-            None if constraint is None else (C, np.zeros(C.shape[0])),
-            a_exp, to_caller)
+        unit = UnitProblem(a_unit, b_eff / scale, p, eps, a_exp, to_caller)
         steps = make_steps(unit)
         counts = steps.counts
         lo, gap = 0.0, math.inf
@@ -301,82 +275,104 @@ def certified_solve(instance: ProblemInstance, method: str,
     return x, report
 
 
+def refinement_round(u: np.ndarray, p: float, floor: float, nu_prev,
+                     propose: Callable, counts: dict, calls_key: str):
+    """One refinement round on sum |u|^p; returns (c, direction, nu) or None.
+
+    ``propose(nu, g, R)`` returns (direction, image): a step in the
+    caller's coordinates and what it adds to u.  nu starts at
+    min(f(u) - floor, 4 nu_prev); it halves when the proposal is
+    infeasible or gives no decrease, at most ROUND_RETRIES times.  The
+    exact line-search point u + c image is accepted once it falls below
+    f(u) (1 - 1e-15).  Proposals are tallied in ``counts[calls_key]`` and
+    acceptances in ``counts["accepted_steps"]``.
+    """
+    g, r = bregman_terms(u, p)
+    if not np.any(g):
+        return None
+    R = DiagonalWeights(r)
+    f_cur = float(np.sum(np.abs(u) ** p))
+    gap = max(f_cur - floor, 1e-300)
+    nu = gap if nu_prev is None else min(gap, 4.0 * nu_prev)
+    for _ in range(ROUND_RETRIES):
+        counts[calls_key] += 1
+        try:
+            direction, image = propose(nu, g, R)
+        except (InfeasibleError, BoostBudgetExceededError):
+            nu /= 2.0
+            continue
+        except ZeroGradientError:
+            return None
+        c_star, f_new = line_search_lp(u, image, p)
+        if f_new < f_cur * (1.0 - 1e-15):
+            counts["accepted_steps"] += 1
+            return c_star, direction, nu
+        nu /= 2.0
+    return None
+
+
 def refine_steps(unit: UnitProblem, solver: GammaSolverContract,
-                 counter: SolveCounter, max_retries: int = 80,
+                 counter: SolveCounter,
                  counts: dict | None = None) -> BracketSteps:
     """Iterative-refinement steps driven by a residual-step solver.
 
-    Each step asks the solver for a direction with linear progress nu and
-    accepts the exact line-search point; nu shrinks on failure and retries.
-    The step counters are added to ``counts`` (the solver's own, if given).
+    Each step is one :func:`refinement_round` whose proposals are the
+    solver's directions, charged against the contract's call budget.  The
+    step counters are added to ``counts`` (the solver's own, if given).
     """
     A, b, p = unit.A, unit.b, unit.p
     counts = {} if counts is None else counts
     counts.update(gamma_calls=0, accepted_steps=0)
     budget = min(REFINE_CALL_CONSTANT * p ** 3.5 * solver.gamma
                  * math.log((A.n + A.d) / unit.eps), 1e18)
-    C = None if unit.constraint is None else unit.constraint[0]
     nu_prev = None
 
     def lower_bound(x):
-        return lp_dual_bound(A, b, x, p, constraint=unit.constraint,
-                             counter=counter)
+        return lp_dual_bound(A, b, x, p, counter=counter)
 
     def step(x, lo, hi):
         nonlocal nu_prev
-        u = A.a @ x - b
-        g, r = bregman_terms(u, p)
-        if not np.any(g):
-            return None
-        R = DiagonalWeights(r)
-        f_cur = float(np.sum(np.abs(u) ** p))
-        gap = max(f_cur - lo ** p, 1e-300)
-        nu = gap if nu_prev is None else min(gap, 4.0 * nu_prev)
-        for _ in range(max_retries):
-            counts["gamma_calls"] += 1
+
+        def propose(nu, g, R):
             if counts["gamma_calls"] > budget:
                 raise BudgetExceededError(
                     f"{counts['gamma_calls']} residual-solver calls exceed "
                     f"the contract budget {budget:.3g}")
-            try:
-                delta = solver.callback(nu, g, R, C, x=x)
-            except (InfeasibleError, BoostBudgetExceededError):
-                nu /= 2.0
-                continue
-            except ZeroGradientError:
-                return None
-            c_star, f_new = line_search_lp(u, A.a @ delta, p)
-            if f_new < f_cur * (1.0 - 1e-15):
-                nu_prev = nu
-                counts["accepted_steps"] += 1
-                return _reproject(x + c_star * delta, unit.constraint)
-            nu /= 2.0
-        return None
+            delta = solver.callback(nu, g, R, x=x)
+            return delta, A.a @ delta
+
+        out = refinement_round(A.a @ x - b, p, lo ** p, nu_prev, propose,
+                               counts, "gamma_calls")
+        if out is None:
+            return None
+        c_star, delta, nu_prev = out
+        return x + c_star * delta
 
     return BracketSteps(lower_bound, step, counts)
 
 
 def refine_to_accuracy(instance: ProblemInstance, solver: GammaSolverContract,
-                       constraint=None, counter: SolveCounter | None = None,
-                       max_rounds: int = 500, max_retries: int = 80):
+                       counter: SolveCounter | None = None,
+                       max_rounds: int = 500):
     """Drive a caller-built residual solver until (1+eps)-accuracy is certified.
 
-    The solver is bound to the caller's A: it receives iterates in the
-    caller's coordinates and its directions are mapped back.  Returns
-    (x, report).  Raises BudgetExceededError if the theoretical call
-    budget is exhausted or progress stalls before certification, which
-    signals a broken solver contract.
+    The problem is unconstrained: min ||Ax - b||_p over all x, p >= 2.
+    ``solver.callback(nu, g, R, x=...)`` is bound to the caller's A: it
+    receives iterates in the caller's coordinates and its directions are
+    mapped back.  Returns (x, report).  Raises BudgetExceededError if the
+    theoretical call budget is exhausted or progress stalls before
+    certification, which signals a broken solver contract.
     """
     if instance.p < 2:
         raise InvalidInputError("refinement drives p >= 2 objectives")
     counter = counter if counter is not None else SolveCounter()
 
     def make_steps(unit):
-        def callback(nu, g, R, C, x):
-            delta = solver.callback(nu, g, R, C, x=unit.to_caller(x))
+        def callback(nu, g, R, x):
+            delta = solver.callback(nu, g, R, x=unit.to_caller(x))
             return np.ldexp(delta, -unit.a_exp)
         return refine_steps(unit, GammaSolverContract(solver.gamma, callback),
-                            counter, max_retries)
+                            counter)
 
     return certified_solve(instance, "refine", make_steps, counter=counter,
-                           constraint=constraint, max_rounds=max_rounds)
+                           max_rounds=max_rounds)

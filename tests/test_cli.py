@@ -122,6 +122,15 @@ class TestBenchCommand:
         assert (tmp_path / "out" / "summary.json").exists()
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text("{}")
-        assert main(["bench", "--config", str(path)]) == 3
+        good = {"method": "accel", "p": 4.0, "eps": 1e-6, "family": "gaussian",
+                "sizes": [[16, 2]], "seeds": [0],
+                "output_dir": str(tmp_path / "out")}
+        bad = {"empty": "{}",
+               "list": json.dumps([good]),
+               "exponent": json.dumps({**good, "p": "abc"}),
+               "size": json.dumps({**good, "sizes": [[60]]})}
+        for name, text in bad.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(text)
+            assert main(["bench", "--config", str(path)]) == 3, name
+        assert not (tmp_path / "out").exists()

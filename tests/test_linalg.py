@@ -77,7 +77,7 @@ class TestGramSolve:
 
     def test_floor_rescues_zero_weights(self):
         A = DenseMatrix(np.vstack([np.eye(2), np.ones((1, 2))]))
-        D = DiagonalWeights(np.array([1.0, 1.0, 0.0]), floor=1e-300)
+        D = DiagonalWeights(np.array([1.0, 1.0, 0.0]))
         x = gram_solve(A, D, np.array([1.0, 2.0]))
         assert np.allclose(x, [1.0, 2.0], atol=1e-10)
 

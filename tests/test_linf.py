@@ -7,13 +7,13 @@ from lpreg.harness import oracle_opt
 from lpreg.lewis import lewis_overestimates
 from lpreg.linalg import DenseMatrix
 from lpreg.linf import (
-    linf_dual_bound,
     linf_regress,
     lse_eval,
     lse_quad_form,
     qsc_check,
 )
 from lpreg.problem import ProblemInstance
+from lpreg.refine import weak_duality_bound
 
 
 class TestLseEval:
@@ -85,15 +85,21 @@ class TestHessianForms:
 
 class TestLinfDualBound:
     def test_weak_duality(self):
+        # q = 1 bounds the minimax optimum, q = 4/3 the l4 optimum.
         rng = np.random.default_rng(5)
         A = DenseMatrix(rng.standard_normal((40, 4)))
         b = rng.standard_normal(40)
-        opt = oracle_opt(ProblemInstance(A, b, math.inf), tol=1e-9)
-        for _ in range(10):
-            cand = rng.standard_normal(40)
-            cand /= np.sum(np.abs(cand))
-            lb = linf_dual_bound(A, b, cand)
-            assert lb <= opt * (1 + 1e-9)
+        cands = rng.standard_normal((40, 10))
+        cands /= np.sum(np.abs(cands), axis=0)
+        Y = np.hstack([cands, -cands])
+        for q, p in ((1.0, math.inf), (4.0 / 3.0, 4.0)):
+            opt = oracle_opt(ProblemInstance(A, b, p), tol=1e-9)
+            singles = [weak_duality_bound(A, b, Y[:, k], q)
+                       for k in range(Y.shape[1])]
+            multi = weak_duality_bound(A, b, Y, q)
+            assert multi == pytest.approx(max(singles), rel=1e-12)
+            assert 0.0 < multi <= opt * (1 + 1e-9)
+            assert all(lb <= opt * (1 + 1e-9) for lb in singles)
 
 
 class TestLinfRegress:

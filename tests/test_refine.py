@@ -3,16 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from lpreg.errors import BudgetExceededError
+from lpreg.errors import BudgetExceededError, InfeasibleError
 from lpreg.linalg import DenseMatrix, SolveCounter
 from lpreg.mwu import MwuGammaSolver
 from lpreg.problem import ProblemInstance, pnorm
 from lpreg.refine import (
+    ROUND_RETRIES,
     GammaSolverContract,
     bregman_terms,
     line_search_lp,
     lp_dual_bound,
     refine_to_accuracy,
+    refinement_round,
     scalar_refine_bounds,
 )
 
@@ -141,28 +143,48 @@ class TestDualBound:
         lb = lp_dual_bound(A, b, x, 4.0)
         assert pnorm(A.a @ x - b, 4.0) <= (1 + 1e-9) * lb
 
-    def test_constrained_bound_is_valid(self):
-        rng = np.random.default_rng(13)
-        A = DenseMatrix(rng.standard_normal((30, 4)))
-        b = rng.standard_normal(30)
-        C = rng.standard_normal((1, 4))
-        v = np.array([0.7])
-        # brute force on the 3-dim feasible slice
-        from scipy.linalg import null_space
-        N = null_space(C)
-        x0 = C.T @ np.linalg.solve(C @ C.T, v)
-        best = math.inf
-        rng2 = np.random.default_rng(14)
-        xi = np.zeros(N.shape[1])
-        for _ in range(4000):
-            cand = xi + 0.3 * rng2.standard_normal(N.shape[1])
-            val = pnorm(A.a @ (x0 + N @ cand) - b, 4.0)
-            if val < best:
-                best, xi = val, cand
-        for _ in range(8):
-            x = x0 + N @ (xi + 0.01 * rng2.standard_normal(N.shape[1]))
-            lb = lp_dual_bound(A, b, x, 4.0, constraint=(C, v))
-            assert lb <= best * (1 + 1e-6)
+
+class TestRefinementRound:
+    U = np.array([1.0, -2.0, 0.5])
+    P = 4.0
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    @pytest.mark.parametrize("floor, nu_prev", [(0.0, None), (1.0, 0.25)])
+    def test_nu_halves_per_infeasible_proposal(self, k, floor, nu_prev):
+        u, p = self.U, self.P
+        seen = []
+
+        def propose(nu, g, R):
+            seen.append(nu)
+            if len(seen) <= k:
+                raise InfeasibleError("nu too large")
+            return -u, -u                 # toward the minimizer u = 0
+
+        counts = {"calls": 0, "accepted_steps": 0}
+        c, direction, nu = refinement_round(u, p, floor, nu_prev, propose,
+                                            counts, "calls")
+        f_u = float(np.sum(np.abs(u) ** p))
+        start = f_u - floor if nu_prev is None else min(f_u - floor, 4 * nu_prev)
+        assert len(seen) == k + 1 and counts["calls"] == k + 1
+        assert seen[0] == start and nu == start / 2 ** k
+        assert counts["accepted_steps"] == 1
+        assert np.array_equal(direction, -u)
+        assert c == pytest.approx(1.0, abs=1e-9)
+
+    def test_no_decrease_gives_up_after_the_retry_cap(self):
+        u, p = self.U, self.P
+        seen = []
+
+        def propose(nu, g, R):
+            seen.append(nu)
+            return u, u                   # away from the minimizer
+
+        counts = {"calls": 0, "accepted_steps": 0}
+        assert refinement_round(u, p, 0.0, None, propose, counts,
+                                "calls") is None
+        assert len(seen) == ROUND_RETRIES == counts["calls"]
+        assert counts["accepted_steps"] == 0
+        assert all(b == a / 2 for a, b in zip(seen, seen[1:]))
 
 
 def mwu_contract(A, p, counter=None):
@@ -218,34 +240,12 @@ class TestRefineToAccuracy:
         seen = []
         inner = MwuGammaSolver(A, 3.0)
 
-        def spy(nu, g, R, C, x=None):
+        def spy(nu, g, R, x=None):
             seen.append(pnorm(A.a @ x - b, 3.0))
-            return inner(nu, g, R, C, x=x)
+            return inner(nu, g, R, x=x)
 
         x, rep = refine_to_accuracy(inst, GammaSolverContract(inner.gamma, spy))
         assert all(seen[i + 1] <= seen[i] * (1 + 1e-12) for i in range(len(seen) - 1))
-
-    def test_constraint_preserved(self):
-        rng = np.random.default_rng(6)
-        A = DenseMatrix(rng.standard_normal((30, 4)))
-        b = rng.standard_normal(30)
-        C = rng.standard_normal((1, 4))
-        v = np.array([1.3])
-        inst = ProblemInstance(A, b, 4.0, eps=1e-6)
-        solver = MwuGammaSolver(A, 4.0, constraint=C)
-        x, rep = refine_to_accuracy(inst, GammaSolverContract(solver.gamma, solver),
-                                    constraint=(C, v))
-        assert abs(float((C @ x)[0]) - 1.3) <= 1e-10
-        # certified against a brute-force search over the feasible slice
-        from scipy.linalg import null_space
-        N = null_space(C)
-        x0 = C.T @ np.linalg.solve(C @ C.T, v)
-        rng2 = np.random.default_rng(7)
-        best = pnorm(A.a @ x - b, 4.0)
-        for _ in range(2000):
-            cand = x0 + N @ (N.T @ (x - x0) + 0.05 * rng2.standard_normal(N.shape[1]))
-            best = min(best, pnorm(A.a @ cand - b, 4.0))
-        assert pnorm(A.a @ x - b, 4.0) <= best * (1 + 1e-6)
 
     def test_broken_solver_raises_budget_error(self):
         rng = np.random.default_rng(8)
@@ -253,7 +253,7 @@ class TestRefineToAccuracy:
         b = rng.standard_normal(20)
         inst = ProblemInstance(A, b, 4.0, eps=1e-6)
 
-        def garbage(nu, g, R, C, x=None):
+        def garbage(nu, g, R, x=None):
             return np.zeros(3)
 
         with pytest.raises(BudgetExceededError):
