@@ -3,10 +3,9 @@
 from .errors import LpregError
 from .linalg import (
     DenseMatrix,
-    DiagonalWeights,
     SolveCounter,
     approx_lev,
-    gram_solve,
+    gram_solve_multi,
     leverage_scores,
 )
 from .lewis import (
@@ -24,10 +23,9 @@ __all__ = [
     "ProblemInstance",
     "LpregError",
     "DenseMatrix",
-    "DiagonalWeights",
     "SolveCounter",
     "approx_lev",
-    "gram_solve",
+    "gram_solve_multi",
     "leverage_scores",
     "LewisOverestimate",
     "RegularizedLewisWeights",

@@ -17,7 +17,7 @@ from scipy.optimize import brentq
 
 from .errors import BisectionStallError, InvalidInputError
 from .lewis import WEIGHT_FLOOR, LewisOverestimate, lewis_overestimates
-from .linalg import DenseMatrix, DiagonalWeights, SolveCounter, gram_solve
+from .linalg import DenseMatrix, SolveCounter, gram_solve_multi
 from .problem import ProblemInstance, pnorm
 from .refine import BracketSteps, certified_solve, lp_dual_bound
 
@@ -99,8 +99,8 @@ class ProxProblem:
 
     def m_inv_norm(self, v: np.ndarray,
                    counter: SolveCounter | None = None) -> float:
-        sol = gram_solve(self.A, DiagonalWeights(self.m_diag), v,
-                         counter=counter, phase="metric")
+        sol = gram_solve_multi(self.A, self.m_diag, v, counter=counter,
+                               phase="metric")
         return math.sqrt(max(float(v @ sol), 0.0))
 
 
@@ -126,8 +126,8 @@ def _tau_step(prob: ProxProblem, glin: np.ndarray, tau: float,
     """Minimize <glin, x> + 4||x-y||_H^2 + 2 e p^{p+1} tau ||x-y||_M^2."""
     p = prob.p
     diag = 8.0 * prob._hess_center + 4.0 * p * prob.cp * tau * prob.m_diag
-    step = gram_solve(prob.A, DiagonalWeights(diag), -glin, counter=counter,
-                      phase="prox")
+    step = gram_solve_multi(prob.A, diag, -glin, counter=counter,
+                            phase="prox")
     return prob.center + step
 
 
@@ -195,8 +195,8 @@ def prox_solve(prob: ProxProblem, x0: np.ndarray | None = None,
         # The regularized objective is itself a quadratic; minimize exactly.
         diag = np.ones(prob.A.n) + prob.cp * prob.m_diag
         rhs = prob.A.a.T @ prob.b + prob.cp * prob.m_apply(y)
-        x = gram_solve(prob.A, DiagonalWeights(diag), rhs, counter=counter,
-                       phase="prox")
+        x = gram_solve_multi(prob.A, diag, rhs, counter=counter,
+                             phase="prox")
         residual = prob.m_inv_norm(prob.grad_f_reg(x), counter=counter)
         thr = math.e * alpha * p ** (p + 1) * prob.m_norm(x - y) + tol
         return ProxCertificate(x=x, residual=residual, threshold=thr,
@@ -384,8 +384,8 @@ def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
         a_new = 0.5 * (lam + math.sqrt(lam ** 2 + 4 * lam * acc_weight))
         y_new = cert.x
         grad = prob_center.grad_f(y_new)
-        ginv = gram_solve(A, DiagonalWeights(prob_center.m_diag), grad,
-                          counter=counter, phase="ms")
+        ginv = gram_solve_multi(A, prob_center.m_diag, grad,
+                                counter=counter, phase="ms")
         v_step = a_new * ginv
         step_norm = prob_center.m_norm(v_step)
         guard = 1e3 * (1.0 + prob_center.m_norm(x) + prob_center.m_norm(v))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InfeasibleError, InvalidInputError, PotentialViolationError
 from .lewis import WEIGHT_FLOOR, reg_lewis
-from .linalg import DenseMatrix, DiagonalWeights, SolveCounter, gram_solve, gram_solve_multi
+from .linalg import DenseMatrix, SolveCounter, gram_solve_multi
 from .problem import ProblemInstance, pnorm
 from .refine import BracketSteps, certified_solve, line_search_lp, refinement_round
 
@@ -37,7 +37,7 @@ class DualInstance:
 
     U: DenseMatrix
     v: np.ndarray
-    R: DiagonalWeights
+    R: np.ndarray
     p: float
     witness: np.ndarray | None = None
 
@@ -50,7 +50,7 @@ class DualInstance:
 
 
 def stack_instance(A: DenseMatrix, b: np.ndarray, g: np.ndarray,
-                   R: DiagonalWeights, p: float,
+                   R: np.ndarray, p: float,
                    witness: np.ndarray | None = None) -> DualInstance:
     """Canonical stacking with right-hand side (0, ..., 0, 1, -1)."""
     U = DenseMatrix(np.column_stack([A.a, b, g]))
@@ -89,11 +89,10 @@ def min_quadratic_on_affine(U: DenseMatrix, v: np.ndarray, diag: np.ndarray,
     w = 1.0 / np.maximum(diag, 1e-300)
     lead = DenseMatrix.trusted(U.a[:, :m - 2])
     tail = U.a[:, m - 2:]
-    D = DiagonalWeights(w)
     F = lead.a.T @ (w[:, None] * tail)                     # (m-2) x 2
     H = tail.T @ (w[:, None] * tail)                       # 2 x 2
     rhs = np.column_stack([F, v[:m - 2]])
-    sol = gram_solve_multi(lead, D, rhs, counter=counter, phase=phase)
+    sol = gram_solve_multi(lead, w, rhs, counter=counter, phase=phase)
     GinvF, Ginv_vA = sol[:, :2], sol[:, 2]
     schur = H - F.T @ GinvF
     mu_tail = np.linalg.solve(schur, v[m - 2:] - F.T @ Ginv_vA)
@@ -118,7 +117,7 @@ def oracle_small(inst: DualInstance,
     """
     U, v, p = inst.U, inst.v, inst.p
     n, m = U.n, U.d
-    r = inst.R.values
+    r = inst.R
     if p == 2.0:
         # The weight block degenerates to the identity.
         diag = r + 1.0
@@ -162,8 +161,8 @@ def primal_recover(A: DenseMatrix, b: np.ndarray, y_dual: np.ndarray,
     q = p / (p - 1.0)
     y = np.asarray(y_dual, dtype=float)
     s = np.sign(y) * np.abs(y) ** (p - 2.0)
-    ones = DiagonalWeights.ones(A.n)
-    sol = gram_solve_multi(A, ones, np.column_stack([A.a.T @ b, A.a.T @ s]),
+    sol = gram_solve_multi(A, np.ones(A.n),
+                           np.column_stack([A.a.T @ b, A.a.T @ s]),
                            counter=counter, phase="recover")
     e0 = A.a @ sol[:, 0] - b
     e1 = A.a @ sol[:, 1]
@@ -210,8 +209,8 @@ def primal_recover(A: DenseMatrix, b: np.ndarray, y_dual: np.ndarray,
             break
         floor = 1e-12 * float(np.max(np.abs(u)))
         wts = np.maximum(np.abs(u), floor) ** (q - 2.0)
-        x_ls = gram_solve(A, DiagonalWeights(wts), A.a.T @ (wts * b),
-                          counter=counter, phase="recover")
+        x_ls = gram_solve_multi(A, wts, A.a.T @ (wts * b),
+                                counter=counter, phase="recover")
         c_step, _ = line_search_lp(u, A.a @ (x_ls - x_hat), q)
         x_new = x_hat + c_step * (x_ls - x_hat)
         if pnorm(A.a @ x_new - b, q) >= cur * (1.0 - 1e-14):
@@ -242,7 +241,7 @@ class DualStepOracle:
         g_perp = g - self._Mb @ coef
         return g_perp, float(coef[-1])
 
-    def __call__(self, nu: float, g: np.ndarray, R: DiagonalWeights,
+    def __call__(self, nu: float, g: np.ndarray, R: np.ndarray,
                  y_cur: np.ndarray):
         if nu <= 0:
             raise InvalidInputError("nu must be positive")
@@ -255,7 +254,7 @@ class DualStepOracle:
             raise InfeasibleError("progress constraint is degenerate here")
         sigma = 2.0 * max(pnorm(y_cur, p), 1e-300)
         ghat = -sigma * g_perp / beta_perp
-        rhat = DiagonalWeights(R.values * (p / (8.0 * nu)) * sigma ** 2)
+        rhat = R * (p / (8.0 * nu)) * sigma ** 2
         inst = stack_instance(self.A, sigma * self.b, ghat, rhat, p)
         y_scaled = oracle_small(inst, counter=self.counter)
         return sigma * y_scaled

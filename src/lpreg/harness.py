@@ -22,7 +22,7 @@ from .errors import (
     NoConvergenceError,
     RankDeficientError,
 )
-from .linalg import DenseMatrix, DiagonalWeights
+from .linalg import DenseMatrix
 from .linf import linf_regress
 from .mwu import MAX_MWU_P, ResidualInstance, solve_mwu
 from .problem import ProblemInstance, pnorm
@@ -85,10 +85,10 @@ def plant_residual_instance(n: int, d: int, p: float, seed: int,
     """Scaled residual instance with an attached witness."""
     rng = np.random.default_rng([91, n, d, int(seed)])
     A = DenseMatrix(rng.standard_normal((n, d)))
-    r = DiagonalWeights(r_scale * rng.uniform(0.0, 1.0, size=n))
+    r = r_scale * rng.uniform(0.0, 1.0, size=n)
     x = rng.standard_normal(d)
     ax = A.a @ x
-    scale = max(pnorm(ax, p), math.sqrt(float(ax @ (r.values * ax))))
+    scale = max(pnorm(ax, p), math.sqrt(float(ax @ (r * ax))))
     x = x / (scale * 1.0000001)
     g = -x / float(x @ x)
     return ResidualInstance(A, g, r, p, witness=x)
@@ -118,7 +118,7 @@ def plant_dual_instance(n: int, d: int, q: float, seed: int) -> DualInstance:
     quad = float(x @ (r * x))
     if quad > 0:
         r = r / (quad * 1.0000001)
-    inst = stack_instance(A, b, g, DiagonalWeights(r), p, witness=x)
+    inst = stack_instance(A, b, g, r, p, witness=x)
     return inst
 
 
@@ -280,6 +280,14 @@ def solve(instance: ProblemInstance, method: str, seed: int = 0):
     return entry(instance, seed=seed)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
 @dataclass
 class ExperimentConfig:
     """One benchmark sweep: a method on a family across sizes and seeds."""
@@ -305,14 +313,20 @@ class ExperimentConfig:
                 self.p = math.inf if self.p == "inf" else float(self.p)
             except ValueError as exc:
                 raise InvalidInputError(f"bad exponent {self.p!r}") from exc
+        if not _is_real(self.p):
+            raise InvalidInputError(f"bad exponent {self.p!r}")
+        if not (_is_real(self.eps) and 0 < self.eps < 1):
+            raise InvalidInputError(f"eps {self.eps!r} is not a number in (0, 1)")
         for size in self.sizes:
-            if not (isinstance(size, (list, tuple)) and len(size) == 2):
+            if not (isinstance(size, (list, tuple)) and len(size) == 2
+                    and all(map(_is_int, size))):
                 raise InvalidInputError(f"size {size!r} is not an [n, d] pair")
             n, d = size
             if n > MAX_N or d > MAX_D:
                 raise InvalidInputError(f"size {n} x {d} over the caps")
-        if not self.seeds:
-            raise InvalidInputError("at least one seed required")
+        if not (isinstance(self.seeds, (list, tuple)) and self.seeds
+                and all(map(_is_int, self.seeds))):
+            raise InvalidInputError("seeds must be a non-empty list of ints")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":

@@ -74,7 +74,7 @@ def lewis_overestimates(A: DenseMatrix, p: float) -> LewisOverestimate:
     computation; failure raises DominationFailure.  The computation is
     deterministic, so a failure would repeat on any retry.
     """
-    if p < 2:
+    if not p >= 2:
         raise InvalidInputError("overestimates require p >= 2")
     n, d = A.n, A.d
     expo = half_minus_inv(p)

@@ -1,9 +1,10 @@
 """Dense matrix storage, reweighted Gram solves, and leverage scores.
 
 Every iterative solver in this package is charged in units of solves
-against ``A^T D A`` for a positive diagonal ``D``; the counting lives in
-:class:`SolveCounter` and every solve flows through :func:`gram_solve`
-or its multi right-hand-side variant.
+against ``A^T D A`` for a positive diagonal ``D``.  The diagonal is a
+plain float array of per-row weights; the counting lives in
+:class:`SolveCounter`, and every solve flows through
+:func:`gram_solve_multi`, the one place that checks and floors weights.
 """
 from __future__ import annotations
 
@@ -63,35 +64,6 @@ class DenseMatrix:
 
 
 @dataclass
-class DiagonalWeights:
-    """Nonnegative per-row weights, lifted to WEIGHT_SOLVE_FLOOR in a solve."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(self.values)):
-            raise NonFiniteError("weights must be finite")
-        if np.any(self.values < 0):
-            raise InvalidInputError("weights must be nonnegative")
-
-    def clamped(self) -> np.ndarray:
-        """Values with the floor applied, as used inside a Gram solve."""
-        return np.maximum(self.values, WEIGHT_SOLVE_FLOOR)
-
-    @classmethod
-    def ones(cls, n: int) -> "DiagonalWeights":
-        return cls(np.ones(n))
-
-    @classmethod
-    def trusted(cls, values: np.ndarray) -> "DiagonalWeights":
-        """Skip validation for values produced by nonnegative arithmetic."""
-        obj = object.__new__(cls)
-        obj.values = values
-        return obj
-
-
-@dataclass
 class SolveCounter:
     """Monotone tally of Gram solves, in total and by phase."""
 
@@ -119,28 +91,36 @@ def _factor_gram(gram: np.ndarray, d: int):
         raise SingularGramError("Gram factorization failed") from exc
 
 
-def gram_solve_multi(A: DenseMatrix, D: DiagonalWeights, rhs: np.ndarray,
+def gram_solve_multi(A: DenseMatrix, w: np.ndarray, rhs: np.ndarray,
                      counter: SolveCounter | None = None,
                      phase: str | None = None,
                      quality: dict | None = None) -> np.ndarray:
-    """Solve (A^T D A) X = rhs for a matrix of right-hand sides.
+    """Solve (A^T diag(w) A) X = rhs for one or more right-hand sides.
 
-    One factorization is shared across columns; each column is counted
-    as one Gram solve.  A few steps of iterative refinement push the
-    relative residual of each column down to GRAM_RTOL when conditioning
-    permits.  When ``quality`` is supplied, the final residual matrix is
-    stored under ``"residual"`` so callers can bound derived quantities.
+    ``w`` holds nonnegative per-row weights, lifted to WEIGHT_SOLVE_FLOOR
+    here; a negative weight is an InvalidInputError and a non-finite one
+    surfaces as a NonFiniteError from the Gram check.  ``rhs`` is a vector
+    of length d or a d-row matrix.  One factorization is shared across
+    columns; each column is counted as one Gram solve.  A few steps of
+    iterative refinement push the relative residual of each column down
+    to GRAM_RTOL when conditioning permits.  When ``quality`` is supplied,
+    the final residual matrix is stored under ``"residual"`` so callers
+    can bound derived quantities.
     """
     rhs = np.asarray(rhs, dtype=float)
     single = rhs.ndim == 1
     B = rhs[:, None] if single else rhs
-    if not np.all(np.isfinite(B)):
+    if B.ndim != 2 or B.shape[0] != A.d:
+        raise InvalidInputError(f"rhs must have {A.d} rows")
+    if not np.isfinite(B).all():
         raise NonFiniteError("right-hand side must be finite")
+    w = np.asarray(w, dtype=float)
+    if w.min() < 0:                 # False for nan, left to the Gram check
+        raise InvalidInputError("weights must be nonnegative")
     a = A.a
-    dvals = D.clamped()
-    gram = (a * dvals[:, None]).T @ a
-    if not np.all(np.isfinite(gram)):
-        raise NonFiniteError("Gram matrix overflowed")
+    gram = (a * np.maximum(w, WEIGHT_SOLVE_FLOOR)[:, None]).T @ a
+    if not np.isfinite(gram).all():
+        raise NonFiniteError("Gram matrix not finite (weights or overflow)")
     fac = _factor_gram(gram, A.d)
 
     X = cho_solve(fac, B, check_finite=False)
@@ -150,7 +130,7 @@ def gram_solve_multi(A: DenseMatrix, D: DiagonalWeights, rhs: np.ndarray,
     R = B - gram @ X
     for _ in range(25):
         rel = np.linalg.norm(R, axis=0) / bnorm
-        if np.all(rel <= GRAM_RTOL):
+        if (rel <= GRAM_RTOL).all():
             break
         corr = cho_solve(fac, R, check_finite=False)
         Xn = X + corr
@@ -165,18 +145,6 @@ def gram_solve_multi(A: DenseMatrix, D: DiagonalWeights, rhs: np.ndarray,
     if counter is not None:
         counter.tick(B.shape[1], phase)
     return X[:, 0] if single else X
-
-
-def gram_solve(A: DenseMatrix, D: DiagonalWeights, rhs: np.ndarray,
-               counter: SolveCounter | None = None,
-               phase: str | None = None,
-               quality: dict | None = None) -> np.ndarray:
-    """Solve (A^T D A) x = rhs for a single right-hand side."""
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (A.d,):
-        raise InvalidInputError(f"rhs must have length {A.d}")
-    return gram_solve_multi(A, D, rhs, counter=counter, phase=phase,
-                            quality=quality)
 
 
 def leverage_scores(A: DenseMatrix) -> np.ndarray:

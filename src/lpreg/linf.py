@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidInputError, PotentialViolationError
 from .lewis import LewisOverestimate, lewis_overestimates
-from .linalg import DenseMatrix, DiagonalWeights, SolveCounter, gram_solve_multi
+from .linalg import DenseMatrix, SolveCounter, gram_solve_multi
 from .problem import ProblemInstance
 from .refine import BracketSteps, certified_solve, weak_duality_bound
 
@@ -209,9 +209,8 @@ def linf_regress(instance: ProblemInstance, seed=0,
                 for _ in range(80):
                     # Hessian is A^T diag((pi+ + pi-)/t) A - grad grad^T / t;
                     # the rank-one part folds in by Sherman-Morrison.
-                    diag = DiagonalWeights(dtil + lam * wv)
-                    sol = gram_solve_multi(A, diag, grad, counter=counter,
-                                           phase="newton")
+                    sol = gram_solve_multi(A, dtil + lam * wv, grad,
+                                           counter=counter, phase="newton")
                     denom = t - float(grad @ sol)
                     if denom <= 1e-14 * t:
                         lam *= 8.0

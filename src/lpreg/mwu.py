@@ -25,7 +25,7 @@ from .errors import (
     ZeroGradientError,
 )
 from .lewis import LewisOverestimate, lewis_overestimates
-from .linalg import DenseMatrix, DiagonalWeights, SolveCounter, gram_solve, gram_solve_multi
+from .linalg import DenseMatrix, SolveCounter, gram_solve_multi
 from .problem import ProblemInstance
 from .refine import GammaSolverContract, certified_solve, refine_steps
 
@@ -47,7 +47,7 @@ class ResidualInstance:
 
     A: DenseMatrix
     g: np.ndarray
-    R: DiagonalWeights
+    R: np.ndarray
     p: float
     witness: np.ndarray | None = None
 
@@ -67,7 +67,7 @@ class ResidualInstance:
         if self.witness is None:
             return None
         ax = self.A.a @ self.witness
-        quad = float(ax @ (self.R.values * ax))
+        quad = float(ax @ (self.R * ax))
         return (abs(float(self.g @ self.witness) + 1.0), quad,
                 float(np.linalg.norm(ax, self.p)))
 
@@ -80,10 +80,10 @@ def mwu_constants(p: float, d: int) -> tuple[float, float, float]:
     return kappa, alpha, tau
 
 
-def energy_solve(A: DenseMatrix, D: DiagonalWeights, g: np.ndarray,
+def energy_solve(A: DenseMatrix, D: np.ndarray, g: np.ndarray,
                  counter: SolveCounter | None = None,
                  phase: str | None = None, with_error: bool = False):
-    """Minimize x^T (A^T D A) x over g^T x = -1.
+    """Minimize x^T (A^T diag(D) A) x over g^T x = -1.
 
     Returns the minimizer z = -(g^T B^{-1} g)^{-1} B^{-1} g and the
     optimal value (g^T B^{-1} g)^{-1}.  With ``with_error`` a first-order
@@ -95,7 +95,8 @@ def energy_solve(A: DenseMatrix, D: DiagonalWeights, g: np.ndarray,
     if not np.any(g):
         raise ZeroGradientError("energy solve needs g != 0")
     quality: dict | None = {} if with_error else None
-    bg = gram_solve(A, D, g, counter=counter, phase=phase, quality=quality)
+    bg = gram_solve_multi(A, D, g, counter=counter, phase=phase,
+                          quality=quality)
     quad = float(g @ bg)
     if quad <= 0 or not math.isfinite(quad):
         raise InfeasibleError(f"gram quadratic form g^T B^-1 g = {quad:.3g}")
@@ -119,7 +120,7 @@ class MwuState:
     kappa: float
     alpha: float
     tau: float
-    base_r: np.ndarray          # d^{1-2/p} * clamped R diagonal
+    base_r: np.ndarray          # d^{1-2/p} * R
     z: np.ndarray | None = None
     az: np.ndarray | None = None
     energy: float | None = None
@@ -145,8 +146,8 @@ class MwuState:
         if diag_changed:
             self.dirty = True
 
-    def weights_diag(self) -> DiagonalWeights:
-        return DiagonalWeights.trusted(self.base_r + self.s ** (self.p - 2.0))
+    def weights_diag(self) -> np.ndarray:
+        return self.base_r + self.s ** (self.p - 2.0)
 
     def refresh(self, phase: str):
         """Re-solve the energy problem if the diagonal changed.
@@ -183,7 +184,7 @@ def new_state(inst: ResidualInstance, weights: LewisOverestimate,
               counter: SolveCounter | None = None) -> MwuState:
     d = inst.A.d
     kappa, alpha, tau = mwu_constants(inst.p, d)
-    base_r = d ** (1.0 - 2.0 / inst.p) * inst.R.clamped()
+    base_r = d ** (1.0 - 2.0 / inst.p) * inst.R
     return MwuState(inst=inst, s=weights.weights ** (1.0 / inst.p),
                     y=np.zeros(d), kappa=kappa, alpha=alpha, tau=tau,
                     base_r=base_r, counter=counter or SolveCounter())
@@ -336,7 +337,7 @@ def width_reduced_oracle(inst: ResidualInstance,
         raise PotentialViolationError(f"returned g^T y = -1 off by {gerr:.3g}")
     ay = inst.A.a @ y
     pn = float(np.linalg.norm(ay, p))
-    quad = float(ay @ (inst.R.values * ay))
+    quad = float(ay @ (inst.R * ay))
     if pn > 80.0 * p * (1 + 1e-9) or quad > 4.0 * (20.0 * p) ** (p - 2.0) * (1 + 1e-9):
         if inst.witness is not None:
             raise PotentialViolationError(
@@ -378,7 +379,7 @@ class MwuGammaSolver:
         self.A = A
         self.weights = lewis_overestimates(A, self.p)
 
-    def __call__(self, nu: float, g: np.ndarray, R: DiagonalWeights,
+    def __call__(self, nu: float, g: np.ndarray, R: np.ndarray,
                  x: np.ndarray | None = None):
         if nu <= 0:
             raise InvalidInputError("nu must be positive")
@@ -388,7 +389,7 @@ class MwuGammaSolver:
         inst = ResidualInstance(
             A=DenseMatrix.trusted(scale_a * self.A.a),
             g=g_eff / nu,
-            R=DiagonalWeights(R.values * (p / (8.0 * nu)) / scale_a ** 2),
+            R=R * (p / (8.0 * nu)) / scale_a ** 2,
             p=p,
         )
         y, info = width_reduced_oracle(inst, counter=self.counter,

@@ -35,12 +35,6 @@ class ProblemInstance:
         if not 0 < self.eps < 1:
             raise InvalidInputError("eps must lie in (0, 1)")
 
-    def residual_norm(self, x: np.ndarray) -> float:
-        r = self.A.a @ x - self.b
-        if self.p == math.inf:
-            return float(np.max(np.abs(r))) if r.size else 0.0
-        return pnorm(r, self.p)
-
 
 def pnorm(u: np.ndarray, p: float) -> float:
     """Overflow-safe ||u||_p."""

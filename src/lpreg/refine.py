@@ -28,7 +28,7 @@ from .errors import (
     InvalidInputError,
     ZeroGradientError,
 )
-from .linalg import DenseMatrix, DiagonalWeights, SolveCounter, gram_solve, gram_solve_multi
+from .linalg import DenseMatrix, SolveCounter, gram_solve_multi
 from .problem import ProblemInstance, pnorm
 from .report import SolveReport
 
@@ -101,7 +101,7 @@ def weak_duality_bound(A: DenseMatrix, b: np.ndarray, Y: np.ndarray, q: float,
     -b^T y / ||y||_q <= ||Ax - b||_p at every x.  The best value over the
     candidates is returned, and 0 when none is positive.
     """
-    sol = gram_solve_multi(A, DiagonalWeights.ones(A.n), A.a.T @ Y,
+    sol = gram_solve_multi(A, np.ones(A.n), A.a.T @ Y,
                            counter=counter, phase="certificate")
     Y, sol = Y.reshape(A.n, -1), sol.reshape(A.d, -1)
     best = 0.0
@@ -153,11 +153,11 @@ class GammaCertificate:
     pnorm_value: float
 
     @classmethod
-    def evaluate(cls, A: DenseMatrix, R: DiagonalWeights, p: float,
+    def evaluate(cls, A: DenseMatrix, R: np.ndarray, p: float,
                  delta: np.ndarray) -> "GammaCertificate":
         az = A.a @ np.asarray(delta, dtype=float)
         return cls(delta=np.asarray(delta, dtype=float),
-                   quad_value=float(az @ (R.values * az)),
+                   quad_value=float(az @ (R * az)),
                    pnorm_value=float(np.sum(np.abs(az) ** p)))
 
     def within(self, gamma: float, p: float, opt_value: float,
@@ -231,8 +231,8 @@ def certified_solve(instance: ProblemInstance, method: str,
     a_exp, b_exp = _pow2_exponent(A.a), _pow2_exponent(b)
     a_unit = DenseMatrix.trusted(np.ldexp(A.a, a_exp))
     b_scaled = np.ldexp(b, b_exp)
-    x0 = gram_solve(a_unit, DiagonalWeights.ones(A.n), a_unit.a.T @ b_scaled,
-                    counter=counter, phase="init")
+    x0 = gram_solve_multi(a_unit, np.ones(A.n), a_unit.a.T @ b_scaled,
+                          counter=counter, phase="init")
     b_eff = b_scaled - a_unit.a @ x0
     scale = float(np.linalg.norm(b_eff))
 
@@ -279,10 +279,11 @@ def refinement_round(u: np.ndarray, p: float, floor: float, nu_prev,
                      propose: Callable, counts: dict, calls_key: str):
     """One refinement round on sum |u|^p; returns (c, direction, nu) or None.
 
-    ``propose(nu, g, R)`` returns (direction, image): a step in the
-    caller's coordinates and what it adds to u.  nu starts at
-    min(f(u) - floor, 4 nu_prev); it halves when the proposal is
-    infeasible or gives no decrease, at most ROUND_RETRIES times.  The
+    ``propose(nu, g, r)`` returns (direction, image): a step in the
+    caller's coordinates and what it adds to u; r is the resistance
+    array.  nu starts at min(f(u) - floor, 4 nu_prev); it halves when the
+    proposal is infeasible or gives no decrease, at most ROUND_RETRIES
+    times, and the round gives up once nu underflows to 0.  The
     exact line-search point u + c image is accepted once it falls below
     f(u) (1 - 1e-15).  Proposals are tallied in ``counts[calls_key]`` and
     acceptances in ``counts["accepted_steps"]``.
@@ -290,14 +291,15 @@ def refinement_round(u: np.ndarray, p: float, floor: float, nu_prev,
     g, r = bregman_terms(u, p)
     if not np.any(g):
         return None
-    R = DiagonalWeights(r)
     f_cur = float(np.sum(np.abs(u) ** p))
     gap = max(f_cur - floor, 1e-300)
     nu = gap if nu_prev is None else min(gap, 4.0 * nu_prev)
     for _ in range(ROUND_RETRIES):
+        if not nu > 0.0:
+            return None
         counts[calls_key] += 1
         try:
-            direction, image = propose(nu, g, R)
+            direction, image = propose(nu, g, r)
         except (InfeasibleError, BoostBudgetExceededError):
             nu /= 2.0
             continue

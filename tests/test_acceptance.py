@@ -35,7 +35,7 @@ from lpreg.lewis import (
     reg_lewis_residual,
     reweight_by,
 )
-from lpreg.linalg import DenseMatrix, DiagonalWeights, leverage_scores
+from lpreg.linalg import DenseMatrix, leverage_scores
 from lpreg.mwu import energy_solve, width_reduced_oracle
 from lpreg.problem import ProblemInstance, pnorm
 
@@ -177,13 +177,13 @@ def test_criterion_06_energy_increase():
             n, d = int(rng.integers(15, 60)), int(rng.integers(2, 7))
             A = DenseMatrix(rng.standard_normal((n, d)))
             w = lewis_overestimates(A, p).weights
-            D = DiagonalWeights(w ** (1.0 - 2.0 / p) + rng.uniform(0, 1, n))
+            D = w ** (1.0 - 2.0 / p) + rng.uniform(0, 1, n)
             g = rng.standard_normal(d)
             v = rng.uniform(0.0, 1.0, n)
             v *= rng.uniform(0.05, 1.0) / float(
                 np.sum(v ** (p / (p - 2.0)))) ** ((p - 2.0) / p)
             y, e_old = energy_solve(A, D, g)
-            _, e_new = energy_solve(A, DiagonalWeights(D.values + v), g)
+            _, e_new = energy_solve(A, D + v, g)
             slack = e_new - e_old - 0.5 * float(v @ (A.a @ y) ** 2)
             worst = min(worst, slack)
             if slack < -1e-9:
@@ -318,7 +318,7 @@ def test_criterion_11_dual_postconditions():
                 bad.append(f"q={q} seed={seed}: {type(exc).__name__}")
                 continue
             feas = float(np.max(np.abs(inst.U.a.T @ y - inst.v)))
-            quad = float(y @ (inst.R.values * y))
+            quad = float(y @ (inst.R * y))
             pn = float(np.sum(np.abs(y) ** p))
             if feas > 1e-9 or quad > 6.0 or \
                     pn > 2.0 * 4.0 ** p * m ** ((p - 2.0) / 2.0):

@@ -109,6 +109,10 @@ class TestWeightsCommand:
         assert payload["certificate"]["domination_margin"] >= -1e-8
         assert 3.0 <= payload["mass"] <= 6.0
 
+    def test_nan_exponent_is_input_error(self, tmp_path, capsys):
+        _, mpath, _ = write_instance(tmp_path)
+        assert main(["weights", "--matrix", mpath, "--p", "nan"]) == 3
+
 
 class TestBenchCommand:
     def test_bench_runs_config(self, tmp_path, capsys):
@@ -128,7 +132,13 @@ class TestBenchCommand:
         bad = {"empty": "{}",
                "list": json.dumps([good]),
                "exponent": json.dumps({**good, "p": "abc"}),
-               "size": json.dumps({**good, "sizes": [[60]]})}
+               "size": json.dumps({**good, "sizes": [[60]]}),
+               "p_list": json.dumps({**good, "p": [4]}),
+               "p_null": json.dumps({**good, "p": None}),
+               "eps_text": json.dumps({**good, "eps": "1e-3"}),
+               "seeds_int": json.dumps({**good, "seeds": 5}),
+               "seeds_text": json.dumps({**good, "seeds": ["x"]}),
+               "size_float": json.dumps({**good, "sizes": [[30.5, 3]]})}
         for name, text in bad.items():
             path = tmp_path / f"{name}.json"
             path.write_text(text)

@@ -13,9 +13,9 @@ from lpreg.dual import (
     solve_lq,
     stack_instance,
 )
-from lpreg.errors import InfeasibleError, InvalidInputError
-from lpreg.harness import oracle_opt, plant_dual_instance
-from lpreg.linalg import DenseMatrix, DiagonalWeights, SolveCounter
+from lpreg.errors import BudgetExceededError, InfeasibleError, InvalidInputError
+from lpreg.harness import gen_instance, oracle_opt, plant_dual_instance, solve
+from lpreg.linalg import DenseMatrix, SolveCounter
 from lpreg.problem import ProblemInstance, pnorm
 
 
@@ -68,7 +68,7 @@ class TestOracleSmall:
         U = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 3.0]])
         v = np.array([0.0, 1.0, -1.0])
         inst = DualInstance(DenseMatrix(U), v,
-                            DiagonalWeights(0.3 * np.ones(3)), 4.0)
+                            0.3 * np.ones(3), 4.0)
         y = oracle_small(inst)
         assert np.allclose(y, np.linalg.solve(U.T, v), atol=1e-10)
 
@@ -76,7 +76,7 @@ class TestOracleSmall:
         rng = np.random.default_rng(2)
         U = DenseMatrix(rng.standard_normal((20, 5)))
         v = rng.standard_normal(5)
-        inst = DualInstance(U, v, DiagonalWeights(np.zeros(20)), 2.0)
+        inst = DualInstance(U, v, np.zeros(20), 2.0)
         y = oracle_small(inst)
         expect = np.linalg.pinv(U.a.T) @ v
         assert np.linalg.norm(y - expect) <= 1e-8 * max(np.linalg.norm(expect), 1)
@@ -89,7 +89,7 @@ class TestOracleSmall:
             m = inst.U.d
             y = oracle_small(inst)
             assert np.max(np.abs(inst.U.a.T @ y - inst.v)) <= 1e-9
-            assert float(y @ (inst.R.values * y)) <= 6.0
+            assert float(y @ (inst.R * y)) <= 6.0
             assert float(np.sum(np.abs(y) ** p)) \
                 <= 2.0 * 4.0 ** p * m ** ((p - 2.0) / 2.0)
 
@@ -97,14 +97,14 @@ class TestOracleSmall:
         from lpreg.lewis import reg_lewis
         inst = plant_dual_instance(50, 4, 1.5, 0)
         p = inst.p
-        c = np.minimum(inst.U.d * inst.R.values ** (p / (p - 2.0)), 1e150)
+        c = np.minimum(inst.U.d * inst.R ** (p / (p - 2.0)), 1e150)
         rw = reg_lewis(inst.U, c, p / (p - 1.0))
         assert float(np.sum(rw.weights)) <= 1.1 * inst.U.d
 
 
 def dual_opt_bruteforce(inst):
     """min y^T R y + ||y||_p^p over U^T y = v, by damped second order."""
-    U, v, r, p = inst.U.a, inst.v, inst.R.values, inst.p
+    U, v, r, p = inst.U.a, inst.v, inst.R, inst.p
     base = np.linalg.pinv(U.T) @ v
     N = null_space(U.T)
 
@@ -143,7 +143,7 @@ class TestGammaContract:
                 continue
             y = oracle_small(inst)
             gamma = dual_gamma_value(p, inst.U.d)
-            assert float(y @ (inst.R.values * y)) <= gamma * opt * (1 + 1e-9)
+            assert float(y @ (inst.R * y)) <= gamma * opt * (1 + 1e-9)
             assert float(np.sum(np.abs(y) ** p)) \
                 <= gamma ** (p - 1.0) * opt * (1 + 1e-9)
             checked += 1
@@ -213,12 +213,19 @@ class TestSolveLq:
         assert rep.residual_lp <= 1e-10
         assert rep.phase_counts.get("short_circuit") == 1
 
+    def test_unreachable_eps_is_a_budget_error(self):
+        # At eps 1e-16 the round halves nu from its 1e-300 floor until it
+        # underflows; that is a stalled solve, not an invalid input.
+        inst = gen_instance("planted_residual", 60, 4, 0, p=2.0, eps=1e-16)
+        with pytest.raises(BudgetExceededError):
+            solve(inst, "dual")
+
     def test_stacked_instance_layout(self):
         rng = np.random.default_rng(6)
         A = DenseMatrix(rng.standard_normal((10, 2)))
         b = rng.standard_normal(10)
         g = rng.standard_normal(10)
-        inst = stack_instance(A, b, g, DiagonalWeights(np.ones(10)), 4.0)
+        inst = stack_instance(A, b, g, np.ones(10), 4.0)
         assert inst.U.d == 4
         assert np.array_equal(inst.v, [0.0, 0.0, 1.0, -1.0])
         assert np.array_equal(inst.U.a[:, :2], A.a)

@@ -1,4 +1,5 @@
-"""Import hygiene: every module-level import in src/lpreg is used.
+"""Import hygiene: every module-level import in src/lpreg is used, and
+every name the package exports resolves.
 
 No linter ships with the test environment, so this walks each module's
 syntax tree with the standard ``ast`` module instead.  A name counts as
@@ -8,6 +9,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+import lpreg
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lpreg"
 
@@ -34,3 +37,8 @@ def unused_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_level_import(path):
     assert unused_imports(path) == []
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in lpreg.__all__ if not hasattr(lpreg, name)]
+    assert missing == []

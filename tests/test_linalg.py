@@ -8,10 +8,8 @@ from lpreg.errors import (
 )
 from lpreg.linalg import (
     DenseMatrix,
-    DiagonalWeights,
     SolveCounter,
     approx_lev,
-    gram_solve,
     gram_solve_multi,
     leverage_scores,
     read_matrix,
@@ -43,26 +41,26 @@ class TestDenseMatrix:
 class TestGramSolve:
     def test_identity_system(self):
         A = DenseMatrix(np.eye(2))
-        x = gram_solve(A, DiagonalWeights.ones(2), np.array([3.0, 4.0]))
+        x = gram_solve_multi(A, np.ones(2), np.array([3.0, 4.0]))
         assert np.allclose(x, [3.0, 4.0], atol=1e-12)
 
     def test_hand_inverted_system(self):
         # A^T A = [[2, 1], [1, 2]], rhs (1, 0) -> (2/3, -1/3)
         A = DenseMatrix(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
-        x = gram_solve(A, DiagonalWeights.ones(3), np.array([1.0, 0.0]))
+        x = gram_solve_multi(A, np.ones(3), np.array([1.0, 0.0]))
         assert np.allclose(x, [2.0 / 3.0, -1.0 / 3.0], atol=1e-12)
 
     def test_diagonal_system(self):
         A = DenseMatrix(np.eye(2))
-        x = gram_solve(A, DiagonalWeights(np.array([2.0, 5.0])), np.array([2.0, 5.0]))
+        x = gram_solve_multi(A, np.array([2.0, 5.0]), np.array([2.0, 5.0]))
         assert np.allclose(x, [1.0, 1.0], atol=1e-12)
 
     def test_counter_increments_once_per_solve(self):
         A = random_matrix(20, 4, 0)
         c = SolveCounter()
-        gram_solve(A, DiagonalWeights.ones(20), np.ones(4), counter=c)
+        gram_solve_multi(A, np.ones(20), np.ones(4), counter=c)
         assert c.gram_solves == 1
-        gram_solve_multi(A, DiagonalWeights.ones(20), np.ones((4, 7)), counter=c)
+        gram_solve_multi(A, np.ones(20), np.ones((4, 7)), counter=c)
         assert c.gram_solves == 8
 
     @pytest.mark.parametrize("seed", range(5))
@@ -71,22 +69,32 @@ class TestGramSolve:
         A = random_matrix(60, 8, seed)
         dvals = rng.uniform(0.1, 10.0, size=60)
         rhs = rng.standard_normal(8)
-        x = gram_solve(A, DiagonalWeights(dvals), rhs)
+        x = gram_solve_multi(A, dvals, rhs)
         gram = (A.a * dvals[:, None]).T @ A.a
         assert np.linalg.norm(gram @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
     def test_floor_rescues_zero_weights(self):
         A = DenseMatrix(np.vstack([np.eye(2), np.ones((1, 2))]))
-        D = DiagonalWeights(np.array([1.0, 1.0, 0.0]))
-        x = gram_solve(A, D, np.array([1.0, 2.0]))
+        D = np.array([1.0, 1.0, 0.0])
+        x = gram_solve_multi(A, D, np.array([1.0, 2.0]))
         assert np.allclose(x, [1.0, 2.0], atol=1e-10)
 
     def test_rejects_bad_rhs(self):
         A = DenseMatrix(np.eye(2))
         with pytest.raises(InvalidInputError):
-            gram_solve(A, DiagonalWeights.ones(2), np.ones(3))
+            gram_solve_multi(A, np.ones(2), np.ones(3))
         with pytest.raises(NonFiniteError):
-            gram_solve(A, DiagonalWeights.ones(2), np.array([np.inf, 0.0]))
+            gram_solve_multi(A, np.ones(2), np.array([np.inf, 0.0]))
+        with pytest.raises(InvalidInputError):
+            gram_solve_multi(A, np.ones(2), np.ones((3, 2)))
+
+    def test_weight_contract(self):
+        A = DenseMatrix(np.eye(2))
+        with pytest.raises(InvalidInputError):
+            gram_solve_multi(A, np.array([1.0, -1e-300]), np.ones(2))
+        for bad in (np.inf, np.nan):
+            with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
+                gram_solve_multi(A, np.array([1.0, bad]), np.ones(2))
 
 
 class TestLeverageScores:

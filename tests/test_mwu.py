@@ -7,7 +7,7 @@ from scipy.linalg import null_space
 from lpreg.errors import InfeasibleError, InvalidInputError, ZeroGradientError
 from lpreg.harness import plant_residual_instance
 from lpreg.lewis import lewis_overestimates
-from lpreg.linalg import DenseMatrix, DiagonalWeights, SolveCounter
+from lpreg.linalg import DenseMatrix, SolveCounter
 from lpreg.mwu import (
     MwuGammaSolver,
     ResidualInstance,
@@ -26,40 +26,40 @@ from lpreg.problem import pnorm
 
 class TestEnergySolve:
     def test_axis_gradient(self):
-        z, val = energy_solve(DenseMatrix(np.eye(2)), DiagonalWeights.ones(2),
+        z, val = energy_solve(DenseMatrix(np.eye(2)), np.ones(2),
                               np.array([1.0, 0.0]))
         assert np.allclose(z, [-1.0, 0.0]) and val == pytest.approx(1.0)
 
     def test_diagonal_gradient(self):
-        z, val = energy_solve(DenseMatrix(np.eye(2)), DiagonalWeights.ones(2),
+        z, val = energy_solve(DenseMatrix(np.eye(2)), np.ones(2),
                               np.array([1.0, 1.0]))
         assert np.allclose(z, [-0.5, -0.5]) and val == pytest.approx(0.5)
 
     def test_scaled_weights(self):
         z, val = energy_solve(DenseMatrix(np.eye(2)),
-                              DiagonalWeights(np.array([2.0, 2.0])),
+                              np.array([2.0, 2.0]),
                               np.array([1.0, 0.0]))
         assert np.allclose(z, [-1.0, 0.0]) and val == pytest.approx(2.0)
 
     def test_constraint_and_optimality(self):
         rng = np.random.default_rng(0)
         A = DenseMatrix(rng.standard_normal((30, 4)))
-        D = DiagonalWeights(rng.uniform(0.5, 2.0, 30))
+        D = rng.uniform(0.5, 2.0, 30)
         g = rng.standard_normal(4)
         z, val = energy_solve(A, D, g)
         assert abs(g @ z + 1.0) <= 1e-10
         az = A.a @ z
-        assert val == pytest.approx(float(az @ (D.values * az)), rel=1e-9)
+        assert val == pytest.approx(float(az @ (D * az)), rel=1e-9)
         # any other feasible point has larger quadratic value
         N = null_space(g[None, :])
         for _ in range(20):
             w = z + N @ rng.standard_normal(3)
             aw = A.a @ w
-            assert float(aw @ (D.values * aw)) >= val - 1e-9
+            assert float(aw @ (D * aw)) >= val - 1e-9
 
     def test_zero_gradient_rejected(self):
         with pytest.raises(ZeroGradientError):
-            energy_solve(DenseMatrix(np.eye(2)), DiagonalWeights.ones(2),
+            energy_solve(DenseMatrix(np.eye(2)), np.ones(2),
                          np.zeros(2))
 
 
@@ -74,13 +74,13 @@ class TestEnergyIncrease:
             A = DenseMatrix(rng.standard_normal((n, d)))
             w = lewis_overestimates(A, p).weights
             extra = rng.uniform(0.0, 1.0, n)
-            D = DiagonalWeights(w ** (1.0 - 2.0 / p) + extra)
+            D = w ** (1.0 - 2.0 / p) + extra
             g = rng.standard_normal(d)
             v = rng.uniform(0.0, 1.0, n)
             dual = float(np.sum(v ** (p / (p - 2.0)))) ** ((p - 2.0) / p)
             v *= rng.uniform(0.1, 1.0) / dual
             y, e_old = energy_solve(A, D, g)
-            _, e_new = energy_solve(A, DiagonalWeights(D.values + v), g)
+            _, e_new = energy_solve(A, D + v, g)
             gain = 0.5 * float(v @ (A.a @ y) ** 2)
             assert e_new - e_old >= gain - 1e-9
 
@@ -156,7 +156,7 @@ class TestWoodburyConsistency:
         v[idx] = rng.uniform(0.0, 2.0, 6)
         predicted = woodbury_energy(st, v)
         _, fresh = energy_solve(inst.A,
-                                DiagonalWeights(st.weights_diag().values + v),
+                                st.weights_diag() + v,
                                 inst.g)
         assert predicted == pytest.approx(fresh, rel=1e-8)
 
@@ -164,20 +164,20 @@ class TestWoodburyConsistency:
 class TestWidthReducedOracle:
     def test_identity_instance(self):
         inst = ResidualInstance(DenseMatrix(np.eye(2)), np.array([-1.0, 0.0]),
-                                DiagonalWeights.ones(2), 4.0,
+                                np.ones(2), 4.0,
                                 witness=np.array([1.0, 0.0]))
         y, info = width_reduced_oracle(inst)
         assert abs(inst.g @ y + 1.0) <= 1e-9
         assert pnorm(inst.A.a @ y, 4.0) <= 320.0
         ay = inst.A.a @ y
-        assert float(ay @ (inst.R.values * ay)) <= 4.0 * 80.0 ** 2
+        assert float(ay @ (inst.R * ay)) <= 4.0 * 80.0 ** 2
 
     @pytest.mark.parametrize("d", [2, 4])
     def test_identity_family(self, d):
         g = np.zeros(d)
         g[0] = -1.0
         inst = ResidualInstance(DenseMatrix(np.eye(d)), g,
-                                DiagonalWeights.ones(d), 4.0,
+                                np.ones(d), 4.0,
                                 witness=-g)
         y, info = width_reduced_oracle(inst)
         assert abs(inst.g @ y + 1.0) <= 1e-9
@@ -193,7 +193,7 @@ class TestWidthReducedOracle:
         assert abs(inst.g @ y + 1.0) <= 1e-9
         assert pnorm(inst.A.a @ y, p) <= 80.0 * p
         ay = inst.A.a @ y
-        assert float(ay @ (inst.R.values * ay)) <= 4.0 * (20.0 * p) ** (p - 2.0)
+        assert float(ay @ (inst.R * ay)) <= 4.0 * (20.0 * p) ** (p - 2.0)
         assert info["gram_solves"] == counter.gram_solves
 
     def test_energy_and_potential_bookkeeping(self):
@@ -208,11 +208,11 @@ class TestWidthReducedOracle:
     def test_rejects_large_p(self):
         with pytest.raises(InvalidInputError):
             ResidualInstance(DenseMatrix(np.eye(2)), np.array([-1.0, 0.0]),
-                             DiagonalWeights.ones(2), 17.0)
+                             np.ones(2), 17.0)
 
     def test_rejects_bad_witness(self):
         inst = ResidualInstance(DenseMatrix(np.eye(2)), np.array([-1.0, 0.0]),
-                                DiagonalWeights.ones(2), 4.0,
+                                np.ones(2), 4.0,
                                 witness=np.array([5.0, 0.0]))
         with pytest.raises(InvalidInputError):
             width_reduced_oracle(inst)
@@ -223,7 +223,7 @@ class TestWidthReducedOracle:
         rng = np.random.default_rng(4)
         A = DenseMatrix(rng.standard_normal((20, 3)))
         g = rng.standard_normal(3) * 1e-8
-        inst = ResidualInstance(A, g, DiagonalWeights(np.ones(20)), 4.0)
+        inst = ResidualInstance(A, g, np.ones(20), 4.0)
         with pytest.raises(InfeasibleError):
             width_reduced_oracle(inst)
 
@@ -274,11 +274,11 @@ class TestGammaContract:
         R = np.abs(u) ** (p - 2.0)
         nu = 0.5
         solver = MwuGammaSolver(A, p)
-        delta = solver(nu, g_n, DiagonalWeights(R), x=None)
+        delta = solver(nu, g_n, R, x=None)
         assert abs(float(g_n @ (A.a @ delta)) + nu) <= 1e-8 * nu
         opt = residual_opt_bruteforce(A, g_n, R, p, nu)
         from lpreg.refine import GammaCertificate
-        cert = GammaCertificate.evaluate(A, DiagonalWeights(R), p, delta)
+        cert = GammaCertificate.evaluate(A, R, p, delta)
         assert cert.within(gamma_value(p), p, opt)
         assert cert.quad_value == pytest.approx(
             float((A.a @ delta) @ (R * (A.a @ delta))))

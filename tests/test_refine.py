@@ -186,6 +186,23 @@ class TestRefinementRound:
         assert counts["accepted_steps"] == 0
         assert all(b == a / 2 for a, b in zip(seen, seen[1:]))
 
+    def test_underflowed_nu_ends_the_round(self):
+        # f(u) - floor sits below the 1e-300 floor, so nu starts there and
+        # reaches 0 within ROUND_RETRIES halvings; a proposal never sees it.
+        u, p = self.U, self.P
+        seen = []
+
+        def propose(nu, g, R):
+            seen.append(nu)
+            raise InfeasibleError("nu too large")
+
+        counts = {"calls": 0, "accepted_steps": 0}
+        f_u = float(np.sum(np.abs(u) ** p))
+        assert refinement_round(u, p, f_u, None, propose, counts,
+                                "calls") is None
+        assert seen[0] == 1e-300 and min(seen) > 0.0
+        assert len(seen) == counts["calls"] < ROUND_RETRIES
+
 
 def mwu_contract(A, p, counter=None):
     solver = MwuGammaSolver(A, p, counter=counter)
