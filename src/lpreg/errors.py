@@ -38,6 +38,12 @@ class InfeasibleError(LpregError):
     its existence assumption."""
 
 
+class StepBoundError(InfeasibleError):
+    """A width-reduction bound that rests on a small enough progress step
+    failed: infeasibility at the paper's step, possibly a too-large step
+    above it."""
+
+
 class BudgetExceededError(LpregError):
     """Iteration or call budget exhausted; indicates a broken contract."""
 

@@ -25,7 +25,7 @@ from .errors import (
 from .linalg import DenseMatrix
 from .linf import linf_regress
 from .mwu import MAX_MWU_P, ResidualInstance, solve_mwu
-from .problem import ProblemInstance, pnorm
+from .problem import MIN_EPS, ProblemInstance, pnorm
 from .report import SolveReport
 
 FAMILIES = ("gaussian", "ill_conditioned", "planted_residual", "coherent_rows")
@@ -315,8 +315,9 @@ class ExperimentConfig:
                 raise InvalidInputError(f"bad exponent {self.p!r}") from exc
         if not _is_real(self.p):
             raise InvalidInputError(f"bad exponent {self.p!r}")
-        if not (_is_real(self.eps) and 0 < self.eps < 1):
-            raise InvalidInputError(f"eps {self.eps!r} is not a number in (0, 1)")
+        if not (_is_real(self.eps) and MIN_EPS <= self.eps < 1):
+            raise InvalidInputError(
+                f"eps {self.eps!r} is not a number in [{MIN_EPS:g}, 1)")
         for size in self.sizes:
             if not (isinstance(size, (list, tuple)) and len(size) == 2
                     and all(map(_is_int, size))):
@@ -357,7 +358,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     Solver errors are recorded per row and the sweep continues.  Outputs
     are deterministic functions of the config (wall time is kept out of
-    the CSV).
+    the CSV).  With two or more dimensions the summary holds, per d, the
+    mean Gram solves, their log-log slope and, for solvers with a step
+    schedule (``mwu``), the mean number of alpha halvings.
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -397,13 +400,18 @@ def run_experiment(config: ExperimentConfig) -> dict:
     if ok:
         per_d = {}
         for r in ok:
-            per_d.setdefault(r.d, []).append(r.gram_solves)
+            per_d.setdefault(r.d, []).append(r)
         if len(per_d) >= 2:
             ds = sorted(per_d)
-            means = [float(np.mean(per_d[d])) for d in ds]
+            means = [float(np.mean([r.gram_solves for r in per_d[d]]))
+                     for d in ds]
             summary["dims"] = ds
             summary["mean_gram_solves"] = means
             summary["loglog_slope"] = fit_loglog_slope(ds, means)
+            if any("alpha_halvings" in r.phase_counts for r in ok):
+                summary["mean_alpha_halvings"] = [
+                    float(np.mean([r.phase_counts.get("alpha_halvings", 0)
+                                   for r in per_d[d]])) for d in ds]
     (out / "summary.json").write_text(json.dumps(summary, indent=2,
                                                  sort_keys=True))
     return summary

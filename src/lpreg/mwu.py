@@ -8,6 +8,18 @@ potential growth with a guaranteed energy jump.  Every inequality the
 analysis relies on is asserted at runtime; a failure of a witness-implied
 inequality on a witnessless instance is reported as infeasibility rather
 than as a bug.
+
+The progress step alpha follows a per-solve schedule
+(:class:`AlphaSchedule`).  It starts at ``PAPER_ALPHA_BASE / ALPHA_BASE``
+times the paper's alpha.  It halves, for the rest of the solve, when an
+oracle call fails in a way alpha can cause: a bound that assumes a small
+step (:class:`~lpreg.errors.StepBoundError`) or the boost budget fails
+after at least one progress step; before the first one nothing depends
+on alpha.  The failed call is then rerun at the halved alpha.  The energy cap is not such a bound: it holds for every
+weight vector, so breaking it proves infeasibility at any alpha.  The
+paper's alpha is the floor, where every failure propagates as the analysis
+prescribes.  The halvings form a geometric sum, so one call costs at most
+twice what it costs at the floor.
 """
 from __future__ import annotations
 
@@ -22,6 +34,7 @@ from .errors import (
     InfeasibleError,
     InvalidInputError,
     PotentialViolationError,
+    StepBoundError,
     ZeroGradientError,
 )
 from .lewis import LewisOverestimate, lewis_overestimates
@@ -32,7 +45,11 @@ from .refine import GammaSolverContract, certified_solve, refine_steps
 MAX_MWU_P = 16.0
 
 TAU_BASE = 40.0       # tau = 40^p * d^{(p-2)(p-1)/(3p-2)}
-ALPHA_BASE = 1000.0   # alpha = d^{-(p^2-5p+2)/(p(3p-2))} / (1000 p)
+# The paper's alpha, d^{-(p^2-5p+2)/(p(3p-2))} / (1000 p), is the floor of
+# the step schedule; the schedule starts at the same formula with 1000
+# replaced by ALPHA_BASE, i.e. 1000 times larger.
+PAPER_ALPHA_BASE = 1000.0
+ALPHA_BASE = 1.0
 KAPPA_BASE = 1.0      # kappa = p * d^{1/p}
 
 
@@ -73,11 +90,32 @@ class ResidualInstance:
 
 
 def mwu_constants(p: float, d: int) -> tuple[float, float, float]:
-    """(kappa, alpha, tau) for dimension d."""
+    """(kappa, alpha, tau) for dimension d; alpha is the paper's, the floor."""
     kappa = KAPPA_BASE * p * d ** (1.0 / p)
-    alpha = d ** (-(p * p - 5 * p + 2) / (p * (3 * p - 2))) / (ALPHA_BASE * p)
+    alpha = (d ** (-(p * p - 5 * p + 2) / (p * (3 * p - 2)))
+             / (PAPER_ALPHA_BASE * p))
     tau = TAU_BASE ** p * d ** ((p - 2) * (p - 1) / (3 * p - 2))
     return kappa, alpha, tau
+
+
+@dataclass
+class AlphaSchedule:
+    """The progress step of one solve, as a multiple of the paper's alpha.
+
+    ``ratio`` starts at PAPER_ALPHA_BASE / ALPHA_BASE and only ever halves,
+    never below 1 (the paper's alpha); ``halvings`` counts the halvings.
+    """
+
+    ratio: float = PAPER_ALPHA_BASE / ALPHA_BASE
+    halvings: int = 0
+
+    def halve(self) -> bool:
+        """Halve toward the floor; False when already at it."""
+        if self.ratio <= 1.0:
+            return False
+        self.ratio = max(self.ratio / 2.0, 1.0)
+        self.halvings += 1
+        return True
 
 
 def energy_solve(A: DenseMatrix, D: np.ndarray, g: np.ndarray,
@@ -181,13 +219,15 @@ class MwuState:
 
 
 def new_state(inst: ResidualInstance, weights: LewisOverestimate,
-              counter: SolveCounter | None = None) -> MwuState:
+              counter: SolveCounter | None = None,
+              alpha_ratio: float = 1.0) -> MwuState:
+    """Fresh loop state; alpha is ``alpha_ratio`` times the paper's."""
     d = inst.A.d
     kappa, alpha, tau = mwu_constants(inst.p, d)
     base_r = d ** (1.0 - 2.0 / inst.p) * inst.R
     return MwuState(inst=inst, s=weights.weights ** (1.0 / inst.p),
-                    y=np.zeros(d), kappa=kappa, alpha=alpha, tau=tau,
-                    base_r=base_r, counter=counter or SolveCounter())
+                    y=np.zeros(d), kappa=kappa, alpha=alpha * alpha_ratio,
+                    tau=tau, base_r=base_r, counter=counter or SolveCounter())
 
 
 def progress_step(state: MwuState, z: np.ndarray,
@@ -269,7 +309,7 @@ def boosting_step(state: MwuState, z: np.ndarray) -> MwuState:
     if hypo > state.tau / 4 * (1 + 1e-9):
         if state.inst.witness is not None:
             raise PotentialViolationError("boost hypothesis broken with witness")
-        raise InfeasibleError("potential too large for a feasible instance")
+        raise StepBoundError("potential too large for a feasible instance")
 
     sel, v = boost_selection(state.s, az, p, state.tau, state.kappa)
     e_old, err_old = state.energy, state.energy_err
@@ -298,28 +338,13 @@ def boosting_step(state: MwuState, z: np.ndarray) -> MwuState:
     return state
 
 
-def width_reduced_oracle(inst: ResidualInstance,
-                         counter: SolveCounter | None = None,
-                         weights: LewisOverestimate | None = None):
-    """Run the width-reduction loop and return (y, info).
+def reduce_width(state: MwuState) -> np.ndarray:
+    """floor(d^{1/p} / alpha) progress steps, boosting while wide; returns y.
 
-    The returned y satisfies g^T y = -1 with ||Ay||_p <= 80 p and
-    y^T A^T R A y <= 4 (20 p)^{p-2}; instances violating the existence
-    assumption raise InfeasibleError as soon as the energy bookkeeping
-    detects them.
+    At least one step is taken, so no alpha makes the averaged y undefined.
     """
-    p, d = inst.p, inst.A.d
-    if weights is None:
-        weights = lewis_overestimates(inst.A, p)
-    state = new_state(inst, weights, counter=counter)
-    if inst.witness is not None:
-        gerr, quad, pn = inst.witness_slack()
-        if gerr > 1e-6 or quad > 1 + 1e-6 or pn > 1 + 1e-6:
-            raise InvalidInputError(
-                f"witness violates the instance contract: {gerr:.2g}, "
-                f"{quad:.4g}, {pn:.4g}")
-
-    steps = int(math.floor(d ** (1.0 / p) / state.alpha))
+    p, d = state.p, state.inst.A.d
+    steps = max(1, int(math.floor(d ** (1.0 / p) / state.alpha)))
     boost_cap = int(math.ceil(
         2 * 16 * (20 * state.kappa) ** (p - 2.0) / state.tau ** (2.0 / p))) + 8
     for _ in range(steps):
@@ -330,8 +355,13 @@ def width_reduced_oracle(inst: ResidualInstance,
                     f"more than {boost_cap} boost steps")
             boosting_step(state, state.z)
         progress_step(state, state.z, az=state.az)
+    return state.y / (state.alpha * steps)
 
-    y = state.y / (state.alpha * steps)
+
+def output_bounds(inst: ResidualInstance,
+                  y: np.ndarray) -> tuple[float, float]:
+    """(||Ay||_p, y^T A^T R A y), checked against the oracle's guarantee."""
+    p = inst.p
     gerr = abs(float(inst.g @ y) + 1.0)
     if gerr > 1e-9:
         raise PotentialViolationError(f"returned g^T y = -1 off by {gerr:.3g}")
@@ -342,13 +372,56 @@ def width_reduced_oracle(inst: ResidualInstance,
         if inst.witness is not None:
             raise PotentialViolationError(
                 f"output bounds broken with witness: lp={pn:.4g}, quad={quad:.4g}")
-        raise InfeasibleError(
+        raise StepBoundError(
             f"output bounds failed (lp={pn:.4g}, quad={quad:.4g}); "
             "instance looks infeasible")
+    return pn, quad
+
+
+def width_reduced_oracle(inst: ResidualInstance,
+                         counter: SolveCounter | None = None,
+                         weights: LewisOverestimate | None = None,
+                         schedule: AlphaSchedule | None = None):
+    """Run the width-reduction loop and return (y, info).
+
+    The returned y satisfies g^T y = -1 with ||Ay||_p <= 80 p and
+    y^T A^T R A y <= 4 (20 p)^{p-2}; instances violating the existence
+    assumption raise InfeasibleError as soon as the energy bookkeeping
+    detects them.  The loop runs at ``schedule``'s alpha (a fresh
+    :class:`AlphaSchedule` when None) and reruns at a halved alpha after a
+    failure alpha can cause (see the module docstring); the step counts in
+    ``info`` cover every run.
+    """
+    p = inst.p
+    if weights is None:
+        weights = lewis_overestimates(inst.A, p)
+    counter = counter if counter is not None else SolveCounter()
+    schedule = schedule if schedule is not None else AlphaSchedule()
+    if inst.witness is not None:
+        gerr, quad, pn = inst.witness_slack()
+        if gerr > 1e-6 or quad > 1 + 1e-6 or pn > 1 + 1e-6:
+            raise InvalidInputError(
+                f"witness violates the instance contract: {gerr:.2g}, "
+                f"{quad:.4g}, {pn:.4g}")
+
+    progress_steps = boost_steps = 0
+    while True:
+        state = new_state(inst, weights, counter=counter,
+                          alpha_ratio=schedule.ratio)
+        try:
+            y = reduce_width(state)
+            pn, quad = output_bounds(inst, y)
+            break
+        except (StepBoundError, BoostBudgetExceededError):
+            if state.progress_steps == 0 or not schedule.halve():
+                raise
+        finally:
+            progress_steps += state.progress_steps
+            boost_steps += state.boost_steps
     info = {
-        "progress_steps": state.progress_steps,
-        "boost_steps": state.boost_steps,
-        "gram_solves": state.counter.gram_solves,
+        "progress_steps": progress_steps,
+        "boost_steps": boost_steps,
+        "gram_solves": counter.gram_solves,
         "lp_norm": pn,
         "quad": quad,
         "final_potential": state.potential(),
@@ -367,7 +440,8 @@ class MwuGammaSolver:
 
     Weight overestimates depend only on the design matrix, so they are
     computed once and reused across calls; leverage scores are invariant
-    under the per-call uniform rescaling of A.
+    under the per-call uniform rescaling of A.  One :class:`AlphaSchedule`
+    serves every call of a solve; ``counts`` records it.
     """
 
     def __init__(self, A: DenseMatrix, p: float,
@@ -375,7 +449,10 @@ class MwuGammaSolver:
         self.p = float(p)
         self.gamma = gamma_value(self.p)
         self.counter = counter if counter is not None else SolveCounter()
-        self.counts = {"progress_steps": 0, "boost_steps": 0}
+        self.schedule = AlphaSchedule()
+        self.counts = {"progress_steps": 0, "boost_steps": 0,
+                       "alpha_halvings": 0,
+                       "alpha_over_floor": self.schedule.ratio}
         self.A = A
         self.weights = lewis_overestimates(A, self.p)
 
@@ -392,8 +469,13 @@ class MwuGammaSolver:
             R=R * (p / (8.0 * nu)) / scale_a ** 2,
             p=p,
         )
-        y, info = width_reduced_oracle(inst, counter=self.counter,
-                                       weights=self.weights)
+        try:
+            y, info = width_reduced_oracle(inst, counter=self.counter,
+                                           weights=self.weights,
+                                           schedule=self.schedule)
+        finally:
+            self.counts.update(alpha_halvings=self.schedule.halvings,
+                               alpha_over_floor=self.schedule.ratio)
         for key in ("progress_steps", "boost_steps"):
             self.counts[key] += info[key]
         return y

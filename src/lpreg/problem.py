@@ -9,6 +9,10 @@ import numpy as np
 from .errors import InvalidInputError, NonFiniteError
 from .linalg import DenseMatrix
 
+# The smallest accepted eps: a (1 + eps) gap much below float64 resolution
+# cannot be certified, so such a target fails fast instead of stalling.
+MIN_EPS = 1e-14
+
 
 @dataclass
 class ProblemInstance:
@@ -32,8 +36,8 @@ class ProblemInstance:
             raise NonFiniteError("b must be finite")
         if not self.p > 1:
             raise InvalidInputError("exponent must exceed 1")
-        if not 0 < self.eps < 1:
-            raise InvalidInputError("eps must lie in (0, 1)")
+        if not MIN_EPS <= self.eps < 1:
+            raise InvalidInputError(f"eps must lie in [{MIN_EPS:g}, 1)")
 
 
 def pnorm(u: np.ndarray, p: float) -> float:

@@ -59,6 +59,12 @@ class TestSolveCommand:
                      "--p", "nan"]) == 3
         assert "exponent must exceed 1" in capsys.readouterr().err
 
+    def test_eps_below_resolution_is_input_error(self, tmp_path, capsys):
+        inst, mpath, vpath = write_instance(tmp_path)
+        assert main(["solve", "--matrix", mpath, "--rhs", vpath, "--p", "4",
+                     "--eps", "1e-16"]) == 3
+        assert "eps must lie in" in capsys.readouterr().err
+
     def test_accel_exponent_cap_is_input_error(self, tmp_path, capsys):
         inst, mpath, vpath = write_instance(tmp_path)
         assert main(["solve", "--matrix", mpath, "--rhs", vpath,
@@ -136,6 +142,7 @@ class TestBenchCommand:
                "p_list": json.dumps({**good, "p": [4]}),
                "p_null": json.dumps({**good, "p": None}),
                "eps_text": json.dumps({**good, "eps": "1e-3"}),
+               "eps_tiny": json.dumps({**good, "eps": 1e-16}),
                "seeds_int": json.dumps({**good, "seeds": 5}),
                "seeds_text": json.dumps({**good, "seeds": ["x"]}),
                "size_float": json.dumps({**good, "sizes": [[30.5, 3]]})}

@@ -13,7 +13,7 @@ from lpreg.dual import (
     solve_lq,
     stack_instance,
 )
-from lpreg.errors import BudgetExceededError, InfeasibleError, InvalidInputError
+from lpreg.errors import InfeasibleError, InvalidInputError
 from lpreg.harness import gen_instance, oracle_opt, plant_dual_instance, solve
 from lpreg.linalg import DenseMatrix, SolveCounter
 from lpreg.problem import ProblemInstance, pnorm
@@ -213,12 +213,11 @@ class TestSolveLq:
         assert rep.residual_lp <= 1e-10
         assert rep.phase_counts.get("short_circuit") == 1
 
-    def test_unreachable_eps_is_a_budget_error(self):
-        # At eps 1e-16 the round halves nu from its 1e-300 floor until it
-        # underflows; that is a stalled solve, not an invalid input.
-        inst = gen_instance("planted_residual", 60, 4, 0, p=2.0, eps=1e-16)
-        with pytest.raises(BudgetExceededError):
-            solve(inst, "dual")
+    def test_unreachable_eps_is_an_input_error(self):
+        # A gap of 1e-16 is below float64 resolution: rejected before any
+        # work instead of stalling until nu underflows.
+        with pytest.raises(InvalidInputError):
+            gen_instance("planted_residual", 60, 4, 0, p=2.0, eps=1e-16)
 
     def test_stacked_instance_layout(self):
         rng = np.random.default_rng(6)

@@ -237,6 +237,16 @@ class TestRunExperiment:
         assert "loglog_slope" in summary
         assert len(summary["dims"]) == 3
 
+    def test_mwu_summary_reports_alpha_halvings(self, tmp_path):
+        cfg = self._config(tmp_path, method="mwu",
+                           sizes=[[16, 2], [32, 4]], seeds=[0])
+        summary = run_experiment(cfg)
+        assert summary["failures"] == 0
+        reports = [json.loads(f.read_text())
+                   for f in sorted((tmp_path / "out").glob("mwu_*.json"))]
+        assert summary["mean_alpha_halvings"] == [
+            float(r["phase_counts"]["alpha_halvings"]) for r in reports]
+
     def test_config_from_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({

@@ -4,11 +4,18 @@ import numpy as np
 import pytest
 from scipy.linalg import null_space
 
-from lpreg.errors import InfeasibleError, InvalidInputError, ZeroGradientError
-from lpreg.harness import plant_residual_instance
+from lpreg import mwu
+from lpreg.errors import (
+    InfeasibleError,
+    InvalidInputError,
+    StepBoundError,
+    ZeroGradientError,
+)
+from lpreg.harness import gen_instance, plant_residual_instance, solve
 from lpreg.lewis import lewis_overestimates
 from lpreg.linalg import DenseMatrix, SolveCounter
 from lpreg.mwu import (
+    AlphaSchedule,
     MwuGammaSolver,
     ResidualInstance,
     apply_boost,
@@ -18,6 +25,7 @@ from lpreg.mwu import (
     mwu_constants,
     new_state,
     progress_step,
+    reduce_width,
     width_reduced_oracle,
     woodbury_energy,
 )
@@ -187,9 +195,12 @@ class TestWidthReducedOracle:
         p = 4.0
         inst = plant_residual_instance(120, 8, p, seed=3)
         counter = SolveCounter()
-        y, info = width_reduced_oracle(inst, counter=counter)
-        _, alpha, _ = mwu_constants(p, 8)
-        assert info["progress_steps"] <= math.floor(8 ** (1 / p) / alpha) + 1
+        schedule = AlphaSchedule()
+        start = mwu_constants(p, 8)[1] * schedule.ratio
+        y, info = width_reduced_oracle(inst, counter=counter,
+                                       schedule=schedule)
+        assert schedule.halvings == 0
+        assert info["progress_steps"] <= math.floor(8 ** (1 / p) / start) + 1
         assert abs(inst.g @ y + 1.0) <= 1e-9
         assert pnorm(inst.A.a @ y, p) <= 80.0 * p
         ay = inst.A.a @ y
@@ -226,6 +237,118 @@ class TestWidthReducedOracle:
         inst = ResidualInstance(A, g, np.ones(20), 4.0)
         with pytest.raises(InfeasibleError):
             width_reduced_oracle(inst)
+
+
+class TestAlphaSchedule:
+    def test_starts_at_the_practical_step(self):
+        _, floor, _ = mwu_constants(4.0, 8)
+        start = floor * AlphaSchedule().ratio
+        assert start == pytest.approx(
+            8 ** (-(16 - 20 + 2) / (4 * 10)) / (mwu.ALPHA_BASE * 4.0))
+        assert AlphaSchedule().ratio == mwu.PAPER_ALPHA_BASE / mwu.ALPHA_BASE
+
+    def test_output_failure_halves_and_still_certifies(self, monkeypatch):
+        # the first three oracle runs that reach the output check fail it
+        real = mwu.output_bounds
+        fails = iter(range(3))
+
+        def flaky(inst, y):
+            if next(fails, None) is not None:
+                raise StepBoundError("output bounds failed (injected)")
+            return real(inst, y)
+
+        monkeypatch.setattr(mwu, "output_bounds", flaky)
+        inst = gen_instance("gaussian", 60, 4, 0, p=4.0, eps=1e-6)
+        x, rep = solve(inst, "mwu")
+        assert rep.certified_gap <= 1e-6
+        assert rep.phase_counts["alpha_halvings"] == 3
+        assert rep.phase_counts["alpha_over_floor"] == pytest.approx(
+            mwu.PAPER_ALPHA_BASE / mwu.ALPHA_BASE / 8)
+
+    def test_alpha_never_drops_below_the_paper_value(self, monkeypatch):
+        def failing(inst, y):
+            raise StepBoundError("output bounds failed (injected)")
+
+        alphas = []
+        real_reduce = mwu.reduce_width
+
+        def recording(state):
+            alphas.append(state.alpha)
+            return real_reduce(state)
+
+        monkeypatch.setattr(mwu, "output_bounds", failing)
+        monkeypatch.setattr(mwu, "reduce_width", recording)
+        inst = plant_residual_instance(40, 4, 4.0, seed=1)
+        schedule = AlphaSchedule()
+        with pytest.raises(StepBoundError):
+            width_reduced_oracle(inst, schedule=schedule)
+        _, floor, _ = mwu_constants(4.0, 4)
+        halvings = math.ceil(math.log2(mwu.PAPER_ALPHA_BASE / mwu.ALPHA_BASE))
+        assert schedule.ratio == 1.0 and schedule.halvings == halvings
+        assert len(alphas) == halvings + 1
+        assert all(a > b for a, b in zip(alphas, alphas[1:]))
+        assert alphas[-1] == pytest.approx(floor, rel=1e-12)
+        assert min(alphas) >= floor * (1 - 1e-12)
+        assert not schedule.halve()
+
+    def test_first_refresh_infeasibility_is_not_retried(self):
+        rng = np.random.default_rng(4)
+        A = DenseMatrix(rng.standard_normal((20, 3)))
+        inst = ResidualInstance(A, rng.standard_normal(3) * 1e-8,
+                                np.ones(20), 4.0)
+        counter, schedule = SolveCounter(), AlphaSchedule()
+        with pytest.raises(InfeasibleError):
+            width_reduced_oracle(inst, counter=counter, schedule=schedule)
+        assert schedule.halvings == 0
+        assert counter.gram_solves == 1
+
+    def test_step_bound_failure_before_any_progress_is_not_retried(
+            self, monkeypatch):
+        runs = []
+
+        def failing(state):
+            runs.append(state.alpha)
+            raise StepBoundError("potential too large (injected)")
+
+        monkeypatch.setattr(mwu, "reduce_width", failing)
+        schedule = AlphaSchedule()
+        with pytest.raises(StepBoundError):
+            width_reduced_oracle(plant_residual_instance(30, 3, 4.0, seed=0),
+                                 schedule=schedule)
+        assert len(runs) == 1 and schedule.halvings == 0
+
+    def test_energy_cap_failure_after_progress_keeps_alpha(self, monkeypatch):
+        # The energy cap holds at every alpha, so breaking it after some
+        # progress steps (nu too large for this call) is not retried.
+        real_reduce = mwu.reduce_width
+        capped = []
+
+        def recording(state):
+            try:
+                return real_reduce(state)
+            except StepBoundError:
+                raise
+            except InfeasibleError:
+                capped.append(state.progress_steps)
+                raise
+
+        monkeypatch.setattr(mwu, "reduce_width", recording)
+        inst = gen_instance("coherent_rows", 30, 3, 0, p=12.0, eps=1e-8)
+        x, rep = solve(inst, "mwu")
+        assert max(capped) > 0
+        assert rep.phase_counts["alpha_halvings"] == 0
+        assert rep.certified_gap <= 1e-8
+
+    def test_step_count_is_at_least_one(self):
+        # an alpha above d^{1/p} would give floor(d^{1/p}/alpha) = 0 steps
+        inst = plant_residual_instance(30, 3, 4.0, seed=2)
+        st = new_state(inst, lewis_overestimates(inst.A, 4.0),
+                       alpha_ratio=1e9)
+        assert st.alpha > 3 ** 0.25
+        y = reduce_width(st)
+        assert st.progress_steps == 1
+        assert np.all(np.isfinite(y))
+        assert abs(float(inst.g @ y) + 1.0) <= 1e-9
 
 
 def residual_opt_bruteforce(A, g_n, R, p, nu, seed=0):
