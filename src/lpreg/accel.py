@@ -3,9 +3,15 @@
 The proximal subproblem adds an e p^p times p-th power of the distance in
 the metric induced by the weight overestimates.  Hessian stability makes
 that subproblem conditionally well-behaved: a relative-smoothness descent
-loop solves it, with each inner step reduced to a scalar root-find (one
-Gram solve per probe).  The outer loop is a standard accelerated
-proximal-point iteration with a step-scale search.
+loop solves it, with each inner step reduced to a scalar root-find over a
+step scale tau.  Every system met at one proximal center lies in the fixed
+pencil (A^T H_c A, A^T M A), so one generalized eigendecomposition per
+center (:class:`MetricPencil`) turns each tau probe into O(d) work and
+each inverse-metric product into O(d^2).  Costs are still charged in the
+paper's unit: each distinct probed tau, each inverse-metric norm and each
+momentum step counts as one Gram solve, and each pencil as one
+factorization.  The outer loop is a standard accelerated proximal-point
+iteration with a step-scale search.
 """
 from __future__ import annotations
 
@@ -13,9 +19,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh, solve_triangular
 from scipy.optimize import brentq
 
-from .errors import BisectionStallError, InvalidInputError
+from .errors import (
+    BisectionStallError,
+    InvalidInputError,
+    NonFiniteError,
+    SingularGramError,
+)
 from .lewis import WEIGHT_FLOOR, LewisOverestimate, lewis_overestimates
 from .linalg import DenseMatrix, SolveCounter, gram_solve_multi
 from .problem import ProblemInstance, pnorm
@@ -28,8 +40,11 @@ HALVING_DISTANCE_COEFF = 2.0 ** 1.5
 MAX_HALVINGS = 300
 # Largest supported exponent: C_p = e p^p and the step-scale powers leave
 # the float range as p grows.  At 60x4 (four families, seeds 0-2) p = 14
-# always solves; p = 16 can underflow the step-scale power, which raises
-# BisectionStallError.
+# always solves.  p = 16 solves 11 of 12; on ill_conditioned seed 0 the
+# dual bound stalls at gap 1.01e-6 (eps 1e-6), the next proximal response
+# pins its center, and the underflowed step-scale power dist^(p-2) raises
+# BisectionStallError.  p = 32 fails that way on all 12.  The cap stays
+# until C_p and that power are carried in log form.
 MAX_ACCEL_P = 14.0
 
 
@@ -44,12 +59,61 @@ def reg_coefficient(p: float) -> float:
     return math.e * p ** p
 
 
+@dataclass(frozen=True)
+class MetricPencil:
+    """Generalized eigenbasis of the pencil (A^T H_c A, A^T M A).
+
+    ``t`` is a d x d basis with T^T (A^T M A) T = I and T^T (A^T H_c A) T
+    = diag(lam), ``lam`` clipped at 0.  So (8 A^T H_c A + c tau A^T M A)^{-1}
+    is T diag(1 / (8 lam + c tau)) T^T, and M^{-1} = T T^T.
+    """
+
+    lam: np.ndarray
+    t: np.ndarray
+    c: float          # the metric's coefficient per unit tau, 4 p C_p
+
+    @classmethod
+    def build(cls, qr: tuple, h: np.ndarray, m: np.ndarray,
+              c: float) -> "MetricPencil":
+        """Eigendecompose in the QR basis of A = Q R, then map back by R^{-1}.
+
+        Working with Q^T H Q and Q^T M Q keeps the conditioning of A out of
+        the eigenproblem; only the triangular solve sees it.
+        """
+        q, r = qr
+        gh = q.T @ (h[:, None] * q)
+        gm = q.T @ (m[:, None] * q)
+        if not (np.isfinite(gh).all() and np.isfinite(gm).all()):
+            raise NonFiniteError("pencil Gram matrix not finite (weights or overflow)")
+        try:
+            lam, w = eigh(gh, gm, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise SingularGramError("metric pencil eigendecomposition failed") from exc
+        t = solve_triangular(r, w, check_finite=False)
+        return cls(np.maximum(lam, 0.0), t, c)
+
+    def coords(self, v: np.ndarray) -> np.ndarray:
+        """T^T v, the right-hand side in the eigenbasis."""
+        v = np.asarray(v, dtype=float)
+        if not np.isfinite(v).all():
+            raise NonFiniteError("right-hand side must be finite")
+        return self.t.T @ v
+
+    def scaled(self, z: np.ndarray, tau: float) -> np.ndarray:
+        """Eigenbasis coordinates of the tau-step for rhs coordinates z."""
+        return z / (8.0 * self.lam + self.c * tau)
+
+
 @dataclass
 class ProxProblem:
     """One proximal subproblem: f(x) + C_p ||x - center||_M^p.
 
     The metric M = A^T W^{1-2/p} A is held through (A, weights, p) and
-    never materialized.
+    never materialized.  Solves against it, and against the surrogate
+    Hessians 8 A^T H_c A + c tau M at the center, go through one
+    :class:`MetricPencil`, built on first use.  ``qr`` is A's reduced QR
+    factorization, which a caller that builds many centers on the same A
+    computes once and passes in.
     """
 
     A: DenseMatrix
@@ -57,6 +121,7 @@ class ProxProblem:
     p: float
     weights: LewisOverestimate
     center: np.ndarray
+    qr: tuple | None = None
 
     def __post_init__(self):
         if self.p < 2:
@@ -70,6 +135,27 @@ class ProxProblem:
                 self.A.a @ self.center - self.b) ** (self.p - 2.0)
         if not np.all(np.isfinite(self._hess_center)):
             raise InvalidInputError("center residuals overflow the exponent")
+        if self.qr is None:
+            self.qr = np.linalg.qr(self.A.a)
+        self._pencil = None
+
+    def pencil(self, counter: SolveCounter | None = None) -> MetricPencil:
+        """The center's pencil; building it counts as one factorization."""
+        if self._pencil is None:
+            self._pencil = MetricPencil.build(
+                self.qr, self._hess_center, self.m_diag,
+                4.0 * self.p * self.cp)
+            if counter is not None:
+                counter.factorizations += 1
+        return self._pencil
+
+    def metric_coords(self, v: np.ndarray, counter: SolveCounter | None = None,
+                      phase: str = "metric") -> np.ndarray:
+        """T^T v, whose norm is ||v||_{M^{-1}}; one Gram solve in ``phase``."""
+        z = self.pencil(counter).coords(v)
+        if counter is not None:
+            counter.tick(1, phase)
+        return z
 
     def f(self, x: np.ndarray) -> float:
         with np.errstate(over="ignore"):
@@ -99,9 +185,7 @@ class ProxProblem:
 
     def m_inv_norm(self, v: np.ndarray,
                    counter: SolveCounter | None = None) -> float:
-        sol = gram_solve_multi(self.A, self.m_diag, v, counter=counter,
-                               phase="metric")
-        return math.sqrt(max(float(v @ sol), 0.0))
+        return float(np.linalg.norm(self.metric_coords(v, counter)))
 
 
 @dataclass
@@ -122,13 +206,15 @@ class ProxCertificate:
 
 
 def _tau_step(prob: ProxProblem, glin: np.ndarray, tau: float,
-              counter: SolveCounter | None):
-    """Minimize <glin, x> + 4||x-y||_H^2 + 2 e p^{p+1} tau ||x-y||_M^2."""
-    p = prob.p
-    diag = 8.0 * prob._hess_center + 4.0 * p * prob.cp * tau * prob.m_diag
-    step = gram_solve_multi(prob.A, diag, -glin, counter=counter,
-                            phase="prox")
-    return prob.center + step
+              counter: SolveCounter | None = None) -> np.ndarray:
+    """Minimizer s of <glin, s> + 4||s||_H^2 + 2 e p^{p+1} tau ||s||_M^2.
+
+    One Gram solve against 8 A^T H_c A + 4 p C_p tau A^T M A.
+    """
+    pencil = prob.pencil(counter)
+    if counter is not None:
+        counter.tick(1, "prox")
+    return -(pencil.t @ pencil.scaled(pencil.coords(glin), tau))
 
 
 def _solve_inner_subproblem(prob: ProxProblem, glin: np.ndarray, tau_seed: float,
@@ -137,21 +223,35 @@ def _solve_inner_subproblem(prob: ProxProblem, glin: np.ndarray, tau_seed: float
 
     The left side grows and the step shrinks as tau increases, so the
     complementarity gap is monotone and a bracketed root-find applies.
-    One Gram solve per probe.
+    In the center's pencil basis the rhs coordinates z = T^T glin are
+    formed once, and ||x(tau) - y||_M^2 = sum z_i^2 / (8 lam_i + c tau)^2
+    costs O(d) per probe.  Each distinct probed tau counts as one Gram
+    solve, as the direct solve it replaces would.
     """
     p = prob.p
     if p == 2.0:
-        x = _tau_step(prob, glin, 1.0, counter)  # tau merges into the quadratic
-        return x, 1.0
+        # tau merges into the quadratic
+        return prob.center + _tau_step(prob, glin, 1.0, counter), 1.0
     if not np.any(glin):
         return prob.center.copy(), 0.0
+    pencil = prob.pencil(counter)
+    z = pencil.coords(glin)
+    probed = set()
+
+    def coords_at(tau):
+        if counter is not None and tau not in probed:
+            counter.tick(1, "prox")
+        probed.add(tau)
+        return pencil.scaled(z, tau)
 
     def gap(tau):
-        x = gap.cache[tau] if tau in gap.cache else _tau_step(prob, glin, tau, counter)
-        gap.cache = {tau: x}
-        return tau ** (2.0 / (p - 2.0)) - prob.m_norm(x - prob.center) ** 2
+        w = coords_at(tau)
+        value = fpow(tau, 2.0 / (p - 2.0)) - float(w @ w)
+        if not math.isfinite(value):
+            raise BisectionStallError(
+                f"step-scale gap not finite at tau {tau:.3g}")
+        return value
 
-    gap.cache = {}
     lo = hi = max(tau_seed, 1e-30)
     glo = ghi = gap(lo)
     doubles = 0
@@ -176,8 +276,7 @@ def _solve_inner_subproblem(prob: ProxProblem, glin: np.ndarray, tau_seed: float
         tau = hi
     else:
         tau = brentq(gap, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=300)
-    x = _tau_step(prob, glin, tau, counter)
-    return x, tau
+    return prob.center - pencil.t @ coords_at(tau), tau
 
 
 def prox_solve(prob: ProxProblem, x0: np.ndarray | None = None,
@@ -319,6 +418,7 @@ def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
         with np.errstate(over="ignore"):
             return float(np.sum(np.abs(A.a @ x - b) ** p))
 
+    qr = np.linalg.qr(A.a)      # shared by every prox center's pencil
     x = np.asarray(x0, dtype=float).copy()
     v = x.copy()
     acc_weight = 0.0
@@ -348,7 +448,7 @@ def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
                 prob_center = None
                 continue
             if prob_center is None or not np.array_equal(prob_center.center, x_tilde):
-                prob_center = ProxProblem(A, b, p, weights, x_tilde)
+                prob_center = ProxProblem(A, b, p, weights, x_tilde, qr)
                 cert = prox_solve(prob_center, x0=x, tol=delta, counter=counter)
                 prox_calls += 1
                 inner_total += cert.inner_iterations
@@ -370,7 +470,7 @@ def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
         if prob_center is None:
             if not np.all(np.isfinite(x_tilde)):
                 break
-            prob_center = ProxProblem(A, b, p, weights, x_tilde)
+            prob_center = ProxProblem(A, b, p, weights, x_tilde, qr)
             cert = prox_solve(prob_center, x0=x, tol=delta, counter=counter)
             prox_calls += 1
             inner_total += cert.inner_iterations
@@ -384,9 +484,8 @@ def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
         a_new = 0.5 * (lam + math.sqrt(lam ** 2 + 4 * lam * acc_weight))
         y_new = cert.x
         grad = prob_center.grad_f(y_new)
-        ginv = gram_solve_multi(A, prob_center.m_diag, grad,
-                                counter=counter, phase="ms")
-        v_step = a_new * ginv
+        coords = prob_center.metric_coords(grad, counter, phase="ms")
+        v_step = a_new * (prob_center.pencil().t @ coords)
         step_norm = prob_center.m_norm(v_step)
         guard = 1e3 * (1.0 + prob_center.m_norm(x) + prob_center.m_norm(v))
         if not math.isfinite(step_norm):

@@ -65,10 +65,17 @@ class DenseMatrix:
 
 @dataclass
 class SolveCounter:
-    """Monotone tally of Gram solves, in total and by phase."""
+    """Monotone tally of Gram solves, in total and by phase.
+
+    ``factorizations`` counts the matrix factorizations behind them: one
+    per :func:`gram_solve_multi` call, however many columns it solves, and
+    one per eigendecomposition that later solves reuse
+    (``lpreg.accel.MetricPencil``).
+    """
 
     gram_solves: int = 0
     by_phase: dict = field(default_factory=dict)
+    factorizations: int = 0
 
     def tick(self, k: int = 1, phase: str | None = None):
         self.gram_solves += k
@@ -144,6 +151,7 @@ def gram_solve_multi(A: DenseMatrix, w: np.ndarray, rhs: np.ndarray,
         quality["gram_scale"] = A.d * float(np.max(np.diagonal(gram)))
     if counter is not None:
         counter.tick(B.shape[1], phase)
+        counter.factorizations += 1
     return X[:, 0] if single else X
 
 

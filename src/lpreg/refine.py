@@ -269,7 +269,8 @@ def certified_solve(instance: ProblemInstance, method: str,
     report = SolveReport(
         method=method, p=p, eps=eps, n=A.n, d=A.d, seed=seed,
         gram_solves=counter.gram_solves,
-        phase_counts={"rounds": rounds, **counts, **counter.by_phase},
+        phase_counts={"rounds": rounds, **counts, **counter.by_phase,
+                      "factorizations": counter.factorizations},
         residual_lp=pnorm(u, p), residual_l2=pnorm(u, 2.0),
         certified_gap=max(gap, 0.0), wall_time=time.perf_counter() - t0)
     return x, report

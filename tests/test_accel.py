@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.optimize import minimize
 
+import lpreg.accel as accel
 from lpreg.accel import (
+    MetricPencil,
     ProxProblem,
+    _solve_inner_subproblem,
+    _tau_step,
     distance_bound,
     halve_error,
     hessian_stability_check,
@@ -15,10 +20,10 @@ from lpreg.accel import (
     solve_pnorm_accel,
     strong_convexity_check,
 )
-from lpreg.errors import LpregError
-from lpreg.harness import gen_instance, oracle_opt
+from lpreg.errors import BisectionStallError, LpregError, NonFiniteError
+from lpreg.harness import FAMILIES, gen_instance, oracle_opt
 from lpreg.lewis import lewis_overestimates
-from lpreg.linalg import DenseMatrix, SolveCounter
+from lpreg.linalg import DenseMatrix, SolveCounter, gram_solve_multi
 from lpreg.problem import ProblemInstance, pnorm
 
 
@@ -110,6 +115,106 @@ class TestProxSolve:
                 e[i] = 1e-6 * max(1.0, abs(x[i]))
                 fd = (fn(x + e) - fn(x - e)) / (2 * e[i])
                 assert fd == pytest.approx(g[i], rel=1e-5, abs=1e-8)
+
+
+def family_problem(family, p):
+    """A 320x16 prox center at the least-squares point of a bench family."""
+    inst = gen_instance(family, 320, 16, 0, p=p)
+    A = inst.A
+    center = np.linalg.lstsq(A.a, inst.b, rcond=None)[0]
+    return ProxProblem(A, inst.b, p, lewis_overestimates(A, p), center)
+
+
+def qr_tau_step(prob, glin, tau):
+    """The tau-step from a QR factorization of diag(D)^{1/2} A."""
+    diag = 8.0 * prob._hess_center + 4.0 * prob.p * prob.cp * tau * prob.m_diag
+    _, r = np.linalg.qr(np.sqrt(diag)[:, None] * prob.A.a)
+    return -solve_triangular(r, solve_triangular(r, glin, trans="T"))
+
+
+class TestMetricPencil:
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("p", [4.0, 8.0])
+    def test_steps_match_qr_reference(self, family, p):
+        # Compare the steps themselves: center + step cancels at large tau.
+        prob = family_problem(family, p)
+        glin = np.random.default_rng(1).standard_normal(16)
+        for tau in (1e-12, 1.0, 1e6):
+            step = _tau_step(prob, glin, tau)
+            ref = qr_tau_step(prob, glin, tau)
+            assert prob.m_norm(step - ref) <= 1e-8 * prob.m_norm(ref)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_m_inv_norm_matches_gram_solve(self, family):
+        # gram_solve_multi forms A^T M A, so on ill_conditioned (cond(A)
+        # 1e6) it is good to about 1e-6; the QR reference is the tight one.
+        prob = family_problem(family, 4.0)
+        v = np.random.default_rng(2).standard_normal(16)
+        sol = gram_solve_multi(prob.A, prob.m_diag, v)
+        _, r = np.linalg.qr(np.sqrt(prob.m_diag)[:, None] * prob.A.a)
+        ref = np.linalg.norm(solve_triangular(r, v, trans="T"))
+        assert prob.m_inv_norm(v) == pytest.approx(ref, rel=1e-10)
+        assert prob.m_inv_norm(v) == pytest.approx(math.sqrt(v @ sol),
+                                                   rel=1e-5)
+
+    def test_pencil_diagonalizes_both_gram_matrices(self):
+        prob = family_problem("gaussian", 8.0)
+        pencil = prob.pencil()
+        a = prob.A.a
+        gm = (a * prob.m_diag[:, None]).T @ a
+        gh = (a * prob._hess_center[:, None]).T @ a
+        assert np.allclose(pencil.t.T @ gm @ pencil.t, np.eye(16), atol=1e-9)
+        hd = pencil.t.T @ gh @ pencil.t
+        assert np.allclose(hd, np.diag(pencil.lam),
+                           atol=1e-9 * max(pencil.lam.max(), 1.0))
+        assert pencil.lam.min() >= 0.0
+
+    def test_non_finite_glin_raises(self):
+        prob = family_problem("gaussian", 4.0)
+        glin = np.ones(16)
+        glin[3] = np.nan
+        with pytest.raises(NonFiniteError):
+            _solve_inner_subproblem(prob, glin, 1.0, SolveCounter())
+
+    def test_non_finite_weights_raise(self):
+        prob = family_problem("gaussian", 4.0)
+        prob.m_diag[0] = np.inf
+        with pytest.raises(NonFiniteError):
+            prob.m_inv_norm(np.ones(16))
+
+    def test_prox_ticks_once_per_distinct_tau(self, monkeypatch):
+        prob = family_problem("planted_residual", 8.0)
+        glin = np.random.default_rng(3).standard_normal(16)
+        probed = []
+        scaled = MetricPencil.scaled
+
+        def recording(self, z, tau):
+            probed.append(tau)
+            return scaled(self, z, tau)
+
+        monkeypatch.setattr(MetricPencil, "scaled", recording)
+        counter = SolveCounter()
+        _, tau = _solve_inner_subproblem(prob, glin, 1.0, counter)
+        assert tau in probed
+        assert len(probed) > len(set(probed))   # the root is probed again
+        assert counter.by_phase == {"prox": len(set(probed))}
+        assert counter.gram_solves == len(set(probed))
+        assert counter.factorizations == 1
+
+    def test_one_factorization_per_prox_center(self):
+        prob = family_problem("coherent_rows", 4.0)
+        counter = SolveCounter()
+        cert = prox_solve(prob, tol=1e-10, counter=counter)
+        assert cert.satisfied
+        assert counter.factorizations == 1
+        assert counter.by_phase["metric"] == cert.inner_iterations + 1
+        assert counter.gram_solves > counter.by_phase["metric"]
+
+    def test_non_finite_gap_is_a_stall(self, monkeypatch):
+        prob = family_problem("gaussian", 4.0)
+        monkeypatch.setattr(accel, "fpow", lambda base, expo: math.inf)
+        with pytest.raises(BisectionStallError):
+            _solve_inner_subproblem(prob, np.ones(16), 1.0, None)
 
 
 class TestStrongConvexity:
@@ -209,7 +314,7 @@ class TestAcceleration:
     def test_underflowed_step_scale_is_a_solver_error(self):
         # Above MAX_ACCEL_P the step-scale power dist^(p-2) can underflow
         # to 0; that must surface as an LpregError, not ZeroDivisionError.
-        inst = gen_instance("ill_conditioned", 60, 4, 0, p=16.0)
+        inst = gen_instance("ill_conditioned", 60, 4, 0, p=32.0)
         with pytest.raises(LpregError):
             solve_pnorm_accel(inst)
 

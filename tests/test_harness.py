@@ -57,6 +57,15 @@ class TestGenInstance:
 
 
 class TestOracleOpt:
+    @pytest.mark.parametrize("p", [12.0, 14.0, 16.0])
+    def test_not_above_a_certified_mwu_residual(self, p):
+        # At large p a unit Newton step covers 1/(p-1) of the way along a
+        # p-th power, so a fixed step count stopped 0.17% (p = 14) and
+        # 0.83% (p = 16) above the optimum here.
+        inst = gen_instance("ill_conditioned", 60, 4, 0, p=p)
+        _, rep = solve(inst, "mwu", seed=0)
+        assert oracle_opt(inst) <= (1 + 1e-12) * rep.residual_lp
+
     def test_consistent_rhs(self):
         rng = np.random.default_rng(0)
         A = DenseMatrix(rng.standard_normal((12, 3)))
@@ -139,6 +148,26 @@ class TestSolveDispatch:
         _, rep = solve(inst, "accel", seed=0)
         assert rep.phase_counts["prox_calls"] > 0
         assert rep.phase_counts["inner_iterations"] > 0
+        # every prox center is factored once and reused by its solves
+        assert (rep.phase_counts["prox_calls"]
+                < rep.phase_counts["factorizations"] < rep.gram_solves)
+
+    @pytest.mark.parametrize("method", ["mwu", "dual", "linf"])
+    def test_one_factorization_per_gram_call(self, method, monkeypatch):
+        import lpreg.linalg as linalg
+        calls = []
+        real = linalg._factor_gram
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(linalg, "_factor_gram", counted)
+        p = {"mwu": 3.0, "dual": 1.5, "linf": math.inf}[method]
+        eps = 1e-1 if p == math.inf else 1e-6
+        inst = gen_instance("gaussian", 25, 3, 2, p=p, eps=eps)
+        _, rep = solve(inst, method, seed=0)
+        assert rep.phase_counts["factorizations"] == len(calls)
 
     @pytest.mark.parametrize("method", ["mwu", "accel", "dual", "linf"])
     def test_phase_counts_cover_all_solves(self, method):

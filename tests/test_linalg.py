@@ -62,6 +62,7 @@ class TestGramSolve:
         assert c.gram_solves == 1
         gram_solve_multi(A, np.ones(20), np.ones((4, 7)), counter=c)
         assert c.gram_solves == 8
+        assert c.factorizations == 2
 
     @pytest.mark.parametrize("seed", range(5))
     def test_residual_meets_rtol(self, seed):
