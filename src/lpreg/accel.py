@@ -36,15 +36,17 @@ from .refine import BracketSteps, certified_solve, lp_dual_bound
 PROX_ALPHA_SCALE = 1.0 / 128.0     # alpha = 1/(128 p^2)
 INNER_RATE_CONSTANT = 64.0 * math.e ** 2
 MS_BISECTION_CAP = 60
-HALVING_DISTANCE_COEFF = 2.0 ** 1.5
+# Stationarity slack of every proximal solve.  The unit problem keeps the
+# function error at most 1, so no error-scaled slack is ever larger.
+PROX_TOL = 1e-14
 MAX_HALVINGS = 300
 # Largest supported exponent: C_p = e p^p and the step-scale powers leave
 # the float range as p grows.  At 60x4 (four families, seeds 0-2) p = 14
-# always solves.  p = 16 solves 11 of 12; on ill_conditioned seed 0 the
+# always solves.  p = 16 solves 11 of 12: on ill_conditioned seed 0 the
 # dual bound stalls at gap 1.01e-6 (eps 1e-6), the next proximal response
-# pins its center, and the underflowed step-scale power dist^(p-2) raises
-# BisectionStallError.  p = 32 fails that way on all 12.  The cap stays
-# until C_p and that power are carried in log form.
+# pins its center, and the solve ends in BudgetExceededError.  p = 32
+# stalls the same way, at gap 1.45 there.  The cap stays until C_p and the
+# step-scale power dist^(p-2) are carried in log form.
 MAX_ACCEL_P = 14.0
 
 
@@ -390,14 +392,14 @@ def strong_convexity_check(y: np.ndarray, delta: np.ndarray, p: float) -> bool:
     return lhs <= rhs + 1e-9 * scale
 
 
-def distance_bound(d: int, p: float, err: float) -> float:
-    """Metric distance to the optimum implied by a function-error bound."""
-    return HALVING_DISTANCE_COEFF * d ** (0.5 - 1.0 / p) * err ** (1.0 / p)
+def _pins_center(prob: ProxProblem, dist: float) -> bool:
+    """Whether a proximal response at distance dist leaves the center put."""
+    return dist <= 1e-15 * (1.0 + prob.m_norm(prob.center))
 
 
 def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
                   weights: LewisOverestimate, x0: np.ndarray, eps: float,
-                  dist_bound: float, counter: SolveCounter | None = None,
+                  counter: SolveCounter | None = None,
                   lower_bound_fn=None, stats: dict | None = None):
     """Accelerated proximal-point loop reducing f error below eps.
 
@@ -409,7 +411,6 @@ def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
     """
     p = float(p)
     cp = reg_coefficient(p)
-    delta = max(eps / (1e20 * p ** 2 * max(dist_bound, 1e-30)), 1e-14)
     d = A.d
     k_theory = math.ceil(8.0 * p ** (2.0 / 3.0) * d ** ((p - 2.0) / (3 * p - 2.0)))
     max_steps = min(int(k_theory * (6 + 60) ** 2), 10 ** 9)
@@ -449,12 +450,15 @@ def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
                 continue
             if prob_center is None or not np.array_equal(prob_center.center, x_tilde):
                 prob_center = ProxProblem(A, b, p, weights, x_tilde, qr)
-                cert = prox_solve(prob_center, x0=x, tol=delta, counter=counter)
+                cert = prox_solve(prob_center, x0=x, tol=PROX_TOL, counter=counter)
                 prox_calls += 1
                 inner_total += cert.inner_iterations
             dist = prob_center.m_norm(cert.x - x_tilde)
             if acc_weight == 0.0 or p == 2.0:
-                # x_tilde has no lambda dependence; set the scale directly.
+                # x_tilde has no lambda dependence; set the scale directly,
+                # unless the response pins the center (handled below).
+                if _pins_center(prob_center, dist):
+                    break
                 denom = p * cp * fpow(max(dist, 1e-30), p - 2.0)
                 if not (math.isfinite(denom) and denom > 0.0):
                     raise BisectionStallError(
@@ -471,11 +475,11 @@ def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
             if not np.all(np.isfinite(x_tilde)):
                 break
             prob_center = ProxProblem(A, b, p, weights, x_tilde, qr)
-            cert = prox_solve(prob_center, x0=x, tol=delta, counter=counter)
+            cert = prox_solve(prob_center, x0=x, tol=PROX_TOL, counter=counter)
             prox_calls += 1
             inner_total += cert.inner_iterations
             dist = prob_center.m_norm(cert.x - x_tilde)
-        if dist <= 1e-15 * (1.0 + prob_center.m_norm(x_tilde)):
+        if _pins_center(prob_center, dist):
             # The proximal response pins the center: x_tilde is stationary.
             if prob_center.f_reg(cert.x) <= f_x:
                 x, f_x = cert.x, f(cert.x)
@@ -517,8 +521,7 @@ def halve_error(A: DenseMatrix, b: np.ndarray, p: float,
                 counter: SolveCounter | None = None, lower_bound_fn=None,
                 stats: dict | None = None):
     """Given f(x0) - f* <= err, produce x' with f(x') - f* <= err/2."""
-    dist = distance_bound(A.d, p, err)
-    x, _ = ms_accelerate(A, b, p, weights, x0, eps=err / 2.0, dist_bound=dist,
+    x, _ = ms_accelerate(A, b, p, weights, x0, eps=err / 2.0,
                          counter=counter, lower_bound_fn=lower_bound_fn,
                          stats=stats)
     return x

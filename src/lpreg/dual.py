@@ -8,7 +8,6 @@ product certifies (1+eps) accuracy.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,6 @@ from .refine import BracketSteps, certified_solve, line_search_lp, refinement_ro
 
 DUAL_QUAD_BOUND = 6.0              # proof value 3, slack 2
 MAX_DUAL_ROUNDS = 400
-RECOVER_RTOL = 1e-12               # golden-section bracket width, relative
 RECOVER_POLISH_STEPS = 12          # reweighted least-squares polish steps
 
 
@@ -153,10 +151,10 @@ def primal_recover(A: DenseMatrix, b: np.ndarray, y_dual: np.ndarray,
     """Primal point from a near-optimal dual iterate.
 
     Shifts b along sign(y)|y|^{p-2} and least-squares projects, choosing
-    the shift size by golden-section minimization of the q-norm residual.
-    The result is then polished by a few reweighted least-squares steps,
-    which squeezes out the first-order error the projection inherits from
-    the dual iterate.
+    the shift of either sign that minimizes the q-norm residual by
+    :func:`line_search_lp`.  The result is then polished by a few
+    reweighted least-squares steps, which squeezes out the first-order
+    error the projection inherits from the dual iterate.
     """
     q = p / (p - 1.0)
     y = np.asarray(y_dual, dtype=float)
@@ -167,39 +165,9 @@ def primal_recover(A: DenseMatrix, b: np.ndarray, y_dual: np.ndarray,
     e0 = A.a @ sol[:, 0] - b
     e1 = A.a @ sol[:, 1]
 
-    def val(lam):
-        return pnorm(e0 + lam * e1, q)
-
-    f0 = val(0.0)
-    # The optimal shift may have either sign; expand a symmetric bracket
-    # until the minimum is interior.
-    a_pt, b_pt = -1.0, 1.0
-    for _ in range(120):
-        if val(a_pt) > min(f0, val(0.5 * a_pt)):
-            break
-        a_pt *= 4.0
-    for _ in range(120):
-        if val(b_pt) > min(f0, val(0.5 * b_pt)):
-            break
-        b_pt *= 4.0
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    c_pt = b_pt - gr * (b_pt - a_pt)
-    d_pt = a_pt + gr * (b_pt - a_pt)
-    fc, fd = val(c_pt), val(d_pt)
-    for _ in range(300):
-        if b_pt - a_pt <= RECOVER_RTOL * max(1.0, abs(a_pt), abs(b_pt)):
-            break
-        if fc < fd:
-            b_pt, d_pt, fd = d_pt, c_pt, fc
-            c_pt = b_pt - gr * (b_pt - a_pt)
-            fc = val(c_pt)
-        else:
-            a_pt, c_pt, fc = c_pt, d_pt, fd
-            d_pt = a_pt + gr * (b_pt - a_pt)
-            fd = val(d_pt)
-    lam = 0.5 * (a_pt + b_pt)
-    if val(lam) > f0:
-        lam = 0.0
+    lam = line_search_lp(e0, e1, q)[0]
+    if lam == 0.0:
+        lam = -line_search_lp(e0, -e1, q)[0]
     x_hat = sol[:, 0] + lam * sol[:, 1]
 
     for _ in range(RECOVER_POLISH_STEPS):

@@ -120,27 +120,24 @@ class AlphaSchedule:
 
 def energy_solve(A: DenseMatrix, D: np.ndarray, g: np.ndarray,
                  counter: SolveCounter | None = None,
-                 phase: str | None = None, with_error: bool = False):
+                 phase: str | None = None):
     """Minimize x^T (A^T diag(D) A) x over g^T x = -1.
 
-    Returns the minimizer z = -(g^T B^{-1} g)^{-1} B^{-1} g and the
-    optimal value (g^T B^{-1} g)^{-1}.  With ``with_error`` a first-order
-    bound on the value's floating-point error, |x_hat . residual| scaled
-    to the energy, is returned as a third element; it is what conditioning
-    leaves behind after iterative refinement.
+    Returns (z, value, err): the minimizer z = -(g^T B^{-1} g)^{-1} B^{-1} g,
+    the optimal value (g^T B^{-1} g)^{-1}, and a first-order bound on the
+    value's floating-point error, |x_hat . residual| scaled to the energy;
+    it is what conditioning leaves behind after iterative refinement.
     """
     g = np.asarray(g, dtype=float)
     if not np.any(g):
         raise ZeroGradientError("energy solve needs g != 0")
-    quality: dict | None = {} if with_error else None
+    quality = {}
     bg = gram_solve_multi(A, D, g, counter=counter, phase=phase,
                           quality=quality)
     quad = float(g @ bg)
     if quad <= 0 or not math.isfinite(quad):
         raise InfeasibleError(f"gram quadratic form g^T B^-1 g = {quad:.3g}")
     value = 1.0 / quad
-    if not with_error:
-        return -value * bg, value
     # first-order value error plus the fp floor of the residual itself
     quad_err = (abs(float(bg @ quality["residual"]))
                 + 2.3e-16 * quality["gram_scale"] * float(bg @ bg)
@@ -199,8 +196,7 @@ class MwuState:
         if not self.dirty and self.z is not None:
             return
         z, e, err = energy_solve(self.inst.A, self.weights_diag(), self.inst.g,
-                                 counter=self.counter, phase=phase,
-                                 with_error=True)
+                                 counter=self.counter, phase=phase)
         band = _tol(e, self.energy or 0.0) + 4.0 * (err + self.energy_err)
         if self.energy is not None and e < self.energy - band:
             raise PotentialViolationError(

@@ -20,12 +20,15 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy import optimize
 
 from .errors import (
+    BisectionStallError,
     BoostBudgetExceededError,
     BudgetExceededError,
     InfeasibleError,
     InvalidInputError,
+    NonFiniteError,
     ZeroGradientError,
 )
 from .linalg import DenseMatrix, SolveCounter, gram_solve_multi
@@ -36,7 +39,6 @@ REFINE_CALL_CONSTANT = 64.0
 # Proposals per refinement round; nu halves after each failed one.
 ROUND_RETRIES = 80
 LINE_SEARCH_DOUBLINGS = 200
-LINE_SEARCH_BISECTIONS = 80
 # Below this fraction of ||b|| the least-squares residual is rounding error.
 SHORT_CIRCUIT_RTOL = 1e-13
 
@@ -66,29 +68,39 @@ def scalar_refine_bounds(x: float, delta: float, p: float):
     return lower, upper, actual
 
 
-def line_search_lp(u: np.ndarray, w: np.ndarray, p: float):
-    """Minimize sum |u + c w|^p over c >= 0 by bisection on the derivative."""
-    def deriv(c):
-        v = u + c * w
-        return float(p * (np.abs(v) ** (p - 1.0) * np.sign(v)) @ w)
+def _lp_slope(c: float, u: np.ndarray, w: np.ndarray, p: float) -> float:
+    """d/dc sum |u + c w|^p; raises NonFiniteError if it is not finite."""
+    v = u + c * w
+    slope = float(p * (np.abs(v) ** (p - 1.0) * np.sign(v)) @ w)
+    if not math.isfinite(slope):
+        raise NonFiniteError(f"line-search slope not finite at step {c:.3g}")
+    return slope
 
-    if deriv(0.0) >= 0.0:
+
+def line_search_lp(u: np.ndarray, w: np.ndarray, p: float):
+    """Minimize sum |u + c w|^p over c >= 0; returns (c, value).
+
+    The objective is convex in c, so its minimizer is the root of the
+    slope.  The step 1 is doubled until the slope turns non-negative,
+    and brentq finds the root on the last bracket [hi/2, hi] (or [0, 1]).
+    """
+    if _lp_slope(0.0, u, w, p) >= 0.0:
         return 0.0, float(np.sum(np.abs(u) ** p))
     hi = 1.0
     for _ in range(LINE_SEARCH_DOUBLINGS):
-        if deriv(hi) >= 0.0:
+        if _lp_slope(hi, u, w, p) >= 0.0:
             break
         hi *= 2.0
     else:
         return hi, float(np.sum(np.abs(u + hi * w) ** p))
-    lo = 0.0
-    for _ in range(LINE_SEARCH_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        if deriv(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    c = 0.5 * (lo + hi)
+    lo = 0.0 if hi == 1.0 else 0.5 * hi
+    try:
+        # args=, not a closure: brentq's wrapper refers to itself, so a
+        # closure would keep u and w alive until the cycle collector runs.
+        c = optimize.brentq(_lp_slope, lo, hi, args=(u, w, p), xtol=1e-300,
+                            rtol=8.9e-16, maxiter=300)
+    except (RuntimeError, ValueError) as exc:
+        raise BisectionStallError(f"line search failed: {exc}") from exc
     return c, float(np.sum(np.abs(u + c * w) ** p))
 
 

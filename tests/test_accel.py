@@ -11,7 +11,6 @@ from lpreg.accel import (
     ProxProblem,
     _solve_inner_subproblem,
     _tau_step,
-    distance_bound,
     halve_error,
     hessian_stability_check,
     ms_accelerate,
@@ -20,11 +19,24 @@ from lpreg.accel import (
     solve_pnorm_accel,
     strong_convexity_check,
 )
-from lpreg.errors import BisectionStallError, LpregError, NonFiniteError
+from lpreg.errors import (
+    BisectionStallError,
+    BudgetExceededError,
+    LpregError,
+    NonFiniteError,
+)
 from lpreg.harness import FAMILIES, gen_instance, oracle_opt
 from lpreg.lewis import lewis_overestimates
 from lpreg.linalg import DenseMatrix, SolveCounter, gram_solve_multi
 from lpreg.problem import ProblemInstance, pnorm
+
+
+HALVING_DISTANCE_COEFF = 2.0 ** 1.5
+
+
+def distance_bound(d, p, err):
+    """Metric distance to the optimum implied by a function-error bound."""
+    return HALVING_DISTANCE_COEFF * d ** (0.5 - 1.0 / p) * err ** (1.0 / p)
 
 
 def make_problem(n, d, p, seed, center_seed=None):
@@ -260,7 +272,7 @@ class TestAcceleration:
         x0 = rng.standard_normal(3)
         b = A.a @ x0
         w = lewis_overestimates(A, 4.0)
-        x, info = ms_accelerate(A, b, 4.0, w, x0, eps=1e-8, dist_bound=1.0,
+        x, info = ms_accelerate(A, b, 4.0, w, x0, eps=1e-8,
                                 lower_bound_fn=lambda xc: 0.0)
         assert info["prox_calls"] == 0
         assert np.array_equal(x, x0)
@@ -278,7 +290,6 @@ class TestAcceleration:
         err0 = float(np.sum(np.abs(A.a @ x0 - b) ** p)) - f_star
         eps_f = err0 / 2
         x, info = ms_accelerate(A, b, p, w, x0, eps=eps_f,
-                                dist_bound=distance_bound(6, p, err0),
                                 lower_bound_fn=lambda xc: f_star)
         assert float(np.sum(np.abs(A.a @ x - b) ** p)) - f_star <= eps_f
         k = math.ceil(8 * p ** (2.0 / 3.0) * 6 ** ((p - 2) / (3 * p - 2)))
@@ -316,6 +327,13 @@ class TestAcceleration:
         # to 0; that must surface as an LpregError, not ZeroDivisionError.
         inst = gen_instance("ill_conditioned", 60, 4, 0, p=32.0)
         with pytest.raises(LpregError):
+            solve_pnorm_accel(inst)
+
+    def test_pinned_center_reports_the_stalled_gap(self):
+        # At p = 32 the dual bound stalls, the next proximal response pins
+        # its center, and the bracket reports the gap it stalled at.
+        inst = gen_instance("ill_conditioned", 60, 4, 0, p=32.0)
+        with pytest.raises(BudgetExceededError, match="relative gap"):
             solve_pnorm_accel(inst)
 
     def test_l2_initial_error_scale(self):

@@ -182,8 +182,8 @@ def test_criterion_06_energy_increase():
             v = rng.uniform(0.0, 1.0, n)
             v *= rng.uniform(0.05, 1.0) / float(
                 np.sum(v ** (p / (p - 2.0)))) ** ((p - 2.0) / p)
-            y, e_old = energy_solve(A, D, g)
-            _, e_new = energy_solve(A, D + v, g)
+            y, e_old, _ = energy_solve(A, D, g)
+            _, e_new, _ = energy_solve(A, D + v, g)
             slack = e_new - e_old - 0.5 * float(v @ (A.a @ y) ** 2)
             worst = min(worst, slack)
             if slack < -1e-9:

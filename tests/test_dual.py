@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 from scipy.linalg import null_space
 
+import lpreg.dual as dual
 from lpreg.dual import (
     DualInstance,
     dual_gamma_value,
@@ -165,6 +167,29 @@ class TestPrimalRecover:
         b = A.a @ x0
         x = primal_recover(A, b, rng.standard_normal(15), 3.0)
         assert np.allclose(x, x0, atol=1e-8)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_shift_is_the_best_over_all_reals(self, sign, monkeypatch):
+        # Without the polish the recovered point is x0 + lam x1, and lam
+        # must minimize ||e0 + lam e1||_q over the whole real line.
+        monkeypatch.setattr(dual, "RECOVER_POLISH_STEPS", 0)
+        rng = np.random.default_rng(5)
+        A = DenseMatrix(rng.standard_normal((40, 3)))
+        b = rng.standard_normal(40)
+        p = 3.0
+        q = p / (p - 1.0)
+        y = sign * rng.standard_normal(40)
+        s = np.sign(y) * np.abs(y) ** (p - 2.0)
+        x0 = np.linalg.lstsq(A.a, b, rcond=None)[0]
+        x1 = np.linalg.lstsq(A.a, s, rcond=None)[0]
+        e0, e1 = A.a @ x0 - b, A.a @ x1
+        ref = optimize.minimize_scalar(lambda t: pnorm(e0 + t * e1, q),
+                                       method="brent", tol=1e-12)
+        assert np.sign(ref.x) == sign
+        x = primal_recover(A, b, y, p)
+        lam = float((x - x0) @ x1) / float(x1 @ x1)
+        assert lam == pytest.approx(ref.x, rel=1e-5)
+        assert pnorm(A.a @ x - b, q) <= ref.fun * (1 + 1e-12)
 
     def test_random_instance_matches_oracle(self):
         rng = np.random.default_rng(4)

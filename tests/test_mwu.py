@@ -34,17 +34,17 @@ from lpreg.problem import pnorm
 
 class TestEnergySolve:
     def test_axis_gradient(self):
-        z, val = energy_solve(DenseMatrix(np.eye(2)), np.ones(2),
+        z, val, _ = energy_solve(DenseMatrix(np.eye(2)), np.ones(2),
                               np.array([1.0, 0.0]))
         assert np.allclose(z, [-1.0, 0.0]) and val == pytest.approx(1.0)
 
     def test_diagonal_gradient(self):
-        z, val = energy_solve(DenseMatrix(np.eye(2)), np.ones(2),
+        z, val, _ = energy_solve(DenseMatrix(np.eye(2)), np.ones(2),
                               np.array([1.0, 1.0]))
         assert np.allclose(z, [-0.5, -0.5]) and val == pytest.approx(0.5)
 
     def test_scaled_weights(self):
-        z, val = energy_solve(DenseMatrix(np.eye(2)),
+        z, val, _ = energy_solve(DenseMatrix(np.eye(2)),
                               np.array([2.0, 2.0]),
                               np.array([1.0, 0.0]))
         assert np.allclose(z, [-1.0, 0.0]) and val == pytest.approx(2.0)
@@ -54,7 +54,7 @@ class TestEnergySolve:
         A = DenseMatrix(rng.standard_normal((30, 4)))
         D = rng.uniform(0.5, 2.0, 30)
         g = rng.standard_normal(4)
-        z, val = energy_solve(A, D, g)
+        z, val, _ = energy_solve(A, D, g)
         assert abs(g @ z + 1.0) <= 1e-10
         az = A.a @ z
         assert val == pytest.approx(float(az @ (D * az)), rel=1e-9)
@@ -87,8 +87,8 @@ class TestEnergyIncrease:
             v = rng.uniform(0.0, 1.0, n)
             dual = float(np.sum(v ** (p / (p - 2.0)))) ** ((p - 2.0) / p)
             v *= rng.uniform(0.1, 1.0) / dual
-            y, e_old = energy_solve(A, D, g)
-            _, e_new = energy_solve(A, D + v, g)
+            y, e_old, _ = energy_solve(A, D, g)
+            _, e_new, _ = energy_solve(A, D + v, g)
             gain = 0.5 * float(v @ (A.a @ y) ** 2)
             assert e_new - e_old >= gain - 1e-9
 
@@ -163,7 +163,7 @@ class TestWoodburyConsistency:
         idx = rng.choice(n, size=6, replace=False)
         v[idx] = rng.uniform(0.0, 2.0, 6)
         predicted = woodbury_energy(st, v)
-        _, fresh = energy_solve(inst.A,
+        _, fresh, _ = energy_solve(inst.A,
                                 st.weights_diag() + v,
                                 inst.g)
         assert predicted == pytest.approx(fresh, rel=1e-8)

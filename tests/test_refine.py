@@ -1,9 +1,17 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
+from scipy import optimize
 
-from lpreg.errors import BudgetExceededError, InfeasibleError
+from lpreg.errors import (
+    BisectionStallError,
+    BudgetExceededError,
+    InfeasibleError,
+    LpregError,
+)
 from lpreg.linalg import DenseMatrix, SolveCounter
 from lpreg.mwu import MwuGammaSolver
 from lpreg.problem import ProblemInstance, pnorm
@@ -118,6 +126,55 @@ class TestLineSearch:
         u = np.array([1.0, 2.0])
         c, val = line_search_lp(u, u, 4.0)
         assert c == 0.0 and val == pytest.approx(float(np.sum(u ** 4)))
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 8.0, 16.0])
+    @pytest.mark.parametrize("scale", [5.0, 1e-7])
+    def test_matches_reference_minimizer(self, p, scale):
+        # w points back at u, so the minimizer sits near `scale`: above 1
+        # the bracket must double, below 1e-6 the root is tiny.
+        rng = np.random.default_rng(int(p * 10))
+        u = rng.standard_normal(30)
+        w = -(u + 0.3 * rng.standard_normal(30)) / scale
+
+        def f(c):
+            return float(np.sum(np.abs(u + c * w) ** p))
+
+        ref = optimize.minimize_scalar(
+            f, bounds=(0.0, 4.0 * scale), method="bounded",
+            options={"xatol": 1e-14 * scale})
+        c, val = line_search_lp(u, w, p)
+        assert val == f(c)
+        assert val <= ref.fun * (1 + 1e-12)
+        assert c == pytest.approx(ref.x, rel=1e-5)
+
+    @pytest.mark.parametrize("u, w", [
+        (np.array([np.nan, 1.0]), np.array([-1.0, -1.0])),
+        # finite at 0, overflows at the first probe c = 1
+        (np.array([1.0, -1.0]), np.array([-1.0, 1e200])),
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_slope_is_a_solver_error(self, u, w):
+        with pytest.raises(LpregError):
+            line_search_lp(u, w, 3.0)
+
+    def test_root_finder_failure_is_a_solver_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("failed to converge")
+
+        monkeypatch.setattr(optimize, "brentq", fail)
+        with pytest.raises(BisectionStallError):
+            line_search_lp(np.array([1.0, -1.0, 2.0]), -np.ones(3), 4.0)
+
+    def test_inputs_are_freed_without_the_cycle_collector(self):
+        u = np.array([1.0, -1.0, 2.0])
+        ref = weakref.ref(u)
+        gc.disable()
+        try:
+            c, _ = line_search_lp(u, -np.ones(3), 4.0)
+            del u
+            assert c > 0.0 and ref() is None
+        finally:
+            gc.enable()
 
 
 class TestDualBound:
