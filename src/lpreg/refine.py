@@ -69,38 +69,51 @@ def scalar_refine_bounds(x: float, delta: float, p: float):
 
 
 def _lp_slope(c: float, u: np.ndarray, w: np.ndarray, p: float) -> float:
-    """d/dc sum |u + c w|^p; raises NonFiniteError if it is not finite."""
+    """d/dc sum |u + c w|^p."""
     v = u + c * w
-    slope = float(p * (np.abs(v) ** (p - 1.0) * np.sign(v)) @ w)
-    if not math.isfinite(slope):
+    return float(p * (np.abs(v) ** (p - 1.0) * np.sign(v)) @ w)
+
+
+def _finite_slope(c: float, slope: Callable, *args) -> float:
+    """slope(c, *args); raises NonFiniteError if it is not finite."""
+    value = slope(c, *args)
+    if not math.isfinite(value):
         raise NonFiniteError(f"line-search slope not finite at step {c:.3g}")
-    return slope
+    return value
 
 
-def line_search_lp(u: np.ndarray, w: np.ndarray, p: float):
-    """Minimize sum |u + c w|^p over c >= 0; returns (c, value).
+def convex_line_search(slope: Callable, args: tuple) -> float:
+    """The minimizer over c >= 0 of a convex function, given its slope.
 
-    The objective is convex in c, so its minimizer is the root of the
-    slope.  The step 1 is doubled until the slope turns non-negative,
-    and brentq finds the root on the last bracket [hi/2, hi] (or [0, 1]).
+    ``slope(c, *args)`` is the nondecreasing derivative.  The step 1 is
+    doubled until the slope turns non-negative, and brentq finds the root
+    on the last bracket [hi/2, hi] (or [0, 1]); 0 is returned when the
+    slope at 0 is already non-negative.  A non-finite slope raises
+    NonFiniteError and a failed root search BisectionStallError.
     """
-    if _lp_slope(0.0, u, w, p) >= 0.0:
-        return 0.0, float(np.sum(np.abs(u) ** p))
+    if _finite_slope(0.0, slope, *args) >= 0.0:
+        return 0.0
     hi = 1.0
     for _ in range(LINE_SEARCH_DOUBLINGS):
-        if _lp_slope(hi, u, w, p) >= 0.0:
+        if _finite_slope(hi, slope, *args) >= 0.0:
             break
         hi *= 2.0
     else:
-        return hi, float(np.sum(np.abs(u + hi * w) ** p))
+        return hi
     lo = 0.0 if hi == 1.0 else 0.5 * hi
     try:
         # args=, not a closure: brentq's wrapper refers to itself, so a
-        # closure would keep u and w alive until the cycle collector runs.
-        c = optimize.brentq(_lp_slope, lo, hi, args=(u, w, p), xtol=1e-300,
-                            rtol=8.9e-16, maxiter=300)
+        # closure would keep the arguments alive until the cycle collector
+        # runs.
+        return optimize.brentq(_finite_slope, lo, hi, args=(slope, *args),
+                               xtol=1e-300, rtol=8.9e-16, maxiter=300)
     except (RuntimeError, ValueError) as exc:
         raise BisectionStallError(f"line search failed: {exc}") from exc
+
+
+def line_search_lp(u: np.ndarray, w: np.ndarray, p: float):
+    """Minimize sum |u + c w|^p over c >= 0; returns (c, value)."""
+    c = convex_line_search(_lp_slope, (u, w, p))
     return c, float(np.sum(np.abs(u + c * w) ** p))
 
 
@@ -119,7 +132,7 @@ def weak_duality_bound(A: DenseMatrix, b: np.ndarray, Y: np.ndarray, q: float,
     best = 0.0
     for k in range(Y.shape[1]):
         yhat = Y[:, k] - A.a @ sol[:, k]
-        denom = float(np.sum(np.abs(yhat))) if q == 1.0 else pnorm(yhat, q)
+        denom = pnorm(yhat, q)
         if 0.0 < denom < math.inf:
             best = max(best, -float(b @ yhat) / denom)
     return best

@@ -3,17 +3,62 @@ import math
 import numpy as np
 import pytest
 
-from lpreg.harness import oracle_opt
-from lpreg.lewis import lewis_overestimates
+from lpreg.harness import gen_instance, oracle_opt
+from lpreg.lewis import LewisOverestimate, lewis_overestimates
 from lpreg.linalg import DenseMatrix
-from lpreg.linf import (
-    linf_regress,
-    lse_eval,
-    lse_quad_form,
-    qsc_check,
-)
+from lpreg.linf import linf_regress, lse_eval
 from lpreg.problem import ProblemInstance
 from lpreg.refine import weak_duality_bound
+
+
+def lse_quad_form(J: np.ndarray, pi: np.ndarray, t: float, v: np.ndarray) -> float:
+    """v^T Hessian(lse_t o J) v = (1/t) (E_pi[(Jv)^2] - E_pi[Jv]^2)."""
+    jv = J @ v
+    mean = float(pi @ jv)
+    return (float(pi @ (jv * jv)) - mean * mean) / t
+
+
+def qsc_check(A: DenseMatrix, b: np.ndarray, w: LewisOverestimate,
+              x: np.ndarray, t: float, directions: int = 100, seed=0):
+    """Sampled smoothness and quasi-self-concordance in the weight metric.
+
+    For random direction pairs (v, h) checks the Hessian quadratic form
+    against (1/t) ||v||^2 and the finite-difference third derivative
+    against (2/t) (v^T H v) ||h||, both measured in the A^T W A norm.
+    Returns (worst smoothness ratio, worst third-order ratio).
+    """
+    J = np.vstack([A.a, -A.a])
+    wv = np.asarray(w.weights, dtype=float)
+    rng = np.random.default_rng(seed)
+
+    def metric_norm(v):
+        av = A.a @ v
+        return math.sqrt(float(av @ (wv * av)))
+
+    def quad_at(xp, v):
+        u = A.a @ xp - b
+        _, pi = lse_eval(np.concatenate([u, -u]), t)
+        return lse_quad_form(J, pi, t, v)
+
+    worst_smooth = 0.0
+    worst_qsc = 0.0
+    for _ in range(directions):
+        v = rng.standard_normal(A.d)
+        h = rng.standard_normal(A.d)
+        hn = metric_norm(h)
+        if hn == 0:
+            continue
+        h = h / hn
+        quad = quad_at(x, v)
+        bound = metric_norm(v) ** 2 / t
+        if bound > 0:
+            worst_smooth = max(worst_smooth, quad / bound)
+        step = 3e-4 * t
+        third = (quad_at(x + step * h, v) - quad_at(x - step * h, v)) / (2 * step)
+        qsc_bound = (2.0 / t) * quad
+        if qsc_bound > 0:
+            worst_qsc = max(worst_qsc, abs(third) / qsc_bound)
+    return worst_smooth, worst_qsc
 
 
 class TestLseEval:
@@ -159,3 +204,17 @@ class TestLinfRegress:
         assert rep.p == math.inf
         assert rep.phase_counts["newton_steps"] > 0
         assert rep.gram_solves > 0
+
+    @pytest.mark.parametrize("family", ["gaussian", "ill_conditioned",
+                                        "planted_residual", "coherent_rows"])
+    def test_one_gram_solve_per_newton_step(self, family):
+        inst = gen_instance(family, 60, 4, 0, p=math.inf, eps=1e-4)
+        _, rep = linf_regress(inst, seed=0)
+        assert rep.phase_counts["newton"] == rep.phase_counts["newton_steps"]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ill_conditioned_certifies_at_tight_eps(self, seed):
+        inst = gen_instance("ill_conditioned", 60, 4, seed, p=math.inf,
+                            eps=1e-8)
+        _, rep = linf_regress(inst, seed=seed)
+        assert rep.certified_gap <= 1e-8

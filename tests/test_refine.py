@@ -13,12 +13,14 @@ from lpreg.errors import (
     LpregError,
 )
 from lpreg.linalg import DenseMatrix, SolveCounter
+from lpreg.linf import _lse_slope, lse_eval
 from lpreg.mwu import MwuGammaSolver
 from lpreg.problem import ProblemInstance, pnorm
 from lpreg.refine import (
     ROUND_RETRIES,
     GammaSolverContract,
     bregman_terms,
+    convex_line_search,
     line_search_lp,
     lp_dual_bound,
     refine_to_accuracy,
@@ -145,6 +147,23 @@ class TestLineSearch:
         c, val = line_search_lp(u, w, p)
         assert val == f(c)
         assert val <= ref.fun * (1 + 1e-12)
+        assert c == pytest.approx(ref.x, rel=1e-5)
+
+    @pytest.mark.parametrize("t", [1.0, 1e-3])
+    def test_softmax_minimizer_matches_reference(self, t):
+        # the linf Newton step's search: lse_t(z + c jd) over c >= 0
+        rng = np.random.default_rng(11)
+        u = rng.standard_normal(40)
+        du = -(u + 0.2 * rng.standard_normal(40))
+        z, jd = np.concatenate([u, -u]), np.concatenate([du, -du])
+
+        def f(c):
+            return lse_eval(z + c * jd, t)[0]
+
+        ref = optimize.minimize_scalar(f, bounds=(0.0, 4.0), method="bounded",
+                                       options={"xatol": 1e-14})
+        c = convex_line_search(_lse_slope, (z, jd, t))
+        assert f(c) <= ref.fun + 1e-14 * abs(ref.fun)
         assert c == pytest.approx(ref.x, rel=1e-5)
 
     @pytest.mark.parametrize("u, w", [
