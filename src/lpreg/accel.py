@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh, solve_triangular
@@ -106,6 +107,15 @@ class MetricPencil:
         return z / (8.0 * self.lam + self.c * tau)
 
 
+class ProxEval(NamedTuple):
+    """The proximal objective at one point x, from its image A (x - center)."""
+
+    f_reg: float
+    dist: float             # ||x - center||_M
+    grad: np.ndarray        # gradient of f_reg
+    glin: np.ndarray        # grad minus 4 times the surrogate's gradient
+
+
 @dataclass
 class ProxProblem:
     """One proximal subproblem: f(x) + C_p ||x - center||_M^p.
@@ -115,7 +125,8 @@ class ProxProblem:
     Hessians 8 A^T H_c A + c tau M at the center, go through one
     :class:`MetricPencil`, built on first use.  ``qr`` is A's reduced QR
     factorization, which a caller that builds many centers on the same A
-    computes once and passes in.
+    computes once and passes in.  The center's image A y and its residual
+    A y - b are formed once, so a point x enters only through A (x - y).
     """
 
     A: DenseMatrix
@@ -132,9 +143,11 @@ class ProxProblem:
         self.m_diag = np.maximum(self.weights.weights, WEIGHT_FLOOR) ** (
             1.0 - 2.0 / self.p)
         self.center = np.asarray(self.center, dtype=float)
+        self.a_center = self.A.a @ self.center
+        self.u_center = self.a_center - self.b
         with np.errstate(over="ignore"):
             self._hess_center = self.p * (self.p - 1.0) * np.abs(
-                self.A.a @ self.center - self.b) ** (self.p - 2.0)
+                self.u_center) ** (self.p - 2.0)
         if not np.all(np.isfinite(self._hess_center)):
             raise InvalidInputError("center residuals overflow the exponent")
         if self.qr is None:
@@ -159,6 +172,29 @@ class ProxProblem:
             counter.tick(1, phase)
         return z
 
+    def evaluate(self, s: np.ndarray) -> ProxEval:
+        """The objective, distance and both gradients at x, from s = A (x - y).
+
+        With u = A x - b, g_u = p |u|^{p-2} u and r = p C_p dist^{p-2}, one
+        two-column product with A^T gives grad f_reg = A^T (g_u + r M s) and
+        glin = grad f_reg - 4 (2 A^T H_c s + r A^T M s)
+             = A^T (g_u - 8 H_c s - 3 r M s).
+        """
+        p = self.p
+        u = self.u_center + s
+        ms = self.m_diag * s
+        dist = math.sqrt(float(s @ ms))
+        r = p * self.cp * fpow(dist, p - 2.0)
+        with np.errstate(over="ignore"):
+            au = np.abs(u)
+            f_val = float(np.sum(au ** p))
+            g_u = p * au ** (p - 2.0) * u
+            rows = np.stack([g_u + r * ms,
+                             g_u - 8.0 * self._hess_center * s - 3.0 * r * ms])
+        grads = rows @ self.A.a
+        return ProxEval(f_val + self.cp * fpow(dist, p), dist,
+                        grads[0], grads[1])
+
     def f(self, x: np.ndarray) -> float:
         with np.errstate(over="ignore"):
             return float(np.sum(np.abs(self.A.a @ x - self.b) ** self.p))
@@ -171,19 +207,11 @@ class ProxProblem:
         av = self.A.a @ v
         return math.sqrt(float(av @ (self.m_diag * av)))
 
-    def m_apply(self, v: np.ndarray) -> np.ndarray:
-        return self.A.a.T @ (self.m_diag * (self.A.a @ v))
-
     def f_reg(self, x: np.ndarray) -> float:
-        return self.f(x) + self.cp * fpow(self.m_norm(x - self.center), self.p)
+        return self.evaluate(self.A.a @ (x - self.center)).f_reg
 
     def grad_f_reg(self, x: np.ndarray) -> np.ndarray:
-        step = x - self.center
-        dist = self.m_norm(step)
-        out = self.grad_f(x)
-        if dist > 0:
-            out = out + self.p * self.cp * dist ** (self.p - 2.0) * self.m_apply(step)
-        return out
+        return self.evaluate(self.A.a @ (x - self.center)).grad
 
     def m_inv_norm(self, v: np.ndarray,
                    counter: SolveCounter | None = None) -> float:
@@ -192,50 +220,35 @@ class ProxProblem:
 
 @dataclass
 class ProxCertificate:
-    """Near-stationarity record for a proximal solve."""
+    """Near-stationarity record for a proximal solve at distance ``dist``."""
 
     x: np.ndarray
     residual: float
     threshold: float
-    alpha: float
-    delta: float
     inner_iterations: int
     tau: float
+    dist: float
 
     @property
     def satisfied(self) -> bool:
         return self.residual <= self.threshold
 
 
-def _tau_step(prob: ProxProblem, glin: np.ndarray, tau: float,
-              counter: SolveCounter | None = None) -> np.ndarray:
-    """Minimizer s of <glin, s> + 4||s||_H^2 + 2 e p^{p+1} tau ||s||_M^2.
-
-    One Gram solve against 8 A^T H_c A + 4 p C_p tau A^T M A.
-    """
-    pencil = prob.pencil(counter)
-    if counter is not None:
-        counter.tick(1, "prox")
-    return -(pencil.t @ pencil.scaled(pencil.coords(glin), tau))
-
-
 def _solve_inner_subproblem(prob: ProxProblem, glin: np.ndarray, tau_seed: float,
                             counter: SolveCounter | None):
-    """Pick tau >= 0 so that tau^{2/(p-2)} = ||x(tau) - y||_M^2, then step.
+    """Pick tau >= 0 so that tau^{2/(p-2)} = ||s(tau)||_M^2; return (s, tau).
 
-    The left side grows and the step shrinks as tau increases, so the
-    complementarity gap is monotone and a bracketed root-find applies.
+    s(tau) minimizes <glin, s> + 4||s||_H^2 + 2 e p^{p+1} tau ||s||_M^2 for
+    p > 2.  The left side grows and the step shrinks as tau increases, so
+    the complementarity gap is monotone and a bracketed root-find applies.
     In the center's pencil basis the rhs coordinates z = T^T glin are
-    formed once, and ||x(tau) - y||_M^2 = sum z_i^2 / (8 lam_i + c tau)^2
+    formed once, and ||s(tau)||_M^2 = sum z_i^2 / (8 lam_i + c tau)^2
     costs O(d) per probe.  Each distinct probed tau counts as one Gram
     solve, as the direct solve it replaces would.
     """
     p = prob.p
-    if p == 2.0:
-        # tau merges into the quadratic
-        return prob.center + _tau_step(prob, glin, 1.0, counter), 1.0
     if not np.any(glin):
-        return prob.center.copy(), 0.0
+        return np.zeros_like(prob.center), 0.0
     pencil = prob.pencil(counter)
     z = pencil.coords(glin)
     probed = set()
@@ -278,7 +291,7 @@ def _solve_inner_subproblem(prob: ProxProblem, glin: np.ndarray, tau_seed: float
         tau = hi
     else:
         tau = brentq(gap, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=300)
-    return prob.center - pencil.t @ coords_at(tau), tau
+    return -(pencil.t @ coords_at(tau)), tau
 
 
 def prox_solve(prob: ProxProblem, x0: np.ndarray | None = None,
@@ -289,112 +302,55 @@ def prox_solve(prob: ProxProblem, x0: np.ndarray | None = None,
     Runs relative-smoothness descent steps until the stationarity residual
     measured in the inverse metric drops below
     e alpha p^{p+1} ||x - y||_M^{p-1} + tol with alpha = 1/(128 p^2).
+    Each step forms the image A (x - y) of its new point once; the
+    objective, the distance and both gradients come from it.
     """
-    p, y = prob.p, prob.center
-    alpha = PROX_ALPHA_SCALE / p ** 2
+    p, y, a = prob.p, prob.center, prob.A.a
+    scale = math.e * PROX_ALPHA_SCALE * p ** (p - 1.0)     # e alpha p^{p+1}
+
+    def certify(x, ev, it, tau):
+        return ProxCertificate(x, prob.m_inv_norm(ev.grad, counter),
+                               scale * ev.dist ** (p - 1.0) + tol, it, tau,
+                               ev.dist)
+
     if p == 2.0:
         # The regularized objective is itself a quadratic; minimize exactly.
-        diag = np.ones(prob.A.n) + prob.cp * prob.m_diag
-        rhs = prob.A.a.T @ prob.b + prob.cp * prob.m_apply(y)
+        diag = 1.0 + prob.cp * prob.m_diag
+        rhs = a.T @ (prob.b + prob.cp * prob.m_diag * prob.a_center)
         x = gram_solve_multi(prob.A, diag, rhs, counter=counter,
                              phase="prox")
-        residual = prob.m_inv_norm(prob.grad_f_reg(x), counter=counter)
-        thr = math.e * alpha * p ** (p + 1) * prob.m_norm(x - y) + tol
-        return ProxCertificate(x=x, residual=residual, threshold=thr,
-                               alpha=alpha, delta=tol, inner_iterations=1,
-                               tau=1.0)
+        return certify(x, prob.evaluate(a @ (x - y)), 1, 1.0)
     x = y.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
-    best_x, best_val = x, prob.f_reg(x)
-    tau = fpow(max(prob.m_norm(x - y), 1e-8), p - 2.0)
+    ev = prob.evaluate(a @ (x - y))
+    tau = fpow(max(ev.dist, 1e-8), p - 2.0)
     if not math.isfinite(tau):
         x, tau = y.copy(), 1.0
-        best_x, best_val = x, prob.f_reg(x)
+        ev = prob.evaluate(a @ (x - y))
+    best_x, best_ev = x, ev
     cap = int(INNER_RATE_CONSTANT * max(math.log(1.0 / min(tol, 0.5)), 1.0)) + 8
     stall = 0
-    cert = None
     for it in range(cap):
-        grad = prob.grad_f_reg(x)
-        residual = prob.m_inv_norm(grad, counter=counter)
-        threshold = (math.e * alpha * p ** (p + 1)
-                     * prob.m_norm(x - y) ** (p - 1.0) + tol)
-        cert = ProxCertificate(x=x, residual=residual, threshold=threshold,
-                               alpha=alpha, delta=tol, inner_iterations=it,
-                               tau=tau)
-        if residual <= threshold:
+        cert = certify(x, ev, it, tau)
+        if cert.satisfied:
             return cert
-        step = x - y
-        dist = prob.m_norm(step)
-        grad_h = 2.0 * (prob.A.a.T @ (prob._hess_center * (prob.A.a @ step)))
-        if dist > 0:
-            grad_h = grad_h + p * prob.cp * dist ** (p - 2.0) * prob.m_apply(step)
-        glin = grad - 4.0 * grad_h
-        x_new, tau = _solve_inner_subproblem(prob, glin, max(tau, 1e-30), counter)
-        val = prob.f_reg(x_new)
-        if val < best_val * (1.0 + 1e-12) + 1e-300:
-            if val < best_val:
-                best_x, best_val = x_new, val
-                stall = 0
-            else:
-                stall += 1
-            x = x_new
+        step, tau = _solve_inner_subproblem(prob, ev.glin, tau, counter)
+        x_new = y + step
+        ev_new = prob.evaluate(a @ (x_new - y))
+        if ev_new.f_reg < best_ev.f_reg:
+            best_x, best_ev, stall = x_new, ev_new, 0
         else:
             stall += 1
-            x = best_x.copy()
+        near_best = ev_new.f_reg < best_ev.f_reg * (1.0 + 1e-12) + 1e-300
+        x, ev = (x_new, ev_new) if near_best else (best_x, best_ev)
         if stall >= 6:
             return cert
     return cert
 
 
-def hessian_stability_check(y: np.ndarray, x: np.ndarray, prob: ProxProblem,
-                            samples: int = 200, seed=0) -> float:
-    """Worst violation of the factor-e sandwich between the two Hessians.
-
-    Samples quadratic forms of the regularized objective's Hessian at x
-    against the surrogate centered at y; returns the largest of
-    q_f / (e q_h) and q_h / (e q_f), which must stay at most 1 + 1e-8.
-    """
-    p = prob.p
-    A = prob.A.a
-    rng = np.random.default_rng(seed)
-    hess_x = p * (p - 1.0) * np.abs(A @ x - prob.b) ** (p - 2.0)
-    hess_y = p * (p - 1.0) * np.abs(A @ y - prob.b) ** (p - 2.0)
-    step = x - y
-    dist = prob.m_norm(step)
-    m_step = prob.m_apply(step) if dist > 0 else None
-    worst = 0.0
-    for _ in range(samples):
-        z = rng.standard_normal(prob.A.d)
-        az = A @ z
-        q_reg = 0.0
-        if dist > 0 and p > 2:
-            q_reg = (p * prob.cp * dist ** (p - 2.0) * float(az @ (prob.m_diag * az))
-                     + p * (p - 2.0) * prob.cp * dist ** (p - 4.0)
-                     * float(m_step @ z) ** 2)
-        elif p == 2:
-            q_reg = 2.0 * prob.cp * float(az @ (prob.m_diag * az))
-        q_f = float(az @ (hess_x * az)) + q_reg
-        q_h = 2.0 * float(az @ (hess_y * az)) + q_reg
-        if q_f <= 0 and q_h <= 0:
-            continue
-        worst = max(worst, q_f / (math.e * q_h), q_h / (math.e * q_f))
-    return worst
-
-
-def strong_convexity_check(y: np.ndarray, delta: np.ndarray, p: float) -> bool:
-    """Uniform convexity of the p-th power norm along delta."""
-    y = np.asarray(y, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    v = p * np.abs(y) ** (p - 1.0) * np.sign(y)
-    lhs = (float(np.sum(np.abs(y) ** p)) + float(v @ delta)
-           + (p - 1.0) / (p * 2.0 ** p) * float(np.sum(np.abs(delta) ** p)))
-    rhs = float(np.sum(np.abs(y + delta) ** p))
-    scale = abs(lhs) + abs(rhs) + 1.0
-    return lhs <= rhs + 1e-9 * scale
-
-
 def _pins_center(prob: ProxProblem, dist: float) -> bool:
     """Whether a proximal response at distance dist leaves the center put."""
-    return dist <= 1e-15 * (1.0 + prob.m_norm(prob.center))
+    ac = prob.a_center
+    return dist <= 1e-15 * (1.0 + math.sqrt(float(ac @ (prob.m_diag * ac))))
 
 
 def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
@@ -424,8 +380,15 @@ def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
     v = x.copy()
     acc_weight = 0.0
     lam = None
-    prox_calls = 0
-    inner_total = 0
+    inner = []      # inner iterations of each proximal response
+
+    def respond(x_tilde):
+        """The proximal response at center x_tilde, solved from x."""
+        prob = ProxProblem(A, b, p, weights, x_tilde, qr)
+        cert = prox_solve(prob, x0=x, tol=PROX_TOL, counter=counter)
+        inner.append(cert.inner_iterations)
+        return prob, cert
+
     f_x = f(x)
     stall = 0
     for _ in range(max_steps):
@@ -435,7 +398,6 @@ def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
                 break
         prob_center = None
         lam_try = lam
-        dist = 0.0
         for _ in range(MS_BISECTION_CAP):
             if acc_weight == 0.0:
                 x_tilde = v.copy()
@@ -448,25 +410,20 @@ def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
                 lam_try *= 0.25
                 prob_center = None
                 continue
-            if prob_center is None or not np.array_equal(prob_center.center, x_tilde):
-                prob_center = ProxProblem(A, b, p, weights, x_tilde, qr)
-                cert = prox_solve(prob_center, x0=x, tol=PROX_TOL, counter=counter)
-                prox_calls += 1
-                inner_total += cert.inner_iterations
-            dist = prob_center.m_norm(cert.x - x_tilde)
+            prob_center, cert = respond(x_tilde)
             if acc_weight == 0.0 or p == 2.0:
                 # x_tilde has no lambda dependence; set the scale directly,
                 # unless the response pins the center (handled below).
-                if _pins_center(prob_center, dist):
+                if _pins_center(prob_center, cert.dist):
                     break
-                denom = p * cp * fpow(max(dist, 1e-30), p - 2.0)
+                denom = p * cp * fpow(max(cert.dist, 1e-30), p - 2.0)
                 if not (math.isfinite(denom) and denom > 0.0):
                     raise BisectionStallError(
                         f"step scale left the float range: p C_p "
-                        f"dist^(p-2) = {denom:.3g} at dist {dist:.3g}")
+                        f"dist^(p-2) = {denom:.3g} at dist {cert.dist:.3g}")
                 lam_try = 1.0 / denom
                 break
-            measure = lam_try * p * cp * fpow(dist, p - 2.0)
+            measure = lam_try * p * cp * fpow(cert.dist, p - 2.0)
             if 0.5 <= measure <= 2.0:
                 break
             lam_try = lam_try * 2.0 if measure < 0.5 else lam_try * 0.5
@@ -474,12 +431,8 @@ def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
         if prob_center is None:
             if not np.all(np.isfinite(x_tilde)):
                 break
-            prob_center = ProxProblem(A, b, p, weights, x_tilde, qr)
-            cert = prox_solve(prob_center, x0=x, tol=PROX_TOL, counter=counter)
-            prox_calls += 1
-            inner_total += cert.inner_iterations
-            dist = prob_center.m_norm(cert.x - x_tilde)
-        if _pins_center(prob_center, dist):
+            prob_center, cert = respond(x_tilde)
+        if _pins_center(prob_center, cert.dist):
             # The proximal response pins the center: x_tilde is stationary.
             if prob_center.f_reg(cert.x) <= f_x:
                 x, f_x = cert.x, f(cert.x)
@@ -507,12 +460,11 @@ def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
             stall += 1
         if stall >= 20:
             break
-    info = {"prox_calls": prox_calls, "inner_iterations": inner_total,
+    info = {"prox_calls": len(inner), "inner_iterations": sum(inner),
             "f_value": f_x}
     if stats is not None:
-        stats["prox_calls"] = stats.get("prox_calls", 0) + prox_calls
-        stats["inner_iterations"] = (stats.get("inner_iterations", 0)
-                                     + inner_total)
+        for key in ("prox_calls", "inner_iterations"):
+            stats[key] = stats.get(key, 0) + info[key]
     return x, info
 
 

@@ -122,7 +122,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (InvalidInputError, RankDeficientError, NonFiniteError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+            OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"lpreg: invalid input: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except LpregError as exc:

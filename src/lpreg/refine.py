@@ -55,19 +55,6 @@ def bregman_terms(x: np.ndarray, p: float):
     return p * r * x, r
 
 
-def scalar_refine_bounds(x: float, delta: float, p: float):
-    """Sandwich for |x+d|^p - |x|^p - g d by quadratic-plus-p-power envelopes.
-
-    Returns (lower, upper, actual); callers assert lower <= actual <= upper.
-    """
-    r = abs(x) ** (p - 2.0)
-    g = p * r * x
-    actual = abs(x + delta) ** p - abs(x) ** p - g * delta
-    lower = (p / 8.0) * r * delta ** 2 + 2.0 ** (-p - 1) * abs(delta) ** p
-    upper = 2.0 * p ** 2 * r * delta ** 2 + p ** p * abs(delta) ** p
-    return lower, upper, actual
-
-
 def _lp_slope(c: float, u: np.ndarray, w: np.ndarray, p: float) -> float:
     """d/dc sum |u + c w|^p."""
     v = u + c * w
@@ -167,33 +154,6 @@ class GammaSolverContract:
 
     gamma: float
     callback: Callable
-
-
-@dataclass
-class GammaCertificate:
-    """A candidate direction with the two quantities its contract bounds."""
-
-    delta: np.ndarray
-    quad_value: float
-    pnorm_value: float
-
-    @classmethod
-    def evaluate(cls, A: DenseMatrix, R: np.ndarray, p: float,
-                 delta: np.ndarray) -> "GammaCertificate":
-        az = A.a @ np.asarray(delta, dtype=float)
-        return cls(delta=np.asarray(delta, dtype=float),
-                   quad_value=float(az @ (R * az)),
-                   pnorm_value=float(np.sum(np.abs(az) ** p)))
-
-    def within(self, gamma: float, p: float, opt_value: float,
-               rtol: float = 1e-9) -> bool:
-        if opt_value < 0:
-            return False
-        quad_ok = self.quad_value <= gamma * opt_value * (1 + rtol)
-        pn = max(self.pnorm_value, 1e-300)
-        pnorm_ok = (math.log(pn) <= (p - 1.0) * math.log(gamma)
-                    + math.log(max(opt_value, 1e-300)) + rtol)
-        return quad_ok and pnorm_ok
 
 
 @dataclass

@@ -10,14 +10,11 @@ from lpreg.accel import (
     MetricPencil,
     ProxProblem,
     _solve_inner_subproblem,
-    _tau_step,
     halve_error,
-    hessian_stability_check,
     ms_accelerate,
     prox_solve,
     reg_coefficient,
     solve_pnorm_accel,
-    strong_convexity_check,
 )
 from lpreg.errors import (
     BisectionStallError,
@@ -29,6 +26,8 @@ from lpreg.harness import FAMILIES, gen_instance, oracle_opt
 from lpreg.lewis import lewis_overestimates
 from lpreg.linalg import DenseMatrix, SolveCounter, gram_solve_multi
 from lpreg.problem import ProblemInstance, pnorm
+
+from diagnostics import hessian_stability_check, strong_convexity_check
 
 
 HALVING_DISTANCE_COEFF = 2.0 ** 1.5
@@ -148,12 +147,13 @@ class TestMetricPencil:
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("p", [4.0, 8.0])
     def test_steps_match_qr_reference(self, family, p):
-        # Compare the steps themselves: center + step cancels at large tau.
+        # The returned step at the returned tau; scaling glin moves the
+        # root tau across decades (about 1e-62 to 1e5 over these cases).
         prob = family_problem(family, p)
         glin = np.random.default_rng(1).standard_normal(16)
-        for tau in (1e-12, 1.0, 1e6):
-            step = _tau_step(prob, glin, tau)
-            ref = qr_tau_step(prob, glin, tau)
+        for scale in (1e-6, 1.0, 1e6):
+            step, tau = _solve_inner_subproblem(prob, scale * glin, 1.0, None)
+            ref = qr_tau_step(prob, scale * glin, tau)
             assert prob.m_norm(step - ref) <= 1e-8 * prob.m_norm(ref)
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -227,6 +227,60 @@ class TestMetricPencil:
         monkeypatch.setattr(accel, "fpow", lambda base, expo: math.inf)
         with pytest.raises(BisectionStallError):
             _solve_inner_subproblem(prob, np.ones(16), 1.0, None)
+
+
+class CountingMatrix(np.ndarray):
+    """An array that tallies every matrix product it takes part in."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            CountingMatrix.products += 1
+        inputs = tuple(np.asarray(v) if isinstance(v, CountingMatrix) else v
+                       for v in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+class TestInnerStep:
+    @pytest.mark.parametrize("family", ["gaussian", "ill_conditioned"])
+    @pytest.mark.parametrize("p", [4.0, 8.0])
+    def test_two_products_with_a_per_inner_iteration(self, family, p):
+        inst = gen_instance(family, 160, 8, 0, p=p)
+        x0 = np.linalg.lstsq(inst.A.a, inst.b, rcond=None)[0]
+        center = x0 + 0.1 * np.random.default_rng(4).standard_normal(8)
+        prob = ProxProblem(inst.A, inst.b, p, lewis_overestimates(inst.A, p),
+                           center)
+        prob.A.a = prob.A.a.view(CountingMatrix)
+        CountingMatrix.products = 0
+        cert = prox_solve(prob, x0=x0, tol=1e-14)
+        assert cert.inner_iterations >= 5
+        assert CountingMatrix.products <= 2 * cert.inner_iterations + 4
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("p", [4.0, 8.0])
+    def test_glin_matches_separate_products(self, family, p):
+        # glin = grad f_reg - 4 grad h, with h the surrogate at the center:
+        # 2 ||x - y||_{H_c}^2 + C_p ||x - y||_M^p.
+        prob = family_problem(family, p)
+        a = prob.A.a
+        x = prob.center + 1e-3 * np.random.default_rng(5).standard_normal(16)
+        ev = prob.evaluate(a @ (x - prob.center))
+        step = x - prob.center
+        dist = prob.m_norm(step)
+        grad_h = (2.0 * a.T @ (prob._hess_center * (a @ step))
+                  + p * prob.cp * dist ** (p - 2.0)
+                  * (a.T @ (prob.m_diag * (a @ step))))
+        ref = prob.grad_f_reg(x) - 4.0 * grad_h
+        assert ev.dist == dist
+        assert np.linalg.norm(ev.glin - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("p", [2.0, 4.0, 8.0])
+    def test_certificate_carries_its_distance(self, p):
+        prob = make_problem(50, 4, p, 22)
+        x0 = prob.center + np.random.default_rng(23).standard_normal(4)
+        cert = prox_solve(prob, x0=x0, tol=1e-12)
+        assert cert.dist == prob.m_norm(cert.x - prob.center)
 
 
 class TestStrongConvexity:

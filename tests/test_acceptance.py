@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lpreg.accel import ProxProblem, hessian_stability_check
+from lpreg.accel import ProxProblem
 from lpreg.errors import (
     EnergyIncreaseViolationError,
     LpregError,
@@ -38,6 +38,8 @@ from lpreg.lewis import (
 from lpreg.linalg import DenseMatrix, leverage_scores
 from lpreg.mwu import energy_solve, width_reduced_oracle
 from lpreg.problem import ProblemInstance, pnorm
+
+from diagnostics import hessian_stability_check, strong_convexity_check
 
 FAMILIES = ("gaussian", "ill_conditioned", "planted_residual", "coherent_rows")
 SIZE_BY_P = {2.0: (60, 5), 3.0: (50, 4), 4.0: (40, 4), 8.0: (30, 3)}
@@ -275,7 +277,6 @@ def test_criterion_09_scalar_grids():
         rhs = math.e * np.abs(x4) ** (p - 2) + p ** (p - 2) * np.abs(y4) ** (p - 2)
         if not np.all(lhs <= rhs + 1e-9 + 1e-12 * rhs):
             bad.append(f"shifted power p={p}")
-    from lpreg.accel import strong_convexity_check
     rng = np.random.default_rng(77)
     for p in (1.5, 2.0, 3.0, 4.0, 8.0):
         for _ in range(100):

@@ -47,6 +47,24 @@ class TestSolveCommand:
     def test_invalid_input_exit_code(self, tmp_path, capsys):
         assert main(["solve", "--matrix", str(tmp_path / "missing.txt"),
                      "--rhs", str(tmp_path / "missing.txt"), "--p", "4"]) == 3
+        # unreadable paths: a directory, a non-UTF-8 file, a report path
+        # that is a directory (written after the solve)
+        inst, mpath, vpath = write_instance(tmp_path)
+        binary = tmp_path / "binary.txt"
+        binary.write_bytes(b"\xff\xfe\x00 1.0\n")
+        assert main(["solve", "--matrix", str(tmp_path), "--rhs", vpath,
+                     "--p", "4"]) == 3
+        assert main(["solve", "--matrix", str(binary), "--rhs", vpath,
+                     "--p", "4"]) == 3
+        assert main(["solve", "--matrix", mpath, "--rhs", vpath, "--p", "4",
+                     "--report", str(tmp_path)]) == 3
+        cfg = {"method": "accel", "p": 4.0, "eps": 1e-6, "family": "gaussian",
+               "sizes": [[16, 2]], "seeds": [0], "output_dir": mpath}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["bench", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("lpreg: invalid input") == 5
 
     def test_method_mismatch_is_input_error(self, tmp_path, capsys):
         inst, mpath, vpath = write_instance(tmp_path)

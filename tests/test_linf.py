@@ -6,6 +6,7 @@ import pytest
 from lpreg.harness import gen_instance, oracle_opt
 from lpreg.lewis import LewisOverestimate, lewis_overestimates
 from lpreg.linalg import DenseMatrix
+from lpreg import linf
 from lpreg.linf import linf_regress, lse_eval
 from lpreg.problem import ProblemInstance
 from lpreg.refine import weak_duality_bound
@@ -145,6 +146,35 @@ class TestLinfDualBound:
             assert multi == pytest.approx(max(singles), rel=1e-12)
             assert 0.0 < multi <= opt * (1 + 1e-9)
             assert all(lb <= opt * (1 + 1e-9) for lb in singles)
+
+    @pytest.mark.parametrize("family", ["gaussian", "coherent_rows",
+                                        "planted_residual"])
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4])
+    def test_low_temperatures_never_win(self, family, eps, monkeypatch):
+        # At every iterate a bench-like solve bounds, the softmax
+        # candidates at temperatures below 0.1 times the max residual
+        # never beat the bound best_linf_bound returns.
+        calls = []
+        bound = linf.best_linf_bound
+
+        def recording(A, b, x, counter=None):
+            value = bound(A, b, x, counter)
+            calls.append((A, b, x, value))
+            return value
+
+        monkeypatch.setattr(linf, "best_linf_bound", recording)
+        linf_regress(gen_instance(family, 160, 8, 0, p=math.inf, eps=eps))
+        assert calls
+        for A, b, x, value in calls:
+            u = A.a @ x - b
+            hi = float(np.max(np.abs(u)))
+            stacked = np.concatenate([u, -u])
+            dropped = []
+            for scale in (0.03, 0.01, 3e-3, 1e-3, 3e-4, 1e-4, 1e-5):
+                pi = lse_eval(stacked, scale * hi)[1]
+                dropped.append(pi[:A.n] - pi[A.n:])
+            assert weak_duality_bound(A, b, np.column_stack(dropped),
+                                      1.0) <= value
 
 
 class TestLinfRegress:

@@ -31,6 +31,8 @@ from lpreg.mwu import (
 )
 from lpreg.problem import pnorm
 
+from diagnostics import GammaCertificate
+
 
 class TestEnergySolve:
     def test_axis_gradient(self):
@@ -400,7 +402,6 @@ class TestGammaContract:
         delta = solver(nu, g_n, R, x=None)
         assert abs(float(g_n @ (A.a @ delta)) + nu) <= 1e-8 * nu
         opt = residual_opt_bruteforce(A, g_n, R, p, nu)
-        from lpreg.refine import GammaCertificate
         cert = GammaCertificate.evaluate(A, R, p, delta)
         assert cert.within(gamma_value(p), p, opt)
         assert cert.quad_value == pytest.approx(

@@ -25,8 +25,9 @@ from lpreg.refine import (
     lp_dual_bound,
     refine_to_accuracy,
     refinement_round,
-    scalar_refine_bounds,
 )
+
+from diagnostics import scalar_refine_bounds
 
 
 class TestBregmanTerms:
