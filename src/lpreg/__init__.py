@@ -11,9 +11,7 @@ from .linalg import (
 from .lewis import (
     LewisOverestimate,
     RegularizedLewisWeights,
-    exact_lewis_oracle,
     lewis_overestimates,
-    norm_sandwich_check,
     reg_lewis,
 )
 from .problem import ProblemInstance
@@ -29,9 +27,7 @@ __all__ = [
     "leverage_scores",
     "LewisOverestimate",
     "RegularizedLewisWeights",
-    "exact_lewis_oracle",
     "lewis_overestimates",
-    "norm_sandwich_check",
     "reg_lewis",
     "SolveReport",
 ]

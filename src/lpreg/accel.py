@@ -52,9 +52,11 @@ MAX_ACCEL_P = 14.0
 
 
 def fpow(base: float, expo: float) -> float:
-    """Float power that saturates to inf instead of raising."""
-    with np.errstate(over="ignore"):
-        return float(np.float64(base) ** np.float64(expo))
+    """Power of a nonnegative float that saturates to inf instead of raising."""
+    try:
+        return math.pow(base, expo)
+    except OverflowError:
+        return math.inf
 
 
 def reg_coefficient(p: float) -> float:

@@ -18,7 +18,6 @@ from .linalg import DenseMatrix, SolveCounter, gram_solve_multi
 from .problem import ProblemInstance, pnorm
 from .refine import BracketSteps, certified_solve, line_search_lp, refinement_round
 
-DUAL_QUAD_BOUND = 6.0              # proof value 3, slack 2
 MAX_DUAL_ROUNDS = 400
 RECOVER_POLISH_STEPS = 12          # reweighted least-squares polish steps
 
@@ -37,7 +36,6 @@ class DualInstance:
     v: np.ndarray
     R: np.ndarray
     p: float
-    witness: np.ndarray | None = None
 
     def __post_init__(self):
         self.v = np.asarray(self.v, dtype=float)
@@ -48,30 +46,17 @@ class DualInstance:
 
 
 def stack_instance(A: DenseMatrix, b: np.ndarray, g: np.ndarray,
-                   R: np.ndarray, p: float,
-                   witness: np.ndarray | None = None) -> DualInstance:
-    """Canonical stacking with right-hand side (0, ..., 0, 1, -1)."""
-    U = DenseMatrix(np.column_stack([A.a, b, g]))
+                   R: np.ndarray, p: float) -> DualInstance:
+    """Canonical stacking with right-hand side (0, ..., 0, 1, -1).
+
+    The stack is trusted: its caller passes a b outside the range of A
+    and a g outside the range of [A b] (see :class:`DualStepOracle`); a
+    non-finite g surfaces as NonFiniteError from the first Gram solve.
+    """
+    U = DenseMatrix.trusted(np.column_stack([A.a, b, g]))
     v = np.zeros(U.d)
     v[-2], v[-1] = 1.0, -1.0
-    return DualInstance(U, v, R, p, witness=witness)
-
-
-def dual_reduce(A: DenseMatrix, b: np.ndarray, q: float):
-    """Describe min ||y||_p over A^T y = 0, b^T y = 1 with p = q/(q-1).
-
-    Returns (p, y0) where y0 is the minimum-Euclidean-norm feasible point,
-    or raises InfeasibleError when b lies in the column space of A (the
-    primal residual is then zero).  :func:`solve_lq` needs no such fit:
-    it receives b already shifted (see :func:`certified_solve`).
-    """
-    p = dual_exponent(q)
-    b = np.asarray(b, dtype=float)
-    resid = b - A.a @ np.linalg.lstsq(A.a, b, rcond=None)[0]
-    denom = float(b @ resid)
-    if not denom > (1e-14 * float(np.linalg.norm(b))) ** 2:
-        raise InfeasibleError("b lies in the column space of A")
-    return p, resid / denom
+    return DualInstance(U, v, R, p)
 
 
 def min_quadratic_on_affine(U: DenseMatrix, v: np.ndarray, diag: np.ndarray,
@@ -110,11 +95,11 @@ def oracle_small(inst: DualInstance,
     """Single-shot feasible point with small reweighted quadratic and p-norm.
 
     Computes regularized weights for the stacked matrix and returns the
-    minimizer of the corresponding quadratic over the constraints.  With a
-    witness attached, the feasibility and size postconditions are asserted.
+    minimizer of the corresponding quadratic over the constraints, whose
+    feasibility is asserted.
     """
     U, v, p = inst.U, inst.v, inst.p
-    n, m = U.n, U.d
+    m = U.d
     r = inst.R
     if p == 2.0:
         # The weight block degenerates to the identity.
@@ -132,18 +117,7 @@ def oracle_small(inst: DualInstance,
     feas = float(np.max(np.abs(U.a.T @ y - v)))
     if feas > 1e-9 * max(1.0, float(np.max(np.abs(v)))):
         raise PotentialViolationError(f"constraint residual {feas:.3g}")
-    if inst.witness is not None:
-        quad = float(y @ (r * y))
-        pn = float(np.sum(np.abs(y) ** p))
-        if quad > DUAL_QUAD_BOUND * (1 + 1e-9):
-            raise PotentialViolationError(f"quadratic bound broken: {quad:.4g}")
-        if pn > 2.0 * 4.0 ** p * m ** ((p - 2.0) / 2.0) * (1 + 1e-9):
-            raise PotentialViolationError(f"norm bound broken: {pn:.4g}")
     return y
-
-
-def dual_gamma_value(p: float, m: int) -> float:
-    return 4.0 * m ** ((p - 2.0) / (2.0 * p - 2.0))
 
 
 def primal_recover(A: DenseMatrix, b: np.ndarray, y_dual: np.ndarray,
@@ -200,7 +174,6 @@ class DualStepOracle:
                  counter: SolveCounter | None = None):
         self.A, self.b, self.p = A, np.asarray(b, dtype=float), p
         self.counter = counter if counter is not None else SolveCounter()
-        self.gamma = dual_gamma_value(p, A.d + 2)
         self._Mb = np.column_stack([A.a, self.b])
         self._gram_Mb = self._Mb.T @ self._Mb
 

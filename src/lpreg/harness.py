@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .accel import MAX_ACCEL_P, solve_pnorm_accel
-from .dual import DualInstance, solve_lq, stack_instance
+from .dual import solve_lq
 from .errors import (
     InvalidInputError,
     LpregError,
@@ -24,7 +24,7 @@ from .errors import (
 )
 from .linalg import DenseMatrix
 from .linf import linf_regress
-from .mwu import MAX_MWU_P, ResidualInstance, solve_mwu
+from .mwu import MAX_MWU_P, solve_mwu
 from .problem import MIN_EPS, ProblemInstance, pnorm
 from .report import SolveReport
 
@@ -78,48 +78,6 @@ def gen_instance(family: str, n: int, d: int, seed: int, p: float = 2.0,
             continue
         return ProblemInstance(A, b, p, eps=eps, planted_x=planted)
     raise RankDeficientError(f"could not draw a full-rank {n} x {d} matrix")
-
-
-def plant_residual_instance(n: int, d: int, p: float, seed: int,
-                            r_scale: float = 1.0) -> ResidualInstance:
-    """Scaled residual instance with an attached witness."""
-    rng = np.random.default_rng([91, n, d, int(seed)])
-    A = DenseMatrix(rng.standard_normal((n, d)))
-    r = r_scale * rng.uniform(0.0, 1.0, size=n)
-    x = rng.standard_normal(d)
-    ax = A.a @ x
-    scale = max(pnorm(ax, p), math.sqrt(float(ax @ (r * ax))))
-    x = x / (scale * 1.0000001)
-    g = -x / float(x @ x)
-    return ResidualInstance(A, g, r, p, witness=x)
-
-
-def plant_dual_instance(n: int, d: int, q: float, seed: int) -> DualInstance:
-    """Stacked dual instance with a feasibility witness.
-
-    The b column leans toward the witness's norm-dual direction, which
-    pins every feasible point's p-norm near one and keeps the instance in
-    the unit-scaled regime the single-shot solver is analyzed in.
-    """
-    p = q / (q - 1.0)
-    rng = np.random.default_rng([17, n, d, int(seed)])
-    A = DenseMatrix(rng.standard_normal((n, d)))
-    x = rng.standard_normal(n)
-    x = x - A.a @ np.linalg.lstsq(A.a, x, rcond=None)[0]
-    x = x / (pnorm(x, p) * 1.0000001)
-    align = np.sign(x) * np.abs(x) ** (p - 1.0)
-    noise = rng.standard_normal(n)
-    b = align / max(pnorm(align, p / (p - 1.0)), 1e-300) \
-        + 0.05 * noise / max(np.linalg.norm(noise), 1e-300)
-    b = b / float(b @ x)
-    g = rng.standard_normal(n)
-    g = g - ((g @ x) + 1.0) / float(x @ x) * x
-    r = rng.uniform(0.0, 1.0, size=n)
-    quad = float(x @ (r * x))
-    if quad > 0:
-        r = r / (quad * 1.0000001)
-    inst = stack_instance(A, b, g, r, p, witness=x)
-    return inst
 
 
 def _newton_polish(a: np.ndarray, b: np.ndarray, x: np.ndarray, p: float,

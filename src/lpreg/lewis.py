@@ -2,8 +2,7 @@
 
 Two families are provided: overestimates for p >= 2 (averaged fixed-point
 iterates, certified by an exact leverage recomputation) and regularized
-weights for q <= 2 (a contractive map).  An exact fixed-point oracle for
-2 <= p < 4 is included for tests.
+weights for q <= 2 (a contractive map).
 """
 from __future__ import annotations
 
@@ -16,7 +15,6 @@ from .errors import (
     DominationFailure,
     InvalidInputError,
     NegativeWeightError,
-    NoConvergenceError,
 )
 from .linalg import DenseMatrix, approx_lev, leverage_scores, reweighted
 
@@ -95,27 +93,6 @@ def lewis_overestimates(A: DenseMatrix, p: float) -> LewisOverestimate:
     return LewisOverestimate(out, p)
 
 
-def norm_sandwich_check(A: DenseMatrix, w: LewisOverestimate, x: np.ndarray):
-    """Evaluate the three norms of the weighted sandwich at x.
-
-    Returns (lp, weighted_l2, upper) where lp = ||Ax||_p, weighted_l2 is
-    the W^{1/2-1/p}-reweighted Euclidean norm, and upper is the Holder
-    bound mass^{1/2-1/p} ||Ax||_p.  The caller asserts
-    lp <= weighted_l2 <= upper.
-    """
-    p = w.p
-    ax = A.a @ np.asarray(x, dtype=float)
-    if p == math.inf:
-        lp = float(np.max(np.abs(ax)))
-    else:
-        lp = float(np.linalg.norm(ax, p))
-    expo = half_minus_inv(p)
-    wf = np.maximum(w.weights, WEIGHT_FLOOR)
-    weighted = float(np.linalg.norm((wf ** expo) * ax))
-    upper = float(w.mass ** expo * lp)
-    return lp, weighted, upper
-
-
 def reg_lewis_update(A: DenseMatrix, w: np.ndarray, c: np.ndarray, q: float,
                      sigma: np.ndarray | None = None) -> np.ndarray:
     """One step of the contractive map for c-regularized weights.
@@ -164,47 +141,3 @@ def reg_lewis(A: DenseMatrix, c: np.ndarray, q: float) -> RegularizedLewisWeight
         w = reg_lewis_update(A, w, c, q, sigma=sig)
     final = approx_lev(reweight_by(A, c + w, 0.5 - 1.0 / q), 1.0 / 50.0)
     return RegularizedLewisWeights(final, c, q)
-
-
-def reg_lewis_residual(A: DenseMatrix, rw: RegularizedLewisWeights):
-    """Self-consistency of returned weights against the fixed-point map.
-
-    Returns (max_rel_residual, ratio_lo, ratio_hi) where the residual is
-    max_i |w_i - sigma_i| / (w_i + c_i) and the ratios compare
-    sigma_i + c_i against w_i + c_i.
-    """
-    w, c, q = rw.weights, rw.regularizer, rw.q
-    sig = leverage_scores(reweight_by(A, c + w, 0.5 - 1.0 / q))
-    denom = np.maximum(w + c, WEIGHT_FLOOR)
-    rel = float(np.max(np.abs(w - sig) / denom))
-    ratio = (sig + c) / denom
-    return rel, float(np.min(ratio)), float(np.max(ratio))
-
-
-def exact_lewis_oracle(A: DenseMatrix, p: float, tol: float = 1e-10,
-                       max_iter: int = 10000) -> np.ndarray:
-    """Fixed point of w_i = sigma(W^{1/2-1/p} A)_i, for 2 <= p < 4.
-
-    Test-only oracle: iterates w <- (a_i^T (A^T W^{1-2/p} A)^{-1} a_i)^{p/2}
-    until the self-consistency residual drops below tol.  The map is also
-    contractive for p in (1, 2), which the q-side tests rely on.
-    """
-    if not 1 < p < 4:
-        raise InvalidInputError("fixed-point oracle requires p in (1, 4)")
-    n = A.n
-    w = leverage_scores(A)
-    for _ in range(max_iter):
-        sig = leverage_scores(reweight_by(A, w, half_minus_inv(p)))
-        wf = np.maximum(w, WEIGHT_FLOOR)
-        # sigma_i = w_i^{1-2/p} * quad_i, so quad_i^{p/2} = (sigma_i * w_i^{2/p-1})^{p/2}
-        nxt = (sig * wf ** (2.0 / p - 1.0)) ** (p / 2.0)
-        if float(np.max(np.abs(w - sig))) <= tol:
-            return w
-        w = nxt
-    raise NoConvergenceError(f"no fixed point after {max_iter} iterations")
-
-
-def lewis_residual(A: DenseMatrix, w: np.ndarray, p: float) -> float:
-    """sup-norm self-consistency residual of w against the fixed-point map."""
-    sig = leverage_scores(reweight_by(A, w, half_minus_inv(p)))
-    return float(np.max(np.abs(w - sig)))

@@ -14,7 +14,6 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .errors import InvalidInputError, PotentialViolationError
-from .lewis import lewis_overestimates
 from .linalg import DenseMatrix, SolveCounter, gram_solve_multi
 from .problem import ProblemInstance
 from .refine import (
@@ -24,9 +23,9 @@ from .refine import (
     weak_duality_bound,
 )
 
-SMOOTHING_DENOM = 20.0      # t = eps * opt_estimate / (20 log m)
-# Weight-metric ridge on the Newton system; keeps it positive definite
-# where the softmax weights underflow.
+SMOOTHING_DENOM = 20.0      # t = gap scale / (20 log m)
+# Ridge on the Newton system; keeps it positive definite where the
+# softmax weights underflow.
 NEWTON_DAMPING = 1e-8
 MAX_OUTER_ROUNDS = 200
 MAX_NEWTON_STEPS = 400       # per outer round
@@ -106,9 +105,10 @@ def linf_regress(instance: ProblemInstance, seed=0,
                  counter: SolveCounter | None = None):
     """Minimax regression to (1+eps) relative accuracy, certified.
 
-    Each bracket round smooths at a temperature tied to the current
-    optimum estimate and takes Newton steps, each one Gram solve against
-    A^T diag(dtil + NEWTON_DAMPING w) A followed by an exact line search.
+    Each bracket round smooths at a temperature tied to the current gap,
+    max(eps lo, (hi - lo) / 8), so early rounds are not solved to the
+    final accuracy, and takes Newton steps, each one Gram solve against
+    A^T diag(dtil + NEWTON_DAMPING) A followed by an exact line search.
     The exact Hessian's Sherman-Morrison step lies along the same
     direction, so the line search alone fixes the step length.  The
     bracket [lower bound, max residual] comes from the softmax dual
@@ -119,7 +119,6 @@ def linf_regress(instance: ProblemInstance, seed=0,
 
     def make_steps(unit):
         A, b, eps, n = unit.A, unit.b, unit.eps, unit.A.n
-        wv = lewis_overestimates(A, math.inf).weights
         counts = {"newton_steps": 0}
         t_shrink = 1.0
 
@@ -128,7 +127,7 @@ def linf_regress(instance: ProblemInstance, seed=0,
 
         def descend(x, lo, hi):
             nonlocal t_shrink
-            t = (t_shrink * eps * max(lo, hi / 2.0)
+            t = (t_shrink * max(eps * lo, (hi - lo) / 8.0)
                  / (SMOOTHING_DENOM * math.log(2 * n)))
             u = A.a @ x - b
             for _ in range(MAX_NEWTON_STEPS):
@@ -140,7 +139,7 @@ def linf_regress(instance: ProblemInstance, seed=0,
                 # The Hessian is A^T diag((pi+ + pi-)/t) A - grad grad^T / t;
                 # its Newton step is a multiple of this one.
                 dtil = (pi[:n] + pi[n:]) / t
-                step = -gram_solve_multi(A, dtil + NEWTON_DAMPING * wv, grad,
+                step = -gram_solve_multi(A, dtil + NEWTON_DAMPING, grad,
                                          counter=counter, phase="newton")
                 counts["newton_steps"] += 1
                 a_step = A.a @ step

@@ -5,9 +5,8 @@ quadratic form and lp norm are both small, given that some feasible point
 makes both at most 1.  The loop alternates cheap progress steps with rare
 boosting steps that raise the weights of wide coordinates, paying for the
 potential growth with a guaranteed energy jump.  Every inequality the
-analysis relies on is asserted at runtime; a failure of a witness-implied
-inequality on a witnessless instance is reported as infeasibility rather
-than as a bug.
+analysis relies on is asserted at runtime; breaking the energy cap that
+the existence assumption implies is reported as infeasibility.
 
 The progress step alpha follows a per-solve schedule
 (:class:`AlphaSchedule`).  It starts at ``PAPER_ALPHA_BASE / ALPHA_BASE``
@@ -60,13 +59,12 @@ def _tol(*vals) -> float:
 
 @dataclass
 class ResidualInstance:
-    """A scaled residual problem (A, g, R, p), optionally with a witness."""
+    """A scaled residual problem (A, g, R, p)."""
 
     A: DenseMatrix
     g: np.ndarray
     R: np.ndarray
     p: float
-    witness: np.ndarray | None = None
 
     def __post_init__(self):
         self.g = np.asarray(self.g, dtype=float)
@@ -78,15 +76,6 @@ class ResidualInstance:
             raise InvalidInputError(
                 f"p = {self.p} exceeds the width-reduction cap {MAX_MWU_P}; "
                 "use the acceleration path")
-
-    def witness_slack(self) -> tuple[float, float, float] | None:
-        """(g-constraint error, quad, lp norm) at the witness, if present."""
-        if self.witness is None:
-            return None
-        ax = self.A.a @ self.witness
-        quad = float(ax @ (self.R * ax))
-        return (abs(float(self.g @ self.witness) + 1.0), quad,
-                float(np.linalg.norm(ax, self.p)))
 
 
 def mwu_constants(p: float, d: int) -> tuple[float, float, float]:
@@ -189,7 +178,7 @@ class MwuState:
 
         Checks that the energy never decreased and that it stays below the
         bound implied by the existence assumption; breaking the latter means
-        the instance is infeasible (or, with a verified witness, a bug).
+        the instance is infeasible.
         Assertion bands widen by the solve's own value-error estimate so
         conditioning cannot masquerade as a broken invariant.
         """
@@ -204,9 +193,6 @@ class MwuState:
         phi = self.potential()
         cap = 2.0 * phi ** (1.0 - 2.0 / self.p)
         if e > cap * (1 + 1e-9) + 1e-12 + 4.0 * err:
-            if self.inst.witness is not None:
-                raise PotentialViolationError(
-                    f"energy bound broken with witness: {e:.6g} > {cap:.6g}")
             raise InfeasibleError(
                 f"energy {e:.6g} exceeds {cap:.6g}; no feasible point exists")
         self.z, self.energy, self.energy_err = z, e, err
@@ -303,8 +289,6 @@ def boosting_step(state: MwuState, z: np.ndarray) -> MwuState:
     phi_old = state.potential()
     hypo = 2.0 ** p * state.kappa ** (-(p - 2.0)) * phi_old ** (1 - 2.0 / p)
     if hypo > state.tau / 4 * (1 + 1e-9):
-        if state.inst.witness is not None:
-            raise PotentialViolationError("boost hypothesis broken with witness")
         raise StepBoundError("potential too large for a feasible instance")
 
     sel, v = boost_selection(state.s, az, p, state.tau, state.kappa)
@@ -365,9 +349,6 @@ def output_bounds(inst: ResidualInstance,
     pn = float(np.linalg.norm(ay, p))
     quad = float(ay @ (inst.R * ay))
     if pn > 80.0 * p * (1 + 1e-9) or quad > 4.0 * (20.0 * p) ** (p - 2.0) * (1 + 1e-9):
-        if inst.witness is not None:
-            raise PotentialViolationError(
-                f"output bounds broken with witness: lp={pn:.4g}, quad={quad:.4g}")
         raise StepBoundError(
             f"output bounds failed (lp={pn:.4g}, quad={quad:.4g}); "
             "instance looks infeasible")
@@ -393,13 +374,6 @@ def width_reduced_oracle(inst: ResidualInstance,
         weights = lewis_overestimates(inst.A, p)
     counter = counter if counter is not None else SolveCounter()
     schedule = schedule if schedule is not None else AlphaSchedule()
-    if inst.witness is not None:
-        gerr, quad, pn = inst.witness_slack()
-        if gerr > 1e-6 or quad > 1 + 1e-6 or pn > 1 + 1e-6:
-            raise InvalidInputError(
-                f"witness violates the instance contract: {gerr:.2g}, "
-                f"{quad:.4g}, {pn:.4g}")
-
     progress_steps = boost_steps = 0
     while True:
         state = new_state(inst, weights, counter=counter,

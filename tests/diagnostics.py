@@ -1,16 +1,29 @@
-"""Numerical diagnostics that only the tests call.
+"""Numerical diagnostics and planted instances that only the tests use.
 
-Each one checks an inequality the solvers rely on (Hessian stability of
-the proximal objective, uniform convexity of the p-th power, the scalar
-refinement sandwich, the gamma-solver contract) from the outside, so the
-solver modules carry no code that production never runs.
+Each diagnostic checks an inequality the solvers rely on (Hessian
+stability of the proximal objective, uniform convexity of the p-th power,
+the scalar refinement sandwich, the gamma-solver contract, the weighted
+norm sandwich, the self-consistency of row weights) from the outside, so
+the solver modules carry no code that production never runs.  The
+planted generators build oracle inputs around a known feasible point.
 """
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from lpreg.linalg import DenseMatrix
+from lpreg.dual import DualInstance, stack_instance
+from lpreg.errors import InvalidInputError, NoConvergenceError
+from lpreg.lewis import (
+    WEIGHT_FLOOR,
+    LewisOverestimate,
+    RegularizedLewisWeights,
+    half_minus_inv,
+    reweight_by,
+)
+from lpreg.linalg import DenseMatrix, leverage_scores
+from lpreg.mwu import ResidualInstance
+from lpreg.problem import pnorm
 
 
 def hessian_stability_check(y: np.ndarray, x: np.ndarray, prob,
@@ -99,3 +112,119 @@ class GammaCertificate:
         pnorm_ok = (math.log(pn) <= (p - 1.0) * math.log(gamma)
                     + math.log(max(opt_value, 1e-300)) + rtol)
         return quad_ok and pnorm_ok
+
+
+def norm_sandwich_check(A: DenseMatrix, w: LewisOverestimate, x: np.ndarray):
+    """Evaluate the three norms of the weighted sandwich at x.
+
+    Returns (lp, weighted_l2, upper) where lp = ||Ax||_p, weighted_l2 is
+    the W^{1/2-1/p}-reweighted Euclidean norm, and upper is the Holder
+    bound mass^{1/2-1/p} ||Ax||_p.  The caller asserts
+    lp <= weighted_l2 <= upper.
+    """
+    p = w.p
+    ax = A.a @ np.asarray(x, dtype=float)
+    if p == math.inf:
+        lp = float(np.max(np.abs(ax)))
+    else:
+        lp = float(np.linalg.norm(ax, p))
+    expo = half_minus_inv(p)
+    wf = np.maximum(w.weights, WEIGHT_FLOOR)
+    weighted = float(np.linalg.norm((wf ** expo) * ax))
+    upper = float(w.mass ** expo * lp)
+    return lp, weighted, upper
+
+
+def reg_lewis_residual(A: DenseMatrix, rw: RegularizedLewisWeights):
+    """Self-consistency of returned weights against the fixed-point map.
+
+    Returns (max_rel_residual, ratio_lo, ratio_hi) where the residual is
+    max_i |w_i - sigma_i| / (w_i + c_i) and the ratios compare
+    sigma_i + c_i against w_i + c_i.
+    """
+    w, c, q = rw.weights, rw.regularizer, rw.q
+    sig = leverage_scores(reweight_by(A, c + w, 0.5 - 1.0 / q))
+    denom = np.maximum(w + c, WEIGHT_FLOOR)
+    rel = float(np.max(np.abs(w - sig) / denom))
+    ratio = (sig + c) / denom
+    return rel, float(np.min(ratio)), float(np.max(ratio))
+
+
+def exact_lewis_oracle(A: DenseMatrix, p: float, tol: float = 1e-10,
+                       max_iter: int = 10000) -> np.ndarray:
+    """Fixed point of w_i = sigma(W^{1/2-1/p} A)_i, for 2 <= p < 4.
+
+    Test-only oracle: iterates w <- (a_i^T (A^T W^{1-2/p} A)^{-1} a_i)^{p/2}
+    until the self-consistency residual drops below tol.  The map is also
+    contractive for p in (1, 2), which the q-side tests rely on.
+    """
+    if not 1 < p < 4:
+        raise InvalidInputError("fixed-point oracle requires p in (1, 4)")
+    n = A.n
+    w = leverage_scores(A)
+    for _ in range(max_iter):
+        sig = leverage_scores(reweight_by(A, w, half_minus_inv(p)))
+        wf = np.maximum(w, WEIGHT_FLOOR)
+        # sigma_i = w_i^{1-2/p} * quad_i, so quad_i^{p/2} = (sigma_i * w_i^{2/p-1})^{p/2}
+        nxt = (sig * wf ** (2.0 / p - 1.0)) ** (p / 2.0)
+        if float(np.max(np.abs(w - sig))) <= tol:
+            return w
+        w = nxt
+    raise NoConvergenceError(f"no fixed point after {max_iter} iterations")
+
+
+def lewis_residual(A: DenseMatrix, w: np.ndarray, p: float) -> float:
+    """sup-norm self-consistency residual of w against the fixed-point map."""
+    sig = leverage_scores(reweight_by(A, w, half_minus_inv(p)))
+    return float(np.max(np.abs(w - sig)))
+
+
+def plant_residual_instance(n: int, d: int, p: float, seed: int,
+                            r_scale: float = 1.0) -> ResidualInstance:
+    """Scaled residual instance around a planted feasible point.
+
+    The point x has g^T x = -1 and both ||Ax||_p and the quadratic
+    x^T A^T R A x just below 1, so the instance meets the existence
+    assumption of the width-reduction oracle.
+    """
+    rng = np.random.default_rng([91, n, d, int(seed)])
+    A = DenseMatrix(rng.standard_normal((n, d)))
+    r = r_scale * rng.uniform(0.0, 1.0, size=n)
+    x = rng.standard_normal(d)
+    ax = A.a @ x
+    scale = max(pnorm(ax, p), math.sqrt(float(ax @ (r * ax))))
+    x = x / (scale * 1.0000001)
+    g = -x / float(x @ x)
+    return ResidualInstance(A, g, r, p)
+
+
+def plant_dual_instance(n: int, d: int, q: float, seed: int) -> DualInstance:
+    """Stacked dual instance around a planted feasible point x.
+
+    The b column leans toward x's norm-dual direction, which pins every
+    feasible point's p-norm near one and keeps the instance in the
+    unit-scaled regime the single-shot solver is analyzed in.
+    """
+    p = q / (q - 1.0)
+    rng = np.random.default_rng([17, n, d, int(seed)])
+    A = DenseMatrix(rng.standard_normal((n, d)))
+    x = rng.standard_normal(n)
+    x = x - A.a @ np.linalg.lstsq(A.a, x, rcond=None)[0]
+    x = x / (pnorm(x, p) * 1.0000001)
+    align = np.sign(x) * np.abs(x) ** (p - 1.0)
+    noise = rng.standard_normal(n)
+    b = align / max(pnorm(align, p / (p - 1.0)), 1e-300) \
+        + 0.05 * noise / max(np.linalg.norm(noise), 1e-300)
+    b = b / float(b @ x)
+    g = rng.standard_normal(n)
+    g = g - ((g @ x) + 1.0) / float(x @ x) * x
+    r = rng.uniform(0.0, 1.0, size=n)
+    quad = float(x @ (r * x))
+    if quad > 0:
+        r = r / (quad * 1.0000001)
+    return stack_instance(A, b, g, r, p)
+
+
+def dual_gamma_value(p: float, m: int) -> float:
+    """Approximation factor of the stacked single-shot dual oracle."""
+    return 4.0 * m ** ((p - 2.0) / (2.0 * p - 2.0))

@@ -21,25 +21,28 @@ from lpreg.harness import (
     ExperimentConfig,
     gen_instance,
     oracle_opt,
-    plant_dual_instance,
-    plant_residual_instance,
     run_experiment,
     solve,
 )
 from lpreg.lewis import (
-    exact_lewis_oracle,
     half_minus_inv,
     lewis_overestimates,
-    norm_sandwich_check,
     reg_lewis,
-    reg_lewis_residual,
     reweight_by,
 )
 from lpreg.linalg import DenseMatrix, leverage_scores
-from lpreg.mwu import energy_solve, width_reduced_oracle
+from lpreg.mwu import AlphaSchedule, energy_solve, width_reduced_oracle
 from lpreg.problem import ProblemInstance, pnorm
 
-from diagnostics import hessian_stability_check, strong_convexity_check
+from diagnostics import (
+    exact_lewis_oracle,
+    hessian_stability_check,
+    norm_sandwich_check,
+    plant_dual_instance,
+    plant_residual_instance,
+    reg_lewis_residual,
+    strong_convexity_check,
+)
 
 FAMILIES = ("gaussian", "ill_conditioned", "planted_residual", "coherent_rows")
 SIZE_BY_P = {2.0: (60, 5), 3.0: (50, 4), 4.0: (40, 4), 8.0: (30, 3)}
@@ -199,11 +202,15 @@ def test_criterion_07_potential_bookkeeping(pnorm_sweep):
     # so it suffices that no assertion-class error surfaced in the sweep
     fired = [row for row in pnorm_sweep["rows"]
              if isinstance(row["error"], ASSERTION_ERRORS)]
-    # plus witness-attached runs, where the energy cap check is the
-    # witness-form inequality
+    # plus planted feasible instances, which must pass every inline check
+    # at the starting alpha: a halving is the only way a failed step or
+    # output bound could be absorbed instead of raised
     for seed in range(6):
         inst = plant_residual_instance(60, 5, 4.0, seed=seed)
-        width_reduced_oracle(inst)
+        schedule = AlphaSchedule()
+        width_reduced_oracle(inst, schedule=schedule)
+        if schedule.halvings != 0:
+            fired.append(f"planted seed {seed} halved alpha")
     conclude("criterion 7 (potential bookkeeping never fires)", not fired,
              "" if not fired else f"{len(fired)} assertion errors")
 

@@ -1,16 +1,20 @@
-"""Import hygiene: every module-level import in src/lpreg is used, and
-every name the package exports resolves.
+"""Import hygiene: every module-level import in src/lpreg is used, every
+name the package exports resolves, and so does every name the benchmark
+looks up in the package.
 
 No linter ships with the test environment, so this walks each module's
 syntax tree with the standard ``ast`` module instead.  A name counts as
 used when it is loaded anywhere in the module or listed in ``__all__``.
 """
 import ast
+import dataclasses
+import importlib
 from pathlib import Path
 
 import pytest
 
 import lpreg
+from lpreg.report import SolveReport
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lpreg"
 
@@ -42,3 +46,22 @@ def test_no_unused_module_level_import(path):
 def test_every_exported_name_resolves():
     missing = [name for name in lpreg.__all__ if not hasattr(lpreg, name)]
     assert missing == []
+
+
+def test_every_name_the_benchmark_traces_resolves(monkeypatch):
+    # perfbench/tracing.py wraps these by name and perfbench/run.py reads
+    # the report field; dropping one changes the benchmark's own metrics,
+    # so it may go only in a change that updates the benchmark with it.
+    monkeypatch.syspath_prepend(str(SRC.parents[1]))
+    tracing = importlib.import_module("perfbench.tracing")
+    missing = [f"lpreg.{m}.{f}" for m, f in tracing.FUNCTIONS
+               if not hasattr(importlib.import_module(f"lpreg.{m}"), f)]
+    missing += [f"lpreg.{m}.{c}.{meth}" for m, c, meth in tracing.METHODS
+                if meth not in vars(getattr(importlib.import_module(
+                    f"lpreg.{m}"), c, object))]
+    if "sketch_applications" not in {
+            f.name for f in dataclasses.fields(SolveReport)}:
+        missing.append("lpreg.report.SolveReport.sketch_applications")
+    assert missing == [], (
+        "the benchmark resolves these names; remove them only together "
+        f"with the benchmark code that uses them: {missing}")

@@ -5,17 +5,20 @@ import pytest
 
 from lpreg.errors import InvalidInputError
 from lpreg.lewis import (
-    exact_lewis_oracle,
     half_minus_inv,
     lewis_overestimates,
-    lewis_residual,
-    norm_sandwich_check,
     reg_lewis,
-    reg_lewis_residual,
     reg_lewis_update,
     reweight_by,
 )
 from lpreg.linalg import DenseMatrix, leverage_scores
+
+from diagnostics import (
+    exact_lewis_oracle,
+    lewis_residual,
+    norm_sandwich_check,
+    reg_lewis_residual,
+)
 
 
 def random_matrix(n, d, seed):

@@ -248,3 +248,13 @@ class TestLinfRegress:
                             eps=1e-8)
         _, rep = linf_regress(inst, seed=seed)
         assert rep.certified_gap <= 1e-8
+
+    @pytest.mark.parametrize("n, d, seed", [(60, 4, 4), (160, 8, 2)])
+    def test_ill_conditioned_certifies_at_eps_1e_minus_10(self, n, d, seed):
+        # Both stalled in BudgetExceededError while the temperature was tied
+        # to eps from the first round; it now follows the bracket's gap.
+        inst = gen_instance("ill_conditioned", n, d, seed, p=math.inf,
+                            eps=1e-10)
+        _, rep = linf_regress(inst, seed=seed)
+        assert rep.certified_gap <= 1e-10
+        assert rep.residual_lp <= (1 + 1e-10) * oracle_opt(inst)

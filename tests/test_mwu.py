@@ -11,7 +11,7 @@ from lpreg.errors import (
     StepBoundError,
     ZeroGradientError,
 )
-from lpreg.harness import gen_instance, plant_residual_instance, solve
+from lpreg.harness import gen_instance, solve
 from lpreg.lewis import lewis_overestimates
 from lpreg.linalg import DenseMatrix, SolveCounter
 from lpreg.mwu import (
@@ -31,7 +31,7 @@ from lpreg.mwu import (
 )
 from lpreg.problem import pnorm
 
-from diagnostics import GammaCertificate
+from diagnostics import GammaCertificate, plant_residual_instance
 
 
 class TestEnergySolve:
@@ -173,10 +173,12 @@ class TestWoodburyConsistency:
 
 class TestWidthReducedOracle:
     def test_identity_instance(self):
+        # x = (1, 0) is feasible: g^T x = -1, quadratic and lp norm 1
         inst = ResidualInstance(DenseMatrix(np.eye(2)), np.array([-1.0, 0.0]),
-                                np.ones(2), 4.0,
-                                witness=np.array([1.0, 0.0]))
-        y, info = width_reduced_oracle(inst)
+                                np.ones(2), 4.0)
+        schedule = AlphaSchedule()
+        y, info = width_reduced_oracle(inst, schedule=schedule)
+        assert schedule.halvings == 0
         assert abs(inst.g @ y + 1.0) <= 1e-9
         assert pnorm(inst.A.a @ y, 4.0) <= 320.0
         ay = inst.A.a @ y
@@ -187,9 +189,10 @@ class TestWidthReducedOracle:
         g = np.zeros(d)
         g[0] = -1.0
         inst = ResidualInstance(DenseMatrix(np.eye(d)), g,
-                                np.ones(d), 4.0,
-                                witness=-g)
-        y, info = width_reduced_oracle(inst)
+                                np.ones(d), 4.0)
+        schedule = AlphaSchedule()
+        y, info = width_reduced_oracle(inst, schedule=schedule)
+        assert schedule.halvings == 0
         assert abs(inst.g @ y + 1.0) <= 1e-9
         assert info["boost_steps"] == 0
 
@@ -211,7 +214,9 @@ class TestWidthReducedOracle:
 
     def test_energy_and_potential_bookkeeping(self):
         inst = plant_residual_instance(60, 5, 4.0, seed=9)
-        y, info = width_reduced_oracle(inst)
+        schedule = AlphaSchedule()
+        y, info = width_reduced_oracle(inst, schedule=schedule)
+        assert schedule.halvings == 0
         phi = info["final_potential"]
         assert info["final_energy"] <= 2.0 * phi ** 0.5 * (1 + 1e-9)
         _, _, tau = mwu_constants(4.0, 5)
@@ -222,13 +227,6 @@ class TestWidthReducedOracle:
         with pytest.raises(InvalidInputError):
             ResidualInstance(DenseMatrix(np.eye(2)), np.array([-1.0, 0.0]),
                              np.ones(2), 17.0)
-
-    def test_rejects_bad_witness(self):
-        inst = ResidualInstance(DenseMatrix(np.eye(2)), np.array([-1.0, 0.0]),
-                                np.ones(2), 4.0,
-                                witness=np.array([5.0, 0.0]))
-        with pytest.raises(InvalidInputError):
-            width_reduced_oracle(inst)
 
     def test_infeasible_instance_detected(self):
         # a tiny gradient forces any g^T x = -1 point to be huge, so the
