@@ -2,7 +2,8 @@
 
 Two families are provided: overestimates for p >= 2 (averaged fixed-point
 iterates, certified by an exact leverage recomputation) and regularized
-weights for q <= 2 (a contractive map).
+weights for q <= 2 (a contractive map, iterated until its log residual
+falls below REG_LEWIS_TOL or the paper's step count runs out).
 """
 from __future__ import annotations
 
@@ -15,11 +16,16 @@ from .errors import (
     DominationFailure,
     InvalidInputError,
     NegativeWeightError,
+    NonFiniteError,
 )
 from .linalg import DenseMatrix, approx_lev, leverage_scores, reweighted
 
 WEIGHT_FLOOR = 1e-14
 DOMINATION_TOL = 1e-8
+# reg_lewis stops once max_i |log((c_i + sigma_i) / (c_i + w_i))| is this
+# small.  The map contracts by 1 - q/2 <= 1/2 in that metric, so c + w is
+# then within a factor exp(2 * REG_LEWIS_TOL) of its exact fixed point.
+REG_LEWIS_TOL = 1e-3
 
 
 def inv_exponent(p: float) -> float:
@@ -123,21 +129,30 @@ def reg_lewis_update(A: DenseMatrix, w: np.ndarray, c: np.ndarray, q: float,
 def reg_lewis(A: DenseMatrix, c: np.ndarray, q: float) -> RegularizedLewisWeights:
     """Approximate c-regularized lq weights for q in (1, 2].
 
-    Starts from the all-ones vector and applies ceil(8 log log n) + 4
-    contraction steps, each powered by leverage scores (:func:`approx_lev`
-    at eps = 1/50, which is exact); the returned vector is the leverage
-    scores of the final reweighted matrix.
+    Starts from the all-ones vector and applies the contraction step,
+    each powered by leverage scores (:func:`approx_lev` at eps = 1/50,
+    which is exact).  It stops at the first step whose scores sigma meet
+    max_i |log((c_i + sigma_i) / (c_i + w_i))| <= REG_LEWIS_TOL, and at
+    the latest after the paper's T = ceil(8 log log n) + 4 steps and one
+    final leverage computation.  The returned vector is the leverage
+    scores of the final reweighted matrix.  A non-finite regularizer or
+    residual raises NonFiniteError.
     """
     if not 1 < q <= 2:
         raise InvalidInputError("q must lie in (1, 2]")
     c = np.asarray(c, dtype=float)
+    if not np.all(np.isfinite(c)):
+        raise NonFiniteError("regularizer must be finite")
     if np.any(c < 0):
         raise InvalidInputError("regularizer must be nonnegative")
-    n = A.n
-    T = int(math.ceil(8 * math.log(math.log(max(n, 3))))) + 4
-    w = np.ones(n)
-    for _ in range(T):
+    T = int(math.ceil(8 * math.log(math.log(max(A.n, 3))))) + 4
+    w = np.ones(A.n)
+    for step in range(T + 1):
         sig = approx_lev(reweight_by(A, c + w, 0.5 - 1.0 / q), 1.0 / 50.0)
+        gap = float(np.max(np.abs(np.log(np.maximum(c + sig, WEIGHT_FLOOR)
+                                          / np.maximum(c + w, WEIGHT_FLOOR)))))
+        if not math.isfinite(gap):
+            raise NonFiniteError(f"fixed-point residual {gap} at step {step}")
+        if gap <= REG_LEWIS_TOL or step == T:
+            return RegularizedLewisWeights(sig, c, q)
         w = reg_lewis_update(A, w, c, q, sigma=sig)
-    final = approx_lev(reweight_by(A, c + w, 0.5 - 1.0 / q), 1.0 / 50.0)
-    return RegularizedLewisWeights(final, c, q)

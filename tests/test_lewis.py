@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from lpreg.errors import InvalidInputError
+import lpreg.lewis as lewis
+from lpreg.errors import InvalidInputError, NonFiniteError
+from lpreg.harness import FAMILIES, gen_instance, solve
 from lpreg.lewis import (
     half_minus_inv,
     lewis_overestimates,
@@ -11,7 +13,7 @@ from lpreg.lewis import (
     reg_lewis_update,
     reweight_by,
 )
-from lpreg.linalg import DenseMatrix, leverage_scores
+from lpreg.linalg import DenseMatrix, approx_lev, leverage_scores
 
 from diagnostics import (
     exact_lewis_oracle,
@@ -121,6 +123,104 @@ class TestRegLewis:
             reg_lewis(DenseMatrix(np.eye(3)), np.zeros(3), 2.5)
         with pytest.raises(InvalidInputError):
             reg_lewis(DenseMatrix(np.eye(3)), -np.ones(3), 1.5)
+
+
+def count_leverage(monkeypatch):
+    """Route lewis.approx_lev through a counter; returns the one-item list."""
+    calls = [0]
+
+    def counting(A, eps):
+        calls[0] += 1
+        return approx_lev(A, eps)
+
+    monkeypatch.setattr(lewis, "approx_lev", counting)
+    return calls
+
+
+def paper_step_count(n):
+    return int(math.ceil(8 * math.log(math.log(max(n, 3))))) + 4
+
+
+def fixed_count_reg_lewis(A, c, q):
+    # The paper's schedule with no early stop: T steps, then a final pass.
+    w = np.ones(A.n)
+    for _ in range(paper_step_count(A.n)):
+        sig = approx_lev(reweight_by(A, c + w, 0.5 - 1.0 / q), 1.0 / 50.0)
+        w = reg_lewis_update(A, w, c, q, sigma=sig)
+    return approx_lev(reweight_by(A, c + w, 0.5 - 1.0 / q), 1.0 / 50.0)
+
+
+def regularizer(kind, n):
+    if kind == "zero":
+        return np.zeros(n)
+    if kind == "uniform":
+        return np.random.default_rng(n).uniform(0.0, 0.5, size=n)
+    return np.full(n, 1e6)
+
+
+class TestRegLewisStop:
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("q", [1.2, 1.5, 1.8])
+    @pytest.mark.parametrize("kind", ["zero", "uniform", "huge"])
+    def test_returned_weights_are_near_the_fixed_point(self, family, q, kind):
+        A = gen_instance(family, 200, 6, 3).A
+        rw = reg_lewis(A, regularizer(kind, 200), q)
+        rel, _, _ = reg_lewis_residual(A, rw)
+        assert rel <= 2e-3
+
+    def test_huge_regularizer_takes_one_leverage_computation(self, monkeypatch):
+        calls = count_leverage(monkeypatch)
+        A = random_matrix(80, 4, 41)
+        c = 1e6 * (1.0 + np.random.default_rng(1).uniform(size=80))
+        rw = reg_lewis(A, c, 1.5)
+        assert calls[0] == 1
+        assert np.array_equal(rw.weights, leverage_scores(reweight_by(
+            A, c + 1.0, 0.5 - 1.0 / 1.5)))
+
+    @pytest.mark.parametrize("q", [1.2, 1.5, 2.0])
+    def test_unreachable_tolerance_runs_the_paper_schedule(self, q, monkeypatch):
+        A = random_matrix(120, 5, 43)
+        c = np.random.default_rng(2).uniform(0.0, 0.5, size=120)
+        expected = fixed_count_reg_lewis(A, c, q)
+        calls = count_leverage(monkeypatch)
+        monkeypatch.setattr(lewis, "REG_LEWIS_TOL", -1.0)
+        rw = reg_lewis(A, c, q)
+        assert calls[0] == paper_step_count(120) + 1
+        assert np.array_equal(rw.weights, expected)
+
+    def test_dual_solve_takes_a_third_of_the_fixed_count(self, monkeypatch):
+        # gaussian 1000x32 at q = 1.5: 84 leverage computations under the
+        # fixed-count schedule, 13 with the stop rule.
+        inst = gen_instance("gaussian", 1000, 32, 0, p=1.5, eps=1e-8)
+        calls = count_leverage(monkeypatch)
+        _, rep = solve(inst, "dual")
+        stopped = calls[0]
+        monkeypatch.setattr(lewis, "REG_LEWIS_TOL", -1.0)
+        calls[0] = 0
+        _, rep_fixed = solve(inst, "dual")
+        assert rep.certified_gap <= 1e-8 and rep_fixed.certified_gap <= 1e-8
+        assert 3 * stopped <= calls[0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_regularizer(self, bad):
+        c = np.zeros(50)
+        c[7] = bad
+        with pytest.raises(NonFiniteError):
+            reg_lewis(random_matrix(50, 3, 44), c, 1.5)
+        with pytest.raises(NonFiniteError):
+            reg_lewis(random_matrix(50, 3, 44), np.full(50, bad), 1.5)
+
+    def test_non_finite_residual_raises(self, monkeypatch):
+        calls = [0]
+
+        def broken(A, eps):
+            calls[0] += 1
+            return np.full(A.n, np.nan)
+
+        monkeypatch.setattr(lewis, "approx_lev", broken)
+        with pytest.raises(NonFiniteError):
+            reg_lewis(random_matrix(50, 3, 45), np.zeros(50), 1.5)
+        assert calls[0] == 1
 
 
 class TestExactOracle:
