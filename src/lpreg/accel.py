@@ -358,17 +358,21 @@ def _pins_center(prob: ProxProblem, dist: float) -> bool:
 def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
                   weights: LewisOverestimate, x0: np.ndarray, eps: float,
                   counter: SolveCounter | None = None,
-                  lower_bound_fn=None, stats: dict | None = None):
-    """Accelerated proximal-point loop reducing f error below eps.
+                  lower_bound_fn=None) -> np.ndarray:
+    """Accelerated proximal-point loop reducing f error below eps; returns x.
 
     Maintains the usual (step-weight, momentum-point) pair; each step
     searches for a scale lambda whose proximal response satisfies
     lambda p C_p ||y - x_tilde||_M^{p-2} in [1/2, 2], then mixes the
     gradient at the response into the momentum point through the inverse
-    metric.  Stops early when ``lower_bound_fn`` certifies the target.
+    metric.  When the search runs out of probes, the last response is used
+    with the lambda that built its center.  Stops early when
+    ``lower_bound_fn`` certifies the target.  Each proximal response ticks
+    ``prox_calls`` and its ``inner_iterations`` on the counter.
     """
     p = float(p)
     cp = reg_coefficient(p)
+    counter = counter if counter is not None else SolveCounter()
     d = A.d
     k_theory = math.ceil(8.0 * p ** (2.0 / 3.0) * d ** ((p - 2.0) / (3 * p - 2.0)))
     max_steps = min(int(k_theory * (6 + 60) ** 2), 10 ** 9)
@@ -382,13 +386,13 @@ def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
     v = x.copy()
     acc_weight = 0.0
     lam = None
-    inner = []      # inner iterations of each proximal response
 
     def respond(x_tilde):
         """The proximal response at center x_tilde, solved from x."""
         prob = ProxProblem(A, b, p, weights, x_tilde, qr)
         cert = prox_solve(prob, x0=x, tol=PROX_TOL, counter=counter)
-        inner.append(cert.inner_iterations)
+        counter.step("prox_calls")
+        counter.step("inner_iterations", cert.inner_iterations)
         return prob, cert
 
     f_x = f(x)
@@ -401,6 +405,7 @@ def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
         prob_center = None
         lam_try = lam
         for _ in range(MS_BISECTION_CAP):
+            lam_built = lam_try
             if acc_weight == 0.0:
                 x_tilde = v.copy()
             else:
@@ -429,7 +434,8 @@ def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
             if 0.5 <= measure <= 2.0:
                 break
             lam_try = lam_try * 2.0 if measure < 0.5 else lam_try * 0.5
-            prob_center = None
+        else:
+            lam_try = lam_built
         if prob_center is None:
             if not np.all(np.isfinite(x_tilde)):
                 break
@@ -462,23 +468,15 @@ def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
             stall += 1
         if stall >= 20:
             break
-    info = {"prox_calls": len(inner), "inner_iterations": sum(inner),
-            "f_value": f_x}
-    if stats is not None:
-        for key in ("prox_calls", "inner_iterations"):
-            stats[key] = stats.get(key, 0) + info[key]
-    return x, info
+    return x
 
 
 def halve_error(A: DenseMatrix, b: np.ndarray, p: float,
                 weights: LewisOverestimate, x0: np.ndarray, err: float,
-                counter: SolveCounter | None = None, lower_bound_fn=None,
-                stats: dict | None = None):
+                counter: SolveCounter | None = None, lower_bound_fn=None):
     """Given f(x0) - f* <= err, produce x' with f(x') - f* <= err/2."""
-    x, _ = ms_accelerate(A, b, p, weights, x0, eps=err / 2.0,
-                         counter=counter, lower_bound_fn=lower_bound_fn,
-                         stats=stats)
-    return x
+    return ms_accelerate(A, b, p, weights, x0, eps=err / 2.0,
+                         counter=counter, lower_bound_fn=lower_bound_fn)
 
 
 def solve_pnorm_accel(instance: ProblemInstance, seed=0,
@@ -491,7 +489,8 @@ def solve_pnorm_accel(instance: ProblemInstance, seed=0,
     def make_steps(unit):
         A, b, p = unit.A, unit.b, unit.p
         weights = lewis_overestimates(A, p)
-        stats = {"prox_calls": 0, "inner_iterations": 0}
+        counter.step("prox_calls", 0)
+        counter.step("inner_iterations", 0)
 
         def lower_bound(xc):
             return lp_dual_bound(A, b, xc, p, counter=counter)
@@ -499,11 +498,10 @@ def solve_pnorm_accel(instance: ProblemInstance, seed=0,
         def step(x, lo, hi):
             x_new = halve_error(A, b, p, weights, x, max(hi ** p - lo ** p, 1e-300),
                                 counter=counter,
-                                lower_bound_fn=lambda xc: lower_bound(xc) ** p,
-                                stats=stats)
+                                lower_bound_fn=lambda xc: lower_bound(xc) ** p)
             return x_new if pnorm(A.a @ x_new - b, p) < hi else None
 
-        return BracketSteps(lower_bound, step, stats)
+        return BracketSteps(lower_bound, step)
 
     return certified_solve(instance, "accel", make_steps, counter=counter,
                            seed=seed, max_rounds=MAX_HALVINGS)

@@ -216,7 +216,8 @@ def solve_lq(instance: ProblemInstance, seed=0,
 
     def make_steps(unit):
         A, b, d = unit.A, unit.b, unit.A.d
-        counts = {"oracle_calls": 0, "accepted_steps": 0}
+        counter.step("oracle_calls", 0)
+        counter.step("accepted_steps", 0)
         # b is a unit vector orthogonal to range(A), so it is already the
         # minimum-norm point of A^T y = 0, b^T y = 1.
         y = b / float(b @ b)
@@ -233,7 +234,7 @@ def solve_lq(instance: ProblemInstance, seed=0,
                 z = oracle(nu, g, R, y)
                 return z - y, z - y
 
-            out = refinement_round(y, p, hi ** -p, nu_prev, propose, counts,
+            out = refinement_round(y, p, hi ** -p, nu_prev, propose, counter,
                                    "oracle_calls")
             if out is None:
                 return False
@@ -254,7 +255,7 @@ def solve_lq(instance: ProblemInstance, seed=0,
             x_hat = primal_recover(A, b, y, p, counter=counter)
             return x_hat if pnorm(A.a @ x_hat - b, q) < hi else x
 
-        return BracketSteps(lower_bound, step, counts)
+        return BracketSteps(lower_bound, step)
 
     return certified_solve(instance, "dual", make_steps, counter=counter,
                            seed=seed, max_rounds=MAX_DUAL_ROUNDS)

@@ -48,7 +48,6 @@ def gen_instance(family: str, n: int, d: int, seed: int, p: float = 2.0,
     if not 1 <= d <= min(n, MAX_D) or n > MAX_N:
         raise InvalidInputError(f"size {n} x {d} outside desk-scale caps")
     rng = _rng_for(family, n, d, seed)
-    planted = None
     for attempt in range(4):
         if family == "gaussian":
             a = rng.standard_normal((n, d))
@@ -76,7 +75,7 @@ def gen_instance(family: str, n: int, d: int, seed: int, p: float = 2.0,
         except RankDeficientError:
             rng = _rng_for(family, n, d, seed + 7919 * (attempt + 1))
             continue
-        return ProblemInstance(A, b, p, eps=eps, planted_x=planted)
+        return ProblemInstance(A, b, p, eps=eps)
     raise RankDeficientError(f"could not draw a full-rank {n} x {d} matrix")
 
 
@@ -241,8 +240,6 @@ def solve(instance: ProblemInstance, method: str, seed: int = 0):
         raise InvalidInputError(f"accel requires 2 <= p <= {MAX_ACCEL_P}")
     if method == "dual" and not 1 < p <= 2:
         raise InvalidInputError("dual requires q in (1, 2]")
-    if method == "linf" and p != math.inf:
-        raise InvalidInputError("linf requires p = inf")
     entry = {"mwu": solve_mwu, "accel": solve_pnorm_accel, "dual": solve_lq,
              "linf": linf_regress}[method]
     return entry(instance, seed=seed)

@@ -2,9 +2,10 @@
 
 Every iterative solver in this package is charged in units of solves
 against ``A^T D A`` for a positive diagonal ``D``.  The diagonal is a
-plain float array of per-row weights; the counting lives in
-:class:`SolveCounter`, and every solve flows through
-:func:`gram_solve_multi`, the one place that checks and floors weights.
+plain float array of per-row weights.  :class:`SolveCounter` tallies the
+solves, and :func:`gram_solve_multi` is the one place that checks and
+floors weights.  Not counted: the dual solver's small normal equations of
+``[A b]`` and ``[A b g]``, which ``np.linalg.solve`` handles.
 """
 from __future__ import annotations
 
@@ -65,22 +66,28 @@ class DenseMatrix:
 
 @dataclass
 class SolveCounter:
-    """Monotone tally of Gram solves, in total and by phase.
+    """Monotone tally of Gram solves (in total and by phase) and of steps.
 
-    ``factorizations`` counts the matrix factorizations behind them: one
-    per :func:`gram_solve_multi` call, however many columns it solves, and
-    one per eigendecomposition that later solves reuse
-    (``lpreg.accel.MetricPencil``).
+    ``factorizations`` counts the matrix factorizations behind the solves:
+    one per :func:`gram_solve_multi` call, however many columns it solves,
+    and one per eigendecomposition that later solves reuse
+    (``lpreg.accel.MetricPencil``).  ``steps`` holds the solvers' step
+    counters, each ticked where its step happens.
     """
 
     gram_solves: int = 0
     by_phase: dict = field(default_factory=dict)
     factorizations: int = 0
+    steps: dict = field(default_factory=dict)
 
     def tick(self, k: int = 1, phase: str | None = None):
         self.gram_solves += k
         if phase is not None:
             self.by_phase[phase] = self.by_phase.get(phase, 0) + k
+
+    def step(self, key: str, k: int = 1):
+        """Add k to ``steps[key]``; k = 0 declares a counter at zero."""
+        self.steps[key] = self.steps.get(key, 0) + k
 
 
 def _factor_gram(gram: np.ndarray, d: int):

@@ -114,12 +114,15 @@ def linf_regress(instance: ProblemInstance, seed=0,
     bracket [lower bound, max residual] comes from the softmax dual
     candidates and drives both the temperature schedule and termination;
     a round that does not lower the max residual sharpens the temperature.
+    An exponent other than inf is invalid input.
     """
+    if instance.p != math.inf:
+        raise InvalidInputError("linf requires p = inf")
     counter = counter if counter is not None else SolveCounter()
 
     def make_steps(unit):
         A, b, eps, n = unit.A, unit.b, unit.eps, unit.A.n
-        counts = {"newton_steps": 0}
+        counter.step("newton_steps", 0)
         t_shrink = 1.0
 
         def lower_bound(x):
@@ -141,7 +144,7 @@ def linf_regress(instance: ProblemInstance, seed=0,
                 dtil = (pi[:n] + pi[n:]) / t
                 step = -gram_solve_multi(A, dtil + NEWTON_DAMPING, grad,
                                          counter=counter, phase="newton")
-                counts["newton_steps"] += 1
+                counter.step("newton_steps")
                 a_step = A.a @ step
                 jd = np.concatenate([a_step, -a_step])
                 c = convex_line_search(_lse_slope, (z, jd, t))
@@ -159,7 +162,7 @@ def linf_regress(instance: ProblemInstance, seed=0,
                     return None
             return x
 
-        return BracketSteps(lower_bound, descend, counts)
+        return BracketSteps(lower_bound, descend)
 
     return certified_solve(instance, "linf", make_steps, counter=counter,
                            seed=seed, max_rounds=MAX_OUTER_ROUNDS)

@@ -149,7 +149,7 @@ class MwuState:
     az: np.ndarray | None = None
     energy: float | None = None
     energy_err: float = 0.0
-    progress_steps: int = 0
+    progress_steps: int = 0     # this run's; the alpha rule reads them
     boost_steps: int = 0
     dirty: bool = True
     counter: SolveCounter = field(default_factory=SolveCounter)
@@ -231,6 +231,7 @@ def progress_step(state: MwuState, z: np.ndarray,
         raise PotentialViolationError(
             f"progress potential jump {phi_new - phi_old:.6g} > {cap:.6g}")
     state.progress_steps += 1
+    state.counter.step("progress_steps")
     return state
 
 
@@ -315,6 +316,7 @@ def boosting_step(state: MwuState, z: np.ndarray) -> MwuState:
         raise PotentialViolationError(
             f"boost potential jump {phi_new - phi_old:.6g} > {cap:.6g}")
     state.boost_steps += 1
+    state.counter.step("boost_steps")
     return state
 
 
@@ -366,15 +368,14 @@ def width_reduced_oracle(inst: ResidualInstance,
     assumption raise InfeasibleError as soon as the energy bookkeeping
     detects them.  The loop runs at ``schedule``'s alpha (a fresh
     :class:`AlphaSchedule` when None) and reruns at a halved alpha after a
-    failure alpha can cause (see the module docstring); the step counts in
-    ``info`` cover every run.
+    failure alpha can cause (see the module docstring).  Every run ticks
+    its steps on ``counter``, and each halving is recorded there too.
     """
     p = inst.p
     if weights is None:
         weights = lewis_overestimates(inst.A, p)
     counter = counter if counter is not None else SolveCounter()
     schedule = schedule if schedule is not None else AlphaSchedule()
-    progress_steps = boost_steps = 0
     while True:
         state = new_state(inst, weights, counter=counter,
                           alpha_ratio=schedule.ratio)
@@ -385,13 +386,9 @@ def width_reduced_oracle(inst: ResidualInstance,
         except (StepBoundError, BoostBudgetExceededError):
             if state.progress_steps == 0 or not schedule.halve():
                 raise
-        finally:
-            progress_steps += state.progress_steps
-            boost_steps += state.boost_steps
+            counter.step("alpha_halvings")
+            counter.steps["alpha_over_floor"] = schedule.ratio
     info = {
-        "progress_steps": progress_steps,
-        "boost_steps": boost_steps,
-        "gram_solves": counter.gram_solves,
         "lp_norm": pn,
         "quad": quad,
         "final_potential": state.potential(),
@@ -411,7 +408,7 @@ class MwuGammaSolver:
     Weight overestimates depend only on the design matrix, so they are
     computed once and reused across calls; leverage scores are invariant
     under the per-call uniform rescaling of A.  One :class:`AlphaSchedule`
-    serves every call of a solve; ``counts`` records it.
+    serves every call of a solve, and the counter's steps record it.
     """
 
     def __init__(self, A: DenseMatrix, p: float,
@@ -420,9 +417,9 @@ class MwuGammaSolver:
         self.gamma = gamma_value(self.p)
         self.counter = counter if counter is not None else SolveCounter()
         self.schedule = AlphaSchedule()
-        self.counts = {"progress_steps": 0, "boost_steps": 0,
-                       "alpha_halvings": 0,
-                       "alpha_over_floor": self.schedule.ratio}
+        for key in ("progress_steps", "boost_steps", "alpha_halvings"):
+            self.counter.step(key, 0)
+        self.counter.steps["alpha_over_floor"] = self.schedule.ratio
         self.A = A
         self.weights = lewis_overestimates(A, self.p)
 
@@ -439,15 +436,9 @@ class MwuGammaSolver:
             R=R * (p / (8.0 * nu)) / scale_a ** 2,
             p=p,
         )
-        try:
-            y, info = width_reduced_oracle(inst, counter=self.counter,
-                                           weights=self.weights,
-                                           schedule=self.schedule)
-        finally:
-            self.counts.update(alpha_halvings=self.schedule.halvings,
-                               alpha_over_floor=self.schedule.ratio)
-        for key in ("progress_steps", "boost_steps"):
-            self.counts[key] += info[key]
+        y, _ = width_reduced_oracle(inst, counter=self.counter,
+                                    weights=self.weights,
+                                    schedule=self.schedule)
         return y
 
 
@@ -459,7 +450,7 @@ def solve_mwu(instance: ProblemInstance, seed=0,
     def make_steps(unit):
         solver = MwuGammaSolver(unit.A, unit.p, counter=counter)
         return refine_steps(unit, GammaSolverContract(solver.gamma, solver),
-                            counter, counts=solver.counts)
+                            counter)
 
     return certified_solve(instance, "mwu", make_steps, counter=counter,
                            seed=seed)

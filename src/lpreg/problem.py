@@ -19,14 +19,12 @@ class ProblemInstance:
     """An lp regression instance min_x ||A x - b||_p at target accuracy eps.
 
     Exponents in (1, 2) select the lq path; math.inf selects minimax.
-    ``planted_x`` is an optional generator hint used only by tests.
     """
 
     A: DenseMatrix
     b: np.ndarray
     p: float
     eps: float = 1e-6
-    planted_x: np.ndarray | None = None
 
     def __post_init__(self):
         self.b = np.asarray(self.b, dtype=float)

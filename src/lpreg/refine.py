@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -181,12 +181,11 @@ class BracketSteps:
 
     ``lower_bound(x)`` is a certified lower bound on the optimum;
     ``step(x, lo, hi)`` returns the next iterate, or None when it can make
-    no progress.  ``counts`` holds the solver's counters for the report.
+    no progress.  Step counts go to the solve's :class:`SolveCounter`.
     """
 
     lower_bound: Callable
     step: Callable
-    counts: dict = field(default_factory=dict)
 
 
 def _pow2_exponent(v: np.ndarray) -> int:
@@ -227,11 +226,10 @@ def certified_solve(instance: ProblemInstance, method: str,
     z = np.zeros(A.d)
     rounds, gap = 0, 0.0
     if scale <= SHORT_CIRCUIT_RTOL * float(np.linalg.norm(b_scaled)):
-        counts = {"short_circuit": 1}
+        counter.step("short_circuit")
     else:
         unit = UnitProblem(a_unit, b_eff / scale, p, eps, a_exp, to_caller)
         steps = make_steps(unit)
-        counts = steps.counts
         lo, gap = 0.0, math.inf
         while rounds < max_rounds:
             rounds += 1
@@ -254,7 +252,7 @@ def certified_solve(instance: ProblemInstance, method: str,
     report = SolveReport(
         method=method, p=p, eps=eps, n=A.n, d=A.d, seed=seed,
         gram_solves=counter.gram_solves,
-        phase_counts={"rounds": rounds, **counts, **counter.by_phase,
+        phase_counts={"rounds": rounds, **counter.steps, **counter.by_phase,
                       "factorizations": counter.factorizations},
         residual_lp=pnorm(u, p), residual_l2=pnorm(u, 2.0),
         certified_gap=max(gap, 0.0), wall_time=time.perf_counter() - t0)
@@ -262,7 +260,7 @@ def certified_solve(instance: ProblemInstance, method: str,
 
 
 def refinement_round(u: np.ndarray, p: float, floor: float, nu_prev,
-                     propose: Callable, counts: dict, calls_key: str):
+                     propose: Callable, counter: SolveCounter, calls_key: str):
     """One refinement round on sum |u|^p; returns (c, direction, nu) or None.
 
     ``propose(nu, g, r)`` returns (direction, image): a step in the
@@ -271,8 +269,8 @@ def refinement_round(u: np.ndarray, p: float, floor: float, nu_prev,
     proposal is infeasible or gives no decrease, at most ROUND_RETRIES
     times, and the round gives up once nu underflows to 0.  The
     exact line-search point u + c image is accepted once it falls below
-    f(u) (1 - 1e-15).  Proposals are tallied in ``counts[calls_key]`` and
-    acceptances in ``counts["accepted_steps"]``.
+    f(u) (1 - 1e-15).  Proposals are ticked as ``calls_key`` and
+    acceptances as ``"accepted_steps"`` on the counter's steps.
     """
     g, r = bregman_terms(u, p)
     if not np.any(g):
@@ -283,7 +281,7 @@ def refinement_round(u: np.ndarray, p: float, floor: float, nu_prev,
     for _ in range(ROUND_RETRIES):
         if not nu > 0.0:
             return None
-        counts[calls_key] += 1
+        counter.step(calls_key)
         try:
             direction, image = propose(nu, g, r)
         except (InfeasibleError, BoostBudgetExceededError):
@@ -293,24 +291,25 @@ def refinement_round(u: np.ndarray, p: float, floor: float, nu_prev,
             return None
         c_star, f_new = line_search_lp(u, image, p)
         if f_new < f_cur * (1.0 - 1e-15):
-            counts["accepted_steps"] += 1
+            counter.step("accepted_steps")
             return c_star, direction, nu
         nu /= 2.0
     return None
 
 
 def refine_steps(unit: UnitProblem, solver: GammaSolverContract,
-                 counter: SolveCounter,
-                 counts: dict | None = None) -> BracketSteps:
+                 counter: SolveCounter) -> BracketSteps:
     """Iterative-refinement steps driven by a residual-step solver.
 
     Each step is one :func:`refinement_round` whose proposals are the
-    solver's directions, charged against the contract's call budget.  The
-    step counters are added to ``counts`` (the solver's own, if given).
+    solver's directions, ticked as ``gamma_calls`` and charged against the
+    contract's call budget; a counter shared with earlier solves keeps
+    their calls, which the budget leaves out.
     """
     A, b, p = unit.A, unit.b, unit.p
-    counts = {} if counts is None else counts
-    counts.update(gamma_calls=0, accepted_steps=0)
+    counter.step("gamma_calls", 0)
+    counter.step("accepted_steps", 0)
+    calls_before = counter.steps["gamma_calls"]
     budget = min(REFINE_CALL_CONSTANT * p ** 3.5 * solver.gamma
                  * math.log((A.n + A.d) / unit.eps), 1e18)
     nu_prev = None
@@ -322,21 +321,22 @@ def refine_steps(unit: UnitProblem, solver: GammaSolverContract,
         nonlocal nu_prev
 
         def propose(nu, g, R):
-            if counts["gamma_calls"] > budget:
+            calls = counter.steps["gamma_calls"] - calls_before
+            if calls > budget:
                 raise BudgetExceededError(
-                    f"{counts['gamma_calls']} residual-solver calls exceed "
-                    f"the contract budget {budget:.3g}")
+                    f"{calls} residual-solver calls exceed the contract "
+                    f"budget {budget:.3g}")
             delta = solver.callback(nu, g, R, x=x)
             return delta, A.a @ delta
 
         out = refinement_round(A.a @ x - b, p, lo ** p, nu_prev, propose,
-                               counts, "gamma_calls")
+                               counter, "gamma_calls")
         if out is None:
             return None
         c_star, delta, nu_prev = out
         return x + c_star * delta
 
-    return BracketSteps(lower_bound, step, counts)
+    return BracketSteps(lower_bound, step)
 
 
 def refine_to_accuracy(instance: ProblemInstance, solver: GammaSolverContract,

@@ -326,9 +326,10 @@ class TestAcceleration:
         x0 = rng.standard_normal(3)
         b = A.a @ x0
         w = lewis_overestimates(A, 4.0)
-        x, info = ms_accelerate(A, b, 4.0, w, x0, eps=1e-8,
-                                lower_bound_fn=lambda xc: 0.0)
-        assert info["prox_calls"] == 0
+        counter = SolveCounter()
+        x = ms_accelerate(A, b, 4.0, w, x0, eps=1e-8, counter=counter,
+                          lower_bound_fn=lambda xc: 0.0)
+        assert counter.steps.get("prox_calls", 0) == 0
         assert np.array_equal(x, x0)
 
     def test_error_decreases_below_eps_within_budget(self):
@@ -343,11 +344,12 @@ class TestAcceleration:
         x0 = np.linalg.lstsq(A.a, b, rcond=None)[0]
         err0 = float(np.sum(np.abs(A.a @ x0 - b) ** p)) - f_star
         eps_f = err0 / 2
-        x, info = ms_accelerate(A, b, p, w, x0, eps=eps_f,
-                                lower_bound_fn=lambda xc: f_star)
+        counter = SolveCounter()
+        x = ms_accelerate(A, b, p, w, x0, eps=eps_f, counter=counter,
+                          lower_bound_fn=lambda xc: f_star)
         assert float(np.sum(np.abs(A.a @ x - b) ** p)) - f_star <= eps_f
         k = math.ceil(8 * p ** (2.0 / 3.0) * 6 ** ((p - 2) / (3 * p - 2)))
-        assert info["prox_calls"] <= 16 * k
+        assert counter.steps["prox_calls"] <= 16 * k
 
     def test_halvings_certified_against_oracle(self):
         rng = np.random.default_rng(19)
@@ -375,6 +377,26 @@ class TestAcceleration:
         opt = oracle_opt(inst, tol=1e-9)
         assert rep.residual_lp <= (1 + 1e-6) * opt
         assert rep.certified_gap <= 1e-6
+
+    def test_exhausted_step_scale_search_keeps_its_last_response(
+            self, monkeypatch):
+        # One probe per step: the search runs out at every step after the
+        # first, and its last response is used, not solved again.
+        centers = []
+        real = accel.prox_solve
+
+        def recording(prob, *args, **kwargs):
+            centers.append(prob.center.copy())
+            return real(prob, *args, **kwargs)
+
+        monkeypatch.setattr(accel, "MS_BISECTION_CAP", 1)
+        monkeypatch.setattr(accel, "prox_solve", recording)
+        inst = gen_instance("gaussian", 60, 4, 0, p=8.0, eps=1e-6)
+        _, rep = solve_pnorm_accel(inst)
+        assert rep.certified_gap <= 1e-6
+        assert len(centers) == rep.phase_counts["prox_calls"]
+        assert not any(np.array_equal(c0, c1)
+                       for c0, c1 in zip(centers, centers[1:]))
 
     def test_underflowed_step_scale_is_a_solver_error(self):
         # Above MAX_ACCEL_P the step-scale power dist^(p-2) can underflow

@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from lpreg import harness
+from lpreg.accel import solve_pnorm_accel
+from lpreg.dual import solve_lq
 from lpreg.errors import InvalidInputError
 from lpreg.harness import (
     ExperimentConfig,
@@ -14,8 +17,13 @@ from lpreg.harness import (
     run_experiment,
     solve,
 )
-from lpreg.linalg import DenseMatrix
+from lpreg.linalg import DenseMatrix, SolveCounter
+from lpreg.linf import linf_regress
+from lpreg.mwu import solve_mwu
 from lpreg.problem import ProblemInstance
+
+ENTRIES = {"mwu": solve_mwu, "accel": solve_pnorm_accel, "dual": solve_lq,
+           "linf": linf_regress}
 
 
 class TestGenInstance:
@@ -34,10 +42,16 @@ class TestGenInstance:
                 assert not np.array_equal(mats[i], mats[j])
 
     def test_zero_noise_plant_recoverable(self):
-        inst = gen_instance("planted_residual", 30, 3, 1)
-        assert inst.planted_x is not None
-        clean = ProblemInstance(inst.A, inst.A.a @ inst.planted_x, 4.0)
+        # b is A x* plus spikes on n/10 rows plus 0.01 noise, x* drawn
+        # right after A from the instance's seed stream.
+        n, d = 30, 3
+        inst = gen_instance("planted_residual", n, d, 1)
+        rng = harness._rng_for("planted_residual", n, d, 1)
+        assert np.array_equal(rng.standard_normal((n, d)), inst.A.a)
+        planted = rng.standard_normal(d)
+        clean = ProblemInstance(inst.A, inst.A.a @ planted, 4.0)
         assert oracle_opt(clean) == 0.0
+        assert np.sum(np.abs(inst.b - inst.A.a @ planted) > 0.1) <= n // 10
 
     def test_ill_conditioned_range(self):
         inst = gen_instance("ill_conditioned", 100, 8, 0)
@@ -174,13 +188,38 @@ class TestSolveDispatch:
         p = {"mwu": 3.0, "accel": 4.0, "dual": 1.5, "linf": math.inf}[method]
         eps = 1e-1 if p == math.inf else 1e-6
         inst = gen_instance("gaussian", 25, 3, 2, p=p, eps=eps)
+        counter = SolveCounter()
+        _, rep = ENTRIES[method](inst, seed=0, counter=counter)
+        assert sum(counter.by_phase.values()) == counter.gram_solves
+        assert rep.gram_solves == counter.gram_solves
+        assert counter.by_phase.items() <= rep.phase_counts.items()
+
+    @pytest.mark.parametrize("method, keys", [
+        ("mwu", {"progress_steps", "boost_steps", "alpha_halvings",
+                 "alpha_over_floor", "gamma_calls", "accepted_steps",
+                 "certificate", "progress"}),
+        ("accel", {"prox_calls", "inner_iterations", "certificate", "metric",
+                   "prox", "ms"}),
+        ("dual", {"oracle_calls", "accepted_steps", "recover",
+                  "oracle_small"}),
+        ("linf", {"newton_steps", "certificate", "newton"}),
+    ])
+    def test_phase_counts_keys(self, method, keys):
+        # perfbench/run.py and run_experiment read these keys, zero or not.
+        p = {"mwu": 3.0, "accel": 4.0, "dual": 1.5, "linf": math.inf}[method]
+        eps = 1e-1 if p == math.inf else 1e-6
+        inst = gen_instance("gaussian", 25, 3, 2, p=p, eps=eps)
         _, rep = solve(inst, method, seed=0)
-        solve_phases = {"init", "certificate", "sketch", "progress", "boost",
-                        "woodbury_check", "oracle_small", "recover", "prox",
-                        "metric", "ms", "newton"}
-        tracked = sum(v for k, v in rep.phase_counts.items()
-                      if k in solve_phases)
-        assert tracked == rep.gram_solves
+        assert set(rep.phase_counts) == keys | {"rounds", "init",
+                                                "factorizations"}
+        if method == "mwu":
+            assert rep.phase_counts["boost_steps"] == 0
+            assert rep.phase_counts["alpha_halvings"] == 0
+        # an exact fit short-circuits every method the same way
+        exact = ProblemInstance(inst.A, inst.A.a @ np.ones(3), p, eps=eps)
+        _, rep = solve(exact, method, seed=0)
+        assert rep.phase_counts == {"rounds": 0, "short_circuit": 1,
+                                    "init": 1, "factorizations": 1}
 
     @pytest.mark.parametrize("method", ["mwu", "accel", "dual", "linf"])
     def test_validation_at_boundary_and_seed_is_a_label(self, method,

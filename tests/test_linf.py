@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lpreg.errors import InvalidInputError
 from lpreg.harness import gen_instance, oracle_opt
 from lpreg.lewis import LewisOverestimate, lewis_overestimates
 from lpreg.linalg import DenseMatrix
@@ -234,6 +235,12 @@ class TestLinfRegress:
         assert rep.p == math.inf
         assert rep.phase_counts["newton_steps"] > 0
         assert rep.gram_solves > 0
+
+    def test_finite_exponent_is_invalid_input(self):
+        # rejected before any round runs, not left to stall
+        inst = gen_instance("gaussian", 60, 4, 0, p=4.0)
+        with pytest.raises(InvalidInputError, match="p = inf"):
+            linf_regress(inst, seed=0)
 
     @pytest.mark.parametrize("family", ["gaussian", "ill_conditioned",
                                         "planted_residual", "coherent_rows"])

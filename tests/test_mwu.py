@@ -190,11 +190,11 @@ class TestWidthReducedOracle:
         g[0] = -1.0
         inst = ResidualInstance(DenseMatrix(np.eye(d)), g,
                                 np.ones(d), 4.0)
-        schedule = AlphaSchedule()
-        y, info = width_reduced_oracle(inst, schedule=schedule)
+        counter, schedule = SolveCounter(), AlphaSchedule()
+        y, _ = width_reduced_oracle(inst, counter=counter, schedule=schedule)
         assert schedule.halvings == 0
         assert abs(inst.g @ y + 1.0) <= 1e-9
-        assert info["boost_steps"] == 0
+        assert counter.steps.get("boost_steps", 0) == 0
 
     def test_planted_instance_postconditions(self):
         p = 4.0
@@ -202,15 +202,14 @@ class TestWidthReducedOracle:
         counter = SolveCounter()
         schedule = AlphaSchedule()
         start = mwu_constants(p, 8)[1] * schedule.ratio
-        y, info = width_reduced_oracle(inst, counter=counter,
-                                       schedule=schedule)
+        y, _ = width_reduced_oracle(inst, counter=counter, schedule=schedule)
         assert schedule.halvings == 0
-        assert info["progress_steps"] <= math.floor(8 ** (1 / p) / start) + 1
+        assert counter.steps["progress_steps"] <= math.floor(
+            8 ** (1 / p) / start) + 1
         assert abs(inst.g @ y + 1.0) <= 1e-9
         assert pnorm(inst.A.a @ y, p) <= 80.0 * p
         ay = inst.A.a @ y
         assert float(ay @ (inst.R * ay)) <= 4.0 * (20.0 * p) ** (p - 2.0)
-        assert info["gram_solves"] == counter.gram_solves
 
     def test_energy_and_potential_bookkeeping(self):
         inst = plant_residual_instance(60, 5, 4.0, seed=9)
@@ -349,6 +348,23 @@ class TestAlphaSchedule:
         assert st.progress_steps == 1
         assert np.all(np.isfinite(y))
         assert abs(float(inst.g @ y) + 1.0) <= 1e-9
+
+    def test_report_counts_the_steps_of_failed_oracle_calls(self,
+                                                             monkeypatch):
+        # One oracle call here breaks the energy cap after 4 progress steps;
+        # the report counts those steps, as it counts their Gram solves.
+        calls = []
+        real = mwu.progress_step
+
+        def counted(state, z, az=None):
+            calls.append(1)
+            return real(state, z, az=az)
+
+        monkeypatch.setattr(mwu, "progress_step", counted)
+        inst = gen_instance("coherent_rows", 320, 16, 0, p=12.0, eps=1e-8)
+        _, rep = solve(inst, "mwu")
+        assert rep.phase_counts["progress_steps"] == len(calls)
+        assert rep.certified_gap <= 1e-8
 
 
 def residual_opt_bruteforce(A, g_n, R, p, nu, seed=0):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from lpreg import refine
 from lpreg.errors import (
     BisectionStallError,
     BudgetExceededError,
@@ -237,14 +238,14 @@ class TestRefinementRound:
                 raise InfeasibleError("nu too large")
             return -u, -u                 # toward the minimizer u = 0
 
-        counts = {"calls": 0, "accepted_steps": 0}
+        counter = SolveCounter()
         c, direction, nu = refinement_round(u, p, floor, nu_prev, propose,
-                                            counts, "calls")
+                                            counter, "calls")
         f_u = float(np.sum(np.abs(u) ** p))
         start = f_u - floor if nu_prev is None else min(f_u - floor, 4 * nu_prev)
-        assert len(seen) == k + 1 and counts["calls"] == k + 1
+        assert len(seen) == k + 1
+        assert counter.steps == {"calls": k + 1, "accepted_steps": 1}
         assert seen[0] == start and nu == start / 2 ** k
-        assert counts["accepted_steps"] == 1
         assert np.array_equal(direction, -u)
         assert c == pytest.approx(1.0, abs=1e-9)
 
@@ -256,11 +257,11 @@ class TestRefinementRound:
             seen.append(nu)
             return u, u                   # away from the minimizer
 
-        counts = {"calls": 0, "accepted_steps": 0}
-        assert refinement_round(u, p, 0.0, None, propose, counts,
+        counter = SolveCounter()
+        assert refinement_round(u, p, 0.0, None, propose, counter,
                                 "calls") is None
-        assert len(seen) == ROUND_RETRIES == counts["calls"]
-        assert counts["accepted_steps"] == 0
+        assert len(seen) == ROUND_RETRIES == counter.steps["calls"]
+        assert "accepted_steps" not in counter.steps
         assert all(b == a / 2 for a, b in zip(seen, seen[1:]))
 
     def test_underflowed_nu_ends_the_round(self):
@@ -273,12 +274,12 @@ class TestRefinementRound:
             seen.append(nu)
             raise InfeasibleError("nu too large")
 
-        counts = {"calls": 0, "accepted_steps": 0}
+        counter = SolveCounter()
         f_u = float(np.sum(np.abs(u) ** p))
-        assert refinement_round(u, p, f_u, None, propose, counts,
+        assert refinement_round(u, p, f_u, None, propose, counter,
                                 "calls") is None
         assert seen[0] == 1e-300 and min(seen) > 0.0
-        assert len(seen) == counts["calls"] < ROUND_RETRIES
+        assert len(seen) == counter.steps["calls"] < ROUND_RETRIES
 
 
 def mwu_contract(A, p, counter=None):
@@ -323,6 +324,28 @@ class TestRefineToAccuracy:
         assert rep.residual_lp <= (1 + 1e-6) * opt
         assert rep.certified_gap <= 1e-6
         assert rep.gram_solves == counter.gram_solves
+
+    def test_shared_counter_budget_counts_this_solve_only(self,
+                                                          monkeypatch):
+        # With the budget set to one solve's calls, a second solve on the
+        # same counter still gets all of them, and one call fewer fails.
+        rng = np.random.default_rng(4)
+        A = DenseMatrix(rng.standard_normal((80, 5)))
+        inst = ProblemInstance(A, rng.standard_normal(80), 4.0, eps=1e-6)
+        _, rep = refine_to_accuracy(inst, mwu_contract(A, 4.0))
+        calls = rep.phase_counts["gamma_calls"]
+        unit = 4.0 ** 3.5 * mwu_contract(A, 4.0).gamma * math.log(85 / 1e-6)
+        monkeypatch.setattr(refine, "REFINE_CALL_CONSTANT",
+                            (calls + 0.5) / unit)
+        counter = SolveCounter()
+        for _ in range(2):
+            refine_to_accuracy(inst, mwu_contract(A, 4.0, counter=counter),
+                               counter=counter)
+        assert counter.steps["gamma_calls"] == 2 * calls
+        monkeypatch.setattr(refine, "REFINE_CALL_CONSTANT",
+                            (calls - 0.5) / unit)
+        with pytest.raises(BudgetExceededError, match="contract budget"):
+            refine_to_accuracy(inst, mwu_contract(A, 4.0))
 
     def test_monotone_objective_and_budget_fields(self):
         # monotonicity holds by construction of the accepting line search;
