@@ -4,7 +4,8 @@ The proximal subproblem adds an e p^p times p-th power of the distance in
 the metric induced by the weight overestimates.  Hessian stability makes
 that subproblem conditionally well-behaved: a relative-smoothness descent
 loop solves it, with each inner step reduced to a scalar root-find over a
-step scale tau.  Every system met at one proximal center lies in the fixed
+step scale tau, found by safeguarded Newton steps in log tau with brentq
+as the fallback.  Every system met at one proximal center lies in the fixed
 pencil (A^T H_c A, A^T M A), so one generalized eigendecomposition per
 center (:class:`MetricPencil`) turns each tau probe into O(d) work and
 each inverse-metric product into O(d^2).  Costs are still charged in the
@@ -16,7 +17,9 @@ iteration with a step-scale search.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -41,13 +44,19 @@ MS_BISECTION_CAP = 60
 # function error at most 1, so no error-scaled slack is ever larger.
 PROX_TOL = 1e-14
 MAX_HALVINGS = 300
+# The step-scale root is held to brentq's relative tolerance in tau; the
+# Newton search stops at a step this small in log tau.
+TAU_RTOL = 8.9e-16
+TAU_MIN = sys.float_info.min
+MAX_NEWTON_STEPS = 100
+LN2 = math.log(2.0)
 # Largest supported exponent: C_p = e p^p and the step-scale powers leave
-# the float range as p grows.  At 60x4 (four families, seeds 0-2) p = 14
-# always solves.  p = 16 solves 11 of 12: on ill_conditioned seed 0 the
-# dual bound stalls at gap 1.01e-6 (eps 1e-6), the next proximal response
-# pins its center, and the solve ends in BudgetExceededError.  p = 32
-# stalls the same way, at gap 1.45 there.  The cap stays until C_p and the
-# step-scale power dist^(p-2) are carried in log form.
+# the float range as p grows.  At 60x4, eps 1e-6, four families and seeds
+# 0-2, p = 16 certifies all 12 instances (gaps 6e-11 to 1.2e-7, 3,608 to
+# 8,953 Gram solves, 28 to 95 factorizations).  At p = 32 all 8 of seeds
+# 0-1 stall in BudgetExceededError at gaps from 7.6e-5 to 1.5, five of them
+# in round 1, where the proximal response pins its center.  The cap stays
+# until C_p and the step-scale power dist^(p-2) are carried in log form.
 MAX_ACCEL_P = 14.0
 
 
@@ -104,9 +113,13 @@ class MetricPencil:
             raise NonFiniteError("right-hand side must be finite")
         return self.t.T @ v
 
+    @cached_property
+    def _lam8(self) -> np.ndarray:
+        return 8.0 * self.lam
+
     def scaled(self, z: np.ndarray, tau: float) -> np.ndarray:
         """Eigenbasis coordinates of the tau-step for rhs coordinates z."""
-        return z / (8.0 * self.lam + self.c * tau)
+        return z / (self._lam8 + self.c * tau)
 
 
 class ProxEval(NamedTuple):
@@ -236,63 +249,117 @@ class ProxCertificate:
         return self.residual <= self.threshold
 
 
+def _newton_accepts(tau_new: float, lo: float, hi: float, ds: float,
+                    ds_prev: float) -> bool:
+    """Whether the step-scale search takes a Newton step in log tau.
+
+    The step must land strictly inside the bracket (lo, hi) that the gap's
+    signs give, and once both ends are known it must be at most half the
+    previous step; otherwise brentq takes over on the bracket.
+    """
+    if not lo < tau_new < hi:
+        return False
+    return lo == 0.0 or hi == math.inf or abs(ds) <= 0.5 * abs(ds_prev)
+
+
 def _solve_inner_subproblem(prob: ProxProblem, glin: np.ndarray, tau_seed: float,
                             counter: SolveCounter | None):
     """Pick tau >= 0 so that tau^{2/(p-2)} = ||s(tau)||_M^2; return (s, tau).
 
     s(tau) minimizes <glin, s> + 4||s||_H^2 + 2 e p^{p+1} tau ||s||_M^2 for
-    p > 2.  The left side grows and the step shrinks as tau increases, so
-    the complementarity gap is monotone and a bracketed root-find applies.
-    In the center's pencil basis the rhs coordinates z = T^T glin are
-    formed once, and ||s(tau)||_M^2 = sum z_i^2 / (8 lam_i + c tau)^2
-    costs O(d) per probe.  Each distinct probed tau counts as one Gram
-    solve, as the direct solve it replaces would.
+    p > 2.  In the center's pencil basis the rhs coordinates z = T^T glin
+    are formed once, and ||s(tau)||_M^2 = S(tau) = sum z_i^2 / (8 lam_i +
+    c tau)^2 costs O(d) per probe.  The search runs Newton's method in
+    log tau, from the seed, on the log gap h = log(tau^{2/(p-2)} / S(tau)).
+    Its slope, 2/(p-2) + 2 c tau sum z_i^2 / (8 lam_i + c tau)^3 / S(tau),
+    lies between 2/(p-2) and 2/(p-2) + 2 and comes from the same
+    coordinates.  Powers of two scale z (and, when needed, the probe's
+    coordinates), so a tiny or huge glin still has a root to find.  The
+    probes' signs keep a bracket; a Newton step that leaves it, or does not
+    halve once both ends are known, hands the bracket to brentq (see
+    :func:`_newton_accepts`).  The root is the probe whose Newton step is
+    at most ``TAU_RTOL``, brentq's relative tolerance.  Each distinct probed
+    tau counts as one Gram solve, as the direct solve it replaces would.
+    When the root lies below the smallest normal float, the step at that
+    float is returned.
     """
     p = prob.p
-    if not np.any(glin):
+    if not glin.any():
         return np.zeros_like(prob.center), 0.0
     pencil = prob.pencil(counter)
     z = pencil.coords(glin)
+    z_max = float(abs(z).max())
+    if z_max == 0.0:
+        return np.zeros_like(prob.center), 0.0      # T^T glin underflowed
+    z_exp = math.frexp(z_max)[1]
+    z_unit = np.ldexp(z, -z_exp)                    # max |z_unit| in [1/2, 1)
+    expo = 2.0 / (p - 2.0)
+    c = pencil.c
+    # S(tau) <= ||z||^2 / (c tau)^2, so the gap is positive from half of
+    # tau_up on; the factor 2 keeps rounding from hiding that sign.
+    log_up = LN2 + (0.5 * math.log(float(z_unit @ z_unit)) + z_exp * LN2
+                    - math.log(c)) / (1.0 + expo / 2.0)
+    tau_up = max(math.exp(min(log_up, 690.0)), TAU_MIN)
     probed = set()
+    lo, hi = 0.0, math.inf          # probed taus with h < 0 and h >= 0
 
-    def coords_at(tau):
+    def coords_at(tau, coords=z):
         if counter is not None and tau not in probed:
             counter.tick(1, "prox")
         probed.add(tau)
-        return pencil.scaled(z, tau)
+        return pencil.scaled(coords, tau)
 
-    def gap(tau):
-        w = coords_at(tau)
-        value = fpow(tau, 2.0 / (p - 2.0)) - float(w @ w)
-        if not math.isfinite(value):
+    def log_gap(tau):
+        """h(tau) and dh / dlog(tau); updates the bracket."""
+        nonlocal lo, hi
+        w = coords_at(tau, z_unit)
+        s_unit = float(w @ w)                       # S(tau) / 4^s_exp
+        s_exp = z_exp
+        if not 0.0 < s_unit < math.inf:
+            # The squares left the float range: rescale w by a power of two.
+            w_exp = math.frexp(float(abs(w).max()))[1]
+            w = np.ldexp(w, -w_exp)
+            s_unit, s_exp = float(w @ w), z_exp + w_exp
+        lhs = fpow(tau, expo)
+        if not (math.isfinite(lhs) and 0.0 < s_unit < math.inf):
             raise BisectionStallError(
                 f"step-scale gap not finite at tau {tau:.3g}")
-        return value
+        if lhs > 0.0:
+            # The log of a ratio of mantissas is exact to rounding near the
+            # root, where the binary exponents cancel.
+            m_l, e_l = math.frexp(lhs)
+            m_s, e_s = math.frexp(s_unit)
+            value = math.log(m_l / m_s) + (e_l - e_s - 2 * s_exp) * LN2
+        else:                                       # tau^{2/(p-2)} underflows
+            value = expo * math.log(tau) - math.log(s_unit) - 2 * s_exp * LN2
+        if value < 0.0:
+            lo = tau
+        else:
+            hi = tau
+        cubed = float(w @ pencil.scaled(w, tau))    # sum w^2 / (8 lam + c tau)
+        return value, expo + 2.0 * c * tau * cubed / s_unit
 
-    lo = hi = max(tau_seed, 1e-30)
-    glo = ghi = gap(lo)
-    doubles = 0
-    while glo > 0.0:
-        lo /= 4.0
-        glo = gap(lo)
-        doubles += 1
-        if doubles > 200 or lo < 1e-290:
-            if abs(glo) <= 1e-20:
-                break
-            raise BisectionStallError("no lower bracket for the step scale")
-    doubles = 0
-    while ghi < 0.0:
-        hi *= 4.0
-        ghi = gap(hi)
-        doubles += 1
-        if doubles > 200:
+    tau = min(max(tau_seed, TAU_MIN), tau_up)
+    ds_prev = math.inf
+    for _ in range(MAX_NEWTON_STEPS):
+        value, slope = log_gap(tau)
+        ds = -value / slope
+        if abs(ds) <= TAU_RTOL:
+            return -(pencil.t @ coords_at(tau)), tau
+        tau_new = min(max(tau * math.exp(min(ds, 700.0)), TAU_MIN), tau_up)
+        if not _newton_accepts(tau_new, lo, hi, ds, ds_prev):
+            break
+        tau, ds_prev = tau_new, ds
+    while lo == 0.0:
+        if hi == TAU_MIN:                           # the root underflows
+            return -(pencil.t @ coords_at(hi)), hi
+        log_gap(max(hi / 4.0, TAU_MIN))
+    while hi == math.inf:
+        if lo >= tau_up:
             raise BisectionStallError("no upper bracket for the step scale")
-    if lo == hi or glo == 0.0:
-        tau = lo
-    elif ghi == 0.0:
-        tau = hi
-    else:
-        tau = brentq(gap, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=300)
+        log_gap(min(4.0 * lo, tau_up))
+    tau = brentq(lambda t: log_gap(t)[0], lo, hi, xtol=1e-300, rtol=TAU_RTOL,
+                 maxiter=300)
     return -(pencil.t @ coords_at(tau)), tau
 
 

@@ -323,9 +323,11 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     Solver errors are recorded per row and the sweep continues.  Outputs
     are deterministic functions of the config (wall time is kept out of
-    the CSV).  With two or more dimensions the summary holds, per d, the
-    mean Gram solves, their log-log slope and, for solvers with a step
-    schedule (``mwu``), the mean number of alpha halvings.
+    the CSV).  Each row carries the Gram solves (the paper's unit) and the
+    factorizations next to them.  With two or more dimensions the summary
+    holds, per d, the mean Gram solves, their log-log slope, the mean
+    factorizations and, for solvers with a step schedule (``mwu``), the
+    mean number of alpha halvings.
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -352,11 +354,13 @@ def run_experiment(config: ExperimentConfig) -> dict:
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "d", "method", "p", "eps", "gram_solves",
-                         "certified_gap", "oracle_error", "error"])
+                         "factorizations", "certified_gap", "oracle_error",
+                         "error"])
         for r, oracle_error in rows:
             writer.writerow([
                 r.n, r.d, r.method, "inf" if r.p == math.inf else repr(r.p),
                 repr(r.eps), r.gram_solves,
+                r.phase_counts.get("factorizations", 0),
                 "" if r.certified_gap is None else repr(r.certified_gap),
                 "" if oracle_error is None else repr(oracle_error),
                 r.error or ""])
@@ -373,6 +377,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
             summary["dims"] = ds
             summary["mean_gram_solves"] = means
             summary["loglog_slope"] = fit_loglog_slope(ds, means)
+            summary["mean_factorizations"] = [
+                float(np.mean([r.phase_counts["factorizations"]
+                               for r in per_d[d]])) for d in ds]
             if any("alpha_halvings" in r.phase_counts for r in ok):
                 summary["mean_alpha_halvings"] = [
                     float(np.mean([r.phase_counts.get("alpha_halvings", 0)

@@ -1,9 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 
 import lpreg.accel as accel
 from lpreg.accel import (
@@ -227,6 +228,116 @@ class TestMetricPencil:
         monkeypatch.setattr(accel, "fpow", lambda base, expo: math.inf)
         with pytest.raises(BisectionStallError):
             _solve_inner_subproblem(prob, np.ones(16), 1.0, None)
+
+
+GLIN_SCALES = (1e-6, 1.0, 1e6)
+
+
+def log_gap_at(prob, glin, tau, scale=1.0):
+    """log(tau^{2/(p-2)} / S(tau)) for the linear term scale * glin.
+
+    S is linear in scale^2, so a scale whose square underflows still
+    gives the right sign and size.
+    """
+    pencil = prob.pencil()
+    w = pencil.scaled(pencil.coords(glin), tau)
+    return (2.0 / (prob.p - 2.0) * math.log(tau) - 2.0 * math.log(scale)
+            - math.log(float(w @ w)))
+
+
+def gap_ratio(prob, glin, tau):
+    """|G(tau)| / tau^{2/(p-2)}, G the step-scale gap."""
+    pencil = prob.pencil()
+    w = pencil.scaled(pencil.coords(glin), tau)
+    lhs = tau ** (2.0 / (prob.p - 2.0))
+    return abs(lhs - float(w @ w)) / lhs
+
+
+def bracket_brentq_probes(prob, glin, tau):
+    """Distinct taus probed by the search the Newton one replaced.
+
+    It bracketed the root by factors of 4 from the seed, then ran brentq
+    on the gap G to the same relative tolerance.
+    """
+    pencil = prob.pencil()
+    z = pencil.coords(glin)
+    probed = set()
+
+    def gap(t):
+        probed.add(t)
+        w = pencil.scaled(z, t)
+        return t ** (2.0 / (prob.p - 2.0)) - float(w @ w)
+
+    lo = hi = tau
+    while gap(lo) > 0.0:
+        lo /= 4.0
+    while gap(hi) < 0.0:
+        hi *= 4.0
+    if lo != hi:
+        brentq(gap, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=300)
+    return len(probed)
+
+
+class TestStepScaleSearch:
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("p", [4.0, 8.0, 14.0])
+    def test_gap_at_rounding_level(self, family, p):
+        prob = family_problem(family, p)
+        glin = np.random.default_rng(1).standard_normal(16)
+        for scale in GLIN_SCALES:
+            _, tau = _solve_inner_subproblem(prob, scale * glin, 1.0, None)
+            assert gap_ratio(prob, scale * glin, tau) <= 16 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("p", [4.0, 8.0, 14.0])
+    def test_brentq_fallback_finds_the_same_root(self, family, p, monkeypatch):
+        prob = family_problem(family, p)
+        glin = np.random.default_rng(1).standard_normal(16)
+        newton = [_solve_inner_subproblem(prob, scale * glin, 1.0, None)[1]
+                  for scale in GLIN_SCALES]
+        calls = []
+        monkeypatch.setattr(accel, "_newton_accepts", lambda *args: False)
+        monkeypatch.setattr(accel, "brentq",
+                            lambda *args, **kw: calls.append(1) or brentq(*args, **kw))
+        for scale, tau in zip(GLIN_SCALES, newton):
+            _, tau_b = _solve_inner_subproblem(prob, scale * glin, 1.0, None)
+            assert tau_b == pytest.approx(tau, rel=1e-14, abs=0.0)
+        assert len(calls) == len(GLIN_SCALES)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("p", [4.0, 8.0])
+    def test_no_more_probes_than_bracket_and_brentq(self, family, p):
+        prob = family_problem(family, p)
+        glin = np.random.default_rng(1).standard_normal(16)
+        for scale in GLIN_SCALES:
+            counter = SolveCounter()
+            _solve_inner_subproblem(prob, scale * glin, 1.0, counter)
+            assert counter.by_phase["prox"] <= bracket_brentq_probes(
+                prob, scale * glin, 1.0)
+
+    @pytest.mark.parametrize("k", [1e-100, 1e-150, 1e-200, 1e-300])
+    def test_tiny_linear_term(self, k):
+        # The root for 1e-100 and 1e-150 is a normal float far below the
+        # seed; for 1e-200 and 1e-300 it lies below the smallest normal
+        # float, whose step comes back.
+        prob = family_problem("gaussian", 4.0)
+        glin = np.ones(16)
+        step, tau = _solve_inner_subproblem(prob, k * glin, 1.0, None)
+        ref = qr_tau_step(prob, glin, tau)          # the step is linear in glin
+        assert prob.m_norm(step / k - ref) <= 1e-8 * prob.m_norm(ref)
+        if tau > sys.float_info.min:
+            assert abs(log_gap_at(prob, glin, tau, k)) <= 1e-12
+        else:
+            assert log_gap_at(prob, glin, tau, k) > 0.0
+
+    @pytest.mark.parametrize("k", [1e-320, 5e-324])
+    def test_underflowed_linear_term_is_a_zero_step_or_a_stall(self, k):
+        prob = family_problem("gaussian", 4.0)
+        try:
+            step, _ = _solve_inner_subproblem(prob, k * np.ones(16), 1.0, None)
+        except BisectionStallError:
+            return
+        assert not step.any()
 
 
 class CountingMatrix(np.ndarray):

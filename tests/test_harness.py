@@ -304,6 +304,21 @@ class TestRunExperiment:
         summary = run_experiment(cfg)
         assert "loglog_slope" in summary
         assert len(summary["dims"]) == 3
+        # Gram solves and factorizations side by side, per row and per d.
+        with open(tmp_path / "out" / "results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        reports = [json.loads((tmp_path / "out" /
+                               f"accel_gaussian_{n}x{d}_s0.json").read_text())
+                   for n, d in cfg.sizes]
+        factorizations = [r["phase_counts"]["factorizations"] for r in reports]
+        assert [int(row["factorizations"]) for row in rows] == factorizations
+        assert [int(row["gram_solves"]) for row in rows] == [
+            r["gram_solves"] for r in reports]
+        assert summary["mean_factorizations"] == [float(f) for f in factorizations]
+        assert summary["mean_gram_solves"] == [
+            float(r["gram_solves"]) for r in reports]
+        assert all(0 < f < g for f, g in zip(summary["mean_factorizations"],
+                                             summary["mean_gram_solves"]))
 
     def test_mwu_summary_reports_alpha_halvings(self, tmp_path):
         cfg = self._config(tmp_path, method="mwu",
