@@ -50,6 +50,9 @@ TAU_RTOL = 8.9e-16
 TAU_MIN = sys.float_info.min
 MAX_NEWTON_STEPS = 100
 LN2 = math.log(2.0)
+# Entries up to 1 / SQUARE_SAFE = 2^500 have a sum of squares below the
+# largest float for any d under 2^23.
+SQUARE_SAFE = 2.0 ** -500
 # Largest supported exponent: C_p = e p^p and the step-scale powers leave
 # the float range as p grows.  At 60x4, eps 1e-6, four families and seeds
 # 0-2, p = 16 certifies all 12 instances (gaps 6e-11 to 1.2e-7, 3,608 to
@@ -313,10 +316,12 @@ def _solve_inner_subproblem(prob: ProxProblem, glin: np.ndarray, tau_seed: float
         """h(tau) and dh / dlog(tau); updates the bracket."""
         nonlocal lo, hi
         w = coords_at(tau, z_unit)
-        s_unit = float(w @ w)                       # S(tau) / 4^s_exp
-        s_exp = z_exp
+        # max|z_unit| < 1, so |w| <= 1 / (c tau): only a probe with c tau
+        # below SQUARE_SAFE can square w past the float range.
+        s_unit = float(w @ w) if c * tau >= SQUARE_SAFE else math.inf
+        s_exp = z_exp                               # S(tau) = s_unit 4^s_exp
         if not 0.0 < s_unit < math.inf:
-            # The squares left the float range: rescale w by a power of two.
+            # The squares leave the float range: rescale w by a power of two.
             w_exp = math.frexp(float(abs(w).max()))[1]
             w = np.ldexp(w, -w_exp)
             s_unit, s_exp = float(w @ w), z_exp + w_exp

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -329,6 +330,28 @@ class TestStepScaleSearch:
             assert abs(log_gap_at(prob, glin, tau, k)) <= 1e-12
         else:
             assert log_gap_at(prob, glin, tau, k) > 0.0
+
+    def test_overflowing_probe_is_rescaled_without_warning(self):
+        # At an exact-fit center every pencil eigenvalue is 0, so the probe
+        # at the seed 1e-240 has coordinates near 1e236, whose squares
+        # overflow.  The root of tau^{2/(p-2)} = ||z||^2 / (c tau)^2 is
+        # (||z|| / c)^{(p-2)/(p-1)}.
+        p = 4.0
+        inst = gen_instance("gaussian", 320, 16, 0, p=p)
+        y = np.random.default_rng(3).standard_normal(16)
+        prob = ProxProblem(inst.A, inst.A.a @ y, p,
+                           lewis_overestimates(inst.A, p), y)
+        glin = np.random.default_rng(1).standard_normal(16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            step, tau = _solve_inner_subproblem(prob, glin, 1e-240, None)
+        pencil = prob.pencil()
+        assert not pencil.lam.any()
+        root = (np.linalg.norm(pencil.coords(glin)) / pencil.c) ** (
+            (p - 2.0) / (p - 1.0))
+        assert tau == pytest.approx(root, rel=1e-13)
+        ref = qr_tau_step(prob, glin, tau)
+        assert prob.m_norm(step - ref) <= 1e-12 * prob.m_norm(ref)
 
     @pytest.mark.parametrize("k", [1e-320, 5e-324])
     def test_underflowed_linear_term_is_a_zero_step_or_a_stall(self, k):

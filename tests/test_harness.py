@@ -202,7 +202,8 @@ class TestSolveDispatch:
                    "prox", "ms"}),
         ("dual", {"oracle_calls", "accepted_steps", "recover",
                   "oracle_small"}),
-        ("linf", {"newton_steps", "certificate", "newton"}),
+        ("linf", {"newton_steps", "line_search_evals", "certificate",
+                  "newton"}),
     ])
     def test_phase_counts_keys(self, method, keys):
         # perfbench/run.py and run_experiment read these keys, zero or not.

@@ -1,16 +1,55 @@
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import optimize
 
-from lpreg.errors import InvalidInputError
-from lpreg.harness import gen_instance, oracle_opt
+from lpreg.errors import InvalidInputError, NonFiniteError
+from lpreg.harness import gen_instance, oracle_opt, solve
 from lpreg.lewis import LewisOverestimate, lewis_overestimates
-from lpreg.linalg import DenseMatrix
+from lpreg.linalg import DenseMatrix, SolveCounter
 from lpreg import linf
-from lpreg.linf import linf_regress, lse_eval
+from lpreg.linf import _lse_slope, line_search_lse, linf_regress, lse_eval
 from lpreg.problem import ProblemInstance
-from lpreg.refine import weak_duality_bound
+from lpreg.refine import convex_line_search, weak_duality_bound
+
+
+def stacked(u, du):
+    """The linf Newton step's search data: z = (u, -u), jd = (du, -du)."""
+    u, du = np.asarray(u, dtype=float), np.asarray(du, dtype=float)
+    return np.concatenate([u, -u]), np.concatenate([du, -du])
+
+
+def random_line(seed=11, n=40):
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(n)
+    return stacked(u, -(u + 0.2 * rng.standard_normal(n)))
+
+
+def tied_line(seed=12, n=40):
+    # three entries share the maximum, with different slopes
+    rng = np.random.default_rng(seed)
+    u = 0.5 * rng.standard_normal(n)
+    u[:3] = 2.5
+    du = -(u + 0.2 * rng.standard_normal(n))
+    du[:3] = [-3.0, -1.0, 0.5]
+    return stacked(u, du)
+
+
+def kink_at_zero_line(seed=13, n=40):
+    # lines of slopes -3 and 1 tie at the top at c = 0, so the max envelope
+    # is least at 0 while the soft maximum still falls there
+    rng = np.random.default_rng(seed)
+    u = 0.5 * rng.standard_normal(n)
+    u[:2] = [2.0, -2.0]
+    du = 0.1 * rng.standard_normal(n)
+    du[:2] = [-3.0, -1.0]
+    return stacked(u, du)
+
+
+LINES = {"random": random_line, "tied": tied_line, "kink_at_zero": kink_at_zero_line}
 
 
 def lse_quad_form(J: np.ndarray, pi: np.ndarray, t: float, v: np.ndarray) -> float:
@@ -265,3 +304,91 @@ class TestLinfRegress:
         _, rep = linf_regress(inst, seed=seed)
         assert rep.certified_gap <= 1e-10
         assert rep.residual_lp <= (1 + 1e-10) * oracle_opt(inst)
+
+
+class TestLineSearch:
+    @pytest.mark.parametrize("t", [1.0, 1e-3, 1e-6])
+    @pytest.mark.parametrize("case", sorted(LINES))
+    def test_matches_reference(self, case, t):
+        z, jd = LINES[case]()
+
+        def f(c):
+            return lse_eval(z + c * jd, t)[0]
+
+        ref = optimize.minimize_scalar(f, bounds=(0.0, 4.0), method="bounded",
+                                       options={"xatol": 1e-14})
+        counter = SolveCounter()
+        c, val = line_search_lse(z, jd, t, lse_eval(z, t), counter)
+        assert val == f(c)
+        assert val <= ref.fun + 1e-14 * abs(ref.fun)
+        # At t = 1e-6 the value cannot place the minimizer closer than 1e-5
+        # relative; the root of the slope (brentq) can.
+        assert c == pytest.approx(ref.x, rel=1e-5 if t > 1e-6 else 1e-3)
+        assert c == pytest.approx(convex_line_search(_lse_slope, (z, jd, t)),
+                                  rel=1e-9)
+        assert 1 <= counter.steps["line_search_evals"] <= 12
+
+    def test_two_tied_lines_give_the_softmax_root(self):
+        # Far above every other line, lse of lines of slopes -3 and 1 tied
+        # at 0 is least at t / 4 log 3, where the search starts.
+        z, jd = kink_at_zero_line()
+        top = z == z.max()
+        z[~top] -= 100.0
+        t = 1e-3
+        c, _ = line_search_lse(z, jd, t, lse_eval(z, t))
+        assert c == pytest.approx(t / 4.0 * math.log(3.0), rel=1e-12)
+
+    @pytest.mark.parametrize("t", [1.0, 1e-3])
+    @pytest.mark.parametrize("case", sorted(LINES))
+    def test_fallback_is_convex_line_search(self, case, t, monkeypatch):
+        # With Newton refused, bisection runs out of probes before it
+        # resolves the root and refine.convex_line_search takes over.
+        z, jd = LINES[case]()
+        ref = convex_line_search(_lse_slope, (z, jd, t))
+        calls = []
+        monkeypatch.setattr(linf, "_newton_accepts", lambda *args: False)
+        monkeypatch.setattr(
+            linf, "convex_line_search",
+            lambda *args: calls.append(1) or convex_line_search(*args))
+        counter = SolveCounter()
+        c, val = line_search_lse(z, jd, t, lse_eval(z, t), counter)
+        assert calls == [1]
+        assert c == pytest.approx(ref, rel=1e-14, abs=0.0)
+        assert val == lse_eval(z + c * jd, t)[0]
+        # the fallback's slope evaluations are counted too
+        assert counter.steps["line_search_evals"] > linf.LINE_SEARCH_PROBES
+
+    def test_ascent_direction_returns_zero(self):
+        z, jd = random_line()
+        at0 = lse_eval(z, 1e-3)
+        assert line_search_lse(z, -jd, 1e-3, at0) == (0.0, at0[0])
+
+    def test_zero_direction_returns_zero(self):
+        z, jd = random_line()
+        at0 = lse_eval(z, 1e-3)
+        counter = SolveCounter()
+        assert line_search_lse(z, 0.0 * jd, 1e-3, at0, counter) == (0.0, at0[0])
+        assert counter.steps.get("line_search_evals", 0) == 0
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_non_finite_slope_raises(self, bad):
+        z, jd = random_line()
+        jd[0] = bad
+        with pytest.raises(NonFiniteError):
+            line_search_lse(z, jd, 1e-3, lse_eval(z, 1e-3))
+
+    def test_bench_instances_take_few_evaluations(self, monkeypatch):
+        # The first 12 instances of the linf bench batch at seed 0, one per
+        # class.  refine.convex_line_search, which linf used before, makes
+        # about 27 slope evaluations per search on them.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+        workloads = importlib.import_module("perfbench.workloads")
+        cases = workloads.build_batch(workloads.WORKLOADS["linf"], 0)[:12]
+        evals = searches = 0
+        for case in cases:
+            _, rep = solve(case.instance, "linf", seed=case.solve_seed)
+            evals += rep.phase_counts["line_search_evals"]
+            searches += rep.phase_counts["newton_steps"]
+        assert searches > 0
+        assert evals <= 10 * searches
