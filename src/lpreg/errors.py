@@ -44,6 +44,11 @@ class StepBoundError(InfeasibleError):
     above it."""
 
 
+class BoundAboveObjectiveError(LpregError):
+    """A lower bound exceeded an achieved objective by more than rounding,
+    so the bound is false and no certificate can rest on it."""
+
+
 class BudgetExceededError(LpregError):
     """Iteration or call budget exhausted; indicates a broken contract."""
 

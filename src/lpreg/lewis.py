@@ -1,7 +1,8 @@
 """Row-weight computations that tie the lp geometry of A to an ellipse.
 
 Two families are provided: overestimates for p >= 2 (averaged fixed-point
-iterates, certified by an exact leverage recomputation) and regularized
+iterates, returned at the first round whose exact leverage recomputation
+certifies them, with ceil(10 log n) rounds as the cap) and regularized
 weights for q <= 2 (a contractive map, iterated until its log residual
 falls below REG_LEWIS_TOL or the paper's step count runs out).
 """
@@ -71,12 +72,15 @@ class RegularizedLewisWeights:
 def lewis_overestimates(A: DenseMatrix, p: float) -> LewisOverestimate:
     """Compute lp weight overestimates for p >= 2 (p = inf allowed).
 
-    Runs T = ceil(10 log n) rounds of leverage scores (:func:`approx_lev`
-    at eps = 0.1, which is exact) on the reweighted matrix, starting from
-    the uniform vector d/n, and returns 3/(2T) times the iterate sum.  The certificate (mass in [d, 2d] and
-    elementwise domination) is re-verified with one exact leverage
-    computation; failure raises DominationFailure.  The computation is
-    deterministic, so a failure would repeat on any retry.
+    Iterates leverage scores (:func:`approx_lev` at eps = 0.1, which is
+    exact) of the reweighted matrix, starting from the uniform vector d/n.
+    After round k the candidate is 3/(2k) times the sum of the k iterates,
+    whose mass is 1.5 d.  Every round checks the certificate (mass in
+    [d, 2d] and elementwise domination of the candidate's own reweighted
+    leverage scores) with one exact leverage computation and returns the
+    first candidate that passes.  T = ceil(10 log n) rounds is the cap; a
+    candidate still failing at T raises DominationFailure.  The
+    computation is deterministic, so a failure would repeat on any retry.
     """
     if not p >= 2:
         raise InvalidInputError("overestimates require p >= 2")
@@ -85,18 +89,17 @@ def lewis_overestimates(A: DenseMatrix, p: float) -> LewisOverestimate:
     T = int(math.ceil(10 * math.log(max(n, 2))))
     w = np.full(n, d / n)
     acc = np.zeros(n)
-    for _ in range(T):
+    for k in range(1, T + 1):
         w = approx_lev(reweight_by(A, w, expo), 0.1)
         acc += w
-    out = (3.0 / (2.0 * T)) * acc
-
-    mass = float(np.sum(out))
-    sig = leverage_scores(reweight_by(A, out, expo))
-    if not (d - 1e-9 <= mass <= 2 * d + 1e-9) or np.any(out + DOMINATION_TOL < sig):
-        raise DominationFailure(
-            f"certificate failed: mass={mass:.6g}, worst margin="
-            f"{float(np.min(out - sig)):.3g}")
-    return LewisOverestimate(out, p)
+        out = (3.0 / (2.0 * k)) * acc
+        mass = float(np.sum(out))
+        sig = leverage_scores(reweight_by(A, out, expo))
+        if d - 1e-9 <= mass <= 2 * d + 1e-9 and np.all(out + DOMINATION_TOL >= sig):
+            return LewisOverestimate(out, p)
+    raise DominationFailure(
+        f"certificate failed after {T} rounds: mass={mass:.6g}, worst "
+        f"margin={float(np.min(out - sig)):.3g}")
 
 
 def reg_lewis_update(A: DenseMatrix, w: np.ndarray, c: np.ndarray, q: float,

@@ -25,6 +25,7 @@ from scipy import optimize
 from .errors import (
     BisectionStallError,
     BoostBudgetExceededError,
+    BoundAboveObjectiveError,
     BudgetExceededError,
     InfeasibleError,
     InvalidInputError,
@@ -207,6 +208,9 @@ def certified_solve(instance: ProblemInstance, method: str,
     3. Bracket: hi = ||Ax - b||_p, lo = the best lower bound so far; stop
        once lo > 0 and hi <= (1 + eps) lo, else step.  A step that makes
        no progress, or running out of rounds, raises BudgetExceededError.
+       A best bound above hi within the rounding of the p-norm
+       evaluation (4 n eps_mach, relative) is clipped to hi; one further
+       above is false and raises BoundAboveObjectiveError.
     4. Report: x is mapped back and measured on the caller's data.
     """
     t0 = time.perf_counter()
@@ -231,10 +235,16 @@ def certified_solve(instance: ProblemInstance, method: str,
         unit = UnitProblem(a_unit, b_eff / scale, p, eps, a_exp, to_caller)
         steps = make_steps(unit)
         lo, gap = 0.0, math.inf
+        slack = 4.0 * A.n * np.finfo(float).eps
         while rounds < max_rounds:
             rounds += 1
             hi = pnorm(a_unit.a @ z - unit.b, p)
-            lo = min(max(lo, steps.lower_bound(z)), hi)
+            lo = max(lo, steps.lower_bound(z))
+            if lo > hi * (1.0 + slack):
+                raise BoundAboveObjectiveError(
+                    f"{method} lower bound {lo:.17g} exceeds the achieved "
+                    f"objective {hi:.17g} in round {rounds}")
+            lo = min(lo, hi)
             gap = hi / lo - 1.0 if lo > 0 else math.inf
             if gap <= eps:
                 break

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import lpreg.lewis as lewis
-from lpreg.errors import InvalidInputError, NonFiniteError
+from lpreg.errors import DominationFailure, InvalidInputError, NonFiniteError
 from lpreg.harness import FAMILIES, gen_instance, solve
 from lpreg.lewis import (
     half_minus_inv,
@@ -221,6 +221,60 @@ class TestRegLewisStop:
         with pytest.raises(NonFiniteError):
             reg_lewis(random_matrix(50, 3, 45), np.zeros(50), 1.5)
         assert calls[0] == 1
+
+
+def count_overestimate_leverage(monkeypatch):
+    """Count every leverage computation lewis_overestimates makes: the
+    rounds' approx_lev and the certificate's leverage_scores."""
+    calls = [0]
+
+    def counting_approx(A, eps):
+        calls[0] += 1
+        return approx_lev(A, eps)
+
+    def counting_exact(A):
+        calls[0] += 1
+        return leverage_scores(A)
+
+    monkeypatch.setattr(lewis, "approx_lev", counting_approx)
+    monkeypatch.setattr(lewis, "leverage_scores", counting_exact)
+    return calls
+
+
+class TestOverestimateStop:
+    # The mwu bench shapes: every family at 60x4 and 160x8, p in {3, 4}.
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n, d", [(60, 4), (160, 8)])
+    @pytest.mark.parametrize("p", [3.0, 4.0])
+    def test_bench_shapes_stop_early(self, family, n, d, p, monkeypatch):
+        A = gen_instance(family, n, d, 0, p=p).A
+        calls = count_overestimate_leverage(monkeypatch)
+        est = lewis_overestimates(A, p)
+        assert calls[0] <= 8
+        assert est.mass == pytest.approx(1.5 * d, abs=1e-9)
+        check_certificate(A, est)
+
+    def test_no_certifying_round_runs_to_the_cap(self, monkeypatch):
+        # Inflated scores defeat every round's check, so all T rounds run
+        # and the last one raises.
+        A = random_matrix(60, 4, 51)
+        checks = [0]
+
+        def inflated(B):
+            checks[0] += 1
+            return 3.0 * leverage_scores(B)
+
+        monkeypatch.setattr(lewis, "leverage_scores", inflated)
+        with pytest.raises(DominationFailure, match="after 41 rounds"):
+            lewis_overestimates(A, 4.0)
+        assert checks[0] == math.ceil(10 * math.log(60)) == 41
+
+    @pytest.mark.parametrize("p", [3.0, 8.0, math.inf])
+    def test_repeat_calls_are_bit_identical(self, p):
+        A = gen_instance("coherent_rows", 160, 8, 1, p=4.0).A
+        first = lewis_overestimates(A, p)
+        second = lewis_overestimates(A, p)
+        assert np.array_equal(first.weights, second.weights)
 
 
 class TestExactOracle:

@@ -9,6 +9,7 @@ from scipy import optimize
 from lpreg import refine
 from lpreg.errors import (
     BisectionStallError,
+    BoundAboveObjectiveError,
     BudgetExceededError,
     InfeasibleError,
     LpregError,
@@ -19,8 +20,10 @@ from lpreg.mwu import MwuGammaSolver
 from lpreg.problem import ProblemInstance, pnorm
 from lpreg.refine import (
     ROUND_RETRIES,
+    BracketSteps,
     GammaSolverContract,
     bregman_terms,
+    certified_solve,
     convex_line_search,
     line_search_lp,
     lp_dual_bound,
@@ -376,3 +379,28 @@ class TestRefineToAccuracy:
         with pytest.raises(BudgetExceededError):
             refine_to_accuracy(inst, GammaSolverContract(2.0, garbage),
                                max_rounds=5)
+
+
+def stub_bound_steps(factor):
+    """Steps whose lower bound is factor times the achieved objective."""
+    def make_steps(unit):
+        def lower_bound(z):
+            return factor * pnorm(unit.A.a @ z - unit.b, unit.p)
+        return BracketSteps(lower_bound, lambda z, lo, hi: None)
+    return make_steps
+
+
+class TestCertifiedSolveBounds:
+    def instance(self):
+        rng = np.random.default_rng(12)
+        A = DenseMatrix(rng.standard_normal((40, 3)))
+        return ProblemInstance(A, rng.standard_normal(40), 4.0, eps=1e-6)
+
+    def test_bound_above_objective_raises(self):
+        with pytest.raises(BoundAboveObjectiveError, match="round 1"):
+            certified_solve(self.instance(), "stub", stub_bound_steps(1.01))
+
+    def test_bound_equal_to_objective_certifies_with_gap_zero(self):
+        _, rep = certified_solve(self.instance(), "stub", stub_bound_steps(1.0))
+        assert rep.certified_gap == 0.0
+        assert rep.phase_counts["rounds"] == 1
