@@ -141,10 +141,9 @@ class ProxProblem:
     The metric M = A^T W^{1-2/p} A is held through (A, weights, p) and
     never materialized.  Solves against it, and against the surrogate
     Hessians 8 A^T H_c A + c tau M at the center, go through one
-    :class:`MetricPencil`, built on first use.  ``qr`` is A's reduced QR
-    factorization, which a caller that builds many centers on the same A
-    computes once and passes in.  The center's image A y and its residual
-    A y - b are formed once, so a point x enters only through A (x - y).
+    :class:`MetricPencil`, built on first use from A's cached QR.  The
+    center's image A y and its residual A y - b are formed once, so a
+    point x enters only through A (x - y).
     """
 
     A: DenseMatrix
@@ -152,7 +151,6 @@ class ProxProblem:
     p: float
     weights: LewisOverestimate
     center: np.ndarray
-    qr: tuple | None = None
 
     def __post_init__(self):
         if self.p < 2:
@@ -168,15 +166,13 @@ class ProxProblem:
                 self.u_center) ** (self.p - 2.0)
         if not np.all(np.isfinite(self._hess_center)):
             raise InvalidInputError("center residuals overflow the exponent")
-        if self.qr is None:
-            self.qr = np.linalg.qr(self.A.a)
         self._pencil = None
 
     def pencil(self, counter: SolveCounter | None = None) -> MetricPencil:
         """The center's pencil; building it counts as one factorization."""
         if self._pencil is None:
             self._pencil = MetricPencil.build(
-                self.qr, self._hess_center, self.m_diag,
+                self.A.qr, self._hess_center, self.m_diag,
                 4.0 * self.p * self.cp)
             if counter is not None:
                 counter.factorizations += 1
@@ -453,7 +449,6 @@ def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
         with np.errstate(over="ignore"):
             return float(np.sum(np.abs(A.a @ x - b) ** p))
 
-    qr = np.linalg.qr(A.a)      # shared by every prox center's pencil
     x = np.asarray(x0, dtype=float).copy()
     v = x.copy()
     acc_weight = 0.0
@@ -461,7 +456,7 @@ def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
 
     def respond(x_tilde):
         """The proximal response at center x_tilde, solved from x."""
-        prob = ProxProblem(A, b, p, weights, x_tilde, qr)
+        prob = ProxProblem(A, b, p, weights, x_tilde)
         cert = prox_solve(prob, x0=x, tol=PROX_TOL, counter=counter)
         counter.step("prox_calls")
         counter.step("inner_iterations", cert.inner_iterations)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .errors import InfeasibleError, InvalidInputError, PotentialViolationError
 from .lewis import WEIGHT_FLOOR, reg_lewis
@@ -124,8 +125,8 @@ def primal_recover(A: DenseMatrix, b: np.ndarray, y_dual: np.ndarray,
                    p: float, counter: SolveCounter | None = None) -> np.ndarray:
     """Primal point from a near-optimal dual iterate.
 
-    Shifts b along sign(y)|y|^{p-2} and least-squares projects, choosing
-    the shift of either sign that minimizes the q-norm residual by
+    Shifts b along sign(y)|y|^{p-2} and least-squares projects by A's QR,
+    choosing the shift of either sign that minimizes the q-norm residual by
     :func:`line_search_lp`.  The result is then polished by a few
     reweighted least-squares steps, which squeezes out the first-order
     error the projection inherits from the dual iterate.
@@ -133,9 +134,10 @@ def primal_recover(A: DenseMatrix, b: np.ndarray, y_dual: np.ndarray,
     q = p / (p - 1.0)
     y = np.asarray(y_dual, dtype=float)
     s = np.sign(y) * np.abs(y) ** (p - 2.0)
-    sol = gram_solve_multi(A, np.ones(A.n),
-                           np.column_stack([A.a.T @ b, A.a.T @ s]),
-                           counter=counter, phase="recover")
+    Q, R = A.qr
+    sol = solve_triangular(R, Q.T @ np.column_stack([b, s]), check_finite=False)
+    if counter is not None:
+        counter.tick(2, "recover")
     e0 = A.a @ sol[:, 0] - b
     e1 = A.a @ sol[:, 1]
 
@@ -167,27 +169,22 @@ class DualStepOracle:
     Produces an absolute feasible point whose increment from the current
     iterate satisfies the residual-step contract; inputs are rescaled so
     the standard existence hypothesis can hold, and the progress column is
-    orthogonalized against [A b] to keep the stack well conditioned.
+    orthogonalized against A and the unit b, which is orthogonal to range(A).
     """
 
     def __init__(self, A: DenseMatrix, b: np.ndarray, p: float,
                  counter: SolveCounter | None = None):
         self.A, self.b, self.p = A, np.asarray(b, dtype=float), p
         self.counter = counter if counter is not None else SolveCounter()
-        self._Mb = np.column_stack([A.a, self.b])
-        self._gram_Mb = self._Mb.T @ self._Mb
-
-    def orthogonalized_direction(self, g: np.ndarray):
-        coef = np.linalg.solve(self._gram_Mb, self._Mb.T @ g)
-        g_perp = g - self._Mb @ coef
-        return g_perp, float(coef[-1])
 
     def __call__(self, nu: float, g: np.ndarray, R: np.ndarray,
                  y_cur: np.ndarray):
         if nu <= 0:
             raise InvalidInputError("nu must be positive")
         p = self.p
-        g_perp, b_coef = self.orthogonalized_direction(g)
+        g_a = self.A.project_out(g)
+        b_coef = float(self.b @ g_a)
+        g_perp = g_a - b_coef * self.b
         beta = float(g @ y_cur) - nu
         beta_perp = beta - b_coef
         scale_g = np.linalg.norm(g_perp)
@@ -215,7 +212,7 @@ def solve_lq(instance: ProblemInstance, seed=0,
     counter = counter if counter is not None else SolveCounter()
 
     def make_steps(unit):
-        A, b, d = unit.A, unit.b, unit.A.d
+        A, b = unit.A, unit.b
         counter.step("oracle_calls", 0)
         counter.step("accepted_steps", 0)
         # b is a unit vector orthogonal to range(A), so it is already the
@@ -240,11 +237,9 @@ def solve_lq(instance: ProblemInstance, seed=0,
                 return False
             c_star, direction, nu_prev = out
             y = y + c_star * direction
-            # kill constraint drift
-            coef = np.linalg.solve(
-                oracle._gram_Mb,
-                oracle._Mb.T @ y - np.append(np.zeros(d), 1.0))
-            y = y - oracle._Mb @ coef
+            # kill constraint drift: A^T y = 0 and b^T y = 1 again
+            y_a = A.project_out(y)
+            y = y_a + (1.0 - float(b @ y_a)) * b
             return True
 
         def step(x, lo, hi):

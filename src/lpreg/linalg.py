@@ -4,14 +4,16 @@ Every iterative solver in this package is charged in units of solves
 against ``A^T D A`` for a positive diagonal ``D``.  The diagonal is a
 plain float array of per-row weights.  :class:`SolveCounter` tallies the
 solves, and :func:`gram_solve_multi` is the one place that checks and
-floors weights.  Not counted: the dual solver's small normal equations of
-``[A b]`` and ``[A b g]``, which ``np.linalg.solve`` handles.
+floors weights; fits and projections on A itself use A's cached QR
+(:meth:`DenseMatrix.project_out`).  Not counted: dual's ``[A b g]`` solves.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (
@@ -56,6 +58,18 @@ class DenseMatrix:
     def __repr__(self):
         return f"DenseMatrix({self.n}x{self.d})"
 
+    @cached_property
+    def qr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Reduced QR factors (Q, R) of the matrix, computed on first use."""
+        return scipy.linalg.qr(self.a, mode="economic", check_finite=False)
+
+    def project_out(self, Y: np.ndarray) -> np.ndarray:
+        """Y - Q (Q^T Y), twice: orthogonal to range(A) to working precision."""
+        q = self.qr[0]
+        for _ in range(2):
+            Y = Y - q @ (q.T @ Y)
+        return Y
+
     @classmethod
     def trusted(cls, entries: np.ndarray) -> "DenseMatrix":
         """Skip validation for a rank-preserving copy of a validated matrix."""
@@ -70,9 +84,9 @@ class SolveCounter:
 
     ``factorizations`` counts the matrix factorizations behind the solves:
     one per :func:`gram_solve_multi` call, however many columns it solves,
-    and one per eigendecomposition that later solves reuse
-    (``lpreg.accel.MetricPencil``).  ``steps`` holds the solvers' step
-    counters, each ticked where its step happens.
+    one per solve for the QR of its matrix, and one per eigendecomposition
+    that later solves reuse (``lpreg.accel.MetricPencil``).  ``steps``
+    holds the solvers' step counters, each ticked where its step happens.
     """
 
     gram_solves: int = 0
@@ -164,8 +178,7 @@ def gram_solve_multi(A: DenseMatrix, w: np.ndarray, rhs: np.ndarray,
 
 def leverage_scores(A: DenseMatrix) -> np.ndarray:
     """Exact leverage scores sigma_i = a_i^T (A^T A)^{-1} a_i via QR."""
-    q, _ = np.linalg.qr(A.a)
-    sig = np.einsum("ij,ij->i", q, q)
+    sig = np.einsum("ij,ij->i", A.qr[0], A.qr[0])
     return np.clip(sig, 0.0, 1.0)
 
 

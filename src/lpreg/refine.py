@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 from scipy import optimize
+from scipy.linalg import solve_triangular
 
 from .errors import (
     BisectionStallError,
@@ -32,7 +33,7 @@ from .errors import (
     NonFiniteError,
     ZeroGradientError,
 )
-from .linalg import DenseMatrix, SolveCounter, gram_solve_multi
+from .linalg import DenseMatrix, SolveCounter
 from .problem import ProblemInstance, pnorm
 from .report import SolveReport
 
@@ -110,16 +111,15 @@ def weak_duality_bound(A: DenseMatrix, b: np.ndarray, Y: np.ndarray, q: float,
     """Best weak-duality lower bound on min ||Ax - b||_p, 1/p + 1/q = 1.
 
     Each candidate (a column of Y, or Y itself) is projected onto
-    {y : A^T y = 0} by one multi-column Gram solve; for any such y,
+    {y : A^T y = 0} by A's QR, one Gram solve each; for any such y,
     -b^T y / ||y||_q <= ||Ax - b||_p at every x.  The best value over the
     candidates is returned, and 0 when none is positive.
     """
-    sol = gram_solve_multi(A, np.ones(A.n), A.a.T @ Y,
-                           counter=counter, phase="certificate")
-    Y, sol = Y.reshape(A.n, -1), sol.reshape(A.d, -1)
+    Yhat = A.project_out(Y.reshape(A.n, -1))
+    if counter is not None:
+        counter.tick(Yhat.shape[1], "certificate")
     best = 0.0
-    for k in range(Y.shape[1]):
-        yhat = Y[:, k] - A.a @ sol[:, k]
+    for yhat in Yhat.T:
         denom = pnorm(yhat, q)
         if 0.0 < denom < math.inf:
             best = max(best, -float(b @ yhat) / denom)
@@ -201,10 +201,10 @@ def certified_solve(instance: ProblemInstance, method: str,
     """The certification rule shared by every solver; returns (x, report).
 
     1. Normalize: A and b are rescaled by powers of two, which is exact.
-    2. Start: one counted least-squares solve shifts b.  If what is left
-       is below SHORT_CIRCUIT_RTOL relative to b, the least-squares point
-       is returned with gap 0; otherwise it is normalized to unit norm
-       (see :class:`UnitProblem`).
+    2. Start: one counted least-squares solve by A's QR (the solve's one
+       init factorization) shifts b off range(A).  If what is left is
+       below SHORT_CIRCUIT_RTOL relative to b, the least-squares point is
+       returned with gap 0; else it is normalized (:class:`UnitProblem`).
     3. Bracket: hi = ||Ax - b||_p, lo = the best lower bound so far; stop
        once lo > 0 and hi <= (1 + eps) lo, else step.  A step that makes
        no progress, or running out of rounds, raises BudgetExceededError.
@@ -219,9 +219,11 @@ def certified_solve(instance: ProblemInstance, method: str,
     a_exp, b_exp = _pow2_exponent(A.a), _pow2_exponent(b)
     a_unit = DenseMatrix.trusted(np.ldexp(A.a, a_exp))
     b_scaled = np.ldexp(b, b_exp)
-    x0 = gram_solve_multi(a_unit, np.ones(A.n), a_unit.a.T @ b_scaled,
-                          counter=counter, phase="init")
-    b_eff = b_scaled - a_unit.a @ x0
+    q, r = a_unit.qr
+    x0 = solve_triangular(r, q.T @ b_scaled, check_finite=False)
+    b_eff = a_unit.project_out(b_scaled)
+    counter.tick(1, "init")
+    counter.factorizations += 1
     scale = float(np.linalg.norm(b_eff))
 
     def to_caller(z):

@@ -9,6 +9,7 @@ planted generators build oracle inputs around a known feasible point.
 """
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -23,7 +24,19 @@ from lpreg.lewis import (
 )
 from lpreg.linalg import DenseMatrix, leverage_scores
 from lpreg.mwu import ResidualInstance
-from lpreg.problem import pnorm
+from lpreg.problem import ProblemInstance, pnorm
+
+
+def exact_residual_lp(inst: ProblemInstance, x: np.ndarray) -> float:
+    """||A x - b||_p with each entry of A x - b exact, rounded once.
+
+    Rows are summed in rationals, so a large ||x|| costs no cancellation;
+    only the p-norm of the rounded entries is taken in float.
+    """
+    xs = [Fraction(v) for v in x]
+    u = [float(sum(Fraction(a) * v for a, v in zip(row, xs)) - Fraction(bi))
+         for row, bi in zip(inst.A.a, inst.b)]
+    return pnorm(np.array(u), inst.p)
 
 
 def hessian_stability_check(y: np.ndarray, x: np.ndarray, prob,
