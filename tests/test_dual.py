@@ -13,7 +13,7 @@ from lpreg.dual import (
     stack_instance,
 )
 from lpreg.errors import InvalidInputError
-from lpreg.harness import gen_instance, oracle_opt, solve
+from lpreg.harness import FAMILIES, gen_instance, oracle_opt, solve
 from lpreg.linalg import DenseMatrix, SolveCounter
 from lpreg.problem import ProblemInstance, pnorm
 
@@ -222,6 +222,38 @@ class TestSolveLq:
         # work instead of stalling until nu underflows.
         with pytest.raises(InvalidInputError):
             gen_instance("planted_residual", 60, 4, 0, p=2.0, eps=1e-16)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("q", [1.25, 1.5])
+    def test_recovery_stops_once_the_incumbent_is_certified(self, family, q,
+                                                            monkeypatch):
+        # Once the incumbent is within eps/4 of its own weak-duality bound,
+        # a fresh recovery cannot close the bracket; only y can.  Recovering
+        # every round took 5-8 calls per solve here.
+        recover = dual.primal_recover
+        calls = []
+
+        def counted(*args, **kw):
+            calls.append(1)
+            return recover(*args, **kw)
+
+        monkeypatch.setattr(dual, "primal_recover", counted)
+        for seed in range(3):
+            inst = gen_instance(family, 200, 8, seed, p=q, eps=1e-8)
+            calls.clear()
+            _, rep = solve(inst, "dual", seed=0)
+            assert rep.certified_gap <= 1e-8
+            assert rep.residual_lp <= (1 + 1e-8) * oracle_opt(inst, tol=1e-10)
+            assert 1 <= len(calls) <= 2
+
+    def test_no_skip_within_the_rounding_allowance(self):
+        # At eps 1e-14, eps/4 is below the driver's 4 n eps_mach allowance
+        # at n = 60, so the skip is off and recovery keeps lowering hi;
+        # with the skip on, this solve stalls in BudgetExceededError.
+        inst = gen_instance("ill_conditioned", 60, 4, 1, p=1.5, eps=1e-14)
+        _, rep = solve(inst, "dual", seed=0)
+        assert rep.certified_gap <= 1e-14
+        assert rep.phase_counts["certificate"] == 0
 
     def test_stacked_instance_layout(self):
         rng = np.random.default_rng(6)

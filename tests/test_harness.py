@@ -216,7 +216,7 @@ class TestSolveDispatch:
         ("accel", {"prox_calls", "inner_iterations", "certificate", "metric",
                    "prox", "ms"}),
         ("dual", {"oracle_calls", "accepted_steps", "recover",
-                  "oracle_small"}),
+                  "oracle_small", "certificate"}),
         ("linf", {"newton_steps", "line_search_evals", "certificate",
                   "newton"}),
     ])
