@@ -47,6 +47,8 @@ def gen_instance(family: str, n: int, d: int, seed: int, p: float = 2.0,
         raise InvalidInputError(f"unknown family {family!r}")
     if not 1 <= d <= min(n, MAX_D) or n > MAX_N:
         raise InvalidInputError(f"size {n} x {d} outside desk-scale caps")
+    if seed < 0:
+        raise InvalidInputError(f"seed {seed} is negative")
     rng = _rng_for(family, n, d, seed)
     for attempt in range(4):
         if family == "gaussian":
@@ -291,8 +293,9 @@ class ExperimentConfig:
             if n > MAX_N or d > MAX_D:
                 raise InvalidInputError(f"size {n} x {d} over the caps")
         if not (isinstance(self.seeds, (list, tuple)) and self.seeds
-                and all(map(_is_int, self.seeds))):
-            raise InvalidInputError("seeds must be a non-empty list of ints")
+                and all(_is_int(s) and s >= 0 for s in self.seeds)):
+            raise InvalidInputError(
+                "seeds must be a non-empty list of non-negative ints")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":

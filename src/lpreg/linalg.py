@@ -213,6 +213,8 @@ def read_matrix(path) -> DenseMatrix:
         vals = [float(t) for t in tokens[2:]]
     except ValueError as exc:
         raise InvalidInputError(f"{path}: malformed matrix file") from exc
+    if n < 1 or d < 1:
+        raise InvalidInputError(f"{path}: matrix size {n} x {d} is not positive")
     if len(vals) != n * d:
         raise InvalidInputError(f"{path}: expected {n * d} entries, got {len(vals)}")
     return DenseMatrix(np.asarray(vals).reshape(n, d))

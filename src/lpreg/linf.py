@@ -17,9 +17,10 @@ from .errors import InvalidInputError, NonFiniteError, PotentialViolationError
 from .linalg import DenseMatrix, SolveCounter, gram_solve_multi
 from .problem import ProblemInstance
 from .refine import (
+    LINE_SEARCH_ULPS,
     BracketSteps,
     certified_solve,
-    convex_line_search,
+    newton_line_search,
     weak_duality_bound,
 )
 
@@ -29,13 +30,6 @@ SMOOTHING_DENOM = 20.0      # t = gap scale / (20 log m)
 NEWTON_DAMPING = 1e-8
 MAX_OUTER_ROUNDS = 200
 MAX_NEWTON_STEPS = 400       # per outer round
-# The line search stops where its root is resolved: four times brentq's
-# relative tolerance in refine.convex_line_search, plus the move that shifts
-# the softmax-weighted entries of z + c jd by four ulps of max|z|.
-LINE_SEARCH_RTOL = 8.9e-16
-LINE_SEARCH_ULPS = 4.0
-# Newton and bisection probes before refine.convex_line_search takes over.
-LINE_SEARCH_PROBES = 32
 
 
 def lse_eval(u: np.ndarray, t: float):
@@ -56,15 +50,6 @@ def lse_eval(u: np.ndarray, t: float):
     if not (m - 1e-12 <= value <= m + t * math.log(len(u)) + 1e-12):
         raise PotentialViolationError("smoothing sandwich failed")
     return value, pi
-
-
-def _lse_slope(c: float, z: np.ndarray, jd: np.ndarray, t: float,
-               counter: SolveCounter | None = None) -> float:
-    """d/dc lse_t(z + c jd): the softmax-weighted mean of jd."""
-    if counter is not None:
-        counter.step("line_search_evals")
-    _, pi = lse_eval(z + c * jd, t)
-    return float(pi @ jd)
 
 
 def _envelope_start(z: np.ndarray, jd: np.ndarray, t: float) -> float:
@@ -96,38 +81,20 @@ def _envelope_start(z: np.ndarray, jd: np.ndarray, t: float) -> float:
     return c if c > 0.0 else t / float(np.max(np.abs(jd)))
 
 
-def _newton_accepts(c_new: float, lo: float, hi: float, step: float,
-                    step_prev: float) -> bool:
-    """Whether the line search takes a Newton step.
-
-    The step must land strictly inside the bracket (lo, hi) that the
-    slope's signs give and be at most half the previous step.
-    """
-    return lo < c_new < hi and abs(step) <= 0.5 * abs(step_prev)
-
-
 def line_search_lse(z: np.ndarray, jd: np.ndarray, t: float, at0: tuple,
                     counter: SolveCounter | None = None):
     """Minimize lse_t(z + c jd) over c >= 0; returns (c, value at c).
 
-    ``at0`` is lse_eval(z, t), whose softmax gives the slope at 0; 0 and
-    its value come back when that slope is non-negative, so also when jd
-    is 0.  The first probe is :func:`_envelope_start`, or the Newton step
-    from 0 when that is shorter: near a smoothed optimum the step moves z
-    by less than t and the quadratic model holds, while at a kink the
-    curvature at 0 is 0 to rounding and that step is far too long.  Each
-    probe is one :func:`lse_eval`, whose softmax pi gives the slope pi.jd
-    and the curvature (pi.jd^2 - (pi.jd)^2) / t; the probes' signs keep a
-    bracket.  A Newton step is taken when :func:`_newton_accepts` it;
-    otherwise the bracket is bisected, or its lower end doubled while it
-    has no upper end.  The search stops at the probe where the bracket or
-    the Newton step is at most ``4 * LINE_SEARCH_RTOL * c`` plus
+    ``at0`` is lse_eval(z, t); 0 and its value come back when the slope
+    there is non-negative, so also when jd is 0.  Otherwise this is
+    :func:`refine.newton_line_search` from :func:`_envelope_start`, or
+    from the Newton step at 0 when that is shorter (near a smoothed
+    optimum; at a kink the curvature at 0 is 0 to rounding).  Each probe
+    is one :func:`lse_eval`, ticked as ``line_search_evals``, whose
+    softmax pi gives the slope pi.jd, the curvature
+    (pi.jd^2 - (pi.jd)^2) / t and the resolution
     ``LINE_SEARCH_ULPS * eps * max|z| / sqrt(pi.jd^2)``, the move that
-    shifts the entries carrying the softmax weight by that many ulps of
-    max|z|: below it the slope's sign is rounding noise.  After
-    ``LINE_SEARCH_PROBES`` probes :func:`refine.convex_line_search` takes
-    over.  Each slope evaluation ticks ``line_search_evals`` on the
-    counter.  A non-finite slope raises NonFiniteError.
+    shifts the entries carrying the softmax weight by that many ulps.
     """
     val, pi = at0
     jd2 = jd * jd
@@ -138,39 +105,21 @@ def line_search_lse(z: np.ndarray, jd: np.ndarray, t: float, at0: tuple,
         return 0.0, val
     resolution = LINE_SEARCH_ULPS * np.finfo(float).eps * float(np.abs(z).max())
     curv = (float(pi @ jd2) - slope * slope) / t
-    c = _envelope_start(z, jd, t)
-    if curv > 0.0:
-        c = min(c, -slope / curv)
-    lo, hi = 0.0, math.inf          # probes with slope < 0 and >= 0
-    step_prev = math.inf
-    for _ in range(LINE_SEARCH_PROBES):
+    c = min(_envelope_start(z, jd, t),
+            -slope / curv if curv > 0.0 else math.inf)
+
+    def probe(c):
+        nonlocal val
         if counter is not None:
             counter.step("line_search_evals")
         val, pi = lse_eval(z + c * jd, t)
-        slope = float(pi @ jd)
-        if not math.isfinite(slope):
-            raise NonFiniteError(f"line-search slope not finite at step {c:.3g}")
-        if slope < 0.0:
-            lo = c
-        else:
-            hi = c
-        spread = float(pi @ jd2)
-        curv = (spread - slope * slope) / t
-        step = -slope / curv if curv > 0.0 else math.inf
+        slope, spread = float(pi @ jd), float(pi @ jd2)
         # spread is 0 only where jd^2 underflows: nothing is resolved there
-        tol = 4.0 * LINE_SEARCH_RTOL * c + (
+        return slope, (spread - slope * slope) / t, (
             resolution / math.sqrt(spread) if spread > 0.0 else math.inf)
-        if min(hi - lo, abs(step)) <= tol:
-            return c, val
-        if _newton_accepts(c + step, lo, hi, step, step_prev):
-            c_new = c + step
-        elif hi == math.inf:
-            c_new = 2.0 * lo
-        else:
-            c_new = 0.5 * (lo + hi)
-        c, step_prev = c_new, c_new - c
-    c = convex_line_search(_lse_slope, (z, jd, t, counter))
-    return c, lse_eval(z + c * jd, t)[0]
+
+    c = newton_line_search(probe, c)
+    return c, val
 
 
 def best_linf_bound(A: DenseMatrix, b: np.ndarray, x: np.ndarray,
@@ -227,10 +176,9 @@ def linf_regress(instance: ProblemInstance, seed=0,
     A^T diag(dtil + NEWTON_DAMPING) A followed by the exact line search
     :func:`line_search_lse`.  The exact Hessian's Sherman-Morrison step
     lies along the same direction, so the line search alone fixes the step
-    length: it starts next to the kink of the max envelope along the step,
-    finishes by safeguarded Newton at the root's rounding resolution, and
-    falls back to refine.convex_line_search after LINE_SEARCH_PROBES
-    probes.  The bracket [lower bound, max residual] comes from the
+    length: it starts next to the kink of the max envelope along the step
+    and finishes by refine's safeguarded Newton search at the root's
+    rounding resolution.  The bracket [lower bound, max residual] comes from the
     softmax dual candidates and drives both the temperature schedule and
     termination; a round that does not lower the max residual sharpens the
     temperature.  An exponent other than inf is invalid input.

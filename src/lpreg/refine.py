@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 from scipy.linalg import solve_triangular
 
 from .errors import (
@@ -40,7 +39,11 @@ from .report import SolveReport
 REFINE_CALL_CONSTANT = 64.0
 # Proposals per refinement round; nu halves after each failed one.
 ROUND_RETRIES = 80
-LINE_SEARCH_DOUBLINGS = 200
+# Line search: relative tolerance on the root (about 16 ulps), resolution
+# in ulps of the probed entries, and the probes that make a stall.
+LINE_SEARCH_RTOL = 4.0 * 8.9e-16
+LINE_SEARCH_ULPS = 4.0
+LINE_SEARCH_PROBES = 200
 # Below this fraction of ||b|| the least-squares residual is rounding error.
 SHORT_CIRCUIT_RTOL = 1e-13
 
@@ -57,52 +60,74 @@ def bregman_terms(x: np.ndarray, p: float):
     return p * r * x, r
 
 
-def _lp_slope(c: float, u: np.ndarray, w: np.ndarray, p: float) -> float:
-    """d/dc sum |u + c w|^p."""
-    v = u + c * w
-    return float(p * (np.abs(v) ** (p - 1.0) * np.sign(v)) @ w)
+def _newton_accepts(c_new: float, lo: float, hi: float, step: float,
+                    step_prev: float) -> bool:
+    """True for a step strictly inside (lo, hi), at most half the last."""
+    return lo < c_new < hi and abs(step) <= 0.5 * abs(step_prev)
 
 
-def _finite_slope(c: float, slope: Callable, *args) -> float:
-    """slope(c, *args); raises NonFiniteError if it is not finite."""
-    value = slope(c, *args)
-    if not math.isfinite(value):
-        raise NonFiniteError(f"line-search slope not finite at step {c:.3g}")
-    return value
+def newton_line_search(probe: Callable, c: float) -> float:
+    """The minimizer over c >= 0 of a convex function with negative slope at 0.
 
-
-def convex_line_search(slope: Callable, args: tuple) -> float:
-    """The minimizer over c >= 0 of a convex function, given its slope.
-
-    ``slope(c, *args)`` is the nondecreasing derivative.  The step 1 is
-    doubled until the slope turns non-negative, and brentq finds the root
-    on the last bracket [hi/2, hi] (or [0, 1]); 0 is returned when the
-    slope at 0 is already non-negative.  A non-finite slope raises
-    NonFiniteError and a failed root search BisectionStallError.
+    ``probe(c)`` returns the slope, the curvature and the resolution (the
+    move below which the slope's sign is rounding noise) at c; c > 0 is
+    the first probe.  The probes' signs keep a bracket, which is bisected,
+    or doubled while it has no upper end, unless :func:`_newton_accepts`
+    the Newton step (a curvature of 0, inf or nan gives none).  Returns
+    the probe where the bracket or the Newton step is at most
+    ``LINE_SEARCH_RTOL * c`` plus the resolution.  A non-finite slope
+    raises NonFiniteError, LINE_SEARCH_PROBES probes BisectionStallError.
     """
-    if _finite_slope(0.0, slope, *args) >= 0.0:
-        return 0.0
-    hi = 1.0
-    for _ in range(LINE_SEARCH_DOUBLINGS):
-        if _finite_slope(hi, slope, *args) >= 0.0:
-            break
-        hi *= 2.0
-    else:
-        return hi
-    lo = 0.0 if hi == 1.0 else 0.5 * hi
-    try:
-        # args=, not a closure: brentq's wrapper refers to itself, so a
-        # closure would keep the arguments alive until the cycle collector
-        # runs.
-        return optimize.brentq(_finite_slope, lo, hi, args=(slope, *args),
-                               xtol=1e-300, rtol=8.9e-16, maxiter=300)
-    except (RuntimeError, ValueError) as exc:
-        raise BisectionStallError(f"line search failed: {exc}") from exc
+    lo, hi = 0.0, math.inf          # probes with slope < 0 and >= 0
+    step_prev = math.inf
+    for _ in range(LINE_SEARCH_PROBES):
+        slope, curv, resolution = probe(c)
+        if not math.isfinite(slope):
+            raise NonFiniteError(f"line-search slope not finite at step {c:.3g}")
+        if slope < 0.0:
+            lo = c
+        else:
+            hi = c
+        step = -slope / curv if 0.0 < curv < math.inf else math.inf
+        if min(hi - lo, abs(step)) <= LINE_SEARCH_RTOL * c + resolution:
+            return c
+        if _newton_accepts(c + step, lo, hi, step, step_prev):
+            c_new = c + step
+        elif hi == math.inf:
+            c_new = 2.0 * lo
+        else:
+            c_new = 0.5 * (lo + hi)
+        c, step_prev = c_new, c_new - c
+    raise BisectionStallError(
+        f"line search unresolved after {LINE_SEARCH_PROBES} probes")
 
 
 def line_search_lp(u: np.ndarray, w: np.ndarray, p: float):
-    """Minimize sum |u + c w|^p over c >= 0; returns (c, value)."""
-    c = convex_line_search(_lp_slope, (u, w, p))
+    """Minimize sum |u + c w|^p over c >= 0; returns (c, value).
+
+    :func:`newton_line_search` from c = 1, where every caller's w reaches
+    its proposed point.  One power |v|^{p-1}, v = u + c w, gives a probe's
+    slope and curvature; at an exact zero of v the curvature comes out nan
+    (it is infinite for p < 2), so the search bisects.  The resolution
+    shifts v by LINE_SEARCH_ULPS ulps of max|u| along max|w|.  The value
+    is computed at the returned point only.
+    """
+    w2 = w * w
+
+    def probe(c):
+        v = u + c * w
+        a = np.abs(v)
+        pw = a ** (p - 1.0)
+        return (p * float(np.copysign(pw, v) @ w),
+                p * (p - 1.0) * float((pw / a) @ w2), resolution)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        resolution = float(LINE_SEARCH_ULPS * np.finfo(float).eps
+                           * np.max(np.abs(u)) / np.max(np.abs(w)))
+        slope = probe(0.0)[0]
+        if not math.isfinite(slope):
+            raise NonFiniteError("line-search slope not finite at step 0")
+        c = 0.0 if slope >= 0.0 else newton_line_search(probe, 1.0)
     return c, float(np.sum(np.abs(u + c * w) ** p))
 
 

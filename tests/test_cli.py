@@ -66,6 +66,15 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.count("lpreg: invalid input") == 5
 
+    def test_negative_matrix_size_is_input_error(self, tmp_path, capsys):
+        # "-2 -3" and six entries: reshape would take the count and raise
+        inst, _, vpath = write_instance(tmp_path, n=6, d=1)
+        mpath = tmp_path / "negative.txt"
+        mpath.write_text("-2 -3\n1 2 3\n4 5 6\n")
+        assert main(["solve", "--matrix", str(mpath), "--rhs", vpath,
+                     "--p", "4"]) == 3
+        assert "is not positive" in capsys.readouterr().err
+
     def test_method_mismatch_is_input_error(self, tmp_path, capsys):
         inst, mpath, vpath = write_instance(tmp_path)
         assert main(["solve", "--matrix", mpath, "--rhs", vpath, "--p", "4",
@@ -168,4 +177,14 @@ class TestBenchCommand:
             path = tmp_path / f"{name}.json"
             path.write_text(text)
             assert main(["bench", "--config", str(path)]) == 3, name
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_is_input_error(self, tmp_path, capsys):
+        cfg = {"method": "accel", "p": 4.0, "eps": 1e-6, "family": "gaussian",
+               "sizes": [[16, 2]], "seeds": [0, -1],
+               "output_dir": str(tmp_path / "out")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["bench", "--config", str(path)]) == 3
+        assert "non-negative" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

@@ -71,6 +71,10 @@ class TestGenInstance:
         with pytest.raises(InvalidInputError):
             gen_instance("gaussian", 10, 70, 0)
 
+    def test_negative_seed_is_input_error(self):
+        with pytest.raises(InvalidInputError, match="negative"):
+            gen_instance("gaussian", 10, 2, -1)
+
 
 class TestOracleOpt:
     @pytest.mark.parametrize("p", [12.0, 14.0, 16.0])

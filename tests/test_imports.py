@@ -1,4 +1,5 @@
 """Import hygiene: every module-level import in src/lpreg is used, every
+module-level UPPER_CASE constant is read somewhere in src/lpreg, every
 name the package exports resolves, and so does every name the benchmark
 looks up in the package.
 
@@ -9,6 +10,7 @@ used when it is loaded anywhere in the module or listed in ``__all__``.
 import ast
 import dataclasses
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -41,6 +43,32 @@ def unused_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_level_import(path):
     assert unused_imports(path) == []
+
+
+def unread_constants(paths) -> list:
+    """Module-level UPPER_CASE assignments that no module in paths reads."""
+    defined, read = {}, set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            for target in targets:
+                name = getattr(target, "id", "")
+                if re.fullmatch(r"[A-Z][A-Z0-9_]*", name):
+                    defined[name] = f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{where} {name}" for name, where in defined.items()
+                  if name not in read)
+
+
+def test_every_module_level_constant_is_read():
+    assert unread_constants(sorted(SRC.glob("*.py"))) == []
 
 
 def test_every_exported_name_resolves():

@@ -10,16 +10,24 @@ from lpreg.errors import InvalidInputError, NonFiniteError
 from lpreg.harness import gen_instance, oracle_opt, solve
 from lpreg.lewis import LewisOverestimate, lewis_overestimates
 from lpreg.linalg import DenseMatrix, SolveCounter
-from lpreg import linf
-from lpreg.linf import _lse_slope, line_search_lse, linf_regress, lse_eval
+from lpreg import linf, refine
+from lpreg.linf import line_search_lse, linf_regress, lse_eval
 from lpreg.problem import ProblemInstance
-from lpreg.refine import convex_line_search, weak_duality_bound
+from lpreg.refine import weak_duality_bound
 
 
 def stacked(u, du):
     """The linf Newton step's search data: z = (u, -u), jd = (du, -du)."""
     u, du = np.asarray(u, dtype=float), np.asarray(du, dtype=float)
     return np.concatenate([u, -u]), np.concatenate([du, -du])
+
+
+def softmax_root(z, jd, t):
+    """Root of the slope of lse_t(z + c jd) on [0, 4], by brentq."""
+    def slope(c):
+        return float(lse_eval(z + c * jd, t)[1] @ jd)
+
+    return optimize.brentq(slope, 0.0, 4.0, xtol=1e-300, rtol=8.9e-16)
 
 
 def random_line(seed=11, n=40):
@@ -324,8 +332,7 @@ class TestLineSearch:
         # At t = 1e-6 the value cannot place the minimizer closer than 1e-5
         # relative; the root of the slope (brentq) can.
         assert c == pytest.approx(ref.x, rel=1e-5 if t > 1e-6 else 1e-3)
-        assert c == pytest.approx(convex_line_search(_lse_slope, (z, jd, t)),
-                                  rel=1e-9)
+        assert c == pytest.approx(softmax_root(z, jd, t), rel=1e-9)
         assert 1 <= counter.steps["line_search_evals"] <= 12
 
     def test_two_tied_lines_give_the_softmax_root(self):
@@ -341,22 +348,15 @@ class TestLineSearch:
     @pytest.mark.parametrize("t", [1.0, 1e-3])
     @pytest.mark.parametrize("case", sorted(LINES))
     def test_fallback_is_convex_line_search(self, case, t, monkeypatch):
-        # With Newton refused, bisection runs out of probes before it
-        # resolves the root and refine.convex_line_search takes over.
+        # With Newton refused, the search falls back to bisection alone,
+        # which still resolves the root within the probe cap.
         z, jd = LINES[case]()
-        ref = convex_line_search(_lse_slope, (z, jd, t))
-        calls = []
-        monkeypatch.setattr(linf, "_newton_accepts", lambda *args: False)
-        monkeypatch.setattr(
-            linf, "convex_line_search",
-            lambda *args: calls.append(1) or convex_line_search(*args))
+        monkeypatch.setattr(refine, "_newton_accepts", lambda *args: False)
         counter = SolveCounter()
         c, val = line_search_lse(z, jd, t, lse_eval(z, t), counter)
-        assert calls == [1]
-        assert c == pytest.approx(ref, rel=1e-14, abs=0.0)
+        assert c == pytest.approx(softmax_root(z, jd, t), rel=1e-9)
         assert val == lse_eval(z + c * jd, t)[0]
-        # the fallback's slope evaluations are counted too
-        assert counter.steps["line_search_evals"] > linf.LINE_SEARCH_PROBES
+        assert 12 < counter.steps["line_search_evals"] < refine.LINE_SEARCH_PROBES
 
     def test_ascent_direction_returns_zero(self):
         z, jd = random_line()
@@ -380,8 +380,8 @@ class TestLineSearch:
 
     def test_bench_instances_take_few_evaluations(self, monkeypatch):
         # The first 12 instances of the linf bench batch at seed 0, one per
-        # class.  refine.convex_line_search, which linf used before, makes
-        # about 27 slope evaluations per search on them.
+        # class.  Doubling from 1 and then brentq made about 27 slope
+        # evaluations per search on them.
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
         workloads = importlib.import_module("perfbench.workloads")
         cases = workloads.build_batch(workloads.WORKLOADS["linf"], 0)[:12]

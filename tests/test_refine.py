@@ -15,7 +15,7 @@ from lpreg.errors import (
     LpregError,
 )
 from lpreg.linalg import DenseMatrix, SolveCounter
-from lpreg.linf import _lse_slope, lse_eval
+from lpreg.linf import line_search_lse, lse_eval
 from lpreg.mwu import MwuGammaSolver
 from lpreg.problem import ProblemInstance, pnorm
 from lpreg.refine import (
@@ -24,9 +24,9 @@ from lpreg.refine import (
     GammaSolverContract,
     bregman_terms,
     certified_solve,
-    convex_line_search,
     line_search_lp,
     lp_dual_bound,
+    newton_line_search,
     refine_to_accuracy,
     refinement_round,
 )
@@ -165,11 +165,55 @@ class TestLineSearch:
         def f(c):
             return lse_eval(z + c * jd, t)[0]
 
+        def slope(c):
+            return float(lse_eval(z + c * jd, t)[1] @ jd)
+
         ref = optimize.minimize_scalar(f, bounds=(0.0, 4.0), method="bounded",
                                        options={"xatol": 1e-14})
-        c = convex_line_search(_lse_slope, (z, jd, t))
-        assert f(c) <= ref.fun + 1e-14 * abs(ref.fun)
+        root = optimize.brentq(slope, 0.0, 4.0, xtol=1e-300, rtol=8.9e-16)
+        c, val = line_search_lse(z, jd, t, lse_eval(z, t))
+        assert val == f(c)
+        assert val <= ref.fun + 1e-14 * abs(ref.fun)
         assert c == pytest.approx(ref.x, rel=1e-5)
+        assert c == pytest.approx(root, rel=1e-9)
+
+    def test_exact_zeros_at_the_root(self):
+        # q = 1.5, with dyadic data so that u + c w is exact at dyadic c.
+        # The entries come in mirror pairs, v_j(c) = -v_i(1.5 - c), so the
+        # minimizer is 0.75, and they vanish at c = 0, 0.5, 0.75, 1 and
+        # 1.5, where the curvature is infinite.  Bisection probes 1, 0.5
+        # and the root itself; none of them may stop the search short.
+        q, root = 1.5, 0.75
+        rng = np.random.default_rng(5)
+        wi = rng.integers(4, 17, 12) / 8.0
+        ui = rng.integers(-16, 17, 12) / 8.0
+        ui[:3] = [0.0, -wi[1], -root * wi[2]]
+        u = np.concatenate([ui, -ui - 2.0 * root * wi])
+        w = np.concatenate([wi, wi])
+
+        def f(c):
+            return float(np.sum(np.abs(u + c * w) ** q))
+
+        def slope(c):
+            v = u + c * w
+            return q * float((np.abs(v) ** (q - 1.0) * np.sign(v)) @ w)
+
+        def probe(c):
+            probes.append(c)
+            with np.errstate(divide="ignore"):
+                r = np.abs(u + c * w) ** (q - 2.0)
+            return slope(c), q * (q - 1.0) * float(r @ (w * w)), 0.0
+
+        ref = optimize.minimize_scalar(f, bounds=(0.0, 2.0), method="bounded",
+                                       options={"xatol": 1e-14})
+        assert ref.x == pytest.approx(root, rel=1e-6)
+        c, val = line_search_lp(u, w, q)
+        assert c == pytest.approx(root, rel=1e-12)
+        assert val == f(c) and val <= ref.fun
+        probes = []
+        c = newton_line_search(probe, 1.0)
+        assert probes[:3] == [1.0, 0.5, root]
+        assert c == pytest.approx(root, rel=1e-12)
 
     @pytest.mark.parametrize("u, w", [
         (np.array([np.nan, 1.0]), np.array([-1.0, -1.0])),
@@ -181,13 +225,10 @@ class TestLineSearch:
         with pytest.raises(LpregError):
             line_search_lp(u, w, 3.0)
 
-    def test_root_finder_failure_is_a_solver_error(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise RuntimeError("failed to converge")
-
-        monkeypatch.setattr(optimize, "brentq", fail)
+    def test_root_finder_failure_is_a_solver_error(self):
+        # a slope that never turns non-negative leaves the root unresolved
         with pytest.raises(BisectionStallError):
-            line_search_lp(np.array([1.0, -1.0, 2.0]), -np.ones(3), 4.0)
+            newton_line_search(lambda c: (-1.0, 0.0, 0.0), 1.0)
 
     def test_inputs_are_freed_without_the_cycle_collector(self):
         u = np.array([1.0, -1.0, 2.0])
