@@ -153,8 +153,6 @@ class ProxProblem:
     center: np.ndarray
 
     def __post_init__(self):
-        if self.p < 2:
-            raise InvalidInputError("proximal scheme requires p >= 2")
         self.cp = reg_coefficient(self.p)
         self.m_diag = np.maximum(self.weights.weights, WEIGHT_FLOOR) ** (
             1.0 - 2.0 / self.p)
@@ -209,10 +207,6 @@ class ProxProblem:
         return ProxEval(f_val + self.cp * fpow(dist, p), dist,
                         grads[0], grads[1])
 
-    def f(self, x: np.ndarray) -> float:
-        with np.errstate(over="ignore"):
-            return float(np.sum(np.abs(self.A.a @ x - self.b) ** self.p))
-
     def grad_f(self, x: np.ndarray) -> np.ndarray:
         u = self.A.a @ x - self.b
         return self.p * (self.A.a.T @ (np.abs(u) ** (self.p - 2.0) * u))
@@ -220,12 +214,6 @@ class ProxProblem:
     def m_norm(self, v: np.ndarray) -> float:
         av = self.A.a @ v
         return math.sqrt(float(av @ (self.m_diag * av)))
-
-    def f_reg(self, x: np.ndarray) -> float:
-        return self.evaluate(self.A.a @ (x - self.center)).f_reg
-
-    def grad_f_reg(self, x: np.ndarray) -> np.ndarray:
-        return self.evaluate(self.A.a @ (x - self.center)).grad
 
     def m_inv_norm(self, v: np.ndarray,
                    counter: SolveCounter | None = None) -> float:
@@ -509,7 +497,8 @@ def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
             prob_center, cert = respond(x_tilde)
         if _pins_center(prob_center, cert.dist):
             # The proximal response pins the center: x_tilde is stationary.
-            if prob_center.f_reg(cert.x) <= f_x:
+            if prob_center.evaluate(
+                    A.a @ (cert.x - prob_center.center)).f_reg <= f_x:
                 x, f_x = cert.x, f(cert.x)
             break
         lam = lam_try
@@ -549,8 +538,8 @@ def halve_error(A: DenseMatrix, b: np.ndarray, p: float,
 def solve_pnorm_accel(instance: ProblemInstance, seed=0,
                       counter: SolveCounter | None = None):
     """Full accelerated solve: error halvings inside the certified bracket."""
-    if instance.p < 2:
-        raise InvalidInputError("acceleration path requires p >= 2")
+    if not 2 <= instance.p < math.inf:
+        raise InvalidInputError("acceleration path requires a finite p >= 2")
     counter = counter if counter is not None else SolveCounter()
 
     def make_steps(unit):

@@ -14,7 +14,7 @@ from .errors import (
     NonFiniteError,
     RankDeficientError,
 )
-from .harness import ExperimentConfig, run_experiment, solve
+from .harness import METHODS, ExperimentConfig, run_experiment, solve
 from .lewis import half_minus_inv, lewis_overestimates, reweight_by
 from .linalg import leverage_scores, read_matrix, read_vector, write_vector
 from .problem import ProblemInstance
@@ -97,8 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--p", required=True,
                     help="exponent; q in (1,2) for the dual path, 'inf' for minimax")
     ps.add_argument("--eps", type=float, default=1e-8)
-    ps.add_argument("--method", default="refine",
-                    choices=["mwu", "accel", "dual", "linf", "refine"])
+    ps.add_argument("--method", default="refine", choices=METHODS)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--report", help="write the JSON report here")
     ps.add_argument("--solution", help="write the solution vector here")

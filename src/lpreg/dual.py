@@ -39,13 +39,6 @@ class DualInstance:
     R: np.ndarray
     p: float
 
-    def __post_init__(self):
-        self.v = np.asarray(self.v, dtype=float)
-        if self.v.shape != (self.U.d,):
-            raise InvalidInputError("v must match the stacked column count")
-        if self.p < 2:
-            raise InvalidInputError("stacked solver runs at p >= 2")
-
 
 def stack_instance(A: DenseMatrix, b: np.ndarray, g: np.ndarray,
                    R: np.ndarray, p: float) -> DualInstance:
@@ -180,8 +173,6 @@ class DualStepOracle:
 
     def __call__(self, nu: float, g: np.ndarray, R: np.ndarray,
                  y_cur: np.ndarray):
-        if nu <= 0:
-            raise InvalidInputError("nu must be positive")
         p = self.p
         g_a = self.A.project_out(g)
         b_coef = float(self.b @ g_a)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,8 +32,14 @@ from .report import SolveReport
 FAMILIES = ("gaussian", "ill_conditioned", "planted_residual", "coherent_rows")
 METHODS = ("mwu", "accel", "dual", "linf", "refine")
 MAX_N, MAX_D = 2000, 64
+# oracle_opt's desk-scale caps, which a config with "oracle" must meet
+ORACLE_MAX_N, ORACLE_MAX_D = 500, 20
 
 ILL_COND_DECADES = 6.0
+
+
+def _desk_scale(n: int, d: int) -> bool:
+    return 1 <= d <= min(n, MAX_D) and n <= MAX_N
 
 
 def _rng_for(family: str, n: int, d: int, seed: int) -> np.random.Generator:
@@ -45,7 +52,7 @@ def gen_instance(family: str, n: int, d: int, seed: int, p: float = 2.0,
     """Deterministic test instance; same arguments give the same bytes."""
     if family not in FAMILIES:
         raise InvalidInputError(f"unknown family {family!r}")
-    if not 1 <= d <= min(n, MAX_D) or n > MAX_N:
+    if not _desk_scale(n, d):
         raise InvalidInputError(f"size {n} x {d} outside desk-scale caps")
     if seed < 0:
         raise InvalidInputError(f"seed {seed} is negative")
@@ -181,8 +188,9 @@ def oracle_opt(instance: ProblemInstance, tol: float = 1e-9) -> float:
     continuation below 2); the minimax case is an exact linear program.
     """
     A, b, p = instance.A, instance.b, instance.p
-    if A.n > 500 or A.d > 20:
-        raise InvalidInputError("oracle is desk-scale only (n <= 500, d <= 20)")
+    if A.n > ORACLE_MAX_N or A.d > ORACLE_MAX_D:
+        raise InvalidInputError(f"oracle is desk-scale only (n <= {ORACLE_MAX_N}, "
+                                f"d <= {ORACLE_MAX_D})")
     # Rescale A and b by powers of two (exact, so the optimum scales with b
     # alone), then shift out the least-squares fit and normalize: exact
     # symmetries that keep tiny, huge and nearly consistent data resolvable
@@ -222,12 +230,13 @@ def oracle_opt(instance: ProblemInstance, tol: float = 1e-9) -> float:
 
 
 def solve(instance: ProblemInstance, method: str, seed: int = 0):
-    """Check the method against the exponent and dispatch.
+    """Route the method, check its support cap, and dispatch.
 
-    Returns (x, SolveReport).  Every method runs inside
-    :func:`lpreg.refine.certified_solve`, which rescales the data exactly
-    and shifts out the least-squares fit, so results do not depend on the
-    scale of the data.
+    Returns (x, SolveReport).  Only the caps MAX_MWU_P and MAX_ACCEL_P are
+    checked here; each entry point rejects exponents outside its domain.
+    Every method runs inside :func:`lpreg.refine.certified_solve`, which
+    rescales the data exactly and shifts out the least-squares fit, so
+    results do not depend on the scale of the data.
     """
     if method not in METHODS:
         raise InvalidInputError(f"unknown method {method!r}")
@@ -236,12 +245,10 @@ def solve(instance: ProblemInstance, method: str, seed: int = 0):
         method = ("linf" if p == math.inf else
                   "dual" if p < 2 else
                   "mwu" if p <= MAX_MWU_P else "accel")
-    if method == "mwu" and not 2 <= p <= MAX_MWU_P:
-        raise InvalidInputError(f"mwu requires 2 <= p <= {MAX_MWU_P}")
-    if method == "accel" and not 2 <= p <= MAX_ACCEL_P:
-        raise InvalidInputError(f"accel requires 2 <= p <= {MAX_ACCEL_P}")
-    if method == "dual" and not 1 < p <= 2:
-        raise InvalidInputError("dual requires q in (1, 2]")
+    if method == "mwu" and p > MAX_MWU_P:
+        raise InvalidInputError(f"mwu requires p <= {MAX_MWU_P}")
+    if method == "accel" and p > MAX_ACCEL_P:
+        raise InvalidInputError(f"accel requires p <= {MAX_ACCEL_P}")
     entry = {"mwu": solve_mwu, "accel": solve_pnorm_accel, "dual": solve_lq,
              "linf": linf_regress}[method]
     return entry(instance, seed=seed)
@@ -268,7 +275,6 @@ class ExperimentConfig:
     output_dir: str
     oracle: bool = False
     oracle_tol: float = 1e-9
-    schema_version: int = 1
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -289,13 +295,25 @@ class ExperimentConfig:
             if not (isinstance(size, (list, tuple)) and len(size) == 2
                     and all(map(_is_int, size))):
                 raise InvalidInputError(f"size {size!r} is not an [n, d] pair")
-            n, d = size
-            if n > MAX_N or d > MAX_D:
-                raise InvalidInputError(f"size {n} x {d} over the caps")
+            if not _desk_scale(*size):
+                raise InvalidInputError(f"size {size} outside desk-scale caps")
         if not (isinstance(self.seeds, (list, tuple)) and self.seeds
                 and all(_is_int(s) and s >= 0 for s in self.seeds)):
             raise InvalidInputError(
                 "seeds must be a non-empty list of non-negative ints")
+        if not isinstance(self.output_dir, (str, os.PathLike)):
+            raise InvalidInputError(
+                f"output_dir {self.output_dir!r} is not a path")
+        if not isinstance(self.oracle, bool):
+            raise InvalidInputError(f"oracle {self.oracle!r} is not a boolean")
+        if not (_is_real(self.oracle_tol) and 0 < self.oracle_tol < math.inf):
+            raise InvalidInputError(
+                f"oracle_tol {self.oracle_tol!r} is not a positive number")
+        if self.oracle and any(n > ORACLE_MAX_N or d > ORACLE_MAX_D
+                               for n, d in self.sizes):
+            raise InvalidInputError(
+                f"the oracle is desk-scale only (n <= {ORACLE_MAX_N}, "
+                f"d <= {ORACLE_MAX_D})")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -303,7 +321,6 @@ class ExperimentConfig:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise InvalidInputError("bad config: expected a JSON object")
-        raw.setdefault("schema_version", 1)
         try:
             return cls(**raw)
         except TypeError as exc:

@@ -29,17 +29,9 @@ DOMINATION_TOL = 1e-8
 REG_LEWIS_TOL = 1e-3
 
 
-def inv_exponent(p: float) -> float:
-    """1/p, with p = inf handled as 0."""
-    if p == math.inf:
-        return 0.0
-    if p < 1:
-        raise InvalidInputError("exponent must be >= 1")
-    return 1.0 / p
-
-
 def half_minus_inv(p: float) -> float:
-    return 0.5 - inv_exponent(p)
+    """1/2 - 1/p, which is 1/2 at p = inf."""
+    return 0.5 - 1.0 / p
 
 
 def reweight_by(A: DenseMatrix, w: np.ndarray, expo: float) -> DenseMatrix:

@@ -39,8 +39,6 @@ def lse_eval(u: np.ndarray, t: float):
     are the softmax probabilities and sum to one.  The smoothing sandwich
     max(u) <= value <= max(u) + t log(len(u)) is asserted on every call.
     """
-    if t <= 0:
-        raise InvalidInputError("temperature must be positive")
     u = np.asarray(u, dtype=float)
     m = float(np.max(u))
     e = np.exp((u - m) / t)

@@ -66,17 +66,6 @@ class ResidualInstance:
     R: np.ndarray
     p: float
 
-    def __post_init__(self):
-        self.g = np.asarray(self.g, dtype=float)
-        if self.g.shape != (self.A.d,):
-            raise InvalidInputError("gradient must have length d")
-        if self.p < 2:
-            raise InvalidInputError("residual solver requires p >= 2")
-        if self.p > MAX_MWU_P:
-            raise InvalidInputError(
-                f"p = {self.p} exceeds the width-reduction cap {MAX_MWU_P}; "
-                "use the acceleration path")
-
 
 def mwu_constants(p: float, d: int) -> tuple[float, float, float]:
     """(kappa, alpha, tau) for dimension d; alpha is the paper's, the floor."""
@@ -425,8 +414,6 @@ class MwuGammaSolver:
 
     def __call__(self, nu: float, g: np.ndarray, R: np.ndarray,
                  x: np.ndarray | None = None):
-        if nu <= 0:
-            raise InvalidInputError("nu must be positive")
         p = self.p
         g_eff = self.A.a.T @ np.asarray(g, dtype=float)
         scale_a = (2.0 ** (p + 1) * nu) ** (-1.0 / p)
@@ -445,6 +432,8 @@ class MwuGammaSolver:
 def solve_mwu(instance: ProblemInstance, seed=0,
               counter: SolveCounter | None = None):
     """Full solve: iterative refinement with width-reduced steps, certified."""
+    if not 2 <= instance.p < math.inf:
+        raise InvalidInputError("width reduction requires a finite p >= 2")
     counter = counter if counter is not None else SolveCounter()
 
     def make_steps(unit):

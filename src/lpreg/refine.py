@@ -381,15 +381,15 @@ def refine_to_accuracy(instance: ProblemInstance, solver: GammaSolverContract,
                        max_rounds: int = 500):
     """Drive a caller-built residual solver until (1+eps)-accuracy is certified.
 
-    The problem is unconstrained: min ||Ax - b||_p over all x, p >= 2.
+    The problem is unconstrained: min ||Ax - b||_p over all x, finite p >= 2.
     ``solver.callback(nu, g, R, x=...)`` is bound to the caller's A: it
     receives iterates in the caller's coordinates and its directions are
     mapped back.  Returns (x, report).  Raises BudgetExceededError if the
     theoretical call budget is exhausted or progress stalls before
     certification, which signals a broken solver contract.
     """
-    if instance.p < 2:
-        raise InvalidInputError("refinement drives p >= 2 objectives")
+    if not 2 <= instance.p < math.inf:
+        raise InvalidInputError("refinement drives finite p >= 2 objectives")
     counter = counter if counter is not None else SolveCounter()
 
     def make_steps(unit):

@@ -1,7 +1,7 @@
 """Numerical diagnostics and planted instances that only the tests use.
 
 Each diagnostic checks an inequality the solvers rely on (Hessian
-stability of the proximal objective, uniform convexity of the p-th power,
+stability of the proximal objective and its gradient, uniform convexity of the p-th power,
 the scalar refinement sandwich, the gamma-solver contract, the weighted
 norm sandwich, the self-consistency of row weights) from the outside, so
 the solver modules carry no code that production never runs.  The
@@ -73,6 +73,22 @@ def hessian_stability_check(y: np.ndarray, x: np.ndarray, prob,
             continue
         worst = max(worst, q_f / (math.e * q_h), q_h / (math.e * q_f))
     return worst
+
+
+def prox_f(prob, x: np.ndarray) -> float:
+    """f(x) = ||Ax - b||_p^p of an ``accel.ProxProblem``."""
+    with np.errstate(over="ignore"):
+        return float(np.sum(np.abs(prob.A.a @ x - prob.b) ** prob.p))
+
+
+def prox_f_reg(prob, x: np.ndarray) -> float:
+    """The proximal objective f(x) + C_p ||x - center||_M^p at x."""
+    return prob.evaluate(prob.A.a @ (x - prob.center)).f_reg
+
+
+def prox_grad_f_reg(prob, x: np.ndarray) -> np.ndarray:
+    """The gradient of :func:`prox_f_reg` at x."""
+    return prob.evaluate(prob.A.a @ (x - prob.center)).grad
 
 
 def strong_convexity_check(y: np.ndarray, delta: np.ndarray, p: float) -> bool:

@@ -1,6 +1,7 @@
 import math
 import sys
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -29,7 +30,13 @@ from lpreg.lewis import lewis_overestimates
 from lpreg.linalg import DenseMatrix, SolveCounter, gram_solve_multi
 from lpreg.problem import ProblemInstance, pnorm
 
-from diagnostics import hessian_stability_check, strong_convexity_check
+from diagnostics import (
+    hessian_stability_check,
+    prox_f,
+    prox_f_reg,
+    prox_grad_f_reg,
+    strong_convexity_check,
+)
 
 
 HALVING_DISTANCE_COEFF = 2.0 ** 1.5
@@ -102,10 +109,10 @@ class TestProxSolve:
         counter = SolveCounter()
         cert = prox_solve(prob, tol=1e-10, counter=counter)
         assert cert.residual <= cert.threshold
-        res = minimize(prob.f_reg, prob.center, jac=prob.grad_f_reg,
-                       method="L-BFGS-B",
+        res = minimize(partial(prox_f_reg, prob), prob.center,
+                       jac=partial(prox_grad_f_reg, prob), method="L-BFGS-B",
                        options={"maxiter": 5000, "ftol": 1e-15, "gtol": 1e-12})
-        assert prob.f_reg(cert.x) <= res.fun + 1e-6 * (1 + abs(res.fun))
+        assert prox_f_reg(prob, cert.x) <= res.fun + 1e-6 * (1 + abs(res.fun))
         assert counter.gram_solves > 0
 
     def test_tau_complementarity(self):
@@ -121,7 +128,9 @@ class TestProxSolve:
         prob = make_problem(25, 3, 4.0, 13)
         rng = np.random.default_rng(14)
         x = prob.center + 0.3 * rng.standard_normal(3)
-        for fn, grad_fn in ((prob.f, prob.grad_f), (prob.f_reg, prob.grad_f_reg)):
+        for fn, grad_fn in ((partial(prox_f, prob), prob.grad_f),
+                            (partial(prox_f_reg, prob),
+                             partial(prox_grad_f_reg, prob))):
             g = grad_fn(x)
             for i in range(3):
                 e = np.zeros(3)
@@ -408,7 +417,7 @@ class TestInnerStep:
         grad_h = (2.0 * a.T @ (prob._hess_center * (a @ step))
                   + p * prob.cp * dist ** (p - 2.0)
                   * (a.T @ (prob.m_diag * (a @ step))))
-        ref = prob.grad_f_reg(x) - 4.0 * grad_h
+        ref = prox_grad_f_reg(prob, x) - 4.0 * grad_h
         assert ev.dist == dist
         assert np.linalg.norm(ev.glin - ref) <= 1e-12 * np.linalg.norm(ref)
 

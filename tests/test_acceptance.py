@@ -6,6 +6,7 @@ module-scoped fixtures.
 """
 import math
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,9 @@ from diagnostics import (
     norm_sandwich_check,
     plant_dual_instance,
     plant_residual_instance,
+    prox_f,
+    prox_f_reg,
+    prox_grad_f_reg,
     reg_lewis_residual,
     strong_convexity_check,
 )
@@ -239,7 +243,9 @@ def test_criterion_08_hessian_stability():
     prob = ProxProblem(A_fd, rng.standard_normal(20), 4.0,
                        lewis_overestimates(A_fd, 4.0),
                        rng.standard_normal(3))
-    for fn, grad_fn in ((prob.f, prob.grad_f), (prob.f_reg, prob.grad_f_reg)):
+    for fn, grad_fn in ((partial(prox_f, prob), prob.grad_f),
+                        (partial(prox_f_reg, prob),
+                         partial(prox_grad_f_reg, prob))):
         x = prob.center + 0.2 * rng.standard_normal(3)
         g = grad_fn(x)
         for i in range(3):

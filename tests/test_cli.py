@@ -172,11 +172,28 @@ class TestBenchCommand:
                "eps_tiny": json.dumps({**good, "eps": 1e-16}),
                "seeds_int": json.dumps({**good, "seeds": 5}),
                "seeds_text": json.dumps({**good, "seeds": ["x"]}),
-               "size_float": json.dumps({**good, "sizes": [[30.5, 3]]})}
+               "size_float": json.dumps({**good, "sizes": [[30.5, 3]]}),
+               "size_wide": json.dumps({**good, "sizes": [[16, 2], [3, 5]]}),
+               "oracle_tol_text": json.dumps({**good, "oracle_tol": "x"}),
+               "output_dir_int": json.dumps({**good, "output_dir": 5}),
+               "oracle_text": json.dumps({**good, "oracle": "no"}),
+               "schema_version": json.dumps({**good, "schema_version": 1})}
         for name, text in bad.items():
             path = tmp_path / f"{name}.json"
             path.write_text(text)
             assert main(["bench", "--config", str(path)]) == 3, name
+        assert not (tmp_path / "out").exists()
+
+    def test_oracle_above_its_caps_is_input_error(self, tmp_path, capsys):
+        # oracle_opt is desk-scale only; a config asking for it at a larger
+        # size is rejected before any solve, not turned into failure rows.
+        cfg = {"method": "mwu", "p": 4.0, "eps": 1e-6, "family": "gaussian",
+               "sizes": [[600, 4]], "seeds": [0], "oracle": True,
+               "output_dir": str(tmp_path / "out")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["bench", "--config", str(path)]) == 3
+        assert "desk-scale" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_negative_seed_is_input_error(self, tmp_path, capsys):

@@ -21,6 +21,7 @@ from lpreg.linalg import DenseMatrix, SolveCounter
 from lpreg.linf import linf_regress
 from lpreg.mwu import solve_mwu
 from lpreg.problem import ProblemInstance
+from lpreg.refine import GammaSolverContract, refine_to_accuracy
 
 from diagnostics import exact_residual_lp
 
@@ -153,6 +154,26 @@ class TestSolveDispatch:
         inst17 = gen_instance("gaussian", 20, 3, 0, p=17.0)
         with pytest.raises(InvalidInputError):
             solve(inst17, "mwu")
+
+    @pytest.mark.parametrize("entry, p", [
+        ("mwu", 1.5), ("mwu", math.inf),
+        ("accel", 1.5), ("accel", math.inf),
+        ("dual", 4.0), ("dual", math.inf),
+        ("linf", 1.5), ("linf", 4.0),
+        ("refine_to_accuracy", 1.5), ("refine_to_accuracy", math.inf)])
+    def test_entry_point_rejects_its_domain_before_any_work(self, entry, p):
+        # harness.solve checks only the caps; every entry point checks its
+        # own exponent domain before its first QR or Gram solve.
+        inst = gen_instance("gaussian", 20, 3, 0, p=p)
+        counter = SolveCounter()
+        with pytest.raises(InvalidInputError):
+            if entry == "refine_to_accuracy":
+                refine_to_accuracy(inst, GammaSolverContract(1.0, None),
+                                   counter=counter)
+            else:
+                ENTRIES[entry](inst, counter=counter)
+        assert counter.gram_solves == 0
+        assert counter.factorizations == 0
 
     def test_seed_recorded(self):
         inst = gen_instance("gaussian", 20, 3, 0, p=2.0)

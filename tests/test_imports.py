@@ -1,7 +1,8 @@
 """Import hygiene: every module-level import in src/lpreg is used, every
 module-level UPPER_CASE constant is read somewhere in src/lpreg, every
 name the package exports resolves, and so does every name the benchmark
-looks up in the package.
+looks up in the package.  InvalidInputError is raised only at the API
+boundary.
 
 No linter ships with the test environment, so this walks each module's
 syntax tree with the standard ``ast`` module instead.  A name counts as
@@ -93,3 +94,62 @@ def test_every_name_the_benchmark_traces_resolves(monkeypatch):
     assert missing == [], (
         "the benchmark resolves these names; remove them only together "
         f"with the benchmark code that uses them: {missing}")
+
+
+# Where InvalidInputError may be raised: the entry points, which check
+# their exponent domain once before any work, and the public helpers and
+# constructors that take outside input.  Nothing they call re-checks.
+BOUNDARY = {
+    "accel.solve_pnorm_accel", "dual.solve_lq", "dual.dual_exponent",
+    "linf.linf_regress", "mwu.solve_mwu", "refine.refine_to_accuracy",
+    "cli._parse_p", "harness.gen_instance", "harness.oracle_opt",
+    "harness.ExperimentConfig.__post_init__",
+    "harness.ExperimentConfig.from_json", "lewis.lewis_overestimates",
+    "lewis.reg_lewis", "linalg.DenseMatrix.__init__",
+    "linalg.gram_solve_multi", "linalg.approx_lev", "linalg.read_matrix",
+    "linalg.read_vector", "problem.ProblemInstance.__post_init__",
+}
+# Functions allowed only the raises whose message source is listed:
+# harness.solve routes and checks the two support caps, and two checks
+# inside a solve guard runtime state no entry point can see.
+CHECKS_BY_MESSAGE = {
+    "harness.solve": {"f'unknown method {method!r}'",
+                      "f'mwu requires p <= {MAX_MWU_P}'",
+                      "f'accel requires p <= {MAX_ACCEL_P}'"},
+    "accel.ProxProblem.__post_init__": {
+        "'center residuals overflow the exponent'"},
+    "mwu.boosting_step": {"'boost requires ||Az||_p^p >= tau'"},
+}
+
+
+def invalid_input_raises(path: Path) -> list:
+    """(qualified function, message source, file:line) per raise site."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            exc = getattr(child, "exc", None) if isinstance(
+                child, ast.Raise) else None
+            if (isinstance(exc, ast.Call)
+                    and getattr(exc.func, "id", None) == "InvalidInputError"):
+                message = ast.unparse(exc.args[0]) if exc.args else ""
+                sites.append((".".join([path.stem] + scope), message,
+                              f"{path.name}:{child.lineno}"))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), [])
+    return sites
+
+
+def test_invalid_input_is_raised_only_at_the_boundary():
+    stray = [f"{where} {func}: {message}"
+             for path in sorted(SRC.glob("*.py"))
+             for func, message, where in invalid_input_raises(path)
+             if func not in BOUNDARY
+             and message not in CHECKS_BY_MESSAGE.get(func, ())]
+    assert stray == [], (
+        "InvalidInputError raised below the boundary; check the domain once "
+        f"in the entry point instead: {stray}")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,11 +8,11 @@ from scipy.linalg import null_space
 from lpreg import mwu
 from lpreg.errors import (
     InfeasibleError,
-    InvalidInputError,
+    LpregError,
     StepBoundError,
     ZeroGradientError,
 )
-from lpreg.harness import gen_instance, solve
+from lpreg.harness import FAMILIES, gen_instance, solve
 from lpreg.lewis import lewis_overestimates
 from lpreg.linalg import DenseMatrix, SolveCounter
 from lpreg.mwu import (
@@ -26,6 +27,7 @@ from lpreg.mwu import (
     new_state,
     progress_step,
     reduce_width,
+    solve_mwu,
     width_reduced_oracle,
     woodbury_energy,
 )
@@ -222,11 +224,6 @@ class TestWidthReducedOracle:
         kappa = 4.0 * 5 ** 0.25
         assert phi <= 2.0 * (20 * kappa) ** 4
 
-    def test_rejects_large_p(self):
-        with pytest.raises(InvalidInputError):
-            ResidualInstance(DenseMatrix(np.eye(2)), np.array([-1.0, 0.0]),
-                             np.ones(2), 17.0)
-
     def test_infeasible_instance_detected(self):
         # a tiny gradient forces any g^T x = -1 point to be huge, so the
         # quadratic bound of the existence assumption cannot hold
@@ -236,6 +233,27 @@ class TestWidthReducedOracle:
         inst = ResidualInstance(A, g, np.ones(20), 4.0)
         with pytest.raises(InfeasibleError):
             width_reduced_oracle(inst)
+
+
+class TestAboveTheCap:
+    @pytest.mark.parametrize("p", [20.0, 32.0])
+    def test_direct_solve_certifies_or_raises(self, p):
+        # harness.solve caps mwu at MAX_MWU_P; a direct call above it runs.
+        # Each run certifies or fails as an LpregError: no raw exception and
+        # no floating-point warning.
+        certified = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for family in FAMILIES:
+                for seed in (0, 1):
+                    inst = gen_instance(family, 60, 4, seed, p=p, eps=1e-6)
+                    try:
+                        _, rep = solve_mwu(inst, seed=seed)
+                    except LpregError:
+                        continue
+                    assert rep.certified_gap <= 1e-6
+                    certified += 1
+        assert certified >= 1
 
 
 class TestAlphaSchedule:
