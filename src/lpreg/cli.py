@@ -15,7 +15,7 @@ from .errors import (
     RankDeficientError,
 )
 from .harness import METHODS, ExperimentConfig, run_experiment, solve
-from .lewis import half_minus_inv, lewis_overestimates, reweight_by
+from .lewis import half_minus_inv, lewis_overestimates, row_scale
 from .linalg import leverage_scores, read_matrix, read_vector, write_vector
 from .problem import ProblemInstance
 
@@ -63,7 +63,7 @@ def _cmd_weights(args) -> int:
     A = read_matrix(args.matrix)
     p = _parse_p(args.p)
     est = lewis_overestimates(A, p)
-    sig = leverage_scores(reweight_by(A, est.weights, half_minus_inv(p)))
+    sig = leverage_scores(A, row_scale(est.weights, half_minus_inv(p)))
     payload = {
         "p": "inf" if p == math.inf else p,
         "n": A.n,

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import InfeasibleError, InvalidInputError, PotentialViolationError
+from .errors import (InfeasibleError, InvalidInputError,
+                     PotentialViolationError, SingularGramError)
 from .lewis import WEIGHT_FLOOR, reg_lewis
 from .linalg import DenseMatrix, SolveCounter, gram_solve_multi
 from .problem import ProblemInstance, pnorm
@@ -45,10 +46,15 @@ def stack_instance(A: DenseMatrix, b: np.ndarray, g: np.ndarray,
     """Canonical stacking with right-hand side (0, ..., 0, 1, -1).
 
     The stack is trusted: its caller passes a b outside the range of A
-    and a g outside the range of [A b] (see :class:`DualStepOracle`); a
-    non-finite g surfaces as NonFiniteError from the first Gram solve.
+    and a g outside the range of [A b]; a non-finite g surfaces as
+    NonFiniteError from the first Gram solve.  U carries the basis
+    [Q_A, b/||b||, g/||g||] of its range, so its leverage scores take no
+    QR of U; the basis is orthonormal when b is orthogonal to range(A)
+    and g to range([A b]), as :class:`DualStepOracle` makes them.
     """
-    U = DenseMatrix.trusted(np.column_stack([A.a, b, g]))
+    basis = np.column_stack([A.basis, b / np.linalg.norm(b),
+                             g / np.linalg.norm(g)])
+    U = DenseMatrix.trusted(np.column_stack([A.a, b, g]), basis)
     v = np.zeros(U.d)
     v[-2], v[-1] = 1.0, -1.0
     return DualInstance(U, v, R, p)
@@ -62,6 +68,7 @@ def min_quadratic_on_affine(U: DenseMatrix, v: np.ndarray, diag: np.ndarray,
     The normal matrix U^T D^{-1} U is never formed whole: its leading
     block is handled by Gram solves against the first d columns and the
     trailing two columns are folded in through a 2x2 Schur complement.
+    A singular Schur complement or U^T U raises SingularGramError.
     """
     n, m = U.n, U.d
     w = 1.0 / np.maximum(diag, 1e-300)
@@ -73,7 +80,7 @@ def min_quadratic_on_affine(U: DenseMatrix, v: np.ndarray, diag: np.ndarray,
     sol = gram_solve_multi(lead, w, rhs, counter=counter, phase=phase)
     GinvF, Ginv_vA = sol[:, :2], sol[:, 2]
     schur = H - F.T @ GinvF
-    mu_tail = np.linalg.solve(schur, v[m - 2:] - F.T @ Ginv_vA)
+    mu_tail = _solve_stacked(schur, v[m - 2:] - F.T @ Ginv_vA)
     mu_lead = Ginv_vA - GinvF @ mu_tail
     mu = np.concatenate([mu_lead, mu_tail])
     x = w * (U.a @ mu)
@@ -81,8 +88,16 @@ def min_quadratic_on_affine(U: DenseMatrix, v: np.ndarray, diag: np.ndarray,
     # touching the quadratic value beyond the solve error itself.
     gram_u = U.a.T @ U.a
     for _ in range(2):
-        x = x + U.a @ np.linalg.solve(gram_u, v - U.a.T @ x)
+        x = x + U.a @ _solve_stacked(gram_u, v - U.a.T @ x)
     return x
+
+
+def _solve_stacked(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """np.linalg.solve, with a singular M raised as SingularGramError."""
+    try:
+        return np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularGramError("stacked matrix is singular") from exc
 
 
 def oracle_small(inst: DualInstance,

@@ -4,7 +4,9 @@ Two families are provided: overestimates for p >= 2 (averaged fixed-point
 iterates, returned at the first round whose exact leverage recomputation
 certifies them, with ceil(10 log n) rounds as the cap) and regularized
 weights for q <= 2 (a contractive map, iterated until its log residual
-falls below REG_LEWIS_TOL or the paper's step count runs out).
+falls below REG_LEWIS_TOL or the paper's step count runs out).  Each
+reweighting hands its row scale to :func:`lpreg.linalg.leverage_scores`,
+which reuses A's basis; no reweighted copy of A is made.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from .errors import (
     NegativeWeightError,
     NonFiniteError,
 )
-from .linalg import DenseMatrix, approx_lev, leverage_scores, reweighted
+from .linalg import DenseMatrix, approx_lev, leverage_scores
 
 WEIGHT_FLOOR = 1e-14
 DOMINATION_TOL = 1e-8
@@ -34,10 +36,9 @@ def half_minus_inv(p: float) -> float:
     return 0.5 - 1.0 / p
 
 
-def reweight_by(A: DenseMatrix, w: np.ndarray, expo: float) -> DenseMatrix:
-    """diag(w^expo) @ A with the weight floor applied first."""
-    wf = np.maximum(np.asarray(w, dtype=float), WEIGHT_FLOOR)
-    return reweighted(A, wf ** expo)
+def row_scale(w: np.ndarray, expo: float) -> np.ndarray:
+    """Row scale w^expo, with the weight floor applied first."""
+    return np.maximum(np.asarray(w, dtype=float), WEIGHT_FLOOR) ** expo
 
 
 @dataclass
@@ -82,11 +83,11 @@ def lewis_overestimates(A: DenseMatrix, p: float) -> LewisOverestimate:
     w = np.full(n, d / n)
     acc = np.zeros(n)
     for k in range(1, T + 1):
-        w = approx_lev(reweight_by(A, w, expo), 0.1)
+        w = approx_lev(A, 0.1, row_scale(w, expo))
         acc += w
         out = (3.0 / (2.0 * k)) * acc
         mass = float(np.sum(out))
-        sig = leverage_scores(reweight_by(A, out, expo))
+        sig = leverage_scores(A, row_scale(out, expo))
         if d - 1e-9 <= mass <= 2 * d + 1e-9 and np.all(out + DOMINATION_TOL >= sig):
             return LewisOverestimate(out, p)
     raise DominationFailure(
@@ -104,7 +105,7 @@ def reg_lewis_update(A: DenseMatrix, w: np.ndarray, c: np.ndarray, q: float,
     """
     base = np.maximum(c + w, WEIGHT_FLOOR)
     if sigma is None:
-        sigma = leverage_scores(reweighted(A, base ** (0.5 - 1.0 / q)))
+        sigma = leverage_scores(A, base ** (0.5 - 1.0 / q))
     pos = c > 0
     nxt = np.empty_like(base)
     with np.errstate(divide="ignore"):
@@ -143,7 +144,7 @@ def reg_lewis(A: DenseMatrix, c: np.ndarray, q: float) -> RegularizedLewisWeight
     T = int(math.ceil(8 * math.log(math.log(max(A.n, 3))))) + 4
     w = np.ones(A.n)
     for step in range(T + 1):
-        sig = approx_lev(reweight_by(A, c + w, 0.5 - 1.0 / q), 1.0 / 50.0)
+        sig = approx_lev(A, 1.0 / 50.0, row_scale(c + w, 0.5 - 1.0 / q))
         gap = float(np.max(np.abs(np.log(np.maximum(c + sig, WEIGHT_FLOOR)
                                           / np.maximum(c + w, WEIGHT_FLOOR)))))
         if not math.isfinite(gap):

@@ -6,6 +6,8 @@ plain float array of per-row weights.  :class:`SolveCounter` tallies the
 solves, and :func:`gram_solve_multi` is the one place that checks and
 floors weights; fits and projections on A itself use A's cached QR
 (:meth:`DenseMatrix.project_out`).  Not counted: dual's ``[A b g]`` solves.
+Leverage scores of a row-reweighted A take no QR of their own: they
+orthonormalize the scaled basis ``diag(s) A.basis`` by Cholesky QR.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .errors import (
     InvalidInputError,
@@ -27,6 +30,12 @@ from .errors import (
 WEIGHT_SOLVE_FLOOR = 1e-300
 # Relative residual per column that iterative refinement aims for.
 GRAM_RTOL = 1e-12
+# Leverage scores are read off a basis once max|Z^T Z - I| is this small;
+# the scores' relative error is then at most d * ORTHO_TOL.
+ORTHO_TOL = 1e-13
+# A shifted pass lifts the smallest singular value by about 1e7: 14 passes
+# at a row-scale span of 1e150, beyond the span the weight floors allow.
+MAX_CHOLQR_PASSES = 20
 
 
 class DenseMatrix:
@@ -70,11 +79,23 @@ class DenseMatrix:
             Y = Y - q @ (q.T @ Y)
         return Y
 
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """A basis of range(A) for :func:`leverage_scores`; Q by default."""
+        return self.qr[0]
+
     @classmethod
-    def trusted(cls, entries: np.ndarray) -> "DenseMatrix":
-        """Skip validation for a rank-preserving copy of a validated matrix."""
+    def trusted(cls, entries: np.ndarray,
+                basis: np.ndarray | None = None) -> "DenseMatrix":
+        """Skip validation for a rank-preserving copy of a validated matrix.
+
+        ``basis``, if given, spans the copy's range; it need not be
+        orthonormal, only well enough conditioned for Cholesky QR.
+        """
         obj = object.__new__(cls)
         obj.a = entries
+        if basis is not None:
+            obj.basis = basis
         return obj
 
 
@@ -176,30 +197,64 @@ def gram_solve_multi(A: DenseMatrix, w: np.ndarray, rhs: np.ndarray,
     return X[:, 0] if single else X
 
 
-def leverage_scores(A: DenseMatrix) -> np.ndarray:
-    """Exact leverage scores sigma_i = a_i^T (A^T A)^{-1} a_i via QR."""
-    sig = np.einsum("ij,ij->i", A.qr[0], A.qr[0])
-    return np.clip(sig, 0.0, 1.0)
+def _cholqr_pass(Z: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Z R^{-1} for the Cholesky factor R^T R = G = Z^T Z.
+
+    If G is not numerically positive definite, R is taken of G shifted by
+    11 (n m + m (m + 1)) eps_mach ||Z||_F^2 (shifted Cholesky QR, Fukaya et
+    al., SISC 2020): the pass then lifts Z's small singular values instead
+    of breaking down, and later passes finish the orthogonalization.
+    """
+    R, info = dpotrf(G, lower=0, clean=1)
+    if info != 0:
+        n, m = Z.shape
+        shift = (11.0 * (n * m + m * (m + 1)) * np.finfo(float).eps
+                 * float(np.trace(G)))
+        R, info = dpotrf(G + shift * np.eye(m), lower=0, clean=1)
+        if info != 0:
+            raise SingularGramError("shifted Cholesky QR broke down")
+    Rinv, _ = dtrtri(R, lower=0)
+    return Z @ Rinv
 
 
-def approx_lev(A: DenseMatrix, eps: float) -> np.ndarray:
-    """Leverage-score estimates within a (1 +- eps) factor of the truth.
+def leverage_scores(A: DenseMatrix,
+                    scale: np.ndarray | None = None) -> np.ndarray:
+    """Exact leverage scores sigma_i of diag(scale) A (of A without a scale).
 
-    The exact QR scores meet that guarantee for every eps, so they are
-    returned as is; they cost no Gram solves.
+    diag(scale) A and diag(scale) B share their range for any basis B of
+    range(A), so the scores are the squared row norms of an orthonormal
+    basis of diag(scale) B, with B = ``A.basis``: A's cached QR factor, or
+    the basis a trusted copy was given.  That basis is orthonormalized by
+    Cholesky QR (Yamamoto et al., ETNA 2015), two level-3 products per
+    pass, and passes repeat until max|Z^T Z - I| <= ORTHO_TOL: one pass
+    when diag(scale) B is well conditioned, more as its condition grows.
+    A non-finite scale raises NonFiniteError, and a basis still not
+    orthonormal after MAX_CHOLQR_PASSES passes SingularGramError.
+    """
+    Z = A.basis if scale is None else A.basis * scale[:, None]
+    eye = np.eye(A.d)
+    G = Z.T @ Z
+    if not np.isfinite(G).all():
+        raise NonFiniteError("scaled basis is not finite")
+    for _ in range(MAX_CHOLQR_PASSES):
+        if np.max(np.abs(G - eye)) <= ORTHO_TOL:
+            return np.clip(np.einsum("ij,ij->i", Z, Z), 0.0, 1.0)
+        Z = _cholqr_pass(Z, G)
+        G = Z.T @ Z
+    raise SingularGramError(
+        f"leverage basis not orthonormal after {MAX_CHOLQR_PASSES} passes")
+
+
+def approx_lev(A: DenseMatrix, eps: float,
+               scale: np.ndarray | None = None) -> np.ndarray:
+    """Leverage-score estimates of diag(scale) A within a (1 +- eps) factor.
+
+    The exact scores of :func:`leverage_scores` meet that guarantee for
+    every eps, so they are returned as is; they cost no Gram solves.
     """
     if not 0 < eps < 1:
         raise InvalidInputError("eps must lie in (0, 1)")
-    return leverage_scores(A)
-
-
-def reweighted(A: DenseMatrix, scale: np.ndarray) -> DenseMatrix:
-    """Row-scaled copy diag(scale) @ A for a positive finite scale.
-
-    Scaling rows by positive factors keeps full column rank, so the copy
-    is a trusted view and not revalidated.
-    """
-    return DenseMatrix.trusted(A.a * np.asarray(scale, dtype=float)[:, None])
+    return leverage_scores(A, scale)
 
 
 def read_matrix(path) -> DenseMatrix:

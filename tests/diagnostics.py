@@ -20,7 +20,7 @@ from lpreg.lewis import (
     LewisOverestimate,
     RegularizedLewisWeights,
     half_minus_inv,
-    reweight_by,
+    row_scale,
 )
 from lpreg.linalg import DenseMatrix, leverage_scores
 from lpreg.mwu import ResidualInstance
@@ -37,6 +37,36 @@ def exact_residual_lp(inst: ProblemInstance, x: np.ndarray) -> float:
     u = [float(sum(Fraction(a) * v for a, v in zip(row, xs)) - Fraction(bi))
          for row, bi in zip(inst.A.a, inst.b)]
     return pnorm(np.array(u), inst.p)
+
+
+def exact_leverage_scores(a: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Leverage scores of diag(scale) a in rationals, each rounded once.
+
+    The Gram matrix of the scaled rows is inverted by exact Gauss-Jordan
+    elimination, so the reference carries no rounding of its own; it is
+    meant for a handful of columns.
+    """
+    rows = [[Fraction(float(s)) * Fraction(float(v)) for v in row]
+            for row, s in zip(a, scale)]
+    d = len(rows[0])
+    gram = [[sum(r[j] * r[k] for r in rows) for k in range(d)]
+            for j in range(d)]
+    inv = [[Fraction(int(j == k)) for k in range(d)] for j in range(d)]
+    for c in range(d):
+        piv = next(r for r in range(c, d) if gram[r][c] != 0)
+        gram[c], gram[piv] = gram[piv], gram[c]
+        inv[c], inv[piv] = inv[piv], inv[c]
+        top = gram[c][c]
+        gram[c] = [v / top for v in gram[c]]
+        inv[c] = [v / top for v in inv[c]]
+        for r in range(d):
+            f = gram[r][c]
+            if r != c and f != 0:
+                gram[r] = [u - f * v for u, v in zip(gram[r], gram[c])]
+                inv[r] = [u - f * v for u, v in zip(inv[r], inv[c])]
+    return np.array([float(sum(r[j] * inv[j][k] * r[k]
+                               for j in range(d) for k in range(d)))
+                     for r in rows])
 
 
 def hessian_stability_check(y: np.ndarray, x: np.ndarray, prob,
@@ -172,7 +202,7 @@ def reg_lewis_residual(A: DenseMatrix, rw: RegularizedLewisWeights):
     sigma_i + c_i against w_i + c_i.
     """
     w, c, q = rw.weights, rw.regularizer, rw.q
-    sig = leverage_scores(reweight_by(A, c + w, 0.5 - 1.0 / q))
+    sig = leverage_scores(A, row_scale(c + w, 0.5 - 1.0 / q))
     denom = np.maximum(w + c, WEIGHT_FLOOR)
     rel = float(np.max(np.abs(w - sig) / denom))
     ratio = (sig + c) / denom
@@ -192,7 +222,7 @@ def exact_lewis_oracle(A: DenseMatrix, p: float, tol: float = 1e-10,
     n = A.n
     w = leverage_scores(A)
     for _ in range(max_iter):
-        sig = leverage_scores(reweight_by(A, w, half_minus_inv(p)))
+        sig = leverage_scores(A, row_scale(w, half_minus_inv(p)))
         wf = np.maximum(w, WEIGHT_FLOOR)
         # sigma_i = w_i^{1-2/p} * quad_i, so quad_i^{p/2} = (sigma_i * w_i^{2/p-1})^{p/2}
         nxt = (sig * wf ** (2.0 / p - 1.0)) ** (p / 2.0)
@@ -204,7 +234,7 @@ def exact_lewis_oracle(A: DenseMatrix, p: float, tol: float = 1e-10,
 
 def lewis_residual(A: DenseMatrix, w: np.ndarray, p: float) -> float:
     """sup-norm self-consistency residual of w against the fixed-point map."""
-    sig = leverage_scores(reweight_by(A, w, half_minus_inv(p)))
+    sig = leverage_scores(A, row_scale(w, half_minus_inv(p)))
     return float(np.max(np.abs(w - sig)))
 
 

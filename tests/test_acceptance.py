@@ -29,7 +29,7 @@ from lpreg.lewis import (
     half_minus_inv,
     lewis_overestimates,
     reg_lewis,
-    reweight_by,
+    row_scale,
 )
 from lpreg.linalg import DenseMatrix, leverage_scores
 from lpreg.mwu import AlphaSchedule, energy_solve, width_reduced_oracle
@@ -155,7 +155,7 @@ def test_criterion_04_weight_certificates(weight_certificates):
     bad = []
     for A, p, est in weight_certificates:
         mass_ok = A.d - 1e-9 <= est.mass <= 2 * A.d + 1e-9
-        sig = leverage_scores(reweight_by(A, est.weights, half_minus_inv(p)))
+        sig = leverage_scores(A, row_scale(est.weights, half_minus_inv(p)))
         dom_ok = bool(np.all(est.weights + 1e-8 >= sig))
         if not (mass_ok and dom_ok):
             bad.append(f"p={p}: mass={est.mass:.4g}, "

@@ -7,12 +7,13 @@ import lpreg.dual as dual
 from lpreg.dual import (
     DualInstance,
     dual_exponent,
+    min_quadratic_on_affine,
     oracle_small,
     primal_recover,
     solve_lq,
     stack_instance,
 )
-from lpreg.errors import InvalidInputError
+from lpreg.errors import InvalidInputError, SingularGramError
 from lpreg.harness import FAMILIES, gen_instance, oracle_opt, solve
 from lpreg.linalg import DenseMatrix, SolveCounter
 from lpreg.problem import ProblemInstance, pnorm
@@ -81,6 +82,22 @@ class TestOracleSmall:
         c = np.minimum(inst.U.d * inst.R ** (p / (p - 2.0)), 1e150)
         rw = reg_lewis(inst.U, c, p / (p - 1.0))
         assert float(np.sum(rw.weights)) <= 1.1 * inst.U.d
+
+
+class TestMinQuadraticOnAffine:
+    @pytest.mark.parametrize("tail", ["b", "a0"])
+    def test_repeated_tail_column_is_a_singular_gram(self, tail):
+        # [A b b] makes the 2x2 Schur complement singular and [A b a_0] the
+        # projection's U^T U; neither may surface as numpy's LinAlgError.
+        rng = np.random.default_rng(9)
+        A = rng.standard_normal((20, 3))
+        b = rng.standard_normal(20)
+        last = b if tail == "b" else A[:, 0]
+        U = DenseMatrix.trusted(np.column_stack([A, b, last]))
+        v = np.zeros(5)
+        v[-2], v[-1] = 1.0, -1.0
+        with pytest.raises(SingularGramError):
+            min_quadratic_on_affine(U, v, rng.uniform(0.5, 2.0, 20))
 
 
 def dual_opt_bruteforce(inst):

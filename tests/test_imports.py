@@ -2,7 +2,7 @@
 module-level UPPER_CASE constant is read somewhere in src/lpreg, every
 name the package exports resolves, and so does every name the benchmark
 looks up in the package.  InvalidInputError is raised only at the API
-boundary.
+boundary, and a QR is taken only by the cached factorization.
 
 No linter ships with the test environment, so this walks each module's
 syntax tree with the standard ``ast`` module instead.  A name counts as
@@ -11,12 +11,16 @@ used when it is loaded anywhere in the module or listed in ``__all__``.
 import ast
 import dataclasses
 import importlib
+import math
 import re
+import traceback
 from pathlib import Path
 
 import pytest
+import scipy.linalg
 
 import lpreg
+from lpreg.harness import gen_instance, solve
 from lpreg.report import SolveReport
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lpreg"
@@ -153,3 +157,60 @@ def test_invalid_input_is_raised_only_at_the_boundary():
     assert stray == [], (
         "InvalidInputError raised below the boundary; check the domain once "
         f"in the entry point instead: {stray}")
+
+
+# Where a QR routine may be called: the cached factorization of a matrix
+# (each solve factors its own A once) and the generator that draws
+# ill-conditioned instances.  Leverage scores reuse that factor.
+QR_ROUTINES = {"qr", "dgeqrf"}
+QR_ALLOWED = {"linalg.DenseMatrix.qr", "harness.gen_instance"}
+
+
+def qr_calls(path: Path) -> list:
+    """(qualified function, file:line) per call of a QR routine."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "attr", getattr(func, "id", None))
+                if name in QR_ROUTINES:
+                    sites.append((".".join([path.stem] + scope),
+                                  f"{path.name}:{child.lineno}"))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), [])
+    return sites
+
+
+def test_qr_routines_are_called_only_by_the_cached_factorization():
+    stray = [f"{where} {func}" for path in sorted(SRC.glob("*.py"))
+             for func, where in qr_calls(path) if func not in QR_ALLOWED]
+    assert stray == [], f"QR routine called outside {QR_ALLOWED}: {stray}"
+
+
+@pytest.mark.parametrize("method, p", [("mwu", 3.0), ("accel", 4.0),
+                                       ("dual", 1.5), ("linf", math.inf)])
+def test_a_solve_takes_one_qr(method, p, monkeypatch):
+    # The solve's one QR is of its rescaled A; every leverage computation,
+    # however reweighted, reuses it.  Any further QR names its caller.
+    inst = gen_instance("gaussian", 60, 4, 0, p=p, eps=1e-6)
+    callers = []
+    real = scipy.linalg.qr
+
+    def counted(*args, **kwargs):
+        frames = [f"{Path(f.filename).stem}.{f.name}"
+                  for f in traceback.extract_stack()
+                  if Path(f.filename).parent == SRC]
+        callers.append(" <- ".join(reversed(frames[:-1])))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "qr", counted)
+    solve(inst, method)
+    assert len(callers) == 1, (
+        f"{len(callers)} QRs in one {method} solve; the extra ones came "
+        f"from: {sorted(set(callers[1:]))}")

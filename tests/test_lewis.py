@@ -11,7 +11,7 @@ from lpreg.lewis import (
     lewis_overestimates,
     reg_lewis,
     reg_lewis_update,
-    reweight_by,
+    row_scale,
 )
 from lpreg.linalg import DenseMatrix, approx_lev, leverage_scores
 
@@ -31,7 +31,7 @@ def random_matrix(n, d, seed):
 def check_certificate(A, est):
     d = A.d
     assert d - 1e-9 <= est.mass <= 2 * d + 1e-9
-    sig = leverage_scores(reweight_by(A, est.weights, half_minus_inv(est.p)))
+    sig = leverage_scores(A, row_scale(est.weights, half_minus_inv(est.p)))
     assert np.all(est.weights + 1e-8 >= sig)
 
 
@@ -129,9 +129,9 @@ def count_leverage(monkeypatch):
     """Route lewis.approx_lev through a counter; returns the one-item list."""
     calls = [0]
 
-    def counting(A, eps):
+    def counting(A, eps, scale=None):
         calls[0] += 1
-        return approx_lev(A, eps)
+        return approx_lev(A, eps, scale)
 
     monkeypatch.setattr(lewis, "approx_lev", counting)
     return calls
@@ -145,9 +145,9 @@ def fixed_count_reg_lewis(A, c, q):
     # The paper's schedule with no early stop: T steps, then a final pass.
     w = np.ones(A.n)
     for _ in range(paper_step_count(A.n)):
-        sig = approx_lev(reweight_by(A, c + w, 0.5 - 1.0 / q), 1.0 / 50.0)
+        sig = approx_lev(A, 1.0 / 50.0, row_scale(c + w, 0.5 - 1.0 / q))
         w = reg_lewis_update(A, w, c, q, sigma=sig)
-    return approx_lev(reweight_by(A, c + w, 0.5 - 1.0 / q), 1.0 / 50.0)
+    return approx_lev(A, 1.0 / 50.0, row_scale(c + w, 0.5 - 1.0 / q))
 
 
 def regularizer(kind, n):
@@ -174,8 +174,8 @@ class TestRegLewisStop:
         c = 1e6 * (1.0 + np.random.default_rng(1).uniform(size=80))
         rw = reg_lewis(A, c, 1.5)
         assert calls[0] == 1
-        assert np.array_equal(rw.weights, leverage_scores(reweight_by(
-            A, c + 1.0, 0.5 - 1.0 / 1.5)))
+        assert np.array_equal(rw.weights, leverage_scores(
+            A, row_scale(c + 1.0, 0.5 - 1.0 / 1.5)))
 
     @pytest.mark.parametrize("q", [1.2, 1.5, 2.0])
     def test_unreachable_tolerance_runs_the_paper_schedule(self, q, monkeypatch):
@@ -213,7 +213,7 @@ class TestRegLewisStop:
     def test_non_finite_residual_raises(self, monkeypatch):
         calls = [0]
 
-        def broken(A, eps):
+        def broken(A, eps, scale=None):
             calls[0] += 1
             return np.full(A.n, np.nan)
 
@@ -228,13 +228,13 @@ def count_overestimate_leverage(monkeypatch):
     rounds' approx_lev and the certificate's leverage_scores."""
     calls = [0]
 
-    def counting_approx(A, eps):
+    def counting_approx(A, eps, scale=None):
         calls[0] += 1
-        return approx_lev(A, eps)
+        return approx_lev(A, eps, scale)
 
-    def counting_exact(A):
+    def counting_exact(A, scale=None):
         calls[0] += 1
-        return leverage_scores(A)
+        return leverage_scores(A, scale)
 
     monkeypatch.setattr(lewis, "approx_lev", counting_approx)
     monkeypatch.setattr(lewis, "leverage_scores", counting_exact)
@@ -260,9 +260,9 @@ class TestOverestimateStop:
         A = random_matrix(60, 4, 51)
         checks = [0]
 
-        def inflated(B):
+        def inflated(B, scale=None):
             checks[0] += 1
-            return 3.0 * leverage_scores(B)
+            return 3.0 * leverage_scores(B, scale)
 
         monkeypatch.setattr(lewis, "leverage_scores", inflated)
         with pytest.raises(DominationFailure, match="after 41 rounds"):

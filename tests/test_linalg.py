@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotrf
 
+import lpreg.harness as harness
+import lpreg.linalg as linalg
 from lpreg.errors import (
     InvalidInputError,
     NonFiniteError,
@@ -17,6 +20,8 @@ from lpreg.linalg import (
     write_matrix,
     write_vector,
 )
+
+from diagnostics import exact_leverage_scores, plant_dual_instance
 
 
 def random_matrix(n, d, seed):
@@ -134,6 +139,93 @@ class TestLeverageScores:
             ax = A.a @ x
             ratio = ax[i] ** 2 / (ax @ ax)
             assert ratio >= 0.9 * sig[i]
+
+
+def householder_scores(a):
+    q = np.linalg.qr(a)[0]
+    return np.einsum("ij,ij->i", q, q)
+
+
+def count_passes(monkeypatch):
+    """Route linalg's Cholesky QR passes through a counter."""
+    calls = [0]
+    real = linalg._cholqr_pass
+
+    def counting(Z, G):
+        calls[0] += 1
+        return real(Z, G)
+
+    monkeypatch.setattr(linalg, "_cholqr_pass", counting)
+    return calls
+
+
+class TestScaledLeverage:
+    """Scores of diag(s) A by Cholesky QR of A's basis, against exact ones."""
+
+    @pytest.mark.parametrize("decades, bound", [(6.0, 1e-10), (8.0, 1e-8)])
+    @pytest.mark.parametrize("span", [1e-2, 1e-10, 1e-40])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_rational_reference(self, decades, bound, span, seed,
+                                            monkeypatch):
+        monkeypatch.setattr(harness, "ILL_COND_DECADES", decades)
+        A = harness.gen_instance("ill_conditioned", 60, 4, seed).A
+        scale = span ** np.random.default_rng(seed).uniform(size=60)
+        ref = exact_leverage_scores(A.a, scale)
+        assert np.max(np.abs(leverage_scores(A, scale) - ref)) <= bound
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_non_orthonormal_stacked_basis(self, seed):
+        # plant_dual_instance's b and g are not orthogonal to range(A), so
+        # U's basis [Q_A, b/||b||, g/||g||] is not orthonormal.
+        U = plant_dual_instance(60, 4, 1.5, seed).U
+        assert np.max(np.abs(U.basis.T @ U.basis - np.eye(U.d))) > 1e-3
+        scale = 10.0 ** np.random.default_rng(seed).uniform(-1.0, 1.0, 60)
+        expect = householder_scores(U.a * scale[:, None])
+        assert np.max(np.abs(leverage_scores(U, scale) - expect)) <= 1e-12
+        assert np.allclose(leverage_scores(U), householder_scores(U.a),
+                           rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("tiny", [1e-12, 1e-40, 1e-100])
+    def test_scale_that_breaks_plain_cholesky(self, tiny, monkeypatch):
+        # One row at scale 1 and the rest far below it: the Gram matrix of
+        # the scaled basis is not numerically positive definite.
+        A = harness.gen_instance("ill_conditioned", 60, 4, 0).A
+        scale = np.full(60, tiny)
+        scale[0] = 1.0
+        Z = A.basis * scale[:, None]
+        assert dpotrf(Z.T @ Z)[1] != 0
+        passes = count_passes(monkeypatch)
+        sig = leverage_scores(A, scale)
+        assert passes[0] >= 2
+        ref = exact_leverage_scores(A.a, scale)
+        assert np.max(np.abs(sig - ref)) <= 1e-10
+
+    def test_one_pass_on_a_mild_scale(self, monkeypatch):
+        A = random_matrix(200, 6, 4)
+        scale = np.random.default_rng(4).uniform(0.5, 2.0, 200)
+        passes = count_passes(monkeypatch)
+        sig = leverage_scores(A, scale)
+        assert passes[0] == 1
+        assert np.max(np.abs(sig - householder_scores(A.a * scale[:, None]))) \
+            <= 1e-13
+
+    def test_orthonormal_basis_takes_no_pass(self, monkeypatch):
+        passes = count_passes(monkeypatch)
+        leverage_scores(random_matrix(50, 5, 6))
+        assert passes[0] == 0
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_scale_raises(self, bad):
+        scale = np.ones(30)
+        scale[3] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
+            leverage_scores(random_matrix(30, 3, 7), scale)
+
+    def test_approx_lev_passes_the_scale_through(self):
+        A = random_matrix(40, 4, 8)
+        scale = np.random.default_rng(8).uniform(0.1, 3.0, 40)
+        assert np.array_equal(approx_lev(A, 0.1, scale),
+                              leverage_scores(A, scale))
 
 
 class TestApproxLev:
