@@ -209,14 +209,21 @@ def solve_lq(instance: ProblemInstance, seed=0,
              counter: SolveCounter | None = None):
     """Full lq regression solve for q in (1, 2] with certified accuracy.
 
-    The bracket's lower bound is 1/||y||_p at the dual iterate y.  The
-    first step recovers a primal point from y; each later one advances y
-    by one :func:`refinement_round` on ||y||_p^p, whose proposals are the
+    The bracket's lower bound is weak duality at the dual iterate y and
+    the incumbent x, -(Ax - b)^T y / ||y||_p: that is 1/||y||_p when
+    A^T y = 0 and b^T y = 1 hold exactly, and it also charges the
+    rounding drift x^T A^T y that 1/||y||_p leaves out, with the same
+    rounded residual that ``hi`` is measured on.  The first step recovers
+    a primal point from y; each later one advances y by one
+    :func:`refinement_round` on ||y||_p^p, whose proposals are the
     reweighted oracle's points, and recovers again unless the incumbent is
     within eps/4 of its own weak-duality bound (:func:`lp_dual_bound`, one
     ``certificate`` solve; it never enters the bracket), when only y can
     close the gap.  The skip is off while eps/4 is within the driver's
-    rounding allowance of 4 n eps_mach.
+    rounding allowance of 4 n eps_mach.  A round that finds no step hands
+    the dual side to the incumbent instead: y becomes x's norm-dual
+    residual vector, projected onto the constraints, when that is shorter
+    (one ``recover`` solve).
     """
     q = instance.p
     p = dual_exponent(q)
@@ -235,7 +242,7 @@ def solve_lq(instance: ProblemInstance, seed=0,
         recovered, nu_prev = False, None
 
         def lower_bound(x):
-            return 1.0 / pnorm(y, p)
+            return -float((A.a @ x - b) @ y) / pnorm(y, p)
 
         def advance(hi):
             nonlocal y, nu_prev
@@ -255,11 +262,28 @@ def solve_lq(instance: ProblemInstance, seed=0,
             y = y_a + (1.0 - float(b @ y_a)) * b
             return True
 
+        def lift(x):
+            # Once the oracle's steps fall below rounding, the incumbent's
+            # dual vector can still be a shorter feasible y.
+            nonlocal y
+            u = A.a @ x - b
+            m = float(np.max(np.abs(u)))
+            cand = A.project_out(np.sign(u) * (np.abs(u) / m) ** (q - 1.0))
+            counter.tick(1, "recover")
+            beta = float(b @ cand)
+            if beta == 0.0:
+                return False
+            cand = cand / beta
+            if not pnorm(cand, p) < pnorm(y, p):
+                return False
+            y = cand
+            return True
+
         def step(x, lo, hi):
             nonlocal recovered
             if recovered:
                 if not advance(hi):
-                    return None
+                    return x if lift(x) else None
                 if may_skip and hi <= (1.0 + unit.eps / 4.0) * lp_dual_bound(
                         A, b, x, q, counter):
                     return x

@@ -272,6 +272,18 @@ class TestSolveLq:
         assert rep.certified_gap <= 1e-14
         assert rep.phase_counts["certificate"] == 0
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_refused_rounds_leave_the_bound_to_the_incumbent(self, family,
+                                                             monkeypatch):
+        # With every refinement round refused, y moves only when it is
+        # replaced by the recovered point's dual vector; that still
+        # certifies.  Without the hand-over the solve stalls in round 2.
+        monkeypatch.setattr(dual, "refinement_round", lambda *a, **k: None)
+        inst = gen_instance(family, 200, 8, 0, p=1.5, eps=1e-8)
+        _, rep = solve(inst, "dual", seed=0)
+        assert rep.certified_gap <= 1e-8
+        assert rep.residual_lp <= (1 + 1e-8) * oracle_opt(inst, tol=1e-10)
+
     def test_stacked_instance_layout(self):
         rng = np.random.default_rng(6)
         A = DenseMatrix(rng.standard_normal((10, 2)))
