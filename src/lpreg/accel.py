@@ -12,7 +12,8 @@ each inverse-metric product into O(d^2).  Costs are still charged in the
 paper's unit: each distinct probed tau, each inverse-metric norm and each
 momentum step counts as one Gram solve, and each pencil as one
 factorization.  The outer loop is a standard accelerated proximal-point
-iteration with a step-scale search.
+iteration with a step-scale search.  The driver answers p = 2 with its
+least-squares start, so every proximal problem of a solve has p > 2.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from .errors import (
     SingularGramError,
 )
 from .lewis import WEIGHT_FLOOR, LewisOverestimate, lewis_overestimates
-from .linalg import DenseMatrix, SolveCounter, gram_solve_multi
+from .linalg import DenseMatrix, SolveCounter
 from .problem import ProblemInstance, pnorm
 from .refine import BracketSteps, certified_solve, lp_dual_bound
 
@@ -371,13 +372,6 @@ def prox_solve(prob: ProxProblem, x0: np.ndarray | None = None,
                                scale * ev.dist ** (p - 1.0) + tol, it, tau,
                                ev.dist)
 
-    if p == 2.0:
-        # The regularized objective is itself a quadratic; minimize exactly.
-        diag = 1.0 + prob.cp * prob.m_diag
-        rhs = a.T @ (prob.b + prob.cp * prob.m_diag * prob.a_center)
-        x = gram_solve_multi(prob.A, diag, rhs, counter=counter,
-                             phase="prox")
-        return certify(x, prob.evaluate(a @ (x - y)), 1, 1.0)
     x = y.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
     ev = prob.evaluate(a @ (x - y))
     tau = fpow(max(ev.dist, 1e-8), p - 2.0)
@@ -473,7 +467,7 @@ def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
                 prob_center = None
                 continue
             prob_center, cert = respond(x_tilde)
-            if acc_weight == 0.0 or p == 2.0:
+            if acc_weight == 0.0:
                 # x_tilde has no lambda dependence; set the scale directly,
                 # unless the response pins the center (handled below).
                 if _pins_center(prob_center, cert.dist):
@@ -535,15 +529,13 @@ def halve_error(A: DenseMatrix, b: np.ndarray, p: float,
                          counter=counter, lower_bound_fn=lower_bound_fn)
 
 
-def solve_pnorm_accel(instance: ProblemInstance, seed=0,
-                      counter: SolveCounter | None = None):
+def solve_pnorm_accel(instance: ProblemInstance, seed=0):
     """Full accelerated solve: error halvings inside the certified bracket."""
     if not 2 <= instance.p < math.inf:
         raise InvalidInputError("acceleration path requires a finite p >= 2")
-    counter = counter if counter is not None else SolveCounter()
 
     def make_steps(unit):
-        A, b, p = unit.A, unit.b, unit.p
+        A, b, p, counter = unit.A, unit.b, unit.p, unit.counter
         weights = lewis_overestimates(A, p)
         counter.step("prox_calls", 0)
         counter.step("inner_iterations", 0)
@@ -559,5 +551,5 @@ def solve_pnorm_accel(instance: ProblemInstance, seed=0,
 
         return BracketSteps(lower_bound, step)
 
-    return certified_solve(instance, "accel", make_steps, counter=counter,
-                           seed=seed, max_rounds=MAX_HALVINGS)
+    return certified_solve(instance, "accel", make_steps, seed=seed,
+                           max_rounds=MAX_HALVINGS)

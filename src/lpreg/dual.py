@@ -18,8 +18,8 @@ from .errors import (InfeasibleError, InvalidInputError,
 from .lewis import WEIGHT_FLOOR, reg_lewis
 from .linalg import DenseMatrix, SolveCounter, gram_solve_multi
 from .problem import ProblemInstance, pnorm
-from .refine import (BracketSteps, certified_solve, line_search_lp,
-                     lp_dual_bound, refinement_round)
+from .refine import (ROUNDING_PER_ENTRY, BracketSteps, certified_solve,
+                     line_search_lp, lp_dual_bound, refinement_round)
 
 MAX_DUAL_ROUNDS = 400
 RECOVER_POLISH_STEPS = 12          # reweighted least-squares polish steps
@@ -108,20 +108,15 @@ def oracle_small(inst: DualInstance,
     minimizer of the corresponding quadratic over the constraints, whose
     feasibility is asserted.
     """
-    U, v, p = inst.U, inst.v, inst.p
+    U, v, p, r = inst.U, inst.v, inst.p, inst.R
     m = U.d
-    r = inst.R
-    if p == 2.0:
-        # The weight block degenerates to the identity.
-        diag = r + 1.0
-    else:
-        # Huge regularizers carry no information beyond "row is resistance
-        # dominated"; cap them well inside the floating-point range.
+    # Huge regularizers carry no information beyond "row is resistance
+    # dominated"; cap them well inside the floating-point range.
+    with np.errstate(over="ignore"):
         c = np.minimum(m * np.maximum(r, 0.0) ** (p / (p - 2.0)), 1e150)
-        q = p / (p - 1.0)
-        what = reg_lewis(U, c, q).weights
-        diag = m ** (1.0 - 2.0 / p) * r + np.maximum(what, WEIGHT_FLOOR) ** (
-            1.0 - 2.0 / p)
+    what = reg_lewis(U, c, p / (p - 1.0)).weights
+    diag = m ** (1.0 - 2.0 / p) * r + np.maximum(what, WEIGHT_FLOOR) ** (
+        1.0 - 2.0 / p)
     y = min_quadratic_on_affine(U, v, diag, counter=counter, phase="oracle_small")
 
     feas = float(np.max(np.abs(U.a.T @ y - v)))
@@ -182,9 +177,9 @@ class DualStepOracle:
     """
 
     def __init__(self, A: DenseMatrix, b: np.ndarray, p: float,
-                 counter: SolveCounter | None = None):
+                 counter: SolveCounter):
         self.A, self.b, self.p = A, np.asarray(b, dtype=float), p
-        self.counter = counter if counter is not None else SolveCounter()
+        self.counter = counter
 
     def __call__(self, nu: float, g: np.ndarray, R: np.ndarray,
                  y_cur: np.ndarray):
@@ -205,8 +200,7 @@ class DualStepOracle:
         return sigma * y_scaled
 
 
-def solve_lq(instance: ProblemInstance, seed=0,
-             counter: SolveCounter | None = None):
+def solve_lq(instance: ProblemInstance, seed=0):
     """Full lq regression solve for q in (1, 2] with certified accuracy.
 
     The bracket's lower bound is weak duality at the dual iterate y and
@@ -220,21 +214,20 @@ def solve_lq(instance: ProblemInstance, seed=0,
     within eps/4 of its own weak-duality bound (:func:`lp_dual_bound`, one
     ``certificate`` solve; it never enters the bracket), when only y can
     close the gap.  The skip is off while eps/4 is within the driver's
-    rounding allowance of 4 n eps_mach.  A round that finds no step hands
-    the dual side to the incumbent instead: y becomes x's norm-dual
-    residual vector, projected onto the constraints, when that is shorter
-    (one ``recover`` solve).
+    rounding allowance, ``ROUNDING_PER_ENTRY * n``.  A round that finds no
+    step hands the dual side to the incumbent instead: y becomes x's
+    norm-dual residual vector, projected onto the constraints, when that is
+    shorter (one ``recover`` solve).
     """
     q = instance.p
     p = dual_exponent(q)
-    counter = counter if counter is not None else SolveCounter()
 
     def make_steps(unit):
-        A, b = unit.A, unit.b
+        A, b, counter = unit.A, unit.b, unit.counter
         counter.step("oracle_calls", 0)
         counter.step("accepted_steps", 0)
         counter.tick(0, "certificate")
-        may_skip = unit.eps > 16.0 * A.n * np.finfo(float).eps
+        may_skip = unit.eps / 4.0 > ROUNDING_PER_ENTRY * A.n
         # b is a unit vector orthogonal to range(A), so it is already the
         # minimum-norm point of A^T y = 0, b^T y = 1.
         y = b / float(b @ b)
@@ -293,5 +286,5 @@ def solve_lq(instance: ProblemInstance, seed=0,
 
         return BracketSteps(lower_bound, step)
 
-    return certified_solve(instance, "dual", make_steps, counter=counter,
-                           seed=seed, max_rounds=MAX_DUAL_ROUNDS)
+    return certified_solve(instance, "dual", make_steps, seed=seed,
+                           max_rounds=MAX_DUAL_ROUNDS)

@@ -164,8 +164,7 @@ def best_linf_bound(A: DenseMatrix, b: np.ndarray, x: np.ndarray,
     return weak_duality_bound(A, b, np.column_stack(candidates), 1.0, counter)
 
 
-def linf_regress(instance: ProblemInstance, seed=0,
-                 counter: SolveCounter | None = None):
+def linf_regress(instance: ProblemInstance, seed=0):
     """Minimax regression to (1+eps) relative accuracy, certified.
 
     Each bracket round smooths at a temperature tied to the current gap,
@@ -183,10 +182,9 @@ def linf_regress(instance: ProblemInstance, seed=0,
     """
     if instance.p != math.inf:
         raise InvalidInputError("linf requires p = inf")
-    counter = counter if counter is not None else SolveCounter()
 
     def make_steps(unit):
-        A, b, eps, n = unit.A, unit.b, unit.eps, unit.A.n
+        A, b, eps, n, counter = unit.A, unit.b, unit.eps, unit.A.n, unit.counter
         counter.step("newton_steps", 0)
         counter.step("line_search_evals", 0)
         t_shrink = 1.0
@@ -236,5 +234,5 @@ def linf_regress(instance: ProblemInstance, seed=0,
 
         return BracketSteps(lower_bound, descend)
 
-    return certified_solve(instance, "linf", make_steps, counter=counter,
-                           seed=seed, max_rounds=MAX_OUTER_ROUNDS)
+    return certified_solve(instance, "linf", make_steps, seed=seed,
+                           max_rounds=MAX_OUTER_ROUNDS)

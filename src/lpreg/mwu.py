@@ -153,11 +153,10 @@ class MwuState:
             self._phi = float(np.sum(self.s ** self.p))
         return self._phi
 
-    def set_s(self, s: np.ndarray, diag_changed: bool = True):
+    def set_s(self, s: np.ndarray):
         self.s = s
         self._phi = None
-        if diag_changed:
-            self.dirty = True
+        self.dirty = True
 
     def weights_diag(self) -> np.ndarray:
         return self.base_r + self.s ** (self.p - 2.0)
@@ -211,8 +210,7 @@ def progress_step(state: MwuState, z: np.ndarray,
     phi_old = state.potential()
     state.y += alpha * z
     if alpha != 0.0 and az.any():
-        # At p = 2 the solve diagonal is s-independent, so z stays valid.
-        state.set_s(state.s + alpha * az, diag_changed=p > 2.0)
+        state.set_s(state.s + alpha * az)
     phi_new = state.potential()
     cap = (5 * p * alpha * phi_old ** (1 - 1.0 / p)
            + 3 * p ** p * alpha ** p * state.tau)
@@ -266,9 +264,6 @@ def apply_boost(s: np.ndarray, sel: np.ndarray, v: np.ndarray, p: float):
 def boosting_step(state: MwuState, z: np.ndarray) -> MwuState:
     """Raise weights on wide coordinates; the energy must jump by tau^{2/p}/16."""
     p = state.p
-    if p == 2.0:
-        # s^{p-2} is identically 1, so boosting cannot change the energy.
-        raise InfeasibleError("wide solution at p = 2 admits no boost")
     if state.az is not None and z is state.z:
         az = state.az
     else:
@@ -429,17 +424,13 @@ class MwuGammaSolver:
         return y
 
 
-def solve_mwu(instance: ProblemInstance, seed=0,
-              counter: SolveCounter | None = None):
+def solve_mwu(instance: ProblemInstance, seed=0):
     """Full solve: iterative refinement with width-reduced steps, certified."""
     if not 2 <= instance.p < math.inf:
         raise InvalidInputError("width reduction requires a finite p >= 2")
-    counter = counter if counter is not None else SolveCounter()
 
     def make_steps(unit):
-        solver = MwuGammaSolver(unit.A, unit.p, counter=counter)
-        return refine_steps(unit, GammaSolverContract(solver.gamma, solver),
-                            counter)
+        solver = MwuGammaSolver(unit.A, unit.p, counter=unit.counter)
+        return refine_steps(unit, GammaSolverContract(solver.gamma, solver))
 
-    return certified_solve(instance, "mwu", make_steps, counter=counter,
-                           seed=seed)
+    return certified_solve(instance, "mwu", make_steps, seed=seed)

@@ -46,6 +46,8 @@ LINE_SEARCH_ULPS = 4.0
 LINE_SEARCH_PROBES = 200
 # Below this fraction of ||b|| the least-squares residual is rounding error.
 SHORT_CIRCUIT_RTOL = 1e-13
+# Relative rounding of a p-norm, per entry: the driver allows 4 n eps_mach.
+ROUNDING_PER_ENTRY = 4.0 * np.finfo(float).eps
 
 
 def bregman_terms(x: np.ndarray, p: float):
@@ -190,7 +192,7 @@ class UnitProblem:
     least-squares fit and normalized: a unit vector orthogonal to range(A),
     so the optimum is at least n^{-1/2}.  An iterate z is the caller's
     ``to_caller(z)``; a caller direction is this problem's
-    ``np.ldexp(delta, -a_exp)``.
+    ``np.ldexp(delta, -a_exp)``.  ``counter`` is the solve's one tally.
     """
 
     A: DenseMatrix
@@ -199,6 +201,7 @@ class UnitProblem:
     eps: float
     a_exp: int
     to_caller: Callable
+    counter: SolveCounter
 
 
 @dataclass
@@ -207,7 +210,7 @@ class BracketSteps:
 
     ``lower_bound(x)`` is a certified lower bound on the optimum;
     ``step(x, lo, hi)`` returns the next iterate, or None when it can make
-    no progress.  Step counts go to the solve's :class:`SolveCounter`.
+    no progress.  Step counts go to the unit problem's ``counter``.
     """
 
     lower_bound: Callable
@@ -221,8 +224,7 @@ def _pow2_exponent(v: np.ndarray) -> int:
 
 def certified_solve(instance: ProblemInstance, method: str,
                     make_steps: Callable[[UnitProblem], BracketSteps],
-                    counter: SolveCounter | None = None, seed=None,
-                    max_rounds: int = 500):
+                    seed=None, max_rounds: int = 500):
     """The certification rule shared by every solver; returns (x, report).
 
     1. Normalize: A and b are rescaled by powers of two, which is exact.
@@ -234,12 +236,15 @@ def certified_solve(instance: ProblemInstance, method: str,
        once lo > 0 and hi <= (1 + eps) lo, else step.  A step that makes
        no progress, or running out of rounds, raises BudgetExceededError.
        A best bound above hi within the rounding of the p-norm
-       evaluation (4 n eps_mach, relative) is clipped to hi; one further
-       above is false and raises BoundAboveObjectiveError.
-    4. Report: x is mapped back and measured on the caller's data.
+       evaluation (``ROUNDING_PER_ENTRY * n``, relative) is clipped to hi;
+       one further above is false and raises BoundAboveObjectiveError.
+       At p = 2 the start is the optimum: the bound is
+       :func:`lp_dual_bound`, there is no step and no ``make_steps`` call.
+    4. Report: x is mapped back and measured on the caller's data, with
+       the counts of the :class:`SolveCounter` created here.
     """
     t0 = time.perf_counter()
-    counter = counter if counter is not None else SolveCounter()
+    counter = SolveCounter()
     A, b, p, eps = instance.A, instance.b, instance.p, instance.eps
     a_exp, b_exp = _pow2_exponent(A.a), _pow2_exponent(b)
     a_unit = DenseMatrix.trusted(np.ldexp(A.a, a_exp))
@@ -259,10 +264,13 @@ def certified_solve(instance: ProblemInstance, method: str,
     if scale <= SHORT_CIRCUIT_RTOL * float(np.linalg.norm(b_scaled)):
         counter.step("short_circuit")
     else:
-        unit = UnitProblem(a_unit, b_eff / scale, p, eps, a_exp, to_caller)
-        steps = make_steps(unit)
+        unit = UnitProblem(a_unit, b_eff / scale, p, eps, a_exp, to_caller,
+                           counter)
+        steps = make_steps(unit) if p != 2.0 else BracketSteps(
+            lambda z: lp_dual_bound(a_unit, unit.b, z, p, counter),
+            lambda z, lo, hi: None)
         lo, gap = 0.0, math.inf
-        slack = 4.0 * A.n * np.finfo(float).eps
+        slack = ROUNDING_PER_ENTRY * A.n
         while rounds < max_rounds:
             rounds += 1
             hi = pnorm(a_unit.a @ z - unit.b, p)
@@ -334,19 +342,17 @@ def refinement_round(u: np.ndarray, p: float, floor: float, nu_prev,
     return None
 
 
-def refine_steps(unit: UnitProblem, solver: GammaSolverContract,
-                 counter: SolveCounter) -> BracketSteps:
+def refine_steps(unit: UnitProblem,
+                 solver: GammaSolverContract) -> BracketSteps:
     """Iterative-refinement steps driven by a residual-step solver.
 
     Each step is one :func:`refinement_round` whose proposals are the
-    solver's directions, ticked as ``gamma_calls`` and charged against the
-    contract's call budget; a counter shared with earlier solves keeps
-    their calls, which the budget leaves out.
+    solver's directions, ticked as ``gamma_calls`` on the solve's counter
+    and charged against the contract's call budget.
     """
-    A, b, p = unit.A, unit.b, unit.p
+    A, b, p, counter = unit.A, unit.b, unit.p, unit.counter
     counter.step("gamma_calls", 0)
     counter.step("accepted_steps", 0)
-    calls_before = counter.steps["gamma_calls"]
     budget = min(REFINE_CALL_CONSTANT * p ** 3.5 * solver.gamma
                  * math.log((A.n + A.d) / unit.eps), 1e18)
     nu_prev = None
@@ -358,7 +364,7 @@ def refine_steps(unit: UnitProblem, solver: GammaSolverContract,
         nonlocal nu_prev
 
         def propose(nu, g, R):
-            calls = counter.steps["gamma_calls"] - calls_before
+            calls = counter.steps["gamma_calls"]
             if calls > budget:
                 raise BudgetExceededError(
                     f"{calls} residual-solver calls exceed the contract "
@@ -377,27 +383,26 @@ def refine_steps(unit: UnitProblem, solver: GammaSolverContract,
 
 
 def refine_to_accuracy(instance: ProblemInstance, solver: GammaSolverContract,
-                       counter: SolveCounter | None = None,
                        max_rounds: int = 500):
     """Drive a caller-built residual solver until (1+eps)-accuracy is certified.
 
     The problem is unconstrained: min ||Ax - b||_p over all x, finite p >= 2.
     ``solver.callback(nu, g, R, x=...)`` is bound to the caller's A: it
     receives iterates in the caller's coordinates and its directions are
-    mapped back.  Returns (x, report).  Raises BudgetExceededError if the
-    theoretical call budget is exhausted or progress stalls before
-    certification, which signals a broken solver contract.
+    mapped back.  Returns (x, report); the report counts the solver's calls
+    as ``gamma_calls``, not the Gram solves inside them.  Raises
+    BudgetExceededError if the theoretical call budget is exhausted or
+    progress stalls before certification, which signals a broken solver
+    contract.
     """
     if not 2 <= instance.p < math.inf:
         raise InvalidInputError("refinement drives finite p >= 2 objectives")
-    counter = counter if counter is not None else SolveCounter()
 
     def make_steps(unit):
         def callback(nu, g, R, x):
             delta = solver.callback(nu, g, R, x=unit.to_caller(x))
             return np.ldexp(delta, -unit.a_exp)
-        return refine_steps(unit, GammaSolverContract(solver.gamma, callback),
-                            counter)
+        return refine_steps(unit, GammaSolverContract(solver.gamma, callback))
 
-    return certified_solve(instance, "refine", make_steps, counter=counter,
+    return certified_solve(instance, "refine", make_steps,
                            max_rounds=max_rounds)

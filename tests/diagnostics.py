@@ -5,7 +5,8 @@ stability of the proximal objective and its gradient, uniform convexity of the p
 the scalar refinement sandwich, the gamma-solver contract, the weighted
 norm sandwich, the self-consistency of row weights) from the outside, so
 the solver modules carry no code that production never runs.  The
-planted generators build oracle inputs around a known feasible point.
+planted generators build oracle inputs around a known feasible point, and
+:func:`solve_counters` shows a test the counter each solve creates.
 """
 import math
 from dataclasses import dataclass
@@ -13,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from lpreg import refine
 from lpreg.dual import DualInstance, stack_instance
 from lpreg.errors import InvalidInputError, NoConvergenceError
 from lpreg.lewis import (
@@ -22,9 +24,21 @@ from lpreg.lewis import (
     half_minus_inv,
     row_scale,
 )
-from lpreg.linalg import DenseMatrix, leverage_scores
+from lpreg.linalg import DenseMatrix, SolveCounter, leverage_scores
 from lpreg.mwu import ResidualInstance
 from lpreg.problem import ProblemInstance, pnorm
+
+
+def solve_counters(monkeypatch) -> list:
+    """The SolveCounter of every certified solve run after this call."""
+    made = []
+
+    def make():
+        made.append(SolveCounter())
+        return made[-1]
+
+    monkeypatch.setattr(refine, "SolveCounter", make)
+    return made
 
 
 def exact_residual_lp(inst: ProblemInstance, x: np.ndarray) -> float:

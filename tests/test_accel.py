@@ -90,20 +90,6 @@ class TestProxSolve:
         assert prob.m_norm(cert.x - y) <= 1e-3  # tol^{1/(p-1)} scale
         assert cert.satisfied
 
-    def test_p2_matches_one_shot_solve(self):
-        rng = np.random.default_rng(9)
-        A = DenseMatrix(rng.standard_normal((20, 3)))
-        b = rng.standard_normal(20)
-        w = lewis_overestimates(A, 2.0)
-        y = rng.standard_normal(3)
-        prob = ProxProblem(A, b, 2.0, w, y)
-        cert = prox_solve(prob, tol=1e-12)
-        M = (A.a * prob.m_diag[:, None]).T @ A.a
-        direct = np.linalg.solve(A.a.T @ A.a + 4 * math.e * M,
-                                 A.a.T @ b + 4 * math.e * M @ y)
-        assert np.linalg.norm(cert.x - direct) <= 1e-8
-        assert cert.inner_iterations == 1
-
     def test_certificate_and_independent_descent(self):
         prob = make_problem(50, 4, 4.0, 10)
         counter = SolveCounter()
@@ -421,7 +407,7 @@ class TestInnerStep:
         assert ev.dist == dist
         assert np.linalg.norm(ev.glin - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    @pytest.mark.parametrize("p", [2.0, 4.0, 8.0])
+    @pytest.mark.parametrize("p", [4.0, 8.0])
     def test_certificate_carries_its_distance(self, p):
         prob = make_problem(50, 4, p, 22)
         x0 = prob.center + np.random.default_rng(23).standard_normal(4)

@@ -19,14 +19,18 @@ from diagnostics import exact_residual_lp
 @pytest.mark.parametrize("method", ["mwu", "accel", "dual"])
 def test_p2_certifies_in_one_round(method):
     # At p = 2 the least-squares start is the optimum, and its own residual
-    # is the dual certificate, so the first bracket round closes the gap
-    # even at eps 1e-14 and cond(A) 1e6.
+    # is the dual certificate, so the driver closes the gap in the first
+    # bracket round, even at eps 1e-14 and cond(A) 1e6, with two Gram
+    # solves (the start and the certificate) and no solver step.
     for family in FAMILIES:
-        for n, d in ((60, 4), (160, 8)):
+        for n, d in ((60, 4), (160, 8), (1000, 32), (2000, 64)):
             for seed in (0, 1):
                 inst = gen_instance(family, n, d, seed, p=2.0, eps=1e-14)
                 _, rep = solve(inst, method, seed=seed)
-                assert rep.phase_counts["rounds"] == 1, (family, n, d, seed)
+                assert rep.gram_solves == 2, (family, n, d, seed)
+                assert rep.phase_counts == {
+                    "rounds": 1, "init": 1, "certificate": 1,
+                    "factorizations": 1}, (family, n, d, seed)
 
 
 # (method, p, eps); the dual path's q = 1.5 and linf's minimax exponent

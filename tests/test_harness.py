@@ -23,7 +23,7 @@ from lpreg.mwu import solve_mwu
 from lpreg.problem import ProblemInstance
 from lpreg.refine import GammaSolverContract, refine_to_accuracy
 
-from diagnostics import exact_residual_lp
+from diagnostics import exact_residual_lp, solve_counters
 
 ENTRIES = {"mwu": solve_mwu, "accel": solve_pnorm_accel, "dual": solve_lq,
            "linf": linf_regress}
@@ -161,19 +161,35 @@ class TestSolveDispatch:
         ("dual", 4.0), ("dual", math.inf),
         ("linf", 1.5), ("linf", 4.0),
         ("refine_to_accuracy", 1.5), ("refine_to_accuracy", math.inf)])
-    def test_entry_point_rejects_its_domain_before_any_work(self, entry, p):
+    def test_entry_point_rejects_its_domain_before_any_work(
+            self, entry, p, monkeypatch):
         # harness.solve checks only the caps; every entry point checks its
-        # own exponent domain before its first QR or Gram solve.
+        # own exponent domain before its first QR, Cholesky or counted
+        # solve, each of which is recorded here.
+        import scipy.linalg
+
+        import lpreg.linalg as linalg
         inst = gen_instance("gaussian", 20, 3, 0, p=p)
-        counter = SolveCounter()
+        work = []
+
+        def recorded(name, real):
+            def call(*args, **kwargs):
+                work.append(name)
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(scipy.linalg, "qr",
+                            recorded("qr", scipy.linalg.qr))
+        monkeypatch.setattr(linalg, "_factor_gram",
+                            recorded("cholesky", linalg._factor_gram))
+        monkeypatch.setattr(SolveCounter, "tick",
+                            recorded("tick", SolveCounter.tick))
         with pytest.raises(InvalidInputError):
             if entry == "refine_to_accuracy":
-                refine_to_accuracy(inst, GammaSolverContract(1.0, None),
-                                   counter=counter)
+                refine_to_accuracy(inst, GammaSolverContract(1.0, None))
             else:
-                ENTRIES[entry](inst, counter=counter)
-        assert counter.gram_solves == 0
-        assert counter.factorizations == 0
+                ENTRIES[entry](inst)
+        assert work == []
 
     def test_seed_recorded(self):
         inst = gen_instance("gaussian", 20, 3, 0, p=2.0)
@@ -224,12 +240,13 @@ class TestSolveDispatch:
                 == len(calls) + len(projected))
 
     @pytest.mark.parametrize("method", ["mwu", "accel", "dual", "linf"])
-    def test_phase_counts_cover_all_solves(self, method):
+    def test_phase_counts_cover_all_solves(self, method, monkeypatch):
         p = {"mwu": 3.0, "accel": 4.0, "dual": 1.5, "linf": math.inf}[method]
         eps = 1e-1 if p == math.inf else 1e-6
         inst = gen_instance("gaussian", 25, 3, 2, p=p, eps=eps)
-        counter = SolveCounter()
-        _, rep = ENTRIES[method](inst, seed=0, counter=counter)
+        counters = solve_counters(monkeypatch)
+        _, rep = ENTRIES[method](inst, seed=0)
+        [counter] = counters
         assert sum(counter.by_phase.values()) == counter.gram_solves
         assert rep.gram_solves == counter.gram_solves
         assert counter.by_phase.items() <= rep.phase_counts.items()

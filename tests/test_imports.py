@@ -2,7 +2,8 @@
 module-level UPPER_CASE constant is read somewhere in src/lpreg, every
 name the package exports resolves, and so does every name the benchmark
 looks up in the package.  InvalidInputError is raised only at the API
-boundary, and a QR is taken only by the cached factorization.
+boundary, a QR is taken only by the cached factorization, and only the
+driver and the reference oracle single out p = 2.
 
 No linter ships with the test environment, so this walks each module's
 syntax tree with the standard ``ast`` module instead.  A name counts as
@@ -214,3 +215,48 @@ def test_a_solve_takes_one_qr(method, p, monkeypatch):
     assert len(callers) == 1, (
         f"{len(callers)} QRs in one {method} solve; the extra ones came "
         f"from: {sorted(set(callers[1:]))}")
+
+
+# Where an exponent may be compared with 2: the driver, which answers
+# p = 2 (and the dual path's q = 2) with its least-squares start before
+# any solver step, and the independent reference optimum.
+P2_ALLOWED = {"refine.certified_solve", "harness.oracle_opt"}
+
+
+def p2_comparisons(path: Path) -> list:
+    """(qualified function, file:line) per ==/!= of p, q or .p with 2."""
+    def is_exponent(node):
+        return (getattr(node, "id", None) in {"p", "q"}
+                or getattr(node, "attr", None) == "p")
+
+    def is_two(node):
+        return isinstance(node, ast.Constant) and node.value == 2
+
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Compare):
+                operands = [child.left, *child.comparators]
+                for op, left, right in zip(child.ops, operands, operands[1:]):
+                    if (isinstance(op, (ast.Eq, ast.NotEq))
+                            and (is_exponent(left) and is_two(right)
+                                 or is_two(left) and is_exponent(right))):
+                        sites.append((".".join([path.stem] + scope),
+                                      f"{path.name}:{child.lineno}"))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), [])
+    return sites
+
+
+def test_only_the_driver_singles_out_p2():
+    stray = [f"{where} {func}" for path in sorted(SRC.glob("*.py"))
+             for func, where in p2_comparisons(path)
+             if func not in P2_ALLOWED]
+    assert stray == [], (
+        "p = 2 is the driver's case: its least-squares start is the "
+        f"optimum, so no solver layer needs a branch for it: {stray}")

@@ -326,8 +326,8 @@ class TestRefinementRound:
         assert len(seen) == counter.steps["calls"] < ROUND_RETRIES
 
 
-def mwu_contract(A, p, counter=None):
-    solver = MwuGammaSolver(A, p, counter=counter)
+def mwu_contract(A, p):
+    solver = MwuGammaSolver(A, p)
     return GammaSolverContract(solver.gamma, solver)
 
 
@@ -360,19 +360,19 @@ class TestRefineToAccuracy:
         A = DenseMatrix(rng.standard_normal((80, 5)))
         b = rng.standard_normal(80)
         inst = ProblemInstance(A, b, 4.0, eps=1e-6)
-        counter = SolveCounter()
-        x, rep = refine_to_accuracy(inst, mwu_contract(A, 4.0, counter=counter),
-                                    counter=counter)
+        x, rep = refine_to_accuracy(inst, mwu_contract(A, 4.0))
         from lpreg.harness import oracle_opt
         opt = oracle_opt(inst, tol=1e-9)
         assert rep.residual_lp <= (1 + 1e-6) * opt
         assert rep.certified_gap <= 1e-6
-        assert rep.gram_solves == counter.gram_solves
+        # A caller-built solver counts its own solves; the report holds
+        # the driver's start and certificates, and the solver's calls.
+        assert rep.gram_solves == 1 + rep.phase_counts["certificate"]
+        assert rep.phase_counts["gamma_calls"] > 0
 
-    def test_shared_counter_budget_counts_this_solve_only(self,
-                                                          monkeypatch):
-        # With the budget set to one solve's calls, a second solve on the
-        # same counter still gets all of them, and one call fewer fails.
+    def test_budget_one_call_short_raises(self, monkeypatch):
+        # With the budget set to one solve's calls the solve still
+        # certifies, and one call fewer fails.
         rng = np.random.default_rng(4)
         A = DenseMatrix(rng.standard_normal((80, 5)))
         inst = ProblemInstance(A, rng.standard_normal(80), 4.0, eps=1e-6)
@@ -381,11 +381,8 @@ class TestRefineToAccuracy:
         unit = 4.0 ** 3.5 * mwu_contract(A, 4.0).gamma * math.log(85 / 1e-6)
         monkeypatch.setattr(refine, "REFINE_CALL_CONSTANT",
                             (calls + 0.5) / unit)
-        counter = SolveCounter()
-        for _ in range(2):
-            refine_to_accuracy(inst, mwu_contract(A, 4.0, counter=counter),
-                               counter=counter)
-        assert counter.steps["gamma_calls"] == 2 * calls
+        _, rep = refine_to_accuracy(inst, mwu_contract(A, 4.0))
+        assert rep.phase_counts["gamma_calls"] == calls
         monkeypatch.setattr(refine, "REFINE_CALL_CONSTANT",
                             (calls - 0.5) / unit)
         with pytest.raises(BudgetExceededError, match="contract budget"):
@@ -445,3 +442,27 @@ class TestCertifiedSolveBounds:
         _, rep = certified_solve(self.instance(), "stub", stub_bound_steps(1.0))
         assert rep.certified_gap == 0.0
         assert rep.phase_counts["rounds"] == 1
+
+
+class TestCertifiedSolveAtP2:
+    def test_least_squares_start_certifies_without_steps(self):
+        # At p = 2 the driver brackets its own start; a solver's steps are
+        # never built, and each solve reports only its own two solves.
+        rng = np.random.default_rng(13)
+        A = DenseMatrix(rng.standard_normal((40, 3)))
+        b = rng.standard_normal(40)
+        inst = ProblemInstance(A, b, 2.0, eps=1e-14)
+
+        def make_steps(unit):
+            raise AssertionError("steps built at p = 2")
+
+        reports = [certified_solve(inst, "stub", make_steps)[1]
+                   for _ in range(2)]
+        x_ls = np.linalg.lstsq(A.a, b, rcond=None)[0]
+        for rep in reports:
+            assert rep.certified_gap <= 1e-14
+            assert rep.residual_lp == pytest.approx(
+                pnorm(A.a @ x_ls - b, 2.0), rel=1e-14)
+            assert rep.gram_solves == 2
+            assert rep.phase_counts == {"rounds": 1, "init": 1,
+                                        "certificate": 1, "factorizations": 1}
