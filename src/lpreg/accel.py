@@ -4,16 +4,18 @@ The proximal subproblem adds an e p^p times p-th power of the distance in
 the metric induced by the weight overestimates.  Hessian stability makes
 that subproblem conditionally well-behaved: a relative-smoothness descent
 loop solves it, with each inner step reduced to a scalar root-find over a
-step scale tau, found by safeguarded Newton steps in log tau with brentq
+step scale tau, found by safeguarded Halley steps in log tau with brentq
 as the fallback.  Every system met at one proximal center lies in the fixed
 pencil (A^T H_c A, A^T M A), so one generalized eigendecomposition per
-center (:class:`MetricPencil`) turns each tau probe into O(d) work and
-each inverse-metric product into O(d^2).  Costs are still charged in the
-paper's unit: each distinct probed tau, each inverse-metric norm and each
-momentum step counts as one Gram solve, and each pencil as one
-factorization.  The outer loop is a standard accelerated proximal-point
-iteration with a step-scale search.  The driver answers p = 2 with its
-least-squares start, so every proximal problem of a solve has p > 2.
+center (:class:`MetricPencil`) turns each tau probe into O(d) work.  The
+inner steps stay in the pencil's coordinates: one product with A T gives
+both gradients there, and an inverse-metric norm is a coordinate vector's
+length.  Costs are still charged in the paper's unit: each distinct probed
+tau, each inverse-metric norm and each momentum step counts as one Gram
+solve, and each pencil as one factorization.  The outer loop is a standard
+accelerated proximal-point iteration with a step-scale search.  The driver
+answers p = 2 with its least-squares start, so every proximal problem of a
+solve has p > 2.
 """
 from __future__ import annotations
 
@@ -83,11 +85,13 @@ class MetricPencil:
 
     ``t`` is a d x d basis with T^T (A^T M A) T = I and T^T (A^T H_c A) T
     = diag(lam), ``lam`` clipped at 0.  So (8 A^T H_c A + c tau A^T M A)^{-1}
-    is T diag(1 / (8 lam + c tau)) T^T, and M^{-1} = T T^T.
+    is T diag(1 / (8 lam + c tau)) T^T, and M^{-1} = T T^T.  ``at`` = A T
+    maps a row vector g to T^T A^T g in one product.
     """
 
     lam: np.ndarray
     t: np.ndarray
+    at: np.ndarray    # A T = Q W, formed without R^{-1}
     c: float          # the metric's coefficient per unit tau, 4 p C_p
 
     @classmethod
@@ -108,7 +112,7 @@ class MetricPencil:
         except np.linalg.LinAlgError as exc:
             raise SingularGramError("metric pencil eigendecomposition failed") from exc
         t = solve_triangular(r, w, check_finite=False)
-        return cls(np.maximum(lam, 0.0), t, c)
+        return cls(np.maximum(lam, 0.0), t, q @ w, c)
 
     def coords(self, v: np.ndarray) -> np.ndarray:
         """T^T v, the right-hand side in the eigenbasis."""
@@ -131,8 +135,8 @@ class ProxEval(NamedTuple):
 
     f_reg: float
     dist: float             # ||x - center||_M
-    grad: np.ndarray        # gradient of f_reg
-    glin: np.ndarray        # grad minus 4 times the surrogate's gradient
+    grad: np.ndarray        # T^T grad f_reg: pencil coordinates, M^{-1} norm
+    glin: np.ndarray        # T^T (grad f_reg - 4 grad of the surrogate)
 
 
 @dataclass
@@ -166,6 +170,7 @@ class ProxProblem:
         if not np.all(np.isfinite(self._hess_center)):
             raise InvalidInputError("center residuals overflow the exponent")
         self._pencil = None
+        self._rows = np.empty((2, self.A.n))
 
     def pencil(self, counter: SolveCounter | None = None) -> MetricPencil:
         """The center's pencil; building it counts as one factorization."""
@@ -189,22 +194,26 @@ class ProxProblem:
         """The objective, distance and both gradients at x, from s = A (x - y).
 
         With u = A x - b, g_u = p |u|^{p-2} u and r = p C_p dist^{p-2}, one
-        two-column product with A^T gives grad f_reg = A^T (g_u + r M s) and
-        glin = grad f_reg - 4 (2 A^T H_c s + r A^T M s)
-             = A^T (g_u - 8 H_c s - 3 r M s).
+        product of a 2 x n buffer with the pencil's A T gives T^T of both
+        grad f_reg = A^T (g_u + r M s) and glin = grad f_reg - 4 (2 A^T H_c s
+        + r A^T M s) = A^T (g_u - 8 H_c s - 3 r M s).
         """
         p = self.p
         u = self.u_center + s
         ms = self.m_diag * s
         dist = math.sqrt(float(s @ ms))
         r = p * self.cp * fpow(dist, p - 2.0)
+        rows = self._rows
         with np.errstate(over="ignore"):
             au = np.abs(u)
-            f_val = float(np.sum(au ** p))
+            f_val = float((au ** p).sum())
             g_u = p * au ** (p - 2.0) * u
-            rows = np.stack([g_u + r * ms,
-                             g_u - 8.0 * self._hess_center * s - 3.0 * r * ms])
-        grads = rows @ self.A.a
+            np.add(g_u, r * ms, out=rows[0])
+            np.subtract(g_u, 8.0 * self._hess_center * s, out=rows[1])
+            rows[1] -= 3.0 * r * ms
+        grads = rows @ self.pencil().at
+        if not np.isfinite(grads).all():
+            raise NonFiniteError("proximal gradient not finite (overflow)")
         return ProxEval(f_val + self.cp * fpow(dist, p), dist,
                         grads[0], grads[1])
 
@@ -215,10 +224,6 @@ class ProxProblem:
     def m_norm(self, v: np.ndarray) -> float:
         av = self.A.a @ v
         return math.sqrt(float(av @ (self.m_diag * av)))
-
-    def m_inv_norm(self, v: np.ndarray,
-                   counter: SolveCounter | None = None) -> float:
-        return float(np.linalg.norm(self.metric_coords(v, counter)))
 
 
 @dataclass
@@ -250,43 +255,73 @@ def _newton_accepts(tau_new: float, lo: float, hi: float, ds: float,
     return lo == 0.0 or hi == math.inf or abs(ds) <= 0.5 * abs(ds_prev)
 
 
-def _solve_inner_subproblem(prob: ProxProblem, glin: np.ndarray, tau_seed: float,
+def _log_gap(pencil: MetricPencil, w: np.ndarray, z_exp: int, expo: float,
+             tau: float):
+    """h = log(tau^expo / S(tau)) and its slope and curvature in log tau.
+
+    ``w`` = z_unit / (8 lam + x), x = c tau, is the probe's coordinates for
+    z = 2^z_exp z_unit with max|z_unit| < 1, so S(tau) = 4^z_exp (w.w).
+    With v = w x / (8 lam + x), so |v| <= |w|, and g = 2 (w.v) / (w.w), the
+    slope is expo + g, between expo and expo + 2, and the curvature
+    g - 6 (v.v) / (w.w) + g^2.
+    """
+    c = pencil.c
+    # |w| <= 1 / (c tau): only a probe with c tau below SQUARE_SAFE can
+    # square w past the float range.
+    s_unit = float(w @ w) if c * tau >= SQUARE_SAFE else math.inf
+    s_exp = z_exp                                   # S(tau) = s_unit 4^s_exp
+    if not 0.0 < s_unit < math.inf:
+        # The squares leave the float range: rescale w by a power of two.
+        w_exp = math.frexp(float(abs(w).max()))[1]
+        w = np.ldexp(w, -w_exp)
+        s_unit, s_exp = float(w @ w), z_exp + w_exp
+    lhs = fpow(tau, expo)
+    if not (math.isfinite(lhs) and 0.0 < s_unit < math.inf):
+        raise BisectionStallError(f"step-scale gap not finite at tau {tau:.3g}")
+    if lhs > 0.0:
+        # The log of a ratio of mantissas is exact to rounding near the
+        # root, where the binary exponents cancel.
+        m_l, e_l = math.frexp(lhs)
+        m_s, e_s = math.frexp(s_unit)
+        value = math.log(m_l / m_s) + (e_l - e_s - 2 * s_exp) * LN2
+    else:                                           # tau^expo underflows
+        value = expo * math.log(tau) - math.log(s_unit) - 2 * s_exp * LN2
+    v = w * pencil.scaled(c * tau, tau)
+    g = 2.0 * float(w @ v) / s_unit
+    return value, expo + g, g - 6.0 * float(v @ v) / s_unit + g * g
+
+
+def _solve_inner_subproblem(prob: ProxProblem, z: np.ndarray, tau_seed: float,
                             counter: SolveCounter | None):
     """Pick tau >= 0 so that tau^{2/(p-2)} = ||s(tau)||_M^2; return (s, tau).
 
     s(tau) minimizes <glin, s> + 4||s||_H^2 + 2 e p^{p+1} tau ||s||_M^2 for
-    p > 2.  In the center's pencil basis the rhs coordinates z = T^T glin
-    are formed once, and ||s(tau)||_M^2 = S(tau) = sum z_i^2 / (8 lam_i +
-    c tau)^2 costs O(d) per probe.  The search runs Newton's method in
-    log tau, from the seed, on the log gap h = log(tau^{2/(p-2)} / S(tau)).
-    Its slope, 2/(p-2) + 2 c tau sum z_i^2 / (8 lam_i + c tau)^3 / S(tau),
-    lies between 2/(p-2) and 2/(p-2) + 2 and comes from the same
-    coordinates.  Powers of two scale z (and, when needed, the probe's
-    coordinates), so a tiny or huge glin still has a root to find.  The
-    probes' signs keep a bracket; a Newton step that leaves it, or does not
-    halve once both ends are known, hands the bracket to brentq (see
-    :func:`_newton_accepts`).  The root is the probe whose Newton step is
-    at most ``TAU_RTOL``, brentq's relative tolerance.  Each distinct probed
-    tau counts as one Gram solve, as the direct solve it replaces would.
-    When the root lies below the smallest normal float, the step at that
-    float is returned.
+    p > 2.  The rhs comes in the center's pencil coordinates, z = T^T glin
+    (:attr:`ProxEval.glin`), and ||s(tau)||_M^2 = S(tau) = sum z_i^2 /
+    (8 lam_i + c tau)^2 costs O(d) per probe.  The search runs Halley's
+    method in log tau, from the seed, on the log gap h = log(tau^{2/(p-2)}
+    / S(tau)) of :func:`_log_gap`: the Newton step ds becomes ds / (1 +
+    ds h'' / (2 h')) while that denominator exceeds 1/2.  Powers of two
+    scale z (and, when needed, the probe's coordinates), so a tiny or huge
+    glin still has a root to find.  The probes' signs keep a bracket; a
+    step that leaves it, or does not halve once both ends are known, hands
+    the bracket to brentq (see :func:`_newton_accepts`).  The root is the
+    probe whose step is at most ``TAU_RTOL``, brentq's relative tolerance.
+    Each distinct probed tau counts as one Gram solve, as the direct solve
+    it replaces would.  When the root lies below the smallest normal
+    float, the step at that float is returned.
     """
-    p = prob.p
-    if not glin.any():
-        return np.zeros_like(prob.center), 0.0
-    pencil = prob.pencil(counter)
-    z = pencil.coords(glin)
+    pencil = prob.pencil()
     z_max = float(abs(z).max())
     if z_max == 0.0:
-        return np.zeros_like(prob.center), 0.0      # T^T glin underflowed
+        return np.zeros_like(prob.center), 0.0
     z_exp = math.frexp(z_max)[1]
     z_unit = np.ldexp(z, -z_exp)                    # max |z_unit| in [1/2, 1)
-    expo = 2.0 / (p - 2.0)
-    c = pencil.c
+    expo = 2.0 / (prob.p - 2.0)
     # S(tau) <= ||z||^2 / (c tau)^2, so the gap is positive from half of
     # tau_up on; the factor 2 keeps rounding from hiding that sign.
     log_up = LN2 + (0.5 * math.log(float(z_unit @ z_unit)) + z_exp * LN2
-                    - math.log(c)) / (1.0 + expo / 2.0)
+                    - math.log(pencil.c)) / (1.0 + expo / 2.0)
     tau_up = max(math.exp(min(log_up, 690.0)), TAU_MIN)
     probed = set()
     lo, hi = 0.0, math.inf          # probed taus with h < 0 and h >= 0
@@ -298,42 +333,23 @@ def _solve_inner_subproblem(prob: ProxProblem, glin: np.ndarray, tau_seed: float
         return pencil.scaled(coords, tau)
 
     def log_gap(tau):
-        """h(tau) and dh / dlog(tau); updates the bracket."""
+        """:func:`_log_gap` at tau; updates the bracket."""
         nonlocal lo, hi
-        w = coords_at(tau, z_unit)
-        # max|z_unit| < 1, so |w| <= 1 / (c tau): only a probe with c tau
-        # below SQUARE_SAFE can square w past the float range.
-        s_unit = float(w @ w) if c * tau >= SQUARE_SAFE else math.inf
-        s_exp = z_exp                               # S(tau) = s_unit 4^s_exp
-        if not 0.0 < s_unit < math.inf:
-            # The squares leave the float range: rescale w by a power of two.
-            w_exp = math.frexp(float(abs(w).max()))[1]
-            w = np.ldexp(w, -w_exp)
-            s_unit, s_exp = float(w @ w), z_exp + w_exp
-        lhs = fpow(tau, expo)
-        if not (math.isfinite(lhs) and 0.0 < s_unit < math.inf):
-            raise BisectionStallError(
-                f"step-scale gap not finite at tau {tau:.3g}")
-        if lhs > 0.0:
-            # The log of a ratio of mantissas is exact to rounding near the
-            # root, where the binary exponents cancel.
-            m_l, e_l = math.frexp(lhs)
-            m_s, e_s = math.frexp(s_unit)
-            value = math.log(m_l / m_s) + (e_l - e_s - 2 * s_exp) * LN2
-        else:                                       # tau^{2/(p-2)} underflows
-            value = expo * math.log(tau) - math.log(s_unit) - 2 * s_exp * LN2
-        if value < 0.0:
+        h = _log_gap(pencil, coords_at(tau, z_unit), z_exp, expo, tau)
+        if h[0] < 0.0:
             lo = tau
         else:
             hi = tau
-        cubed = float(w @ pencil.scaled(w, tau))    # sum w^2 / (8 lam + c tau)
-        return value, expo + 2.0 * c * tau * cubed / s_unit
+        return h
 
     tau = min(max(tau_seed, TAU_MIN), tau_up)
     ds_prev = math.inf
     for _ in range(MAX_NEWTON_STEPS):
-        value, slope = log_gap(tau)
+        value, slope, curv = log_gap(tau)
         ds = -value / slope
+        halley = 1.0 + ds * curv / (2.0 * slope)
+        if halley > 0.5:
+            ds /= halley
         if abs(ds) <= TAU_RTOL:
             return -(pencil.t @ coords_at(tau)), tau
         tau_new = min(max(tau * math.exp(min(ds, 700.0)), TAU_MIN), tau_up)
@@ -359,25 +375,27 @@ def prox_solve(prob: ProxProblem, x0: np.ndarray | None = None,
     """Approximately minimize the proximal objective from x0.
 
     Runs relative-smoothness descent steps until the stationarity residual
-    measured in the inverse metric drops below
-    e alpha p^{p+1} ||x - y||_M^{p-1} + tol with alpha = 1/(128 p^2).
+    ||T^T grad|| in the inverse metric (one ``metric`` Gram solve) drops
+    below e alpha p^{p+1} ||x - y||_M^{p-1} + tol, alpha = 1/(128 p^2).
     Each step forms the image A (x - y) of its new point once; the
     objective, the distance and both gradients come from it.
     """
     p, y, a = prob.p, prob.center, prob.A.a
     scale = math.e * PROX_ALPHA_SCALE * p ** (p - 1.0)     # e alpha p^{p+1}
+    prob.pencil(counter)                    # the center's one factorization
 
     def certify(x, ev, it, tau):
-        return ProxCertificate(x, prob.m_inv_norm(ev.grad, counter),
+        if counter is not None:
+            counter.tick(1, "metric")
+        return ProxCertificate(x, math.sqrt(float(ev.grad @ ev.grad)),
                                scale * ev.dist ** (p - 1.0) + tol, it, tau,
                                ev.dist)
 
     x = y.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
-    ev = prob.evaluate(a @ (x - y))
-    tau = fpow(max(ev.dist, 1e-8), p - 2.0)
+    tau = fpow(max(prob.m_norm(x - y), 1e-8), p - 2.0)
     if not math.isfinite(tau):
         x, tau = y.copy(), 1.0
-        ev = prob.evaluate(a @ (x - y))
+    ev = prob.evaluate(a @ (x - y))
     best_x, best_ev = x, ev
     cap = int(INNER_RATE_CONSTANT * max(math.log(1.0 / min(tol, 0.5)), 1.0)) + 8
     stall = 0
@@ -407,8 +425,7 @@ def _pins_center(prob: ProxProblem, dist: float) -> bool:
 
 def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
                   weights: LewisOverestimate, x0: np.ndarray, eps: float,
-                  counter: SolveCounter | None = None,
-                  lower_bound_fn=None) -> np.ndarray:
+                  counter: SolveCounter, lower_bound_fn=None) -> np.ndarray:
     """Accelerated proximal-point loop reducing f error below eps; returns x.
 
     Maintains the usual (step-weight, momentum-point) pair; each step
@@ -422,7 +439,6 @@ def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
     """
     p = float(p)
     cp = reg_coefficient(p)
-    counter = counter if counter is not None else SolveCounter()
     d = A.d
     k_theory = math.ceil(8.0 * p ** (2.0 / 3.0) * d ** ((p - 2.0) / (3 * p - 2.0)))
     max_steps = min(int(k_theory * (6 + 60) ** 2), 10 ** 9)
@@ -523,7 +539,7 @@ def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
 
 def halve_error(A: DenseMatrix, b: np.ndarray, p: float,
                 weights: LewisOverestimate, x0: np.ndarray, err: float,
-                counter: SolveCounter | None = None, lower_bound_fn=None):
+                counter: SolveCounter, lower_bound_fn=None):
     """Given f(x0) - f* <= err, produce x' with f(x') - f* <= err/2."""
     return ms_accelerate(A, b, p, weights, x0, eps=err / 2.0,
                          counter=counter, lower_bound_fn=lower_bound_fn)

@@ -130,9 +130,21 @@ def prox_f_reg(prob, x: np.ndarray) -> float:
     return prob.evaluate(prob.A.a @ (x - prob.center)).f_reg
 
 
-def prox_grad_f_reg(prob, x: np.ndarray) -> np.ndarray:
-    """The gradient of :func:`prox_f_reg` at x."""
-    return prob.evaluate(prob.A.a @ (x - prob.center)).grad
+def prox_grad_f_reg(prob, x: np.ndarray, basis=None) -> np.ndarray:
+    """The gradient of :func:`prox_f_reg` at x, A^T (p |u|^{p-2} u + r M s).
+
+    Here s = A (x - center), u = A x - b is formed as (A center - b) + s,
+    as :meth:`ProxProblem.evaluate` forms it, and r = p C_p
+    ||x - center||_M^{p-2}.  Given ``basis`` = A T, it returns T^T times
+    the gradient instead.
+    """
+    a, p = prob.A.a, prob.p
+    s = a @ (x - prob.center)
+    u = prob.u_center + s
+    ms = prob.m_diag * s
+    r = p * prob.cp * prob.m_norm(x - prob.center) ** (p - 2.0)
+    basis = a if basis is None else basis
+    return basis.T @ (p * np.abs(u) ** (p - 2.0) * u + r * ms)
 
 
 def strong_convexity_check(y: np.ndarray, delta: np.ndarray, p: float) -> bool:

@@ -149,7 +149,8 @@ class TestMetricPencil:
         prob = family_problem(family, p)
         glin = np.random.default_rng(1).standard_normal(16)
         for scale in (1e-6, 1.0, 1e6):
-            step, tau = _solve_inner_subproblem(prob, scale * glin, 1.0, None)
+            step, tau = _solve_inner_subproblem(
+                prob, prob.pencil().coords(scale * glin), 1.0, None)
             ref = qr_tau_step(prob, scale * glin, tau)
             assert prob.m_norm(step - ref) <= 1e-8 * prob.m_norm(ref)
 
@@ -164,9 +165,10 @@ class TestMetricPencil:
         scaled = np.sqrt(prob.m_diag)[:, None] * prob.A.a
         _, r = np.linalg.qr(scaled)
         ref = np.linalg.norm(solve_triangular(r, v, trans="T"))
-        assert prob.m_inv_norm(v) == pytest.approx(ref, rel=1e-10)
+        m_inv_norm = np.linalg.norm(prob.metric_coords(v))
+        assert m_inv_norm == pytest.approx(ref, rel=1e-10)
         gram_bound = np.linalg.cond(scaled) ** 2 * np.finfo(float).eps
-        assert prob.m_inv_norm(v) == pytest.approx(
+        assert m_inv_norm == pytest.approx(
             math.sqrt(v @ sol), rel=max(1e-5, gram_bound))
 
     def test_pencil_diagonalizes_both_gram_matrices(self):
@@ -182,17 +184,18 @@ class TestMetricPencil:
         assert pencil.lam.min() >= 0.0
 
     def test_non_finite_glin_raises(self):
+        # The gradients leave evaluate in pencil coordinates, checked there.
         prob = family_problem("gaussian", 4.0)
-        glin = np.ones(16)
-        glin[3] = np.nan
+        s = np.ones(320)
+        s[3] = np.nan
         with pytest.raises(NonFiniteError):
-            _solve_inner_subproblem(prob, glin, 1.0, SolveCounter())
+            prob.evaluate(s)
 
     def test_non_finite_weights_raise(self):
         prob = family_problem("gaussian", 4.0)
         prob.m_diag[0] = np.inf
         with pytest.raises(NonFiniteError):
-            prob.m_inv_norm(np.ones(16))
+            prob.metric_coords(np.ones(16))
 
     def test_prox_ticks_once_per_distinct_tau(self, monkeypatch):
         prob = family_problem("planted_residual", 8.0)
@@ -206,7 +209,8 @@ class TestMetricPencil:
 
         monkeypatch.setattr(MetricPencil, "scaled", recording)
         counter = SolveCounter()
-        _, tau = _solve_inner_subproblem(prob, glin, 1.0, counter)
+        _, tau = _solve_inner_subproblem(
+            prob, prob.pencil(counter).coords(glin), 1.0, counter)
         assert tau in probed
         assert len(probed) > len(set(probed))   # the root is probed again
         assert counter.by_phase == {"prox": len(set(probed))}
@@ -226,7 +230,8 @@ class TestMetricPencil:
         prob = family_problem("gaussian", 4.0)
         monkeypatch.setattr(accel, "fpow", lambda base, expo: math.inf)
         with pytest.raises(BisectionStallError):
-            _solve_inner_subproblem(prob, np.ones(16), 1.0, None)
+            _solve_inner_subproblem(prob, prob.pencil().coords(np.ones(16)),
+                                    1.0, None)
 
 
 GLIN_SCALES = (1e-6, 1.0, 1e6)
@@ -250,6 +255,16 @@ def gap_ratio(prob, glin, tau):
     w = pencil.scaled(pencil.coords(glin), tau)
     lhs = tau ** (2.0 / (prob.p - 2.0))
     return abs(lhs - float(w @ w)) / lhs
+
+
+def probe_at(prob, glin, tau):
+    """The search's probe at tau: log gap, slope and curvature in log tau."""
+    pencil = prob.pencil()
+    z = pencil.coords(glin)
+    z_exp = math.frexp(float(abs(z).max()))[1]
+    z_unit = np.ldexp(z, -z_exp)
+    return accel._log_gap(pencil, pencil.scaled(z_unit, tau), z_exp,
+                          2.0 / (prob.p - 2.0), tau)
 
 
 def bracket_brentq_probes(prob, glin, tau):
@@ -284,7 +299,8 @@ class TestStepScaleSearch:
         prob = family_problem(family, p)
         glin = np.random.default_rng(1).standard_normal(16)
         for scale in GLIN_SCALES:
-            _, tau = _solve_inner_subproblem(prob, scale * glin, 1.0, None)
+            _, tau = _solve_inner_subproblem(
+                prob, prob.pencil().coords(scale * glin), 1.0, None)
             assert gap_ratio(prob, scale * glin, tau) <= 16 * np.finfo(float).eps
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -292,14 +308,16 @@ class TestStepScaleSearch:
     def test_brentq_fallback_finds_the_same_root(self, family, p, monkeypatch):
         prob = family_problem(family, p)
         glin = np.random.default_rng(1).standard_normal(16)
-        newton = [_solve_inner_subproblem(prob, scale * glin, 1.0, None)[1]
-                  for scale in GLIN_SCALES]
+        newton = [_solve_inner_subproblem(
+            prob, prob.pencil().coords(scale * glin), 1.0, None)[1]
+            for scale in GLIN_SCALES]
         calls = []
         monkeypatch.setattr(accel, "_newton_accepts", lambda *args: False)
         monkeypatch.setattr(accel, "brentq",
                             lambda *args, **kw: calls.append(1) or brentq(*args, **kw))
         for scale, tau in zip(GLIN_SCALES, newton):
-            _, tau_b = _solve_inner_subproblem(prob, scale * glin, 1.0, None)
+            _, tau_b = _solve_inner_subproblem(
+                prob, prob.pencil().coords(scale * glin), 1.0, None)
             assert tau_b == pytest.approx(tau, rel=1e-14, abs=0.0)
         assert len(calls) == len(GLIN_SCALES)
 
@@ -310,9 +328,33 @@ class TestStepScaleSearch:
         glin = np.random.default_rng(1).standard_normal(16)
         for scale in GLIN_SCALES:
             counter = SolveCounter()
-            _solve_inner_subproblem(prob, scale * glin, 1.0, counter)
+            _solve_inner_subproblem(
+                prob, prob.pencil().coords(scale * glin), 1.0, counter)
             assert counter.by_phase["prox"] <= bracket_brentq_probes(
                 prob, scale * glin, 1.0)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("p", [4.0, 8.0, 14.0])
+    def test_curvature_matches_central_difference(self, family, p):
+        # At the root, and where c tau meets the pencil's spectrum so that
+        # the gap bends, the curvature is the slope's derivative in log tau.
+        # A central difference resolves nothing below its rounding floor,
+        # about 4 eps slope / h.
+        prob = family_problem(family, p)
+        pencil = prob.pencil()
+        glin = np.random.default_rng(1).standard_normal(16)
+        h = 1e-4
+        spectrum = 8.0 * pencil.lam[[0, 8, 15]] / pencil.c
+        for scale in GLIN_SCALES:
+            _, root = _solve_inner_subproblem(
+                prob, pencil.coords(scale * glin), 1.0, None)
+            for tau in (root, *spectrum[spectrum > 0.0]):
+                _, slope, curv = probe_at(prob, scale * glin, tau)
+                fd = (probe_at(prob, scale * glin, tau * math.exp(h))[1]
+                      - probe_at(prob, scale * glin, tau * math.exp(-h))[1]
+                      ) / (2.0 * h)
+                floor = 4.0 * np.finfo(float).eps * slope / h
+                assert abs(curv - fd) <= 1e-6 * abs(curv) + floor
 
     @pytest.mark.parametrize("k", [1e-100, 1e-150, 1e-200, 1e-300])
     def test_tiny_linear_term(self, k):
@@ -321,7 +363,8 @@ class TestStepScaleSearch:
         # float, whose step comes back.
         prob = family_problem("gaussian", 4.0)
         glin = np.ones(16)
-        step, tau = _solve_inner_subproblem(prob, k * glin, 1.0, None)
+        step, tau = _solve_inner_subproblem(
+            prob, prob.pencil().coords(k * glin), 1.0, None)
         ref = qr_tau_step(prob, glin, tau)          # the step is linear in glin
         assert prob.m_norm(step / k - ref) <= 1e-8 * prob.m_norm(ref)
         if tau > sys.float_info.min:
@@ -342,7 +385,8 @@ class TestStepScaleSearch:
         glin = np.random.default_rng(1).standard_normal(16)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            step, tau = _solve_inner_subproblem(prob, glin, 1e-240, None)
+            step, tau = _solve_inner_subproblem(
+                prob, prob.pencil().coords(glin), 1e-240, None)
         pencil = prob.pencil()
         assert not pencil.lam.any()
         root = (np.linalg.norm(pencil.coords(glin)) / pencil.c) ** (
@@ -355,7 +399,8 @@ class TestStepScaleSearch:
     def test_underflowed_linear_term_is_a_zero_step_or_a_stall(self, k):
         prob = family_problem("gaussian", 4.0)
         try:
-            step, _ = _solve_inner_subproblem(prob, k * np.ones(16), 1.0, None)
+            step, _ = _solve_inner_subproblem(
+                prob, prob.pencil().coords(k * np.ones(16)), 1.0, None)
         except BisectionStallError:
             return
         assert not step.any()
@@ -377,7 +422,7 @@ class CountingMatrix(np.ndarray):
 class TestInnerStep:
     @pytest.mark.parametrize("family", ["gaussian", "ill_conditioned"])
     @pytest.mark.parametrize("p", [4.0, 8.0])
-    def test_two_products_with_a_per_inner_iteration(self, family, p):
+    def test_one_product_with_a_per_inner_iteration(self, family, p):
         inst = gen_instance(family, 160, 8, 0, p=p)
         x0 = np.linalg.lstsq(inst.A.a, inst.b, rcond=None)[0]
         center = x0 + 0.1 * np.random.default_rng(4).standard_normal(8)
@@ -387,25 +432,36 @@ class TestInnerStep:
         CountingMatrix.products = 0
         cert = prox_solve(prob, x0=x0, tol=1e-14)
         assert cert.inner_iterations >= 5
-        assert CountingMatrix.products <= 2 * cert.inner_iterations + 4
+        assert CountingMatrix.products <= cert.inner_iterations + 4
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("p", [4.0, 8.0])
     def test_glin_matches_separate_products(self, family, p):
         # glin = grad f_reg - 4 grad h, with h the surrogate at the center:
         # 2 ||x - y||_{H_c}^2 + C_p ||x - y||_M^p.
+        # Both are in the pencil's coordinates, T^T times the gradient.
         prob = family_problem(family, p)
         a = prob.A.a
+        pencil = prob.pencil()
         x = prob.center + 1e-3 * np.random.default_rng(5).standard_normal(16)
         ev = prob.evaluate(a @ (x - prob.center))
         step = x - prob.center
         dist = prob.m_norm(step)
-        grad_h = (2.0 * a.T @ (prob._hess_center * (a @ step))
+        grad_h = (2.0 * pencil.at.T @ (prob._hess_center * (a @ step))
                   + p * prob.cp * dist ** (p - 2.0)
-                  * (a.T @ (prob.m_diag * (a @ step))))
-        ref = prox_grad_f_reg(prob, x) - 4.0 * grad_h
+                  * (pencil.at.T @ (prob.m_diag * (a @ step))))
+        ref = prox_grad_f_reg(prob, x, pencil.at) - 4.0 * grad_h
         assert ev.dist == dist
         assert np.linalg.norm(ev.glin - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("p", [4.0, 8.0, 14.0])
+    def test_prox_solve_warns_nothing(self, family, p):
+        prob = family_problem(family, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = prox_solve(prob, tol=1e-12, counter=SolveCounter())
+        assert cert.inner_iterations > 0
 
     @pytest.mark.parametrize("p", [4.0, 8.0])
     def test_certificate_carries_its_distance(self, p):
@@ -494,7 +550,7 @@ class TestAcceleration:
         x = np.linalg.lstsq(A.a, b, rcond=None)[0]
         err = float(np.sum(np.abs(A.a @ x - b) ** p)) - f_star
         for _ in range(10):
-            x = halve_error(A, b, p, w, x, err)
+            x = halve_error(A, b, p, w, x, err, SolveCounter())
             achieved = float(np.sum(np.abs(A.a @ x - b) ** p)) - f_star
             assert achieved <= err / 2 + 1e-9 * max(f_star, 1.0)
             err /= 2
