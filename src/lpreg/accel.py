@@ -23,7 +23,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh, solve_triangular
@@ -172,22 +172,19 @@ class ProxProblem:
         self._pencil = None
         self._rows = np.empty((2, self.A.n))
 
-    def pencil(self, counter: SolveCounter | None = None) -> MetricPencil:
-        """The center's pencil; building it counts as one factorization."""
+    def pencil(self) -> MetricPencil:
+        """The center's pencil, built on first use."""
         if self._pencil is None:
             self._pencil = MetricPencil.build(
                 self.A.qr, self._hess_center, self.m_diag,
                 4.0 * self.p * self.cp)
-            if counter is not None:
-                counter.factorizations += 1
         return self._pencil
 
-    def metric_coords(self, v: np.ndarray, counter: SolveCounter | None = None,
-                      phase: str = "metric") -> np.ndarray:
+    def metric_coords(self, v: np.ndarray, counter: SolveCounter,
+                      phase: str) -> np.ndarray:
         """T^T v, whose norm is ||v||_{M^{-1}}; one Gram solve in ``phase``."""
-        z = self.pencil(counter).coords(v)
-        if counter is not None:
-            counter.tick(1, phase)
+        z = self.pencil().coords(v)
+        counter.tick(1, phase)
         return z
 
     def evaluate(self, s: np.ndarray) -> ProxEval:
@@ -292,7 +289,7 @@ def _log_gap(pencil: MetricPencil, w: np.ndarray, z_exp: int, expo: float,
 
 
 def _solve_inner_subproblem(prob: ProxProblem, z: np.ndarray, tau_seed: float,
-                            counter: SolveCounter | None):
+                            counter: SolveCounter):
     """Pick tau >= 0 so that tau^{2/(p-2)} = ||s(tau)||_M^2; return (s, tau).
 
     s(tau) minimizes <glin, s> + 4||s||_H^2 + 2 e p^{p+1} tau ||s||_M^2 for
@@ -327,7 +324,7 @@ def _solve_inner_subproblem(prob: ProxProblem, z: np.ndarray, tau_seed: float,
     lo, hi = 0.0, math.inf          # probed taus with h < 0 and h >= 0
 
     def coords_at(tau, coords=z):
-        if counter is not None and tau not in probed:
+        if tau not in probed:
             counter.tick(1, "prox")
         probed.add(tau)
         return pencil.scaled(coords, tau)
@@ -369,12 +366,12 @@ def _solve_inner_subproblem(prob: ProxProblem, z: np.ndarray, tau_seed: float,
     return -(pencil.t @ coords_at(tau)), tau
 
 
-def prox_solve(prob: ProxProblem, x0: np.ndarray | None = None,
-               tol: float = 1e-12,
-               counter: SolveCounter | None = None) -> ProxCertificate:
+def prox_solve(prob: ProxProblem, x0: np.ndarray, tol: float,
+               counter: SolveCounter) -> ProxCertificate:
     """Approximately minimize the proximal objective from x0.
 
-    Runs relative-smoothness descent steps until the stationarity residual
+    Builds the center's pencil, counted as one factorization, then runs
+    relative-smoothness descent steps until the stationarity residual
     ||T^T grad|| in the inverse metric (one ``metric`` Gram solve) drops
     below e alpha p^{p+1} ||x - y||_M^{p-1} + tol, alpha = 1/(128 p^2).
     Each step forms the image A (x - y) of its new point once; the
@@ -382,16 +379,16 @@ def prox_solve(prob: ProxProblem, x0: np.ndarray | None = None,
     """
     p, y, a = prob.p, prob.center, prob.A.a
     scale = math.e * PROX_ALPHA_SCALE * p ** (p - 1.0)     # e alpha p^{p+1}
-    prob.pencil(counter)                    # the center's one factorization
+    prob.pencil()
+    counter.factorizations += 1
 
     def certify(x, ev, it, tau):
-        if counter is not None:
-            counter.tick(1, "metric")
+        counter.tick(1, "metric")
         return ProxCertificate(x, math.sqrt(float(ev.grad @ ev.grad)),
                                scale * ev.dist ** (p - 1.0) + tol, it, tau,
                                ev.dist)
 
-    x = y.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = x0.copy()
     tau = fpow(max(prob.m_norm(x - y), 1e-8), p - 2.0)
     if not math.isfinite(tau):
         x, tau = y.copy(), 1.0
@@ -425,7 +422,8 @@ def _pins_center(prob: ProxProblem, dist: float) -> bool:
 
 def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
                   weights: LewisOverestimate, x0: np.ndarray, eps: float,
-                  counter: SolveCounter, lower_bound_fn=None) -> np.ndarray:
+                  counter: SolveCounter,
+                  lower_bound_fn: Callable) -> np.ndarray:
     """Accelerated proximal-point loop reducing f error below eps; returns x.
 
     Maintains the usual (step-weight, momentum-point) pair; each step
@@ -463,10 +461,8 @@ def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
     f_x = f(x)
     stall = 0
     for _ in range(max_steps):
-        if lower_bound_fn is not None:
-            gap = f_x - lower_bound_fn(x)
-            if gap <= eps:
-                break
+        if f_x - lower_bound_fn(x) <= eps:
+            break
         prob_center = None
         lam_try = lam
         for _ in range(MS_BISECTION_CAP):
@@ -539,7 +535,7 @@ def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
 
 def halve_error(A: DenseMatrix, b: np.ndarray, p: float,
                 weights: LewisOverestimate, x0: np.ndarray, err: float,
-                counter: SolveCounter, lower_bound_fn=None):
+                counter: SolveCounter, lower_bound_fn: Callable):
     """Given f(x0) - f* <= err, produce x' with f(x') - f* <= err/2."""
     return ms_accelerate(A, b, p, weights, x0, eps=err / 2.0,
                          counter=counter, lower_bound_fn=lower_bound_fn)

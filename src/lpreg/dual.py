@@ -61,8 +61,7 @@ def stack_instance(A: DenseMatrix, b: np.ndarray, g: np.ndarray,
 
 
 def min_quadratic_on_affine(U: DenseMatrix, v: np.ndarray, diag: np.ndarray,
-                            counter: SolveCounter | None = None,
-                            phase: str | None = None) -> np.ndarray:
+                            counter: SolveCounter, phase: str) -> np.ndarray:
     """argmin x^T diag(d) x subject to U^T x = v.
 
     The normal matrix U^T D^{-1} U is never formed whole: its leading
@@ -100,8 +99,7 @@ def _solve_stacked(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise SingularGramError("stacked matrix is singular") from exc
 
 
-def oracle_small(inst: DualInstance,
-                 counter: SolveCounter | None = None) -> np.ndarray:
+def oracle_small(inst: DualInstance, counter: SolveCounter) -> np.ndarray:
     """Single-shot feasible point with small reweighted quadratic and p-norm.
 
     Computes regularized weights for the stacked matrix and returns the
@@ -117,7 +115,7 @@ def oracle_small(inst: DualInstance,
     what = reg_lewis(U, c, p / (p - 1.0)).weights
     diag = m ** (1.0 - 2.0 / p) * r + np.maximum(what, WEIGHT_FLOOR) ** (
         1.0 - 2.0 / p)
-    y = min_quadratic_on_affine(U, v, diag, counter=counter, phase="oracle_small")
+    y = min_quadratic_on_affine(U, v, diag, counter, "oracle_small")
 
     feas = float(np.max(np.abs(U.a.T @ y - v)))
     if feas > 1e-9 * max(1.0, float(np.max(np.abs(v)))):
@@ -126,7 +124,7 @@ def oracle_small(inst: DualInstance,
 
 
 def primal_recover(A: DenseMatrix, b: np.ndarray, y_dual: np.ndarray,
-                   p: float, counter: SolveCounter | None = None) -> np.ndarray:
+                   p: float, counter: SolveCounter) -> np.ndarray:
     """Primal point from a near-optimal dual iterate.
 
     Shifts b along sign(y)|y|^{p-2} and least-squares projects by A's QR,
@@ -140,8 +138,7 @@ def primal_recover(A: DenseMatrix, b: np.ndarray, y_dual: np.ndarray,
     s = np.sign(y) * np.abs(y) ** (p - 2.0)
     Q, R = A.qr
     sol = solve_triangular(R, Q.T @ np.column_stack([b, s]), check_finite=False)
-    if counter is not None:
-        counter.tick(2, "recover")
+    counter.tick(2, "recover")
     e0 = A.a @ sol[:, 0] - b
     e1 = A.a @ sol[:, 1]
 

@@ -291,6 +291,9 @@ class ExperimentConfig:
         if not (_is_real(self.eps) and MIN_EPS <= self.eps < 1):
             raise InvalidInputError(
                 f"eps {self.eps!r} is not a number in [{MIN_EPS:g}, 1)")
+        if not isinstance(self.sizes, (list, tuple)):
+            raise InvalidInputError(
+                f"sizes {self.sizes!r} is not a list of [n, d] pairs")
         for size in self.sizes:
             if not (isinstance(size, (list, tuple)) and len(size) == 2
                     and all(map(_is_int, size))):

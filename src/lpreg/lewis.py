@@ -95,19 +95,17 @@ def lewis_overestimates(A: DenseMatrix, p: float) -> LewisOverestimate:
         f"margin={float(np.min(out - sig)):.3g}")
 
 
-def reg_lewis_update(A: DenseMatrix, w: np.ndarray, c: np.ndarray, q: float,
-                     sigma: np.ndarray | None = None) -> np.ndarray:
+def reg_lewis_update(w: np.ndarray, c: np.ndarray, q: float,
+                     sigma: np.ndarray) -> np.ndarray:
     """One step of the contractive map for c-regularized weights.
 
-    The update is (c+w)^{1-q/2} (sigma+c)^{q/2} - c; for large c that
-    subtraction cancels catastrophically, so it is evaluated through
-    expm1/log1p, which also keeps the result nonnegative.
+    ``sigma`` holds the leverage scores of the matrix reweighted by
+    (c+w)^{1/2-1/q}.  The update is (c+w)^{1-q/2} (sigma+c)^{q/2} - c; for
+    large c that subtraction cancels catastrophically, so it is evaluated
+    through expm1/log1p, which also keeps the result nonnegative.
     """
-    base = np.maximum(c + w, WEIGHT_FLOOR)
-    if sigma is None:
-        sigma = leverage_scores(A, base ** (0.5 - 1.0 / q))
     pos = c > 0
-    nxt = np.empty_like(base)
+    nxt = np.empty(w.shape)
     with np.errstate(divide="ignore"):
         cpos = c[pos]
         t = ((1.0 - q / 2.0) * np.log1p(np.maximum(w[pos], 0.0) / cpos)
@@ -151,4 +149,4 @@ def reg_lewis(A: DenseMatrix, c: np.ndarray, q: float) -> RegularizedLewisWeight
             raise NonFiniteError(f"fixed-point residual {gap} at step {step}")
         if gap <= REG_LEWIS_TOL or step == T:
             return RegularizedLewisWeights(sig, c, q)
-        w = reg_lewis_update(A, w, c, q, sigma=sig)
+        w = reg_lewis_update(w, c, q, sig)

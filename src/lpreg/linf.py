@@ -80,7 +80,7 @@ def _envelope_start(z: np.ndarray, jd: np.ndarray, t: float) -> float:
 
 
 def line_search_lse(z: np.ndarray, jd: np.ndarray, t: float, at0: tuple,
-                    counter: SolveCounter | None = None):
+                    counter: SolveCounter):
     """Minimize lse_t(z + c jd) over c >= 0; returns (c, value at c).
 
     ``at0`` is lse_eval(z, t); 0 and its value come back when the slope
@@ -108,8 +108,7 @@ def line_search_lse(z: np.ndarray, jd: np.ndarray, t: float, at0: tuple,
 
     def probe(c):
         nonlocal val
-        if counter is not None:
-            counter.step("line_search_evals")
+        counter.step("line_search_evals")
         val, pi = lse_eval(z + c * jd, t)
         slope, spread = float(pi @ jd), float(pi @ jd2)
         # spread is 0 only where jd^2 underflows: nothing is resolved there
@@ -121,7 +120,7 @@ def line_search_lse(z: np.ndarray, jd: np.ndarray, t: float, at0: tuple,
 
 
 def best_linf_bound(A: DenseMatrix, b: np.ndarray, x: np.ndarray,
-                    counter: SolveCounter | None = None) -> float:
+                    counter: SolveCounter) -> float:
     """Strongest available minimax lower bound at the current iterate.
 
     Assembles dual candidates two ways: softmax weights of the stacked

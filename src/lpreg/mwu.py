@@ -14,16 +14,16 @@ times the paper's alpha.  It halves, for the rest of the solve, when an
 oracle call fails in a way alpha can cause: a bound that assumes a small
 step (:class:`~lpreg.errors.StepBoundError`) or the boost budget fails
 after at least one progress step; before the first one nothing depends
-on alpha.  The failed call is then rerun at the halved alpha.  The energy cap is not such a bound: it holds for every
-weight vector, so breaking it proves infeasibility at any alpha.  The
-paper's alpha is the floor, where every failure propagates as the analysis
-prescribes.  The halvings form a geometric sum, so one call costs at most
-twice what it costs at the floor.
+on alpha.  The failed call is then rerun at the halved alpha.  The energy
+cap is not such a bound: it holds for every weight vector, so breaking it
+proves infeasibility at any alpha.  The paper's alpha is the floor, where
+every failure propagates as the analysis prescribes.  The halvings form a
+geometric sum, so one call costs at most twice what it costs at the floor.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,8 +97,7 @@ class AlphaSchedule:
 
 
 def energy_solve(A: DenseMatrix, D: np.ndarray, g: np.ndarray,
-                 counter: SolveCounter | None = None,
-                 phase: str | None = None):
+                 counter: SolveCounter, phase: str):
     """Minimize x^T (A^T diag(D) A) x over g^T x = -1.
 
     Returns (z, value, err): the minimizer z = -(g^T B^{-1} g)^{-1} B^{-1} g,
@@ -134,6 +133,7 @@ class MwuState:
     alpha: float
     tau: float
     base_r: np.ndarray          # d^{1-2/p} * R
+    counter: SolveCounter
     z: np.ndarray | None = None
     az: np.ndarray | None = None
     energy: float | None = None
@@ -141,7 +141,6 @@ class MwuState:
     progress_steps: int = 0     # this run's; the alpha rule reads them
     boost_steps: int = 0
     dirty: bool = True
-    counter: SolveCounter = field(default_factory=SolveCounter)
     _phi: float | None = None
 
     @property
@@ -173,7 +172,7 @@ class MwuState:
         if not self.dirty and self.z is not None:
             return
         z, e, err = energy_solve(self.inst.A, self.weights_diag(), self.inst.g,
-                                 counter=self.counter, phase=phase)
+                                 self.counter, phase)
         band = _tol(e, self.energy or 0.0) + 4.0 * (err + self.energy_err)
         if self.energy is not None and e < self.energy - band:
             raise PotentialViolationError(
@@ -189,23 +188,20 @@ class MwuState:
 
 
 def new_state(inst: ResidualInstance, weights: LewisOverestimate,
-              counter: SolveCounter | None = None,
-              alpha_ratio: float = 1.0) -> MwuState:
+              counter: SolveCounter, alpha_ratio: float) -> MwuState:
     """Fresh loop state; alpha is ``alpha_ratio`` times the paper's."""
     d = inst.A.d
     kappa, alpha, tau = mwu_constants(inst.p, d)
     base_r = d ** (1.0 - 2.0 / inst.p) * inst.R
     return MwuState(inst=inst, s=weights.weights ** (1.0 / inst.p),
                     y=np.zeros(d), kappa=kappa, alpha=alpha * alpha_ratio,
-                    tau=tau, base_r=base_r, counter=counter or SolveCounter())
+                    tau=tau, base_r=base_r, counter=counter)
 
 
 def progress_step(state: MwuState, z: np.ndarray,
-                  az: np.ndarray | None = None) -> MwuState:
-    """y += alpha z, s += alpha |Az|; the potential may only creep up."""
+                  az: np.ndarray) -> MwuState:
+    """y += alpha z, s += alpha |az| with az = A z; phi may only creep up."""
     p, alpha = state.p, state.alpha
-    if az is None:
-        az = state.inst.A.a @ z
     az = np.abs(az)
     phi_old = state.potential()
     state.y += alpha * z
@@ -261,13 +257,9 @@ def apply_boost(s: np.ndarray, sel: np.ndarray, v: np.ndarray, p: float):
     return out
 
 
-def boosting_step(state: MwuState, z: np.ndarray) -> MwuState:
+def boosting_step(state: MwuState) -> MwuState:
     """Raise weights on wide coordinates; the energy must jump by tau^{2/p}/16."""
-    p = state.p
-    if state.az is not None and z is state.z:
-        az = state.az
-    else:
-        az = state.inst.A.a @ z
+    p, az = state.p, state.az
     pnorm = float(np.sum(np.abs(az) ** p))
     if pnorm < state.tau:
         raise InvalidInputError("boost requires ||Az||_p^p >= tau")
@@ -319,14 +311,13 @@ def reduce_width(state: MwuState) -> np.ndarray:
             if state.boost_steps >= boost_cap:
                 raise BoostBudgetExceededError(
                     f"more than {boost_cap} boost steps")
-            boosting_step(state, state.z)
+            boosting_step(state)
         progress_step(state, state.z, az=state.az)
     return state.y / (state.alpha * steps)
 
 
-def output_bounds(inst: ResidualInstance,
-                  y: np.ndarray) -> tuple[float, float]:
-    """(||Ay||_p, y^T A^T R A y), checked against the oracle's guarantee."""
+def output_bounds(inst: ResidualInstance, y: np.ndarray):
+    """Check g^T y = -1, ||Ay||_p and y^T A^T R A y against the guarantee."""
     p = inst.p
     gerr = abs(float(inst.g @ y) + 1.0)
     if gerr > 1e-9:
@@ -338,47 +329,32 @@ def output_bounds(inst: ResidualInstance,
         raise StepBoundError(
             f"output bounds failed (lp={pn:.4g}, quad={quad:.4g}); "
             "instance looks infeasible")
-    return pn, quad
 
 
-def width_reduced_oracle(inst: ResidualInstance,
-                         counter: SolveCounter | None = None,
-                         weights: LewisOverestimate | None = None,
-                         schedule: AlphaSchedule | None = None):
-    """Run the width-reduction loop and return (y, info).
+def width_reduced_oracle(inst: ResidualInstance, counter: SolveCounter,
+                         weights: LewisOverestimate,
+                         schedule: AlphaSchedule) -> np.ndarray:
+    """Run the width-reduction loop and return y.
 
     The returned y satisfies g^T y = -1 with ||Ay||_p <= 80 p and
     y^T A^T R A y <= 4 (20 p)^{p-2}; instances violating the existence
     assumption raise InfeasibleError as soon as the energy bookkeeping
-    detects them.  The loop runs at ``schedule``'s alpha (a fresh
-    :class:`AlphaSchedule` when None) and reruns at a halved alpha after a
-    failure alpha can cause (see the module docstring).  Every run ticks
-    its steps on ``counter``, and each halving is recorded there too.
+    detects them.  The loop runs at ``schedule``'s alpha and reruns at a
+    halved alpha after a failure alpha can cause (see the module
+    docstring).  Every run ticks its steps on ``counter``, and each
+    halving is recorded there too.
     """
-    p = inst.p
-    if weights is None:
-        weights = lewis_overestimates(inst.A, p)
-    counter = counter if counter is not None else SolveCounter()
-    schedule = schedule if schedule is not None else AlphaSchedule()
     while True:
-        state = new_state(inst, weights, counter=counter,
-                          alpha_ratio=schedule.ratio)
+        state = new_state(inst, weights, counter, schedule.ratio)
         try:
             y = reduce_width(state)
-            pn, quad = output_bounds(inst, y)
-            break
+            output_bounds(inst, y)
+            return y
         except (StepBoundError, BoostBudgetExceededError):
             if state.progress_steps == 0 or not schedule.halve():
                 raise
             counter.step("alpha_halvings")
             counter.steps["alpha_over_floor"] = schedule.ratio
-    info = {
-        "lp_norm": pn,
-        "quad": quad,
-        "final_potential": state.potential(),
-        "final_energy": state.energy,
-    }
-    return y, info
 
 
 def gamma_value(p: float) -> float:
@@ -395,11 +371,10 @@ class MwuGammaSolver:
     serves every call of a solve, and the counter's steps record it.
     """
 
-    def __init__(self, A: DenseMatrix, p: float,
-                 counter: SolveCounter | None = None):
+    def __init__(self, A: DenseMatrix, p: float, counter: SolveCounter):
         self.p = float(p)
         self.gamma = gamma_value(self.p)
-        self.counter = counter if counter is not None else SolveCounter()
+        self.counter = counter
         self.schedule = AlphaSchedule()
         for key in ("progress_steps", "boost_steps", "alpha_halvings"):
             self.counter.step(key, 0)
@@ -418,10 +393,8 @@ class MwuGammaSolver:
             R=R * (p / (8.0 * nu)) / scale_a ** 2,
             p=p,
         )
-        y, _ = width_reduced_oracle(inst, counter=self.counter,
-                                    weights=self.weights,
-                                    schedule=self.schedule)
-        return y
+        return width_reduced_oracle(inst, self.counter, self.weights,
+                                    self.schedule)
 
 
 def solve_mwu(instance: ProblemInstance, seed=0):
@@ -430,7 +403,7 @@ def solve_mwu(instance: ProblemInstance, seed=0):
         raise InvalidInputError("width reduction requires a finite p >= 2")
 
     def make_steps(unit):
-        solver = MwuGammaSolver(unit.A, unit.p, counter=unit.counter)
+        solver = MwuGammaSolver(unit.A, unit.p, unit.counter)
         return refine_steps(unit, GammaSolverContract(solver.gamma, solver))
 
     return certified_solve(instance, "mwu", make_steps, seed=seed)

@@ -134,7 +134,7 @@ def line_search_lp(u: np.ndarray, w: np.ndarray, p: float):
 
 
 def weak_duality_bound(A: DenseMatrix, b: np.ndarray, Y: np.ndarray, q: float,
-                       counter: SolveCounter | None = None) -> float:
+                       counter: SolveCounter) -> float:
     """Best weak-duality lower bound on min ||Ax - b||_p, 1/p + 1/q = 1.
 
     Each candidate (a column of Y, or Y itself) is projected onto
@@ -143,8 +143,7 @@ def weak_duality_bound(A: DenseMatrix, b: np.ndarray, Y: np.ndarray, q: float,
     candidates is returned, and 0 when none is positive.
     """
     Yhat = A.project_out(Y.reshape(A.n, -1))
-    if counter is not None:
-        counter.tick(Yhat.shape[1], "certificate")
+    counter.tick(Yhat.shape[1], "certificate")
     best = 0.0
     for yhat in Yhat.T:
         denom = pnorm(yhat, q)
@@ -154,7 +153,7 @@ def weak_duality_bound(A: DenseMatrix, b: np.ndarray, Y: np.ndarray, q: float,
 
 
 def lp_dual_bound(A: DenseMatrix, b: np.ndarray, x: np.ndarray, p: float,
-                  counter: SolveCounter | None = None) -> float:
+                  counter: SolveCounter) -> float:
     """Certified lower bound on min ||Ax - b||_p from the iterate x.
 
     The candidate is the norm-dual vector of the residual at x; weak
@@ -358,7 +357,7 @@ def refine_steps(unit: UnitProblem,
     nu_prev = None
 
     def lower_bound(x):
-        return lp_dual_bound(A, b, x, p, counter=counter)
+        return lp_dual_bound(A, b, x, p, counter)
 
     def step(x, lo, hi):
         nonlocal nu_prev

@@ -86,14 +86,14 @@ class TestProxSolve:
         y = rng.standard_normal(3)
         w = lewis_overestimates(A, 4.0)
         prob = ProxProblem(A, A.a @ y, 4.0, w, y)
-        cert = prox_solve(prob, tol=1e-12)
+        cert = prox_solve(prob, y, 1e-12, SolveCounter())
         assert prob.m_norm(cert.x - y) <= 1e-3  # tol^{1/(p-1)} scale
         assert cert.satisfied
 
     def test_certificate_and_independent_descent(self):
         prob = make_problem(50, 4, 4.0, 10)
         counter = SolveCounter()
-        cert = prox_solve(prob, tol=1e-10, counter=counter)
+        cert = prox_solve(prob, prob.center, 1e-10, counter)
         assert cert.residual <= cert.threshold
         res = minimize(partial(prox_f_reg, prob), prob.center,
                        jac=partial(prox_grad_f_reg, prob), method="L-BFGS-B",
@@ -104,7 +104,7 @@ class TestProxSolve:
     def test_tau_complementarity(self):
         prob = make_problem(40, 4, 4.0, 11)
         x0 = prob.center + 0.5 * np.random.default_rng(12).standard_normal(4)
-        cert = prox_solve(prob, x0=x0, tol=1e-12)
+        cert = prox_solve(prob, x0, 1e-12, SolveCounter())
         if cert.tau > 0 and cert.inner_iterations > 0:
             dist_sq = prob.m_norm(cert.x - prob.center) ** 2
             assert cert.tau ** (2.0 / (prob.p - 2.0)) == pytest.approx(
@@ -150,7 +150,7 @@ class TestMetricPencil:
         glin = np.random.default_rng(1).standard_normal(16)
         for scale in (1e-6, 1.0, 1e6):
             step, tau = _solve_inner_subproblem(
-                prob, prob.pencil().coords(scale * glin), 1.0, None)
+                prob, prob.pencil().coords(scale * glin), 1.0, SolveCounter())
             ref = qr_tau_step(prob, scale * glin, tau)
             assert prob.m_norm(step - ref) <= 1e-8 * prob.m_norm(ref)
 
@@ -165,7 +165,8 @@ class TestMetricPencil:
         scaled = np.sqrt(prob.m_diag)[:, None] * prob.A.a
         _, r = np.linalg.qr(scaled)
         ref = np.linalg.norm(solve_triangular(r, v, trans="T"))
-        m_inv_norm = np.linalg.norm(prob.metric_coords(v))
+        m_inv_norm = np.linalg.norm(
+            prob.metric_coords(v, SolveCounter(), "metric"))
         assert m_inv_norm == pytest.approx(ref, rel=1e-10)
         gram_bound = np.linalg.cond(scaled) ** 2 * np.finfo(float).eps
         assert m_inv_norm == pytest.approx(
@@ -195,7 +196,7 @@ class TestMetricPencil:
         prob = family_problem("gaussian", 4.0)
         prob.m_diag[0] = np.inf
         with pytest.raises(NonFiniteError):
-            prob.metric_coords(np.ones(16))
+            prob.metric_coords(np.ones(16), SolveCounter(), "metric")
 
     def test_prox_ticks_once_per_distinct_tau(self, monkeypatch):
         prob = family_problem("planted_residual", 8.0)
@@ -210,17 +211,17 @@ class TestMetricPencil:
         monkeypatch.setattr(MetricPencil, "scaled", recording)
         counter = SolveCounter()
         _, tau = _solve_inner_subproblem(
-            prob, prob.pencil(counter).coords(glin), 1.0, counter)
+            prob, prob.pencil().coords(glin), 1.0, counter)
         assert tau in probed
         assert len(probed) > len(set(probed))   # the root is probed again
         assert counter.by_phase == {"prox": len(set(probed))}
         assert counter.gram_solves == len(set(probed))
-        assert counter.factorizations == 1
+        assert counter.factorizations == 0      # prox_solve counts the pencil
 
     def test_one_factorization_per_prox_center(self):
         prob = family_problem("coherent_rows", 4.0)
         counter = SolveCounter()
-        cert = prox_solve(prob, tol=1e-10, counter=counter)
+        cert = prox_solve(prob, prob.center, 1e-10, counter)
         assert cert.satisfied
         assert counter.factorizations == 1
         assert counter.by_phase["metric"] == cert.inner_iterations + 1
@@ -231,7 +232,7 @@ class TestMetricPencil:
         monkeypatch.setattr(accel, "fpow", lambda base, expo: math.inf)
         with pytest.raises(BisectionStallError):
             _solve_inner_subproblem(prob, prob.pencil().coords(np.ones(16)),
-                                    1.0, None)
+                                    1.0, SolveCounter())
 
 
 GLIN_SCALES = (1e-6, 1.0, 1e6)
@@ -300,7 +301,7 @@ class TestStepScaleSearch:
         glin = np.random.default_rng(1).standard_normal(16)
         for scale in GLIN_SCALES:
             _, tau = _solve_inner_subproblem(
-                prob, prob.pencil().coords(scale * glin), 1.0, None)
+                prob, prob.pencil().coords(scale * glin), 1.0, SolveCounter())
             assert gap_ratio(prob, scale * glin, tau) <= 16 * np.finfo(float).eps
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -309,7 +310,7 @@ class TestStepScaleSearch:
         prob = family_problem(family, p)
         glin = np.random.default_rng(1).standard_normal(16)
         newton = [_solve_inner_subproblem(
-            prob, prob.pencil().coords(scale * glin), 1.0, None)[1]
+            prob, prob.pencil().coords(scale * glin), 1.0, SolveCounter())[1]
             for scale in GLIN_SCALES]
         calls = []
         monkeypatch.setattr(accel, "_newton_accepts", lambda *args: False)
@@ -317,7 +318,7 @@ class TestStepScaleSearch:
                             lambda *args, **kw: calls.append(1) or brentq(*args, **kw))
         for scale, tau in zip(GLIN_SCALES, newton):
             _, tau_b = _solve_inner_subproblem(
-                prob, prob.pencil().coords(scale * glin), 1.0, None)
+                prob, prob.pencil().coords(scale * glin), 1.0, SolveCounter())
             assert tau_b == pytest.approx(tau, rel=1e-14, abs=0.0)
         assert len(calls) == len(GLIN_SCALES)
 
@@ -347,7 +348,7 @@ class TestStepScaleSearch:
         spectrum = 8.0 * pencil.lam[[0, 8, 15]] / pencil.c
         for scale in GLIN_SCALES:
             _, root = _solve_inner_subproblem(
-                prob, pencil.coords(scale * glin), 1.0, None)
+                prob, pencil.coords(scale * glin), 1.0, SolveCounter())
             for tau in (root, *spectrum[spectrum > 0.0]):
                 _, slope, curv = probe_at(prob, scale * glin, tau)
                 fd = (probe_at(prob, scale * glin, tau * math.exp(h))[1]
@@ -364,7 +365,7 @@ class TestStepScaleSearch:
         prob = family_problem("gaussian", 4.0)
         glin = np.ones(16)
         step, tau = _solve_inner_subproblem(
-            prob, prob.pencil().coords(k * glin), 1.0, None)
+            prob, prob.pencil().coords(k * glin), 1.0, SolveCounter())
         ref = qr_tau_step(prob, glin, tau)          # the step is linear in glin
         assert prob.m_norm(step / k - ref) <= 1e-8 * prob.m_norm(ref)
         if tau > sys.float_info.min:
@@ -386,7 +387,7 @@ class TestStepScaleSearch:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             step, tau = _solve_inner_subproblem(
-                prob, prob.pencil().coords(glin), 1e-240, None)
+                prob, prob.pencil().coords(glin), 1e-240, SolveCounter())
         pencil = prob.pencil()
         assert not pencil.lam.any()
         root = (np.linalg.norm(pencil.coords(glin)) / pencil.c) ** (
@@ -400,7 +401,8 @@ class TestStepScaleSearch:
         prob = family_problem("gaussian", 4.0)
         try:
             step, _ = _solve_inner_subproblem(
-                prob, prob.pencil().coords(k * np.ones(16)), 1.0, None)
+                prob, prob.pencil().coords(k * np.ones(16)), 1.0,
+                SolveCounter())
         except BisectionStallError:
             return
         assert not step.any()
@@ -430,7 +432,7 @@ class TestInnerStep:
                            center)
         prob.A.a = prob.A.a.view(CountingMatrix)
         CountingMatrix.products = 0
-        cert = prox_solve(prob, x0=x0, tol=1e-14)
+        cert = prox_solve(prob, x0, 1e-14, SolveCounter())
         assert cert.inner_iterations >= 5
         assert CountingMatrix.products <= cert.inner_iterations + 4
 
@@ -460,14 +462,14 @@ class TestInnerStep:
         prob = family_problem(family, p)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cert = prox_solve(prob, tol=1e-12, counter=SolveCounter())
+            cert = prox_solve(prob, prob.center, 1e-12, SolveCounter())
         assert cert.inner_iterations > 0
 
     @pytest.mark.parametrize("p", [4.0, 8.0])
     def test_certificate_carries_its_distance(self, p):
         prob = make_problem(50, 4, p, 22)
         x0 = prob.center + np.random.default_rng(23).standard_normal(4)
-        cert = prox_solve(prob, x0=x0, tol=1e-12)
+        cert = prox_solve(prob, x0, 1e-12, SolveCounter())
         assert cert.dist == prob.m_norm(cert.x - prob.center)
 
 
@@ -550,7 +552,9 @@ class TestAcceleration:
         x = np.linalg.lstsq(A.a, b, rcond=None)[0]
         err = float(np.sum(np.abs(A.a @ x - b) ** p)) - f_star
         for _ in range(10):
-            x = halve_error(A, b, p, w, x, err, SolveCounter())
+            # no lower bound: each halving runs to its own stop rule
+            x = halve_error(A, b, p, w, x, err, SolveCounter(),
+                            lambda xc: -math.inf)
             achieved = float(np.sum(np.abs(A.a @ x - b) ** p)) - f_star
             assert achieved <= err / 2 + 1e-9 * max(f_star, 1.0)
             err /= 2

@@ -31,7 +31,7 @@ from lpreg.lewis import (
     reg_lewis,
     row_scale,
 )
-from lpreg.linalg import DenseMatrix, leverage_scores
+from lpreg.linalg import DenseMatrix, SolveCounter, leverage_scores
 from lpreg.mwu import AlphaSchedule, energy_solve, width_reduced_oracle
 from lpreg.problem import ProblemInstance, pnorm
 
@@ -191,8 +191,9 @@ def test_criterion_06_energy_increase():
             v = rng.uniform(0.0, 1.0, n)
             v *= rng.uniform(0.05, 1.0) / float(
                 np.sum(v ** (p / (p - 2.0)))) ** ((p - 2.0) / p)
-            y, e_old, _ = energy_solve(A, D, g)
-            _, e_new, _ = energy_solve(A, D + v, g)
+            counter = SolveCounter()
+            y, e_old, _ = energy_solve(A, D, g, counter, "progress")
+            _, e_new, _ = energy_solve(A, D + v, g, counter, "progress")
             slack = e_new - e_old - 0.5 * float(v @ (A.a @ y) ** 2)
             worst = min(worst, slack)
             if slack < -1e-9:
@@ -212,7 +213,8 @@ def test_criterion_07_potential_bookkeeping(pnorm_sweep):
     for seed in range(6):
         inst = plant_residual_instance(60, 5, 4.0, seed=seed)
         schedule = AlphaSchedule()
-        width_reduced_oracle(inst, schedule=schedule)
+        width_reduced_oracle(inst, SolveCounter(),
+                             lewis_overestimates(inst.A, 4.0), schedule)
         if schedule.halvings != 0:
             fired.append(f"planted seed {seed} halved alpha")
     conclude("criterion 7 (potential bookkeeping never fires)", not fired,
@@ -327,7 +329,7 @@ def test_criterion_11_dual_postconditions():
             m = inst.U.d
             try:
                 from lpreg.dual import oracle_small
-                y = oracle_small(inst)
+                y = oracle_small(inst, SolveCounter())
             except LpregError as exc:
                 bad.append(f"q={q} seed={seed}: {type(exc).__name__}")
                 continue

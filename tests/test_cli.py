@@ -170,6 +170,8 @@ class TestBenchCommand:
                "p_null": json.dumps({**good, "p": None}),
                "eps_text": json.dumps({**good, "eps": "1e-3"}),
                "eps_tiny": json.dumps({**good, "eps": 1e-16}),
+               "sizes_int": json.dumps({**good, "sizes": 5}),
+               "sizes_null": json.dumps({**good, "sizes": None}),
                "seeds_int": json.dumps({**good, "seeds": 5}),
                "seeds_text": json.dumps({**good, "seeds": ["x"]}),
                "size_float": json.dumps({**good, "sizes": [[30.5, 3]]}),

@@ -17,7 +17,7 @@ from lpreg.dual import (
 )
 from lpreg.errors import InvalidInputError, SingularGramError
 from lpreg.harness import FAMILIES, gen_instance, oracle_opt, solve
-from lpreg.linalg import DenseMatrix
+from lpreg.linalg import DenseMatrix, SolveCounter
 from lpreg.problem import ProblemInstance, pnorm
 
 from diagnostics import dual_gamma_value, plant_dual_instance, solve_counters
@@ -53,7 +53,7 @@ class TestOracleSmall:
         v = np.array([0.0, 1.0, -1.0])
         inst = DualInstance(DenseMatrix(U), v,
                             0.3 * np.ones(3), 4.0)
-        y = oracle_small(inst)
+        y = oracle_small(inst, SolveCounter())
         assert np.allclose(y, np.linalg.solve(U.T, v), atol=1e-10)
 
     def test_huge_resistances_are_capped_without_a_warning(self):
@@ -70,7 +70,7 @@ class TestOracleSmall:
         inst = stack_instance(A, b, g, R, 5.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            y = oracle_small(inst)
+            y = oracle_small(inst, SolveCounter())
         assert np.max(np.abs(inst.U.a.T @ y - inst.v)) <= 1e-9
         assert np.all(np.abs(y[:3]) <= 1e-12)
 
@@ -80,7 +80,7 @@ class TestOracleSmall:
         for seed in range(5):
             inst = plant_dual_instance(60, 4, q, seed)
             m = inst.U.d
-            y = oracle_small(inst)
+            y = oracle_small(inst, SolveCounter())
             assert np.max(np.abs(inst.U.a.T @ y - inst.v)) <= 1e-9
             assert float(y @ (inst.R * y)) <= 6.0
             assert float(np.sum(np.abs(y) ** p)) \
@@ -108,7 +108,8 @@ class TestMinQuadraticOnAffine:
         v = np.zeros(5)
         v[-2], v[-1] = 1.0, -1.0
         with pytest.raises(SingularGramError):
-            min_quadratic_on_affine(U, v, rng.uniform(0.5, 2.0, 20))
+            min_quadratic_on_affine(U, v, rng.uniform(0.5, 2.0, 20),
+                                    SolveCounter(), "oracle_small")
 
 
 def dual_opt_bruteforce(inst):
@@ -150,7 +151,7 @@ class TestGammaContract:
             opt = dual_opt_bruteforce(inst)
             if opt < 0.25:
                 continue
-            y = oracle_small(inst)
+            y = oracle_small(inst, SolveCounter())
             gamma = dual_gamma_value(p, inst.U.d)
             assert float(y @ (inst.R * y)) <= gamma * opt * (1 + 1e-9)
             assert float(np.sum(np.abs(y) ** p)) \
@@ -164,7 +165,7 @@ class TestPrimalRecover:
         A = DenseMatrix(np.array([[1.0], [1.0]]))
         b = np.array([0.0, 2.0])
         y_star = np.array([-0.5, 0.5])
-        x = primal_recover(A, b, y_star, 4.0)
+        x = primal_recover(A, b, y_star, 4.0, SolveCounter())
         assert x[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_consistent_rhs(self):
@@ -172,7 +173,7 @@ class TestPrimalRecover:
         A = DenseMatrix(rng.standard_normal((15, 3)))
         x0 = rng.standard_normal(3)
         b = A.a @ x0
-        x = primal_recover(A, b, rng.standard_normal(15), 3.0)
+        x = primal_recover(A, b, rng.standard_normal(15), 3.0, SolveCounter())
         assert np.allclose(x, x0, atol=1e-8)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -193,7 +194,7 @@ class TestPrimalRecover:
         ref = optimize.minimize_scalar(lambda t: pnorm(e0 + t * e1, q),
                                        method="brent", tol=1e-12)
         assert np.sign(ref.x) == sign
-        x = primal_recover(A, b, y, p)
+        x = primal_recover(A, b, y, p, SolveCounter())
         lam = float((x - x0) @ x1) / float(x1 @ x1)
         assert lam == pytest.approx(ref.x, rel=1e-5)
         assert pnorm(A.a @ x - b, q) <= ref.fun * (1 + 1e-12)

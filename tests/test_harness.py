@@ -321,6 +321,12 @@ class TestRunExperiment:
         base.update(kw)
         return ExperimentConfig(**base)
 
+    @pytest.mark.parametrize("sizes", [5, None])
+    def test_sizes_that_are_not_a_list_are_input_errors(self, tmp_path,
+                                                       sizes):
+        with pytest.raises(InvalidInputError, match="not a list"):
+            self._config(tmp_path, sizes=sizes)
+
     def test_empty_sizes_writes_header_only(self, tmp_path):
         cfg = self._config(tmp_path, sizes=[])
         summary = run_experiment(cfg)

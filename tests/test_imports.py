@@ -1,9 +1,10 @@
-"""Import hygiene: every module-level import in src/lpreg is used, every
-module-level UPPER_CASE constant is read somewhere in src/lpreg, every
-name the package exports resolves, and so does every name the benchmark
-looks up in the package.  InvalidInputError is raised only at the API
-boundary, a QR is taken only by the cached factorization, and only the
-driver and the reference oracle single out p = 2.
+"""Import hygiene: every import in src/lpreg is used, every module-level
+UPPER_CASE constant is read somewhere in src/lpreg, every name the
+package exports resolves, and so does every name the benchmark looks up
+in the package.  InvalidInputError is raised only at the API boundary, a
+QR is taken only by the cached factorization, only the driver and the
+reference oracle single out p = 2, and only the driver makes a
+SolveCounter, which no layer below it takes by default.
 
 No linter ships with the test environment, so this walks each module's
 syntax tree with the standard ``ast`` module instead.  A name counts as
@@ -27,10 +28,19 @@ from lpreg.report import SolveReport
 SRC = Path(__file__).resolve().parents[1] / "src" / "lpreg"
 
 
-def unused_imports(path: Path) -> list:
+def unused_imports(path: Path, nested: bool = False) -> list:
+    """Imported names that nothing in the module loads.
+
+    The imports checked are the module-level ones, or with ``nested`` those
+    inside functions.  Names listed in ``__all__`` (the package's
+    re-exports) count as used.
+    """
     tree = ast.parse(path.read_text(), filename=str(path))
+    top = {id(node) for node in tree.body}
+    imports = ([node for node in ast.walk(tree) if id(node) not in top]
+               if nested else tree.body)
     bound = {}
-    for node in tree.body:
+    for node in imports:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 bound[alias.asname or alias.name.split(".")[0]] = node.lineno
@@ -49,6 +59,11 @@ def unused_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_level_import(path):
     assert unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_import_inside_a_function(path):
+    assert unused_imports(path, nested=True) == []
 
 
 def unread_constants(paths) -> list:
@@ -260,3 +275,63 @@ def test_only_the_driver_singles_out_p2():
     assert stray == [], (
         "p = 2 is the driver's case: its least-squares start is the "
         f"optimum, so no solver layer needs a branch for it: {stray}")
+
+
+# Where a SolveCounter may be made: the driver, which creates each solve's
+# one tally and hands it down.  The only parameter named ``counter`` with
+# a default is the exported gram_solve_multi's; every layer below the
+# driver takes the counter its caller passes.
+COUNTER_MAKERS = {"refine.certified_solve"}
+COUNTER_DEFAULT_ALLOWED = {"linalg.gram_solve_multi"}
+
+
+def counter_sites(path: Path) -> tuple:
+    """SolveCounter calls and defaulted ``counter`` parameters.
+
+    Both are lists of (qualified function, file:line); a dataclass field
+    counts as a parameter of its class.
+    """
+    made, defaulted = [], []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + [child.name]
+                where = (".".join([path.stem] + inner),
+                         f"{path.name}:{child.lineno}")
+                if isinstance(child, ast.FunctionDef):
+                    args = child.args
+                    positional = args.posonlyargs + args.args
+                    names = [a.arg for a in positional[
+                        len(positional) - len(args.defaults):]]
+                    names += [a.arg for a, d in zip(args.kwonlyargs,
+                                                    args.kw_defaults)
+                              if d is not None]
+                    if "counter" in names:
+                        defaulted.append(where)
+                elif any(isinstance(item, ast.AnnAssign)
+                         and getattr(item.target, "id", None) == "counter"
+                         and item.value is not None for item in child.body):
+                    defaulted.append(where)
+                visit(child, inner)
+                continue
+            if (isinstance(child, ast.Call)
+                    and getattr(child.func, "id", None) == "SolveCounter"):
+                made.append((".".join([path.stem] + scope),
+                             f"{path.name}:{child.lineno}"))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), [])
+    return made, defaulted
+
+
+def test_only_the_driver_makes_a_solve_counter():
+    sites = [counter_sites(path) for path in sorted(SRC.glob("*.py"))]
+    stray = [f"{where} {func}" for made, _ in sites
+             for func, where in made if func not in COUNTER_MAKERS]
+    stray += [f"{where} {func}: counter has a default"
+              for _, defaulted in sites for func, where in defaulted
+              if func not in COUNTER_DEFAULT_ALLOWED]
+    assert stray == [], (
+        "each solve has one SolveCounter, made by the driver and passed "
+        f"down; no layer below makes its own or defaults to none: {stray}")

@@ -146,7 +146,7 @@ def fixed_count_reg_lewis(A, c, q):
     w = np.ones(A.n)
     for _ in range(paper_step_count(A.n)):
         sig = approx_lev(A, 1.0 / 50.0, row_scale(c + w, 0.5 - 1.0 / q))
-        w = reg_lewis_update(A, w, c, q, sigma=sig)
+        w = reg_lewis_update(w, c, q, sig)
     return approx_lev(A, 1.0 / 50.0, row_scale(c + w, 0.5 - 1.0 / q))
 
 
@@ -331,7 +331,9 @@ class TestAnalysisProperties:
             rng = np.random.default_rng(600 + seed)
             nu = 4.0
             u = w_star * np.exp(rng.uniform(-math.log(nu), math.log(nu), size=25))
-            u_new = reg_lewis_update(A, u, np.zeros(25), q)
+            c = np.zeros(25)
+            sig = leverage_scores(A, row_scale(c + u, 0.5 - 1.0 / q))
+            u_new = reg_lewis_update(u, c, q, sig)
             ratio = np.maximum(u_new, 1e-14) / np.maximum(w_star, 1e-14)
             dist_new = max(ratio.max(), 1.0 / ratio.min())
             assert dist_new <= nu ** (1 - q / 2.0) * (1 + 1e-6)

@@ -188,9 +188,9 @@ class TestLinfDualBound:
         Y = np.hstack([cands, -cands])
         for q, p in ((1.0, math.inf), (4.0 / 3.0, 4.0)):
             opt = oracle_opt(ProblemInstance(A, b, p), tol=1e-9)
-            singles = [weak_duality_bound(A, b, Y[:, k], q)
+            singles = [weak_duality_bound(A, b, Y[:, k], q, SolveCounter())
                        for k in range(Y.shape[1])]
-            multi = weak_duality_bound(A, b, Y, q)
+            multi = weak_duality_bound(A, b, Y, q, SolveCounter())
             assert multi == pytest.approx(max(singles), rel=1e-12)
             assert 0.0 < multi <= opt * (1 + 1e-9)
             assert all(lb <= opt * (1 + 1e-9) for lb in singles)
@@ -205,7 +205,7 @@ class TestLinfDualBound:
         calls = []
         bound = linf.best_linf_bound
 
-        def recording(A, b, x, counter=None):
+        def recording(A, b, x, counter):
             value = bound(A, b, x, counter)
             calls.append((A, b, x, value))
             return value
@@ -222,7 +222,7 @@ class TestLinfDualBound:
                 pi = lse_eval(stacked, scale * hi)[1]
                 dropped.append(pi[:A.n] - pi[A.n:])
             assert weak_duality_bound(A, b, np.column_stack(dropped),
-                                      1.0) <= value
+                                      1.0, SolveCounter()) <= value
 
 
 class TestLinfRegress:
@@ -342,7 +342,7 @@ class TestLineSearch:
         top = z == z.max()
         z[~top] -= 100.0
         t = 1e-3
-        c, _ = line_search_lse(z, jd, t, lse_eval(z, t))
+        c, _ = line_search_lse(z, jd, t, lse_eval(z, t), SolveCounter())
         assert c == pytest.approx(t / 4.0 * math.log(3.0), rel=1e-12)
 
     @pytest.mark.parametrize("t", [1.0, 1e-3])
@@ -361,7 +361,8 @@ class TestLineSearch:
     def test_ascent_direction_returns_zero(self):
         z, jd = random_line()
         at0 = lse_eval(z, 1e-3)
-        assert line_search_lse(z, -jd, 1e-3, at0) == (0.0, at0[0])
+        assert line_search_lse(z, -jd, 1e-3, at0,
+                               SolveCounter()) == (0.0, at0[0])
 
     def test_zero_direction_returns_zero(self):
         z, jd = random_line()
@@ -376,7 +377,7 @@ class TestLineSearch:
         z, jd = random_line()
         jd[0] = bad
         with pytest.raises(NonFiniteError):
-            line_search_lse(z, jd, 1e-3, lse_eval(z, 1e-3))
+            line_search_lse(z, jd, 1e-3, lse_eval(z, 1e-3), SolveCounter())
 
     def test_bench_instances_take_few_evaluations(self, monkeypatch):
         # The first 12 instances of the linf bench batch at seed 0, one per

@@ -25,6 +25,7 @@ from lpreg.mwu import (
     gamma_value,
     mwu_constants,
     new_state,
+    output_bounds,
     progress_step,
     reduce_width,
     solve_mwu,
@@ -39,18 +40,21 @@ from diagnostics import GammaCertificate, plant_residual_instance
 class TestEnergySolve:
     def test_axis_gradient(self):
         z, val, _ = energy_solve(DenseMatrix(np.eye(2)), np.ones(2),
-                              np.array([1.0, 0.0]))
+                                 np.array([1.0, 0.0]), SolveCounter(),
+                                 "progress")
         assert np.allclose(z, [-1.0, 0.0]) and val == pytest.approx(1.0)
 
     def test_diagonal_gradient(self):
         z, val, _ = energy_solve(DenseMatrix(np.eye(2)), np.ones(2),
-                              np.array([1.0, 1.0]))
+                                 np.array([1.0, 1.0]), SolveCounter(),
+                                 "progress")
         assert np.allclose(z, [-0.5, -0.5]) and val == pytest.approx(0.5)
 
     def test_scaled_weights(self):
         z, val, _ = energy_solve(DenseMatrix(np.eye(2)),
-                              np.array([2.0, 2.0]),
-                              np.array([1.0, 0.0]))
+                                 np.array([2.0, 2.0]),
+                                 np.array([1.0, 0.0]), SolveCounter(),
+                                 "progress")
         assert np.allclose(z, [-1.0, 0.0]) and val == pytest.approx(2.0)
 
     def test_constraint_and_optimality(self):
@@ -58,7 +62,7 @@ class TestEnergySolve:
         A = DenseMatrix(rng.standard_normal((30, 4)))
         D = rng.uniform(0.5, 2.0, 30)
         g = rng.standard_normal(4)
-        z, val, _ = energy_solve(A, D, g)
+        z, val, _ = energy_solve(A, D, g, SolveCounter(), "progress")
         assert abs(g @ z + 1.0) <= 1e-10
         az = A.a @ z
         assert val == pytest.approx(float(az @ (D * az)), rel=1e-9)
@@ -72,7 +76,7 @@ class TestEnergySolve:
     def test_zero_gradient_rejected(self):
         with pytest.raises(ZeroGradientError):
             energy_solve(DenseMatrix(np.eye(2)), np.ones(2),
-                         np.zeros(2))
+                         np.zeros(2), SolveCounter(), "progress")
 
 
 class TestEnergyIncrease:
@@ -91,8 +95,9 @@ class TestEnergyIncrease:
             v = rng.uniform(0.0, 1.0, n)
             dual = float(np.sum(v ** (p / (p - 2.0)))) ** ((p - 2.0) / p)
             v *= rng.uniform(0.1, 1.0) / dual
-            y, e_old, _ = energy_solve(A, D, g)
-            _, e_new, _ = energy_solve(A, D + v, g)
+            counter = SolveCounter()
+            y, e_old, _ = energy_solve(A, D, g, counter, "progress")
+            _, e_new, _ = energy_solve(A, D + v, g, counter, "progress")
             gain = 0.5 * float(v @ (A.a @ y) ** 2)
             assert e_new - e_old >= gain - 1e-9
 
@@ -128,14 +133,14 @@ class TestProgressStep:
     def _state(self, p=4.0, n=12, d=3, seed=0):
         inst = plant_residual_instance(n, d, p, seed=seed)
         w = lewis_overestimates(inst.A, p)
-        st = new_state(inst, w)
+        st = new_state(inst, w, SolveCounter(), 1.0)
         st.refresh("progress")
         return st
 
     def test_zero_direction_is_noop(self):
         st = self._state()
         s0, y0, phi0 = st.s.copy(), st.y.copy(), st.potential()
-        progress_step(st, np.zeros(3))
+        progress_step(st, np.zeros(3), np.zeros(12))
         assert np.array_equal(st.s, s0) and np.array_equal(st.y, y0)
         assert st.potential() == phi0
 
@@ -143,13 +148,13 @@ class TestProgressStep:
         st = self._state()
         st.alpha = 0.0
         s0 = st.s.copy()
-        progress_step(st, np.ones(3))
+        progress_step(st, np.ones(3), st.inst.A.a @ np.ones(3))
         assert np.array_equal(st.s, s0)
 
     def test_monotone_quantities(self):
         st = self._state()
         s0, e0 = st.s.copy(), st.energy
-        progress_step(st, st.z)
+        progress_step(st, st.z, st.az)
         assert np.all(st.s >= s0)
         st.refresh("progress")
         assert st.energy >= e0 - 1e-12
@@ -161,15 +166,15 @@ class TestWoodburyConsistency:
         rng = np.random.default_rng(seed)
         n, d = 25, 4
         inst = plant_residual_instance(n, d, 4.0, seed=seed)
-        st = new_state(inst, lewis_overestimates(inst.A, 4.0))
+        st = new_state(inst, lewis_overestimates(inst.A, 4.0), SolveCounter(),
+                       1.0)
         st.refresh("progress")
         v = np.zeros(n)
         idx = rng.choice(n, size=6, replace=False)
         v[idx] = rng.uniform(0.0, 2.0, 6)
         predicted = woodbury_energy(st, v)
-        _, fresh, _ = energy_solve(inst.A,
-                                st.weights_diag() + v,
-                                inst.g)
+        _, fresh, _ = energy_solve(inst.A, st.weights_diag() + v, inst.g,
+                                   SolveCounter(), "progress")
         assert predicted == pytest.approx(fresh, rel=1e-8)
 
 
@@ -179,7 +184,8 @@ class TestWidthReducedOracle:
         inst = ResidualInstance(DenseMatrix(np.eye(2)), np.array([-1.0, 0.0]),
                                 np.ones(2), 4.0)
         schedule = AlphaSchedule()
-        y, info = width_reduced_oracle(inst, schedule=schedule)
+        y = width_reduced_oracle(inst, SolveCounter(),
+                                 lewis_overestimates(inst.A, 4.0), schedule)
         assert schedule.halvings == 0
         assert abs(inst.g @ y + 1.0) <= 1e-9
         assert pnorm(inst.A.a @ y, 4.0) <= 320.0
@@ -193,7 +199,8 @@ class TestWidthReducedOracle:
         inst = ResidualInstance(DenseMatrix(np.eye(d)), g,
                                 np.ones(d), 4.0)
         counter, schedule = SolveCounter(), AlphaSchedule()
-        y, _ = width_reduced_oracle(inst, counter=counter, schedule=schedule)
+        y = width_reduced_oracle(inst, counter,
+                                 lewis_overestimates(inst.A, 4.0), schedule)
         assert schedule.halvings == 0
         assert abs(inst.g @ y + 1.0) <= 1e-9
         assert counter.steps.get("boost_steps", 0) == 0
@@ -204,7 +211,8 @@ class TestWidthReducedOracle:
         counter = SolveCounter()
         schedule = AlphaSchedule()
         start = mwu_constants(p, 8)[1] * schedule.ratio
-        y, _ = width_reduced_oracle(inst, counter=counter, schedule=schedule)
+        y = width_reduced_oracle(inst, counter, lewis_overestimates(inst.A, p),
+                                 schedule)
         assert schedule.halvings == 0
         assert counter.steps["progress_steps"] <= math.floor(
             8 ** (1 / p) / start) + 1
@@ -214,12 +222,14 @@ class TestWidthReducedOracle:
         assert float(ay @ (inst.R * ay)) <= 4.0 * (20.0 * p) ** (p - 2.0)
 
     def test_energy_and_potential_bookkeeping(self):
+        # One run at the schedule's starting alpha: output_bounds raising
+        # here is the failure a halving would have absorbed.
         inst = plant_residual_instance(60, 5, 4.0, seed=9)
-        schedule = AlphaSchedule()
-        y, info = width_reduced_oracle(inst, schedule=schedule)
-        assert schedule.halvings == 0
-        phi = info["final_potential"]
-        assert info["final_energy"] <= 2.0 * phi ** 0.5 * (1 + 1e-9)
+        state = new_state(inst, lewis_overestimates(inst.A, 4.0),
+                          SolveCounter(), AlphaSchedule().ratio)
+        output_bounds(inst, reduce_width(state))
+        phi = state.potential()
+        assert state.energy <= 2.0 * phi ** 0.5 * (1 + 1e-9)
         _, _, tau = mwu_constants(4.0, 5)
         kappa = 4.0 * 5 ** 0.25
         assert phi <= 2.0 * (20 * kappa) ** 4
@@ -232,7 +242,8 @@ class TestWidthReducedOracle:
         g = rng.standard_normal(3) * 1e-8
         inst = ResidualInstance(A, g, np.ones(20), 4.0)
         with pytest.raises(InfeasibleError):
-            width_reduced_oracle(inst)
+            width_reduced_oracle(inst, SolveCounter(),
+                                 lewis_overestimates(A, 4.0), AlphaSchedule())
 
 
 class TestAboveTheCap:
@@ -298,7 +309,8 @@ class TestAlphaSchedule:
         inst = plant_residual_instance(40, 4, 4.0, seed=1)
         schedule = AlphaSchedule()
         with pytest.raises(StepBoundError):
-            width_reduced_oracle(inst, schedule=schedule)
+            width_reduced_oracle(inst, SolveCounter(),
+                                 lewis_overestimates(inst.A, 4.0), schedule)
         _, floor, _ = mwu_constants(4.0, 4)
         halvings = math.ceil(math.log2(mwu.PAPER_ALPHA_BASE / mwu.ALPHA_BASE))
         assert schedule.ratio == 1.0 and schedule.halvings == halvings
@@ -315,7 +327,8 @@ class TestAlphaSchedule:
                                 np.ones(20), 4.0)
         counter, schedule = SolveCounter(), AlphaSchedule()
         with pytest.raises(InfeasibleError):
-            width_reduced_oracle(inst, counter=counter, schedule=schedule)
+            width_reduced_oracle(inst, counter, lewis_overestimates(A, 4.0),
+                                 schedule)
         assert schedule.halvings == 0
         assert counter.gram_solves == 1
 
@@ -329,9 +342,10 @@ class TestAlphaSchedule:
 
         monkeypatch.setattr(mwu, "reduce_width", failing)
         schedule = AlphaSchedule()
+        inst = plant_residual_instance(30, 3, 4.0, seed=0)
         with pytest.raises(StepBoundError):
-            width_reduced_oracle(plant_residual_instance(30, 3, 4.0, seed=0),
-                                 schedule=schedule)
+            width_reduced_oracle(inst, SolveCounter(),
+                                 lewis_overestimates(inst.A, 4.0), schedule)
         assert len(runs) == 1 and schedule.halvings == 0
 
     def test_energy_cap_failure_after_progress_keeps_alpha(self, monkeypatch):
@@ -359,8 +373,8 @@ class TestAlphaSchedule:
     def test_step_count_is_at_least_one(self):
         # an alpha above d^{1/p} would give floor(d^{1/p}/alpha) = 0 steps
         inst = plant_residual_instance(30, 3, 4.0, seed=2)
-        st = new_state(inst, lewis_overestimates(inst.A, 4.0),
-                       alpha_ratio=1e9)
+        st = new_state(inst, lewis_overestimates(inst.A, 4.0), SolveCounter(),
+                       1e9)
         assert st.alpha > 3 ** 0.25
         y = reduce_width(st)
         assert st.progress_steps == 1
@@ -374,9 +388,9 @@ class TestAlphaSchedule:
         calls = []
         real = mwu.progress_step
 
-        def counted(state, z, az=None):
+        def counted(state, z, az):
             calls.append(1)
-            return real(state, z, az=az)
+            return real(state, z, az)
 
         monkeypatch.setattr(mwu, "progress_step", counted)
         inst = gen_instance("coherent_rows", 320, 16, 0, p=12.0, eps=1e-8)
@@ -430,7 +444,7 @@ class TestGammaContract:
         g_n = p * np.abs(u) ** (p - 2.0) * u
         R = np.abs(u) ** (p - 2.0)
         nu = 0.5
-        solver = MwuGammaSolver(A, p)
+        solver = MwuGammaSolver(A, p, SolveCounter())
         delta = solver(nu, g_n, R, x=None)
         assert abs(float(g_n @ (A.a @ delta)) + nu) <= 1e-8 * nu
         opt = residual_opt_bruteforce(A, g_n, R, p, nu)

@@ -171,7 +171,7 @@ class TestLineSearch:
         ref = optimize.minimize_scalar(f, bounds=(0.0, 4.0), method="bounded",
                                        options={"xatol": 1e-14})
         root = optimize.brentq(slope, 0.0, 4.0, xtol=1e-300, rtol=8.9e-16)
-        c, val = line_search_lse(z, jd, t, lse_eval(z, t))
+        c, val = line_search_lse(z, jd, t, lse_eval(z, t), SolveCounter())
         assert val == f(c)
         assert val <= ref.fun + 1e-14 * abs(ref.fun)
         assert c == pytest.approx(ref.x, rel=1e-5)
@@ -252,7 +252,7 @@ class TestDualBound:
         opt = oracle_opt(ProblemInstance(A, b, p), tol=1e-10)
         for _ in range(10):
             x = rng.standard_normal(4)
-            lb = lp_dual_bound(A, b, x, p)
+            lb = lp_dual_bound(A, b, x, p, SolveCounter())
             assert lb <= opt * (1 + 1e-9)
 
     def test_tightens_at_optimum(self):
@@ -262,7 +262,7 @@ class TestDualBound:
         inst = ProblemInstance(A, b, 4.0, eps=1e-10)
         from lpreg.harness import solve
         x, rep = solve(inst, "accel", seed=0)
-        lb = lp_dual_bound(A, b, x, 4.0)
+        lb = lp_dual_bound(A, b, x, 4.0, SolveCounter())
         assert pnorm(A.a @ x - b, 4.0) <= (1 + 1e-9) * lb
 
 
@@ -327,7 +327,7 @@ class TestRefinementRound:
 
 
 def mwu_contract(A, p):
-    solver = MwuGammaSolver(A, p)
+    solver = MwuGammaSolver(A, p, SolveCounter())
     return GammaSolverContract(solver.gamma, solver)
 
 
@@ -396,7 +396,7 @@ class TestRefineToAccuracy:
         b = rng.standard_normal(30)
         inst = ProblemInstance(A, b, 3.0, eps=1e-6)
         seen = []
-        inner = MwuGammaSolver(A, 3.0)
+        inner = MwuGammaSolver(A, 3.0, SolveCounter())
 
         def spy(nu, g, R, x=None):
             seen.append(pnorm(A.a @ x - b, 3.0))
