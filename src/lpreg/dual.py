@@ -50,7 +50,7 @@ def stack_instance(A: DenseMatrix, b: np.ndarray, g: np.ndarray,
     NonFiniteError from the first Gram solve.  U carries the basis
     [Q_A, b/||b||, g/||g||] of its range, so its leverage scores take no
     QR of U; the basis is orthonormal when b is orthogonal to range(A)
-    and g to range([A b]), as :class:`DualStepOracle` makes them.
+    and g to range([A b]), as :func:`dual_step` makes them.
     """
     basis = np.column_stack([A.basis, b / np.linalg.norm(b),
                              g / np.linalg.norm(g)])
@@ -164,37 +164,29 @@ def primal_recover(A: DenseMatrix, b: np.ndarray, y_dual: np.ndarray,
     return x_hat
 
 
-class DualStepOracle:
-    """Adapter running the stacked single-shot solver for refinement steps.
+def dual_step(A: DenseMatrix, b: np.ndarray, p: float, y: np.ndarray,
+              nu: float, g: np.ndarray, R: np.ndarray,
+              counter: SolveCounter) -> np.ndarray:
+    """The stacked single-shot solver's point for one refinement proposal.
 
-    Produces an absolute feasible point whose increment from the current
-    iterate satisfies the residual-step contract; inputs are rescaled so
+    Returns an absolute feasible point whose increment from the current
+    iterate y satisfies the residual-step contract; inputs are rescaled so
     the standard existence hypothesis can hold, and the progress column is
     orthogonalized against A and the unit b, which is orthogonal to range(A).
     """
-
-    def __init__(self, A: DenseMatrix, b: np.ndarray, p: float,
-                 counter: SolveCounter):
-        self.A, self.b, self.p = A, np.asarray(b, dtype=float), p
-        self.counter = counter
-
-    def __call__(self, nu: float, g: np.ndarray, R: np.ndarray,
-                 y_cur: np.ndarray):
-        p = self.p
-        g_a = self.A.project_out(g)
-        b_coef = float(self.b @ g_a)
-        g_perp = g_a - b_coef * self.b
-        beta = float(g @ y_cur) - nu
-        beta_perp = beta - b_coef
-        scale_g = np.linalg.norm(g_perp)
-        if scale_g <= 1e-14 * max(np.linalg.norm(g), 1.0) or beta_perp == 0.0:
-            raise InfeasibleError("progress constraint is degenerate here")
-        sigma = 2.0 * max(pnorm(y_cur, p), 1e-300)
-        ghat = -sigma * g_perp / beta_perp
-        rhat = R * (p / (8.0 * nu)) * sigma ** 2
-        inst = stack_instance(self.A, sigma * self.b, ghat, rhat, p)
-        y_scaled = oracle_small(inst, counter=self.counter)
-        return sigma * y_scaled
+    g_a = A.project_out(g)
+    b_coef = float(b @ g_a)
+    g_perp = g_a - b_coef * b
+    beta = float(g @ y) - nu
+    beta_perp = beta - b_coef
+    scale_g = np.linalg.norm(g_perp)
+    if scale_g <= 1e-14 * max(np.linalg.norm(g), 1.0) or beta_perp == 0.0:
+        raise InfeasibleError("progress constraint is degenerate here")
+    sigma = 2.0 * max(pnorm(y, p), 1e-300)
+    ghat = -sigma * g_perp / beta_perp
+    rhat = R * (p / (8.0 * nu)) * sigma ** 2
+    inst = stack_instance(A, sigma * b, ghat, rhat, p)
+    return sigma * oracle_small(inst, counter=counter)
 
 
 def solve_lq(instance: ProblemInstance, seed=0):
@@ -228,7 +220,6 @@ def solve_lq(instance: ProblemInstance, seed=0):
         # b is a unit vector orthogonal to range(A), so it is already the
         # minimum-norm point of A^T y = 0, b^T y = 1.
         y = b / float(b @ b)
-        oracle = DualStepOracle(A, b, p, counter=counter)
         recovered, nu_prev = False, None
 
         def lower_bound(x):
@@ -238,7 +229,7 @@ def solve_lq(instance: ProblemInstance, seed=0):
             nonlocal y, nu_prev
 
             def propose(nu, g, R):
-                z = oracle(nu, g, R, y)
+                z = dual_step(A, b, p, y, nu, g, R, counter)
                 return z - y, z - y
 
             out = refinement_round(y, p, hi ** -p, nu_prev, propose, counter,

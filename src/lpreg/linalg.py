@@ -42,7 +42,11 @@ class DenseMatrix:
     """A tall full-rank matrix with n >= d, validated at construction."""
 
     def __init__(self, entries):
-        a = np.asarray(entries, dtype=float)
+        try:
+            a = np.asarray(entries, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(
+                f"matrix entries must be numeric: {exc}") from None
         if a.ndim != 2:
             raise InvalidInputError("matrix must be two-dimensional")
         if not np.all(np.isfinite(a)):

@@ -39,7 +39,7 @@ from .errors import (
 from .lewis import LewisOverestimate, lewis_overestimates
 from .linalg import DenseMatrix, SolveCounter, gram_solve_multi
 from .problem import ProblemInstance
-from .refine import GammaSolverContract, certified_solve, refine_steps
+from .refine import certified_solve, refine_steps
 
 MAX_MWU_P = 16.0
 
@@ -357,11 +357,6 @@ def width_reduced_oracle(inst: ResidualInstance, counter: SolveCounter,
             counter.steps["alpha_over_floor"] = schedule.ratio
 
 
-def gamma_value(p: float) -> float:
-    """Approximation factor certified by the width-reduction solver."""
-    return (80.0 * p) ** p
-
-
 class MwuGammaSolver:
     """Adapter exposing the width-reduction loop as a residual-step solver.
 
@@ -373,7 +368,6 @@ class MwuGammaSolver:
 
     def __init__(self, A: DenseMatrix, p: float, counter: SolveCounter):
         self.p = float(p)
-        self.gamma = gamma_value(self.p)
         self.counter = counter
         self.schedule = AlphaSchedule()
         for key in ("progress_steps", "boost_steps", "alpha_halvings"):
@@ -382,8 +376,7 @@ class MwuGammaSolver:
         self.A = A
         self.weights = lewis_overestimates(A, self.p)
 
-    def __call__(self, nu: float, g: np.ndarray, R: np.ndarray,
-                 x: np.ndarray | None = None):
+    def __call__(self, nu: float, g: np.ndarray, R: np.ndarray):
         p = self.p
         g_eff = self.A.a.T @ np.asarray(g, dtype=float)
         scale_a = (2.0 ** (p + 1) * nu) ** (-1.0 / p)
@@ -403,7 +396,6 @@ def solve_mwu(instance: ProblemInstance, seed=0):
         raise InvalidInputError("width reduction requires a finite p >= 2")
 
     def make_steps(unit):
-        solver = MwuGammaSolver(unit.A, unit.p, unit.counter)
-        return refine_steps(unit, GammaSolverContract(solver.gamma, solver))
+        return refine_steps(unit, MwuGammaSolver(unit.A, unit.p, unit.counter))
 
     return certified_solve(instance, "mwu", make_steps, seed=seed)

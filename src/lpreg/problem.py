@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,16 @@ class ProblemInstance:
     eps: float = 1e-6
 
     def __post_init__(self):
-        self.b = np.asarray(self.b, dtype=float)
+        if not isinstance(self.A, DenseMatrix):
+            raise InvalidInputError("A must be a DenseMatrix")
+        for name in ("p", "eps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise InvalidInputError(f"{name} must be a real number")
+        try:
+            self.b = np.asarray(self.b, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"b must be numeric: {exc}") from None
         if self.b.shape != (self.A.n,):
             raise InvalidInputError("b must have length n")
         if not np.all(np.isfinite(self.b)):

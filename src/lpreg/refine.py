@@ -36,7 +36,6 @@ from .linalg import DenseMatrix, SolveCounter
 from .problem import ProblemInstance, pnorm
 from .report import SolveReport
 
-REFINE_CALL_CONSTANT = 64.0
 # Proposals per refinement round; nu halves after each failed one.
 ROUND_RETRIES = 80
 # Line search: relative tolerance on the root (about 16 ulps), resolution
@@ -171,35 +170,19 @@ def lp_dual_bound(A: DenseMatrix, b: np.ndarray, x: np.ndarray, p: float,
 
 
 @dataclass
-class GammaSolverContract:
-    """An approximate residual-step solver together with its quality factor.
-
-    ``callback(nu, g, R, x=...)`` must return a direction with
-    g^T (A @ direction) = -nu whose quadratic form and p-th power norm are
-    within gamma (resp. gamma^{p-1}) of the best achievable.
-    """
-
-    gamma: float
-    callback: Callable
-
-
-@dataclass
 class UnitProblem:
     """The instance as :func:`certified_solve` hands it to a solver.
 
     A and b are rescaled by powers of two and b is shifted by its
     least-squares fit and normalized: a unit vector orthogonal to range(A),
-    so the optimum is at least n^{-1/2}.  An iterate z is the caller's
-    ``to_caller(z)``; a caller direction is this problem's
-    ``np.ldexp(delta, -a_exp)``.  ``counter`` is the solve's one tally.
+    so the optimum is at least n^{-1/2}.  ``counter`` is the solve's one
+    tally.
     """
 
     A: DenseMatrix
     b: np.ndarray
     p: float
     eps: float
-    a_exp: int
-    to_caller: Callable
     counter: SolveCounter
 
 
@@ -240,7 +223,9 @@ def certified_solve(instance: ProblemInstance, method: str,
        At p = 2 the start is the optimum: the bound is
        :func:`lp_dual_bound`, there is no step and no ``make_steps`` call.
     4. Report: x is mapped back and measured on the caller's data, with
-       the counts of the :class:`SolveCounter` created here.
+       the counts of the :class:`SolveCounter` created here.  A mapped x
+       that is not exact (it overflowed, or lost bits below float64's
+       range) raises NonFiniteError.
     """
     t0 = time.perf_counter()
     counter = SolveCounter()
@@ -254,17 +239,12 @@ def certified_solve(instance: ProblemInstance, method: str,
     counter.tick(1, "init")
     counter.factorizations += 1
     scale = float(np.linalg.norm(b_eff))
-
-    def to_caller(z):
-        return np.ldexp(x0 + scale * z, a_exp - b_exp)
-
     z = np.zeros(A.d)
     rounds, gap = 0, 0.0
     if scale <= SHORT_CIRCUIT_RTOL * float(np.linalg.norm(b_scaled)):
         counter.step("short_circuit")
     else:
-        unit = UnitProblem(a_unit, b_eff / scale, p, eps, a_exp, to_caller,
-                           counter)
+        unit = UnitProblem(a_unit, b_eff / scale, p, eps, counter)
         steps = make_steps(unit) if p != 2.0 else BracketSteps(
             lambda z: lp_dual_bound(a_unit, unit.b, z, p, counter),
             lambda z, lo, hi: None)
@@ -291,7 +271,12 @@ def certified_solve(instance: ProblemInstance, method: str,
                 f"{method} stalled at relative gap {gap:.3g} (target "
                 f"{eps:.3g}) after {rounds} rounds")
 
-    x = to_caller(z)
+    x_unit = x0 + scale * z
+    with np.errstate(over="ignore"):
+        x = np.ldexp(x_unit, a_exp - b_exp)
+    if not np.array_equal(np.ldexp(x, b_exp - a_exp), x_unit):
+        raise NonFiniteError(
+            f"{method} minimizer lies outside float64's range")
     u = A.a @ x - b
     report = SolveReport(
         method=method, p=p, eps=eps, n=A.n, d=A.d, seed=seed,
@@ -341,19 +326,16 @@ def refinement_round(u: np.ndarray, p: float, floor: float, nu_prev,
     return None
 
 
-def refine_steps(unit: UnitProblem,
-                 solver: GammaSolverContract) -> BracketSteps:
+def refine_steps(unit: UnitProblem, solver: Callable) -> BracketSteps:
     """Iterative-refinement steps driven by a residual-step solver.
 
     Each step is one :func:`refinement_round` whose proposals are the
-    solver's directions, ticked as ``gamma_calls`` on the solve's counter
-    and charged against the contract's call budget.
+    directions ``solver(nu, g, R)``, ticked as ``gamma_calls`` on the
+    solve's counter.
     """
     A, b, p, counter = unit.A, unit.b, unit.p, unit.counter
     counter.step("gamma_calls", 0)
     counter.step("accepted_steps", 0)
-    budget = min(REFINE_CALL_CONSTANT * p ** 3.5 * solver.gamma
-                 * math.log((A.n + A.d) / unit.eps), 1e18)
     nu_prev = None
 
     def lower_bound(x):
@@ -363,12 +345,7 @@ def refine_steps(unit: UnitProblem,
         nonlocal nu_prev
 
         def propose(nu, g, R):
-            calls = counter.steps["gamma_calls"]
-            if calls > budget:
-                raise BudgetExceededError(
-                    f"{calls} residual-solver calls exceed the contract "
-                    f"budget {budget:.3g}")
-            delta = solver.callback(nu, g, R, x=x)
+            delta = solver(nu, g, R)
             return delta, A.a @ delta
 
         out = refinement_round(A.a @ x - b, p, lo ** p, nu_prev, propose,
@@ -381,27 +358,19 @@ def refine_steps(unit: UnitProblem,
     return BracketSteps(lower_bound, step)
 
 
-def refine_to_accuracy(instance: ProblemInstance, solver: GammaSolverContract,
-                       max_rounds: int = 500):
+def refine_to_accuracy(instance: ProblemInstance,
+                       make_solver: Callable[[UnitProblem], Callable]):
     """Drive a caller-built residual solver until (1+eps)-accuracy is certified.
 
     The problem is unconstrained: min ||Ax - b||_p over all x, finite p >= 2.
-    ``solver.callback(nu, g, R, x=...)`` is bound to the caller's A: it
-    receives iterates in the caller's coordinates and its directions are
-    mapped back.  Returns (x, report); the report counts the solver's calls
-    as ``gamma_calls``, not the Gram solves inside them.  Raises
-    BudgetExceededError if the theoretical call budget is exhausted or
-    progress stalls before certification, which signals a broken solver
-    contract.
+    ``make_solver(unit)`` builds the solver on the :class:`UnitProblem`;
+    ``solver(nu, g, R)`` returns a direction with g^T (unit.A @ direction)
+    = -nu and ticks its Gram solves on ``unit.counter``, so the report
+    counts them beside the solver's calls (``gamma_calls``).  Returns
+    (x, report); raises BudgetExceededError if progress stalls before
+    certification, which signals a broken solver.
     """
     if not 2 <= instance.p < math.inf:
         raise InvalidInputError("refinement drives finite p >= 2 objectives")
-
-    def make_steps(unit):
-        def callback(nu, g, R, x):
-            delta = solver.callback(nu, g, R, x=unit.to_caller(x))
-            return np.ldexp(delta, -unit.a_exp)
-        return refine_steps(unit, GammaSolverContract(solver.gamma, callback))
-
-    return certified_solve(instance, "refine", make_steps,
-                           max_rounds=max_rounds)
+    return certified_solve(instance, "refine",
+                           lambda unit: refine_steps(unit, make_solver(unit)))

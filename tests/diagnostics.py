@@ -310,6 +310,11 @@ def plant_dual_instance(n: int, d: int, q: float, seed: int) -> DualInstance:
     return stack_instance(A, b, g, r, p)
 
 
+def gamma_value(p: float) -> float:
+    """Approximation factor certified by the width-reduction solver."""
+    return (80.0 * p) ** p
+
+
 def dual_gamma_value(p: float, m: int) -> float:
     """Approximation factor of the stacked single-shot dual oracle."""
     return 4.0 * m ** ((p - 2.0) / (2.0 * p - 2.0))

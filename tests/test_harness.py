@@ -19,14 +19,20 @@ from lpreg.harness import (
 )
 from lpreg.linalg import DenseMatrix, SolveCounter
 from lpreg.linf import linf_regress
-from lpreg.mwu import solve_mwu
+from lpreg.mwu import MwuGammaSolver, solve_mwu
 from lpreg.problem import ProblemInstance
-from lpreg.refine import GammaSolverContract, refine_to_accuracy
+from lpreg.refine import refine_to_accuracy
 
 from diagnostics import exact_residual_lp, solve_counters
 
+
+def refine_with_mwu(inst, seed=0):
+    return refine_to_accuracy(
+        inst, lambda unit: MwuGammaSolver(unit.A, unit.p, unit.counter))
+
+
 ENTRIES = {"mwu": solve_mwu, "accel": solve_pnorm_accel, "dual": solve_lq,
-           "linf": linf_regress}
+           "linf": linf_regress, "refine_to_accuracy": refine_with_mwu}
 
 
 class TestGenInstance:
@@ -75,6 +81,25 @@ class TestGenInstance:
     def test_negative_seed_is_input_error(self):
         with pytest.raises(InvalidInputError, match="negative"):
             gen_instance("gaussian", 10, 2, -1)
+
+
+MALFORMED = {
+    "A_not_dense": lambda A: ProblemInstance(A.a, np.ones(3), 4.0),
+    "p_str": lambda A: ProblemInstance(A, np.ones(3), "4"),
+    "p_none": lambda A: ProblemInstance(A, np.ones(3), None),
+    "p_bool": lambda A: ProblemInstance(A, np.ones(3), True),
+    "eps_str": lambda A: ProblemInstance(A, np.ones(3), 4.0, eps="x"),
+    "b_str": lambda A: ProblemInstance(A, "abc", 4.0),
+    "matrix_str": lambda A: DenseMatrix("abc"),
+    "matrix_ragged": lambda A: DenseMatrix([[1, 2], [3]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_python_input_is_invalid_input(case):
+    A = DenseMatrix(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(InvalidInputError):
+        MALFORMED[case](A)
 
 
 class TestOracleOpt:
@@ -185,10 +210,7 @@ class TestSolveDispatch:
         monkeypatch.setattr(SolveCounter, "tick",
                             recorded("tick", SolveCounter.tick))
         with pytest.raises(InvalidInputError):
-            if entry == "refine_to_accuracy":
-                refine_to_accuracy(inst, GammaSolverContract(1.0, None))
-            else:
-                ENTRIES[entry](inst)
+            ENTRIES[entry](inst)
         assert work == []
 
     def test_seed_recorded(self):
@@ -239,9 +261,11 @@ class TestSolveDispatch:
         assert (rep.phase_counts["factorizations"]
                 == len(calls) + len(projected))
 
-    @pytest.mark.parametrize("method", ["mwu", "accel", "dual", "linf"])
+    @pytest.mark.parametrize("method", ["mwu", "accel", "dual", "linf",
+                                        "refine_to_accuracy"])
     def test_phase_counts_cover_all_solves(self, method, monkeypatch):
-        p = {"mwu": 3.0, "accel": 4.0, "dual": 1.5, "linf": math.inf}[method]
+        p = {"mwu": 3.0, "accel": 4.0, "dual": 1.5, "linf": math.inf,
+             "refine_to_accuracy": 3.0}[method]
         eps = 1e-1 if p == math.inf else 1e-6
         inst = gen_instance("gaussian", 25, 3, 2, p=p, eps=eps)
         counters = solve_counters(monkeypatch)

@@ -22,7 +22,6 @@ from lpreg.mwu import (
     apply_boost,
     boost_selection,
     energy_solve,
-    gamma_value,
     mwu_constants,
     new_state,
     output_bounds,
@@ -34,7 +33,7 @@ from lpreg.mwu import (
 )
 from lpreg.problem import pnorm
 
-from diagnostics import GammaCertificate, plant_residual_instance
+from diagnostics import GammaCertificate, gamma_value, plant_residual_instance
 
 
 class TestEnergySolve:
@@ -445,7 +444,7 @@ class TestGammaContract:
         R = np.abs(u) ** (p - 2.0)
         nu = 0.5
         solver = MwuGammaSolver(A, p, SolveCounter())
-        delta = solver(nu, g_n, R, x=None)
+        delta = solver(nu, g_n, R)
         assert abs(float(g_n @ (A.a @ delta)) + nu) <= 1e-8 * nu
         opt = residual_opt_bruteforce(A, g_n, R, p, nu)
         cert = GammaCertificate.evaluate(A, R, p, delta)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lpreg.errors import NonFiniteError
 from lpreg.harness import FAMILIES, gen_instance, oracle_opt, solve
 from lpreg.linalg import DenseMatrix
 from lpreg.problem import ProblemInstance
@@ -67,3 +68,16 @@ def test_consistent_system_short_circuits_at_any_scale(method, p, s):
     assert report.phase_counts["short_circuit"] == 1
     assert report.certified_gap == 0.0 and report.gram_solves == 1
     assert x == pytest.approx(x_true, rel=1e-10)
+
+
+@pytest.mark.parametrize("method,p", [("mwu", 4.0), ("accel", 4.0),
+                                      ("dual", 1.5), ("linf", math.inf)])
+@pytest.mark.parametrize("sa,sb", [(1e300, 1e-300), (1e-200, 1e200)])
+def test_minimizer_outside_float64_raises(method, p, sa, sb):
+    # The optimum's x scales as sb / sa: 1e-600 underflows to 0 and 1e400
+    # overflows, so neither may come back with a certificate.
+    twin = gen_instance("gaussian", 20, 3, 0, p=p, eps=1e-3)
+    inst = ProblemInstance(DenseMatrix(sa * twin.A.a), sb * twin.b, p,
+                           eps=twin.eps)
+    with pytest.raises(NonFiniteError, match="outside float64's range"):
+        solve(inst, method)
