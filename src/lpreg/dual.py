@@ -33,8 +33,9 @@ def dual_exponent(q: float) -> float:
 
 @dataclass
 class DualInstance:
-    """Constrained reweighted problem on the stacked matrix U = [A b g]."""
+    """Constrained reweighted problem on U = [A b g]; A's QR serves its solves."""
 
+    A: DenseMatrix
     U: DenseMatrix
     v: np.ndarray
     R: np.ndarray
@@ -57,31 +58,34 @@ def stack_instance(A: DenseMatrix, b: np.ndarray, g: np.ndarray,
     U = DenseMatrix.trusted(np.column_stack([A.a, b, g]), basis)
     v = np.zeros(U.d)
     v[-2], v[-1] = 1.0, -1.0
-    return DualInstance(U, v, R, p)
+    return DualInstance(A, U, v, R, p)
 
 
-def min_quadratic_on_affine(U: DenseMatrix, v: np.ndarray, diag: np.ndarray,
-                            counter: SolveCounter, phase: str) -> np.ndarray:
-    """argmin x^T diag(d) x subject to U^T x = v.
+def min_quadratic_on_affine(A: DenseMatrix, U: DenseMatrix, v: np.ndarray,
+                            diag: np.ndarray, counter: SolveCounter,
+                            phase: str) -> np.ndarray:
+    """argmin x^T diag(d) x subject to U^T x = v, for U = [A, two columns].
 
     The normal matrix U^T D^{-1} U is never formed whole: its leading
-    block is handled by Gram solves against the first d columns and the
-    trailing two columns are folded in through a 2x2 Schur complement.
-    A singular Schur complement or U^T U raises SingularGramError.
+    block is handled by Gram solves against A and the trailing two
+    columns are folded in through a 2x2 Schur complement.  A singular
+    Schur complement or U^T U, or multipliers that overflow, raise
+    SingularGramError.
     """
-    n, m = U.n, U.d
+    m = U.d
     w = 1.0 / np.maximum(diag, 1e-300)
-    lead = DenseMatrix.trusted(U.a[:, :m - 2])
     tail = U.a[:, m - 2:]
-    F = lead.a.T @ (w[:, None] * tail)                     # (m-2) x 2
+    F = A.a.T @ (w[:, None] * tail)                        # (m-2) x 2
     H = tail.T @ (w[:, None] * tail)                       # 2 x 2
     rhs = np.column_stack([F, v[:m - 2]])
-    sol = gram_solve_multi(lead, w, rhs, counter=counter, phase=phase)
+    sol = gram_solve_multi(A, w, rhs, counter=counter, phase=phase)
     GinvF, Ginv_vA = sol[:, :2], sol[:, 2]
     schur = H - F.T @ GinvF
     mu_tail = _solve_stacked(schur, v[m - 2:] - F.T @ Ginv_vA)
-    mu_lead = Ginv_vA - GinvF @ mu_tail
-    mu = np.concatenate([mu_lead, mu_tail])
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = np.concatenate([Ginv_vA - GinvF @ mu_tail, mu_tail])
+    if not np.isfinite(mu).all():
+        raise SingularGramError("stacked matrix is singular")
     x = w * (U.a @ mu)
     # Euclidean projection onto the constraint set kills fp drift without
     # touching the quadratic value beyond the solve error itself.
@@ -115,7 +119,7 @@ def oracle_small(inst: DualInstance, counter: SolveCounter) -> np.ndarray:
     what = reg_lewis(U, c, p / (p - 1.0)).weights
     diag = m ** (1.0 - 2.0 / p) * r + np.maximum(what, WEIGHT_FLOOR) ** (
         1.0 - 2.0 / p)
-    y = min_quadratic_on_affine(U, v, diag, counter, "oracle_small")
+    y = min_quadratic_on_affine(inst.A, U, v, diag, counter, "oracle_small")
 
     feas = float(np.max(np.abs(U.a.T @ y - v)))
     if feas > 1e-9 * max(1.0, float(np.max(np.abs(v)))):

@@ -4,10 +4,11 @@ Every iterative solver in this package is charged in units of solves
 against ``A^T D A`` for a positive diagonal ``D``.  The diagonal is a
 plain float array of per-row weights.  :class:`SolveCounter` tallies the
 solves, and :func:`gram_solve_multi` is the one place that checks and
-floors weights; fits and projections on A itself use A's cached QR
-(:meth:`DenseMatrix.project_out`).  Not counted: dual's ``[A b g]`` solves.
-Leverage scores of a row-reweighted A take no QR of their own: they
-orthonormalize the scaled basis ``diag(s) A.basis`` by Cholesky QR.
+floors weights.  All of it runs on A's one cached QR, A = Q R: Gram
+solves factor ``Q^T D Q``, fits and projections use Q
+(:meth:`DenseMatrix.project_out`), and leverage scores orthonormalize
+``diag(s) A.basis`` by Cholesky QR, both by :func:`_cholesky`'s shifted
+rule.  Not counted: dual's ``[A b g]`` solves.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .errors import (
@@ -28,8 +29,6 @@ from .errors import (
 
 # Smallest diagonal weight a Gram solve uses; zero weights are lifted to it.
 WEIGHT_SOLVE_FLOOR = 1e-300
-# Relative residual per column that iterative refinement aims for.
-GRAM_RTOL = 1e-12
 # Leverage scores are read off a basis once max|Z^T Z - I| is this small;
 # the scores' relative error is then at most d * ORTHO_TOL.
 ORTHO_TOL = 1e-13
@@ -102,6 +101,13 @@ class DenseMatrix:
             obj.basis = basis
         return obj
 
+    def scaled(self, c: float) -> "DenseMatrix":
+        """The trusted copy c A, carrying the QR (Q, c R) read off A's."""
+        q, r = self.qr
+        obj = DenseMatrix.trusted(c * self.a)
+        obj.qr = (q, c * r)
+        return obj
+
 
 @dataclass
 class SolveCounter:
@@ -129,36 +135,37 @@ class SolveCounter:
         self.steps[key] = self.steps.get(key, 0) + k
 
 
-def _factor_gram(gram: np.ndarray, d: int):
-    """Cholesky with a Tikhonov fallback; raises SingularGramError if both fail."""
-    try:
-        return cho_factor(gram, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        pass
-    lam = 1e-12 * np.trace(gram) / d
-    if not np.isfinite(lam) or lam <= 0:
-        raise SingularGramError("Gram matrix has nonpositive trace")
-    try:
-        return cho_factor(gram + lam * np.eye(d), lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SingularGramError("Gram factorization failed") from exc
+def _cholesky(G: np.ndarray, n: int) -> np.ndarray:
+    """Lower Cholesky factor L, L L^T = G, of the m x m Gram of n rows.
+
+    If G is not numerically positive definite, L is taken of G shifted by
+    11 (n m + m (m + 1)) eps_mach trace(G), the shifted Cholesky QR rule
+    (Fukaya et al., SISC 2020); if that fails too, SingularGramError.
+    """
+    L, info = dpotrf(G, lower=1, clean=1)
+    if info != 0:
+        m = G.shape[0]
+        shift = (11.0 * (n * m + m * (m + 1)) * np.finfo(float).eps
+                 * float(np.trace(G)))
+        L, info = dpotrf(G + shift * np.eye(m), lower=1, clean=1)
+        if info != 0:
+            raise SingularGramError("shifted Cholesky factorization broke down")
+    return L
 
 
 def gram_solve_multi(A: DenseMatrix, w: np.ndarray, rhs: np.ndarray,
                      counter: SolveCounter | None = None,
-                     phase: str | None = None,
-                     quality: dict | None = None) -> np.ndarray:
+                     phase: str | None = None) -> np.ndarray:
     """Solve (A^T diag(w) A) X = rhs for one or more right-hand sides.
 
     ``w`` holds nonnegative per-row weights, lifted to WEIGHT_SOLVE_FLOOR
     here; a negative weight is an InvalidInputError and a non-finite one
     surfaces as a NonFiniteError from the Gram check.  ``rhs`` is a vector
-    of length d or a d-row matrix.  One factorization is shared across
-    columns; each column is counted as one Gram solve.  A few steps of
-    iterative refinement push the relative residual of each column down
-    to GRAM_RTOL when conditioning permits.  When ``quality`` is supplied,
-    the final residual matrix is stored under ``"residual"`` so callers
-    can bound derived quantities.
+    of length d or a d-row matrix.  The system is solved in the basis of
+    A's cached QR, A = Q R: G = Q^T diag(w) Q is factored as U^T U
+    (:func:`_cholesky`), so cond(A) is never squared, and (U R)^T (U R) X
+    = rhs is one pair of triangular solves.  One factorization is shared
+    across columns; each column is counted as one Gram solve.
     """
     rhs = np.asarray(rhs, dtype=float)
     single = rhs.ndim == 1
@@ -170,31 +177,12 @@ def gram_solve_multi(A: DenseMatrix, w: np.ndarray, rhs: np.ndarray,
     w = np.asarray(w, dtype=float)
     if w.min() < 0:                 # False for nan, left to the Gram check
         raise InvalidInputError("weights must be nonnegative")
-    a = A.a
-    gram = (a * np.maximum(w, WEIGHT_SOLVE_FLOOR)[:, None]).T @ a
+    q, r = A.qr
+    gram = (q * np.maximum(w, WEIGHT_SOLVE_FLOOR)[:, None]).T @ q
     if not np.isfinite(gram).all():
         raise NonFiniteError("Gram matrix not finite (weights or overflow)")
-    fac = _factor_gram(gram, A.d)
-
-    X = cho_solve(fac, B, check_finite=False)
-    # Fixed-precision iterative refinement against the unregularized Gram.
-    bnorm = np.linalg.norm(B, axis=0)
-    bnorm[bnorm == 0.0] = 1.0
-    R = B - gram @ X
-    for _ in range(25):
-        rel = np.linalg.norm(R, axis=0) / bnorm
-        if (rel <= GRAM_RTOL).all():
-            break
-        corr = cho_solve(fac, R, check_finite=False)
-        Xn = X + corr
-        Rn = B - gram @ Xn
-        if np.linalg.norm(Rn) >= np.linalg.norm(R):
-            break
-        X, R = Xn, Rn
-    if quality is not None:
-        quality["residual"] = R[:, 0] if single else R
-        # SPD: entries are bounded by the largest diagonal element
-        quality["gram_scale"] = A.d * float(np.max(np.diagonal(gram)))
+    ur = _cholesky(gram, A.n).T @ r
+    X = cho_solve((ur, False), B, check_finite=False)
     if counter is not None:
         counter.tick(B.shape[1], phase)
         counter.factorizations += 1
@@ -202,23 +190,14 @@ def gram_solve_multi(A: DenseMatrix, w: np.ndarray, rhs: np.ndarray,
 
 
 def _cholqr_pass(Z: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Z R^{-1} for the Cholesky factor R^T R = G = Z^T Z.
+    """Z L^{-T} for the Cholesky factor L L^T = G = Z^T Z.
 
-    If G is not numerically positive definite, R is taken of G shifted by
-    11 (n m + m (m + 1)) eps_mach ||Z||_F^2 (shifted Cholesky QR, Fukaya et
-    al., SISC 2020): the pass then lifts Z's small singular values instead
-    of breaking down, and later passes finish the orthogonalization.
+    A shifted factor (:func:`_cholesky`) lifts Z's small singular values
+    instead of breaking down, and later passes finish the
+    orthogonalization.
     """
-    R, info = dpotrf(G, lower=0, clean=1)
-    if info != 0:
-        n, m = Z.shape
-        shift = (11.0 * (n * m + m * (m + 1)) * np.finfo(float).eps
-                 * float(np.trace(G)))
-        R, info = dpotrf(G + shift * np.eye(m), lower=0, clean=1)
-        if info != 0:
-            raise SingularGramError("shifted Cholesky QR broke down")
-    Rinv, _ = dtrtri(R, lower=0)
-    return Z @ Rinv
+    Linv, _ = dtrtri(_cholesky(G, Z.shape[0]), lower=1)
+    return Z @ Linv.T
 
 
 def leverage_scores(A: DenseMatrix,

@@ -102,22 +102,23 @@ def energy_solve(A: DenseMatrix, D: np.ndarray, g: np.ndarray,
 
     Returns (z, value, err): the minimizer z = -(g^T B^{-1} g)^{-1} B^{-1} g,
     the optimal value (g^T B^{-1} g)^{-1}, and a first-order bound on the
-    value's floating-point error, |x_hat . residual| scaled to the energy;
-    it is what conditioning leaves behind after iterative refinement.
+    value's floating-point error, |x_hat . residual| scaled to the energy,
+    with the residual g - A^T D A x_hat formed by products with A.
     """
     g = np.asarray(g, dtype=float)
     if not np.any(g):
         raise ZeroGradientError("energy solve needs g != 0")
-    quality = {}
-    bg = gram_solve_multi(A, D, g, counter=counter, phase=phase,
-                          quality=quality)
+    bg = gram_solve_multi(A, D, g, counter=counter, phase=phase)
     quad = float(g @ bg)
     if quad <= 0 or not math.isfinite(quad):
         raise InfeasibleError(f"gram quadratic form g^T B^-1 g = {quad:.3g}")
     value = 1.0 / quad
+    residual = g - A.a.T @ (D * (A.a @ bg))
+    # SPD: entries are bounded by the largest diagonal element
+    gram_scale = A.d * float(np.max(D @ (A.a * A.a)))
     # first-order value error plus the fp floor of the residual itself
-    quad_err = (abs(float(bg @ quality["residual"]))
-                + 2.3e-16 * quality["gram_scale"] * float(bg @ bg)
+    quad_err = (abs(float(bg @ residual))
+                + 2.3e-16 * gram_scale * float(bg @ bg)
                 + 1e-15 * abs(quad))
     return -value * bg, value, value * (quad_err / quad)
 
@@ -381,7 +382,7 @@ class MwuGammaSolver:
         g_eff = self.A.a.T @ np.asarray(g, dtype=float)
         scale_a = (2.0 ** (p + 1) * nu) ** (-1.0 / p)
         inst = ResidualInstance(
-            A=DenseMatrix.trusted(scale_a * self.A.a),
+            A=self.A.scaled(scale_a),
             g=g_eff / nu,
             R=R * (p / (8.0 * nu)) / scale_a ** 2,
             p=p,

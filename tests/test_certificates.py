@@ -10,7 +10,7 @@ import math
 import pytest
 
 from lpreg import harness
-from lpreg.errors import LpregError
+from lpreg.errors import LpregError, NonFiniteError
 from lpreg.harness import FAMILIES, gen_instance, oracle_opt, solve
 
 from diagnostics import exact_residual_lp
@@ -38,7 +38,7 @@ SLICE = [("mwu", 4.0, 1e-6), ("mwu", 8.0, 1e-6), ("accel", 4.0, 1e-6),
          ("dual", 1.5, 1e-6), ("linf", math.inf, 1e-4)]
 
 
-@pytest.mark.parametrize("decades", [8.0, 10.0])
+@pytest.mark.parametrize("decades", [8.0, 10.0, 12.0])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_conditioning_slice_certifies_truly_or_raises(decades, seed,
                                                       monkeypatch):
@@ -62,3 +62,14 @@ def test_conditioning_slice_certifies_truly_or_raises(decades, seed,
     for method, p, residual, gap in certified:
         error = residual / min(achieved[p]) - 1.0
         assert gap >= error, (method, p, gap, error)
+
+
+def test_dual_multiplier_overflow_is_a_solver_error(monkeypatch):
+    # At cond(A) 1e10 and eps 1e-12 the multipliers of dual's constrained
+    # quadratic overflow: a singular stacked system, which must surface as
+    # a solver error, not as non-finite input (CLI exit 3).
+    monkeypatch.setattr(harness, "ILL_COND_DECADES", 10.0)
+    inst = gen_instance("ill_conditioned", 160, 8, 1, p=1.5, eps=1e-12)
+    with pytest.raises(LpregError) as info:
+        solve(inst, "dual", seed=1)
+    assert not isinstance(info.value, NonFiniteError)

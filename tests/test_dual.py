@@ -51,7 +51,7 @@ class TestOracleSmall:
     def test_square_stack_is_forced(self):
         U = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 3.0]])
         v = np.array([0.0, 1.0, -1.0])
-        inst = DualInstance(DenseMatrix(U), v,
+        inst = DualInstance(DenseMatrix(U[:, :1]), DenseMatrix(U), v,
                             0.3 * np.ones(3), 4.0)
         y = oracle_small(inst, SolveCounter())
         assert np.allclose(y, np.linalg.solve(U.T, v), atol=1e-10)
@@ -108,7 +108,8 @@ class TestMinQuadraticOnAffine:
         v = np.zeros(5)
         v[-2], v[-1] = 1.0, -1.0
         with pytest.raises(SingularGramError):
-            min_quadratic_on_affine(U, v, rng.uniform(0.5, 2.0, 20),
+            min_quadratic_on_affine(DenseMatrix(A), U, v,
+                                    rng.uniform(0.5, 2.0, 20),
                                     SolveCounter(), "oracle_small")
 
 

@@ -205,8 +205,8 @@ class TestSolveDispatch:
 
         monkeypatch.setattr(scipy.linalg, "qr",
                             recorded("qr", scipy.linalg.qr))
-        monkeypatch.setattr(linalg, "_factor_gram",
-                            recorded("cholesky", linalg._factor_gram))
+        monkeypatch.setattr(linalg, "_cholesky",
+                            recorded("cholesky", linalg._cholesky))
         monkeypatch.setattr(SolveCounter, "tick",
                             recorded("tick", SolveCounter.tick))
         with pytest.raises(InvalidInputError):
@@ -235,23 +235,27 @@ class TestSolveDispatch:
 
     @pytest.mark.parametrize("method", ["mwu", "dual", "linf"])
     def test_one_factorization_per_gram_call(self, method, monkeypatch):
-        # Each Cholesky is one factorization, and so is the QR of each
-        # matrix that projections run against: the solve's unit matrix,
-        # whose QR the least-squares start and the certificates share.
+        # Each gram_solve_multi call is one factorization, and so is the QR
+        # of each matrix that projections run against: the solve's unit
+        # matrix, whose QR the least-squares start and the certificates
+        # share.  Leverage's Cholesky QR passes are not factorizations.
+        import importlib
+
         import lpreg.linalg as linalg
         calls, projected = [], set()
-        real = linalg._factor_gram
+        real = linalg.gram_solve_multi
         real_project_out = linalg.DenseMatrix.project_out
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(1)
-            return real(*args)
+            return real(*args, **kwargs)
 
         def project_out(self, Y):
             projected.add(id(self))
             return real_project_out(self, Y)
 
-        monkeypatch.setattr(linalg, "_factor_gram", counted)
+        monkeypatch.setattr(importlib.import_module(f"lpreg.{method}"),
+                            "gram_solve_multi", counted)
         monkeypatch.setattr(linalg.DenseMatrix, "project_out", project_out)
         p = {"mwu": 3.0, "dual": 1.5, "linf": math.inf}[method]
         eps = 1e-1 if p == math.inf else 1e-6

@@ -21,6 +21,7 @@ from lpreg.mwu import (
     ResidualInstance,
     apply_boost,
     boost_selection,
+    boosting_step,
     energy_solve,
     mwu_constants,
     new_state,
@@ -126,6 +127,33 @@ class TestBoostFormula:
         sel, v = boost_selection(s, az, 4.0, 10.0, 4.0)
         assert not np.any(sel)
         assert np.array_equal(apply_boost(s, sel, v, 4.0), s)
+
+
+class TestBoostingStep:
+    @pytest.mark.parametrize("seed, rows", [(0, 16), (7, 11)])
+    def test_one_boost_meets_its_checks(self, seed, rows):
+        # tau midway between the width ||Az||_p^p and 4 times the boost
+        # hypothesis admits exactly one boost.  boosting_step itself checks
+        # the energy jump, the potential cap and the Woodbury prediction,
+        # a multi-column Gram solve over the selected rows.
+        p = 8.0
+        inst = plant_residual_instance(40, 4, p, seed=seed)
+        st = new_state(inst, lewis_overestimates(inst.A, p), SolveCounter(),
+                       1.0)
+        st.refresh("progress")
+        width = float(np.sum(np.abs(st.az) ** p))
+        hypo = (2.0 ** p * st.kappa ** (-(p - 2.0))
+                * st.potential() ** (1.0 - 2.0 / p))
+        assert width > 4.0 * hypo
+        st.tau = 0.5 * (width + 4.0 * hypo)
+        sel, _ = boost_selection(st.s, st.az, p, st.tau, st.kappa)
+        e_old = st.energy
+        boosting_step(st)
+        assert int(sel.sum()) == rows
+        assert st.energy - e_old >= st.tau ** (2.0 / p) / 16.0
+        assert st.boost_steps == 1
+        assert st.counter.steps["boost_steps"] == 1
+        assert st.counter.by_phase["woodbury_check"] == rows
 
 
 class TestProgressStep:
