@@ -46,7 +46,6 @@ MS_BISECTION_CAP = 60
 # Stationarity slack of every proximal solve.  The unit problem keeps the
 # function error at most 1, so no error-scaled slack is ever larger.
 PROX_TOL = 1e-14
-MAX_HALVINGS = 300
 # The step-scale root is held to brentq's relative tolerance in tau; the
 # Newton search stops at a step this small in log tau.
 TAU_RTOL = 8.9e-16
@@ -541,7 +540,7 @@ def halve_error(A: DenseMatrix, b: np.ndarray, p: float,
                          counter=counter, lower_bound_fn=lower_bound_fn)
 
 
-def solve_pnorm_accel(instance: ProblemInstance, seed=0):
+def solve_pnorm_accel(instance: ProblemInstance):
     """Full accelerated solve: error halvings inside the certified bracket."""
     if not 2 <= instance.p < math.inf:
         raise InvalidInputError("acceleration path requires a finite p >= 2")
@@ -563,5 +562,4 @@ def solve_pnorm_accel(instance: ProblemInstance, seed=0):
 
         return BracketSteps(lower_bound, step)
 
-    return certified_solve(instance, "accel", make_steps, seed=seed,
-                           max_rounds=MAX_HALVINGS)
+    return certified_solve(instance, "accel", make_steps)

@@ -21,7 +21,6 @@ from .problem import ProblemInstance, pnorm
 from .refine import (ROUNDING_PER_ENTRY, BracketSteps, certified_solve,
                      line_search_lp, lp_dual_bound, refinement_round)
 
-MAX_DUAL_ROUNDS = 400
 RECOVER_POLISH_STEPS = 12          # reweighted least-squares polish steps
 
 
@@ -66,24 +65,21 @@ def min_quadratic_on_affine(A: DenseMatrix, U: DenseMatrix, v: np.ndarray,
                             phase: str) -> np.ndarray:
     """argmin x^T diag(d) x subject to U^T x = v, for U = [A, two columns].
 
-    The normal matrix U^T D^{-1} U is never formed whole: its leading
-    block is handled by Gram solves against A and the trailing two
-    columns are folded in through a 2x2 Schur complement.  A singular
-    Schur complement or U^T U, or multipliers that overflow, raise
-    SingularGramError.
+    v is 0 on A's block, as :func:`stack_instance` builds it.  The normal
+    matrix U^T D^{-1} U is never formed whole: its leading block is
+    handled by Gram solves against A and the trailing two columns are
+    folded in through a 2x2 Schur complement.  A singular Schur complement
+    or U^T U, or multipliers that overflow, raise SingularGramError.
     """
     m = U.d
     w = 1.0 / np.maximum(diag, 1e-300)
     tail = U.a[:, m - 2:]
     F = A.a.T @ (w[:, None] * tail)                        # (m-2) x 2
     H = tail.T @ (w[:, None] * tail)                       # 2 x 2
-    rhs = np.column_stack([F, v[:m - 2]])
-    sol = gram_solve_multi(A, w, rhs, counter=counter, phase=phase)
-    GinvF, Ginv_vA = sol[:, :2], sol[:, 2]
-    schur = H - F.T @ GinvF
-    mu_tail = _solve_stacked(schur, v[m - 2:] - F.T @ Ginv_vA)
+    GinvF = gram_solve_multi(A, w, F, counter=counter, phase=phase)
+    mu_tail = _solve_stacked(H - F.T @ GinvF, v[m - 2:])
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = np.concatenate([Ginv_vA - GinvF @ mu_tail, mu_tail])
+        mu = np.concatenate([-(GinvF @ mu_tail), mu_tail])
     if not np.isfinite(mu).all():
         raise SingularGramError("stacked matrix is singular")
     x = w * (U.a @ mu)
@@ -193,7 +189,7 @@ def dual_step(A: DenseMatrix, b: np.ndarray, p: float, y: np.ndarray,
     return sigma * oracle_small(inst, counter=counter)
 
 
-def solve_lq(instance: ProblemInstance, seed=0):
+def solve_lq(instance: ProblemInstance):
     """Full lq regression solve for q in (1, 2] with certified accuracy.
 
     The bracket's lower bound is weak duality at the dual iterate y and
@@ -278,5 +274,4 @@ def solve_lq(instance: ProblemInstance, seed=0):
 
         return BracketSteps(lower_bound, step)
 
-    return certified_solve(instance, "dual", make_steps, seed=seed,
-                           max_rounds=MAX_DUAL_ROUNDS)
+    return certified_solve(instance, "dual", make_steps)

@@ -232,26 +232,28 @@ def oracle_opt(instance: ProblemInstance, tol: float = 1e-9) -> float:
 def solve(instance: ProblemInstance, method: str, seed: int = 0):
     """Route the method, check its support cap, and dispatch.
 
-    Returns (x, SolveReport).  Only the caps MAX_MWU_P and MAX_ACCEL_P are
-    checked here; each entry point rejects exponents outside its domain.
-    Every method runs inside :func:`lpreg.refine.certified_solve`, which
-    rescales the data exactly and shifts out the least-squares fit, so
-    results do not depend on the scale of the data.
+    Returns (x, SolveReport), with ``seed`` recorded on the report.
+    ``refine`` routes p = inf to linf, p < 2 to dual and every other p to
+    mwu.  Only the caps MAX_MWU_P and MAX_ACCEL_P are checked here; each
+    entry point rejects exponents outside its domain.  Every method runs
+    inside :func:`lpreg.refine.certified_solve`, which rescales the data
+    exactly and shifts out the least-squares fit, so results do not depend
+    on the scale of the data.
     """
     if method not in METHODS:
         raise InvalidInputError(f"unknown method {method!r}")
     p = instance.p
     if method == "refine":
-        method = ("linf" if p == math.inf else
-                  "dual" if p < 2 else
-                  "mwu" if p <= MAX_MWU_P else "accel")
+        method = "linf" if p == math.inf else "dual" if p < 2 else "mwu"
     if method == "mwu" and p > MAX_MWU_P:
         raise InvalidInputError(f"mwu requires p <= {MAX_MWU_P}")
     if method == "accel" and p > MAX_ACCEL_P:
         raise InvalidInputError(f"accel requires p <= {MAX_ACCEL_P}")
     entry = {"mwu": solve_mwu, "accel": solve_pnorm_accel, "dual": solve_lq,
              "linf": linf_regress}[method]
-    return entry(instance, seed=seed)
+    x, report = entry(instance)
+    report.seed = seed
+    return x, report
 
 
 def _is_int(v) -> bool:

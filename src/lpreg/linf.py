@@ -28,7 +28,6 @@ SMOOTHING_DENOM = 20.0      # t = gap scale / (20 log m)
 # Ridge on the Newton system; keeps it positive definite where the
 # softmax weights underflow.
 NEWTON_DAMPING = 1e-8
-MAX_OUTER_ROUNDS = 200
 MAX_NEWTON_STEPS = 400       # per outer round
 
 
@@ -128,12 +127,11 @@ def best_linf_bound(A: DenseMatrix, b: np.ndarray, x: np.ndarray,
     ones never gave the best bound), and least-squares multipliers
     restricted to the top residual cluster (the near-active rows of an
     almost-optimal point).  :func:`weak_duality_bound` projects them all,
-    so the value returned is a valid weak-duality bound.
+    so the value returned is a valid weak-duality bound.  The solver calls
+    it on the unit problem, whose residual is never zero.
     """
     u = A.a @ x - b
     hi = float(np.max(np.abs(u)))
-    if hi == 0.0:
-        return 0.0
     n = A.n
     stacked = np.concatenate([u, -u])
     candidates = []
@@ -163,7 +161,7 @@ def best_linf_bound(A: DenseMatrix, b: np.ndarray, x: np.ndarray,
     return weak_duality_bound(A, b, np.column_stack(candidates), 1.0, counter)
 
 
-def linf_regress(instance: ProblemInstance, seed=0):
+def linf_regress(instance: ProblemInstance):
     """Minimax regression to (1+eps) relative accuracy, certified.
 
     Each bracket round smooths at a temperature tied to the current gap,
@@ -233,5 +231,4 @@ def linf_regress(instance: ProblemInstance, seed=0):
 
         return BracketSteps(lower_bound, descend)
 
-    return certified_solve(instance, "linf", make_steps, seed=seed,
-                           max_rounds=MAX_OUTER_ROUNDS)
+    return certified_solve(instance, "linf", make_steps)

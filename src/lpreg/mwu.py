@@ -81,18 +81,16 @@ class AlphaSchedule:
     """The progress step of one solve, as a multiple of the paper's alpha.
 
     ``ratio`` starts at PAPER_ALPHA_BASE / ALPHA_BASE and only ever halves,
-    never below 1 (the paper's alpha); ``halvings`` counts the halvings.
+    never below 1 (the paper's alpha).
     """
 
     ratio: float = PAPER_ALPHA_BASE / ALPHA_BASE
-    halvings: int = 0
 
     def halve(self) -> bool:
         """Halve toward the floor; False when already at it."""
         if self.ratio <= 1.0:
             return False
         self.ratio = max(self.ratio / 2.0, 1.0)
-        self.halvings += 1
         return True
 
 
@@ -391,7 +389,7 @@ class MwuGammaSolver:
                                     self.schedule)
 
 
-def solve_mwu(instance: ProblemInstance, seed=0):
+def solve_mwu(instance: ProblemInstance):
     """Full solve: iterative refinement with width-reduced steps, certified."""
     if not 2 <= instance.p < math.inf:
         raise InvalidInputError("width reduction requires a finite p >= 2")
@@ -399,4 +397,4 @@ def solve_mwu(instance: ProblemInstance, seed=0):
     def make_steps(unit):
         return refine_steps(unit, MwuGammaSolver(unit.A, unit.p, unit.counter))
 
-    return certified_solve(instance, "mwu", make_steps, seed=seed)
+    return certified_solve(instance, "mwu", make_steps)

@@ -47,6 +47,7 @@ LINE_SEARCH_PROBES = 200
 SHORT_CIRCUIT_RTOL = 1e-13
 # Relative rounding of a p-norm, per entry: the driver allows 4 n eps_mach.
 ROUNDING_PER_ENTRY = 4.0 * np.finfo(float).eps
+MAX_ROUNDS = 500             # bracket rounds per solve, every method
 
 
 def bregman_terms(x: np.ndarray, p: float):
@@ -157,12 +158,11 @@ def lp_dual_bound(A: DenseMatrix, b: np.ndarray, x: np.ndarray, p: float,
 
     The candidate is the norm-dual vector of the residual at x; weak
     duality (:func:`weak_duality_bound`) makes the value a true lower
-    bound no matter how rough the candidate is.
+    bound no matter how rough the candidate is.  The solvers call it on
+    the unit problem, whose residual is never zero.
     """
     u = A.a @ x - b
     upn = pnorm(u, p)
-    if upn == 0.0:
-        return 0.0
     m = float(np.max(np.abs(u)))
     y = (np.abs(u) / m) ** (p - 1.0) * np.sign(u)
     y /= (upn / m) ** (p - 1.0)
@@ -205,8 +205,7 @@ def _pow2_exponent(v: np.ndarray) -> int:
 
 
 def certified_solve(instance: ProblemInstance, method: str,
-                    make_steps: Callable[[UnitProblem], BracketSteps],
-                    seed=None, max_rounds: int = 500):
+                    make_steps: Callable[[UnitProblem], BracketSteps]):
     """The certification rule shared by every solver; returns (x, report).
 
     1. Normalize: A and b are rescaled by powers of two, which is exact.
@@ -216,10 +215,10 @@ def certified_solve(instance: ProblemInstance, method: str,
        returned with gap 0; else it is normalized (:class:`UnitProblem`).
     3. Bracket: hi = ||Ax - b||_p, lo = the best lower bound so far; stop
        once lo > 0 and hi <= (1 + eps) lo, else step.  A step that makes
-       no progress, or running out of rounds, raises BudgetExceededError.
-       A best bound above hi within the rounding of the p-norm
-       evaluation (``ROUNDING_PER_ENTRY * n``, relative) is clipped to hi;
-       one further above is false and raises BoundAboveObjectiveError.
+       no progress, or MAX_ROUNDS rounds, raises BudgetExceededError.  A
+       best bound above hi within the rounding of the p-norm evaluation
+       (``ROUNDING_PER_ENTRY * n``, relative) is clipped to hi; one
+       further above is false and raises BoundAboveObjectiveError.
        At p = 2 the start is the optimum: the bound is
        :func:`lp_dual_bound`, there is no step and no ``make_steps`` call.
     4. Report: x is mapped back and measured on the caller's data, with
@@ -250,7 +249,7 @@ def certified_solve(instance: ProblemInstance, method: str,
             lambda z, lo, hi: None)
         lo, gap = 0.0, math.inf
         slack = ROUNDING_PER_ENTRY * A.n
-        while rounds < max_rounds:
+        while rounds < MAX_ROUNDS:
             rounds += 1
             hi = pnorm(a_unit.a @ z - unit.b, p)
             lo = max(lo, steps.lower_bound(z))
@@ -279,7 +278,7 @@ def certified_solve(instance: ProblemInstance, method: str,
             f"{method} minimizer lies outside float64's range")
     u = A.a @ x - b
     report = SolveReport(
-        method=method, p=p, eps=eps, n=A.n, d=A.d, seed=seed,
+        method=method, p=p, eps=eps, n=A.n, d=A.d,
         gram_solves=counter.gram_solves,
         phase_counts={"rounds": rounds, **counter.steps, **counter.by_phase,
                       "factorizations": counter.factorizations},

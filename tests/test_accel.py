@@ -492,7 +492,7 @@ class TestDistanceFromFunctionError:
         A = DenseMatrix(rng.standard_normal((50, 4)))
         b = rng.standard_normal(50)
         inst = ProblemInstance(A, b, p, eps=1e-10)
-        x_star, _ = solve_pnorm_accel(inst, seed=0)
+        x_star, _ = solve_pnorm_accel(inst)
         f_star = float(np.sum(np.abs(A.a @ x_star - b) ** p))
         w = lewis_overestimates(A, p)
         prob = ProxProblem(A, b, p, w, x_star)
@@ -560,7 +560,7 @@ class TestAcceleration:
         A = DenseMatrix(rng.standard_normal((40, 4)))
         b = rng.standard_normal(40)
         inst = ProblemInstance(A, b, p, eps=1e-6)
-        x, rep = solve_pnorm_accel(inst, seed=0)
+        x, rep = solve_pnorm_accel(inst)
         opt = oracle_opt(inst, tol=1e-9)
         assert rep.residual_lp <= (1 + 1e-6) * opt
         assert rep.certified_gap <= 1e-6

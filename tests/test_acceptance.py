@@ -215,7 +215,7 @@ def test_criterion_07_potential_bookkeeping(pnorm_sweep):
         schedule = AlphaSchedule()
         width_reduced_oracle(inst, SolveCounter(),
                              lewis_overestimates(inst.A, 4.0), schedule)
-        if schedule.halvings != 0:
+        if schedule.ratio != AlphaSchedule().ratio:
             fired.append(f"planted seed {seed} halved alpha")
     conclude("criterion 7 (potential bookkeeping never fires)", not fired,
              "" if not fired else f"{len(fired)} assertion errors")

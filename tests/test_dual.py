@@ -205,7 +205,7 @@ class TestPrimalRecover:
         A = DenseMatrix(rng.standard_normal((80, 5)))
         b = rng.standard_normal(80)
         inst = ProblemInstance(A, b, 1.5, eps=1e-6)
-        x, rep = solve_lq(inst, seed=0)
+        x, rep = solve_lq(inst)
         opt = oracle_opt(inst, tol=1e-10)
         assert rep.residual_lp <= (1 + 1e-6) * opt
 
@@ -218,7 +218,7 @@ class TestSolveLq:
         b = rng.standard_normal(50)
         inst = ProblemInstance(A, b, q, eps=1e-6)
         counters = solve_counters(monkeypatch)
-        x, rep = solve_lq(inst, seed=0)
+        x, rep = solve_lq(inst)
         opt = oracle_opt(inst, tol=1e-9)
         assert rep.residual_lp <= (1 + 1e-6) * opt
         assert rep.certified_gap <= 1e-6
@@ -234,7 +234,7 @@ class TestSolveLq:
             b = rng.standard_normal(n)
             q = float(rng.choice([1.25, 1.5, 1.8]))
             inst = ProblemInstance(A, b, q, eps=1e-7)
-            x, rep = solve_lq(inst, seed=seed)
+            x, rep = solve_lq(inst)
             opt = oracle_opt(inst, tol=1e-9)
             assert abs(rep.residual_lp / opt - 1.0) <= 1e-6
 
@@ -243,7 +243,7 @@ class TestSolveLq:
         A = DenseMatrix(rng.standard_normal((12, 3)))
         x0 = rng.standard_normal(3)
         inst = ProblemInstance(A, A.a @ x0, 1.5, eps=1e-6)
-        x, rep = solve_lq(inst, seed=0)
+        x, rep = solve_lq(inst)
         assert rep.residual_lp <= 1e-10
         assert rep.phase_counts.get("short_circuit") == 1
 

@@ -26,7 +26,7 @@ from lpreg.refine import refine_to_accuracy
 from diagnostics import exact_residual_lp, solve_counters
 
 
-def refine_with_mwu(inst, seed=0):
+def refine_with_mwu(inst):
     return refine_to_accuracy(
         inst, lambda unit: MwuGammaSolver(unit.A, unit.p, unit.counter))
 
@@ -180,6 +180,13 @@ class TestSolveDispatch:
         with pytest.raises(InvalidInputError):
             solve(inst17, "mwu")
 
+    def test_refine_above_the_cap_names_it(self):
+        # refine sends every finite p >= 2 to mwu, so p above MAX_MWU_P
+        # meets mwu's cap, not accel's lower one.
+        inst = gen_instance("gaussian", 20, 3, 0, p=17.0)
+        with pytest.raises(InvalidInputError, match="p <= 16"):
+            solve(inst, "refine")
+
     @pytest.mark.parametrize("entry, p", [
         ("mwu", 1.5), ("mwu", math.inf),
         ("accel", 1.5), ("accel", math.inf),
@@ -234,6 +241,35 @@ class TestSolveDispatch:
                 < rep.phase_counts["factorizations"] < rep.gram_solves)
 
     @pytest.mark.parametrize("method", ["mwu", "dual", "linf"])
+    def test_no_gram_solve_against_a_zero_column(self, method, monkeypatch):
+        # A zero right-hand side has the solution 0; solving for it would
+        # count a Gram solve that does no work.  dual's constraint vector
+        # is 0 on A's block, so each oracle call solves for its two
+        # stacked columns only.  (accel solves in its metric pencil.)
+        import importlib
+
+        import lpreg.linalg as linalg
+        zero_columns = []
+        real = linalg.gram_solve_multi
+
+        def checked(A, w, rhs, *args, **kwargs):
+            cols = np.asarray(rhs).reshape(A.d, -1)
+            zero_columns.extend(np.flatnonzero(~cols.any(axis=0)))
+            return real(A, w, rhs, *args, **kwargs)
+
+        monkeypatch.setattr(importlib.import_module(f"lpreg.{method}"),
+                            "gram_solve_multi", checked)
+        p = {"mwu": 3.0, "dual": 1.5, "linf": math.inf}[method]
+        eps = 1e-1 if p == math.inf else 1e-6
+        inst = gen_instance("gaussian", 25, 3, 2, p=p, eps=eps)
+        _, rep = solve(inst, method)
+        assert zero_columns == []
+        if method == "dual":
+            assert rep.phase_counts["oracle_calls"] > 0
+            assert (rep.phase_counts["oracle_small"]
+                    == 2 * rep.phase_counts["oracle_calls"])
+
+    @pytest.mark.parametrize("method", ["mwu", "dual", "linf"])
     def test_one_factorization_per_gram_call(self, method, monkeypatch):
         # Each gram_solve_multi call is one factorization, and so is the QR
         # of each matrix that projections run against: the solve's unit
@@ -273,7 +309,7 @@ class TestSolveDispatch:
         eps = 1e-1 if p == math.inf else 1e-6
         inst = gen_instance("gaussian", 25, 3, 2, p=p, eps=eps)
         counters = solve_counters(monkeypatch)
-        _, rep = ENTRIES[method](inst, seed=0)
+        _, rep = ENTRIES[method](inst)
         [counter] = counters
         assert sum(counter.by_phase.values()) == counter.gram_solves
         assert rep.gram_solves == counter.gram_solves

@@ -3,8 +3,9 @@ UPPER_CASE constant is read somewhere in src/lpreg, every name the
 package exports resolves, and so does every name the benchmark looks up
 in the package.  InvalidInputError is raised only at the API boundary, a
 QR is taken only by the cached factorization, only the driver and the
-reference oracle single out p = 2, and only the driver makes a
-SolveCounter, which no layer below it takes by default.
+reference oracle single out p = 2, only the driver makes a SolveCounter,
+which no layer below it takes by default, and no solver takes a round
+budget or a seed.
 
 No linter ships with the test environment, so this walks each module's
 syntax tree with the standard ``ast`` module instead.  A name counts as
@@ -335,3 +336,44 @@ def test_only_the_driver_makes_a_solve_counter():
     assert stray == [], (
         "each solve has one SolveCounter, made by the driver and passed "
         f"down; no layer below makes its own or defaults to none: {stray}")
+
+
+# The driver owns the round budget (refine.MAX_ROUNDS) and harness.solve
+# the seed label; no layer takes either as a parameter.  ``seed`` is a
+# parameter only where instances are drawn and where solve records it.
+SEED_PARAMETER_ALLOWED = {"harness.solve", "harness.gen_instance",
+                          "harness._rng_for"}
+
+
+def parameters_named(path: Path, name: str) -> list:
+    """(qualified function, file:line) per function with a parameter ``name``."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + [child.name]
+                args = getattr(child, "args", None)
+                if args is not None and name in {
+                        a.arg for a in args.posonlyargs + args.args
+                        + args.kwonlyargs}:
+                    sites.append((".".join([path.stem] + inner),
+                                  f"{path.name}:{child.lineno}"))
+                visit(child, inner)
+                continue
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), [])
+    return sites
+
+
+def test_only_the_driver_budgets_rounds_and_only_solve_labels_seeds():
+    paths = sorted(SRC.glob("*.py"))
+    stray = [f"{where} {func}: max_rounds" for path in paths
+             for func, where in parameters_named(path, "max_rounds")]
+    stray += [f"{where} {func}: seed" for path in paths
+              for func, where in parameters_named(path, "seed")
+              if func not in SEED_PARAMETER_ALLOWED]
+    assert stray == [], (
+        "refine.MAX_ROUNDS is the one round budget and harness.solve "
+        f"records the seed; no solver takes either: {stray}")

@@ -231,14 +231,14 @@ class TestLinfRegress:
         A = DenseMatrix(rng.standard_normal((20, 3)))
         x0 = rng.standard_normal(3)
         inst = ProblemInstance(A, A.a @ x0, math.inf, eps=1e-2)
-        x, rep = linf_regress(inst, seed=0)
+        x, rep = linf_regress(inst)
         assert rep.residual_lp <= 1e-10
 
     def test_chebyshev_midpoint(self):
         A = DenseMatrix(np.array([[1.0], [1.0]]))
         b = np.array([0.0, 2.0])
         inst = ProblemInstance(A, b, math.inf, eps=1e-2)
-        x, rep = linf_regress(inst, seed=0)
+        x, rep = linf_regress(inst)
         assert rep.residual_lp <= (1 + 1e-2) * 1.0
         assert x[0] == pytest.approx(1.0, abs=2e-2)
 
@@ -249,7 +249,7 @@ class TestLinfRegress:
             A = DenseMatrix(rng.standard_normal((100, 5)))
             b = rng.standard_normal(100)
             inst = ProblemInstance(A, b, math.inf, eps=eps)
-            x, rep = linf_regress(inst, seed=seed)
+            x, rep = linf_regress(inst)
             opt = oracle_opt(inst, tol=1e-8)
             assert rep.residual_lp <= (1 + eps) * opt
             assert rep.certified_gap <= eps
@@ -261,7 +261,7 @@ class TestLinfRegress:
         A = DenseMatrix(rng.standard_normal((50, 4)))
         b = rng.standard_normal(50)
         inst = ProblemInstance(A, b, math.inf, eps=1e-4)
-        x_star, rep = linf_regress(inst, seed=0)
+        x_star, rep = linf_regress(inst)
         opt = oracle_opt(inst, tol=1e-9)
         w = lewis_overestimates(A, math.inf).weights
         found = 0
@@ -277,7 +277,7 @@ class TestLinfRegress:
         rng = np.random.default_rng(9)
         A = DenseMatrix(rng.standard_normal((30, 3)))
         b = rng.standard_normal(30)
-        x, rep = linf_regress(ProblemInstance(A, b, math.inf, eps=0.1), seed=0)
+        x, rep = linf_regress(ProblemInstance(A, b, math.inf, eps=0.1))
         assert rep.method == "linf"
         assert rep.p == math.inf
         assert rep.phase_counts["newton_steps"] > 0
@@ -287,20 +287,20 @@ class TestLinfRegress:
         # rejected before any round runs, not left to stall
         inst = gen_instance("gaussian", 60, 4, 0, p=4.0)
         with pytest.raises(InvalidInputError, match="p = inf"):
-            linf_regress(inst, seed=0)
+            linf_regress(inst)
 
     @pytest.mark.parametrize("family", ["gaussian", "ill_conditioned",
                                         "planted_residual", "coherent_rows"])
     def test_one_gram_solve_per_newton_step(self, family):
         inst = gen_instance(family, 60, 4, 0, p=math.inf, eps=1e-4)
-        _, rep = linf_regress(inst, seed=0)
+        _, rep = linf_regress(inst)
         assert rep.phase_counts["newton"] == rep.phase_counts["newton_steps"]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_ill_conditioned_certifies_at_tight_eps(self, seed):
         inst = gen_instance("ill_conditioned", 60, 4, seed, p=math.inf,
                             eps=1e-8)
-        _, rep = linf_regress(inst, seed=seed)
+        _, rep = linf_regress(inst)
         assert rep.certified_gap <= 1e-8
 
     @pytest.mark.parametrize("n, d, seed", [(60, 4, 4), (160, 8, 2)])
@@ -309,7 +309,7 @@ class TestLinfRegress:
         # to eps from the first round; it now follows the bracket's gap.
         inst = gen_instance("ill_conditioned", n, d, seed, p=math.inf,
                             eps=1e-10)
-        _, rep = linf_regress(inst, seed=seed)
+        _, rep = linf_regress(inst)
         assert rep.certified_gap <= 1e-10
         assert rep.residual_lp <= (1 + 1e-10) * oracle_opt(inst)
 

@@ -213,7 +213,7 @@ class TestWidthReducedOracle:
         schedule = AlphaSchedule()
         y = width_reduced_oracle(inst, SolveCounter(),
                                  lewis_overestimates(inst.A, 4.0), schedule)
-        assert schedule.halvings == 0
+        assert schedule.ratio == AlphaSchedule().ratio
         assert abs(inst.g @ y + 1.0) <= 1e-9
         assert pnorm(inst.A.a @ y, 4.0) <= 320.0
         ay = inst.A.a @ y
@@ -228,7 +228,7 @@ class TestWidthReducedOracle:
         counter, schedule = SolveCounter(), AlphaSchedule()
         y = width_reduced_oracle(inst, counter,
                                  lewis_overestimates(inst.A, 4.0), schedule)
-        assert schedule.halvings == 0
+        assert schedule.ratio == AlphaSchedule().ratio
         assert abs(inst.g @ y + 1.0) <= 1e-9
         assert counter.steps.get("boost_steps", 0) == 0
 
@@ -240,7 +240,7 @@ class TestWidthReducedOracle:
         start = mwu_constants(p, 8)[1] * schedule.ratio
         y = width_reduced_oracle(inst, counter, lewis_overestimates(inst.A, p),
                                  schedule)
-        assert schedule.halvings == 0
+        assert schedule.ratio == AlphaSchedule().ratio
         assert counter.steps["progress_steps"] <= math.floor(
             8 ** (1 / p) / start) + 1
         assert abs(inst.g @ y + 1.0) <= 1e-9
@@ -286,7 +286,7 @@ class TestAboveTheCap:
                 for seed in (0, 1):
                     inst = gen_instance(family, 60, 4, seed, p=p, eps=1e-6)
                     try:
-                        _, rep = solve_mwu(inst, seed=seed)
+                        _, rep = solve_mwu(inst)
                     except LpregError:
                         continue
                     assert rep.certified_gap <= 1e-6
@@ -334,13 +334,14 @@ class TestAlphaSchedule:
         monkeypatch.setattr(mwu, "output_bounds", failing)
         monkeypatch.setattr(mwu, "reduce_width", recording)
         inst = plant_residual_instance(40, 4, 4.0, seed=1)
-        schedule = AlphaSchedule()
+        counter, schedule = SolveCounter(), AlphaSchedule()
         with pytest.raises(StepBoundError):
-            width_reduced_oracle(inst, SolveCounter(),
+            width_reduced_oracle(inst, counter,
                                  lewis_overestimates(inst.A, 4.0), schedule)
         _, floor, _ = mwu_constants(4.0, 4)
         halvings = math.ceil(math.log2(mwu.PAPER_ALPHA_BASE / mwu.ALPHA_BASE))
-        assert schedule.ratio == 1.0 and schedule.halvings == halvings
+        assert schedule.ratio == 1.0
+        assert counter.steps["alpha_halvings"] == halvings
         assert len(alphas) == halvings + 1
         assert all(a > b for a, b in zip(alphas, alphas[1:]))
         assert alphas[-1] == pytest.approx(floor, rel=1e-12)
@@ -356,7 +357,7 @@ class TestAlphaSchedule:
         with pytest.raises(InfeasibleError):
             width_reduced_oracle(inst, counter, lewis_overestimates(A, 4.0),
                                  schedule)
-        assert schedule.halvings == 0
+        assert schedule.ratio == AlphaSchedule().ratio
         assert counter.gram_solves == 1
 
     def test_step_bound_failure_before_any_progress_is_not_retried(
@@ -373,7 +374,8 @@ class TestAlphaSchedule:
         with pytest.raises(StepBoundError):
             width_reduced_oracle(inst, SolveCounter(),
                                  lewis_overestimates(inst.A, 4.0), schedule)
-        assert len(runs) == 1 and schedule.halvings == 0
+        assert len(runs) == 1
+        assert schedule.ratio == AlphaSchedule().ratio
 
     def test_energy_cap_failure_after_progress_keeps_alpha(self, monkeypatch):
         # The energy cap holds at every alpha, so breaking it after some

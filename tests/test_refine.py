@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from lpreg import refine
+from lpreg import harness, refine
 from lpreg.errors import (
     BisectionStallError,
     BoundAboveObjectiveError,
@@ -14,6 +14,7 @@ from lpreg.errors import (
     InfeasibleError,
     LpregError,
 )
+from lpreg.harness import FAMILIES, gen_instance
 from lpreg.linalg import DenseMatrix, SolveCounter
 from lpreg.linf import line_search_lse, lse_eval
 from lpreg.mwu import MwuGammaSolver
@@ -425,6 +426,56 @@ class TestCertifiedSolveBounds:
         _, rep = certified_solve(self.instance(), "stub", stub_bound_steps(1.0))
         assert rep.certified_gap == 0.0
         assert rep.phase_counts["rounds"] == 1
+
+
+class TestCertifiedSolveRounds:
+    def test_one_round_cap_for_every_method(self):
+        # A zero bound and a step that returns its own point never certify;
+        # the driver stops them after MAX_ROUNDS, whatever the method.
+        rng = np.random.default_rng(14)
+        A = DenseMatrix(rng.standard_normal((40, 3)))
+        inst = ProblemInstance(A, rng.standard_normal(40), 4.0, eps=1e-6)
+
+        def make_steps(unit):
+            return BracketSteps(lambda z: 0.0, lambda z, lo, hi: z)
+
+        with pytest.raises(BudgetExceededError,
+                           match=f"after {refine.MAX_ROUNDS} rounds"):
+            certified_solve(inst, "stub", make_steps)
+
+
+class UnitCaptured(Exception):
+    pass
+
+
+def unit_problem_of(inst):
+    """The UnitProblem that certified_solve hands to make_steps for inst."""
+    def make_steps(unit):
+        raise UnitCaptured(unit)
+
+    with pytest.raises(UnitCaptured) as info:
+        certified_solve(inst, "stub", make_steps)
+    return info.value.args[0]
+
+
+@pytest.mark.parametrize("family, scale, decades", [
+    *[(family, scale, harness.ILL_COND_DECADES) for family in FAMILIES
+      for scale in (1e-200, 1.0, 1e200)],
+    ("ill_conditioned", 1.0, 12.0)])
+def test_unit_problem_b_is_a_unit_vector_off_range_a(family, scale, decades,
+                                                     monkeypatch):
+    # lp_dual_bound and best_linf_bound rely on this: on the unit problem
+    # ||Ax - b||_2 >= 1 - O(eps_mach) at every x, so no residual is zero.
+    monkeypatch.setattr(harness, "ILL_COND_DECADES", decades)
+    tol = 4.0 * np.finfo(float).eps
+    for n, d in ((60, 4), (160, 8)):
+        for seed in range(8):
+            inst = gen_instance(family, n, d, seed, p=4.0)
+            unit = unit_problem_of(ProblemInstance(
+                DenseMatrix(scale * inst.A.a), scale * inst.b, 4.0))
+            q, _ = unit.A.qr
+            assert abs(np.linalg.norm(unit.b) - 1.0) <= tol
+            assert np.max(np.abs(q.T @ unit.b)) <= tol
 
 
 class TestCertifiedSolveAtP2:
