@@ -131,7 +131,8 @@ def primal_recover(A: DenseMatrix, b: np.ndarray, y_dual: np.ndarray,
     choosing the shift of either sign that minimizes the q-norm residual by
     :func:`line_search_lp`.  The result is then polished by a few
     reweighted least-squares steps, which squeezes out the first-order
-    error the projection inherits from the dual iterate.
+    error the projection inherits from the dual iterate.  The solver calls
+    it on the unit problem, whose residual is never zero.
     """
     q = p / (p - 1.0)
     y = np.asarray(y_dual, dtype=float)
@@ -150,8 +151,6 @@ def primal_recover(A: DenseMatrix, b: np.ndarray, y_dual: np.ndarray,
     for _ in range(RECOVER_POLISH_STEPS):
         u = A.a @ x_hat - b
         cur = pnorm(u, q)
-        if cur == 0.0:
-            break
         floor = 1e-12 * float(np.max(np.abs(u)))
         wts = np.maximum(np.abs(u), floor) ** (q - 2.0)
         x_ls = gram_solve_multi(A, wts, A.a.T @ (wts * b),

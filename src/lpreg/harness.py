@@ -17,12 +17,7 @@ import numpy as np
 
 from .accel import MAX_ACCEL_P, solve_pnorm_accel
 from .dual import solve_lq
-from .errors import (
-    InvalidInputError,
-    LpregError,
-    NoConvergenceError,
-    RankDeficientError,
-)
+from .errors import InvalidInputError, LpregError, NoConvergenceError
 from .linalg import DenseMatrix
 from .linf import linf_regress
 from .mwu import MAX_MWU_P, solve_mwu
@@ -57,35 +52,27 @@ def gen_instance(family: str, n: int, d: int, seed: int, p: float = 2.0,
     if seed < 0:
         raise InvalidInputError(f"seed {seed} is negative")
     rng = _rng_for(family, n, d, seed)
-    for attempt in range(4):
-        if family == "gaussian":
-            a = rng.standard_normal((n, d))
-            b = rng.standard_normal(n)
-        elif family == "ill_conditioned":
-            qu, _ = np.linalg.qr(rng.standard_normal((n, d)))
-            qv, _ = np.linalg.qr(rng.standard_normal((d, d)))
-            decades = ILL_COND_DECADES if d > 1 else 0.0
-            sing = 10.0 ** (-decades * np.arange(d) / max(d - 1, 1))
-            a = qu @ (sing[:, None] * qv.T)
-            b = rng.standard_normal(n)
-        elif family == "planted_residual":
-            a = rng.standard_normal((n, d))
-            planted = rng.standard_normal(d)
-            spikes = np.zeros(n)
-            heavy = rng.choice(n, size=max(n // 10, 1), replace=False)
-            spikes[heavy] = rng.standard_normal(heavy.size) * 2.0
-            b = a @ planted + spikes + 0.01 * rng.standard_normal(n)
-        else:  # coherent_rows
-            a = rng.standard_normal((n, d))
-            a[0] *= 50.0
-            b = rng.standard_normal(n)
-        try:
-            A = DenseMatrix(a)
-        except RankDeficientError:
-            rng = _rng_for(family, n, d, seed + 7919 * (attempt + 1))
-            continue
-        return ProblemInstance(A, b, p, eps=eps)
-    raise RankDeficientError(f"could not draw a full-rank {n} x {d} matrix")
+    if family == "gaussian":
+        a = rng.standard_normal((n, d))
+        b = rng.standard_normal(n)
+    elif family == "ill_conditioned":
+        qu, _ = np.linalg.qr(rng.standard_normal((n, d)))
+        qv, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        sing = 10.0 ** (-ILL_COND_DECADES * np.arange(d) / max(d - 1, 1))
+        a = qu @ (sing[:, None] * qv.T)
+        b = rng.standard_normal(n)
+    elif family == "planted_residual":
+        a = rng.standard_normal((n, d))
+        planted = rng.standard_normal(d)
+        spikes = np.zeros(n)
+        heavy = rng.choice(n, size=max(n // 10, 1), replace=False)
+        spikes[heavy] = rng.standard_normal(heavy.size) * 2.0
+        b = a @ planted + spikes + 0.01 * rng.standard_normal(n)
+    else:  # coherent_rows
+        a = rng.standard_normal((n, d))
+        a[0] *= 50.0
+        b = rng.standard_normal(n)
+    return ProblemInstance(DenseMatrix(a), b, p, eps=eps)
 
 
 def _newton_polish(a: np.ndarray, b: np.ndarray, x: np.ndarray, p: float,
@@ -285,7 +272,7 @@ class ExperimentConfig:
             raise InvalidInputError(f"unknown family {self.family!r}")
         if isinstance(self.p, str):
             try:
-                self.p = math.inf if self.p == "inf" else float(self.p)
+                self.p = float(self.p)
             except ValueError as exc:
                 raise InvalidInputError(f"bad exponent {self.p!r}") from exc
         if not _is_real(self.p):

@@ -141,8 +141,6 @@ def best_linf_bound(A: DenseMatrix, b: np.ndarray, x: np.ndarray,
     signs = np.sign(u)
     for theta in (0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 1e-4):
         idx = np.flatnonzero(np.abs(u) >= (1.0 - theta) * hi)
-        if idx.size == 0:
-            continue
         rows = (A.a[idx] * signs[idx][:, None]).T        # d x |I|
         weight = float(np.mean(np.linalg.norm(rows, axis=0))) + 1e-300
         system = np.vstack([rows, weight * np.ones((1, idx.size))])

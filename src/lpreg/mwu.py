@@ -9,8 +9,8 @@ analysis relies on is asserted at runtime; breaking the energy cap that
 the existence assumption implies is reported as infeasibility.
 
 The progress step alpha follows a per-solve schedule
-(:class:`AlphaSchedule`).  It starts at ``PAPER_ALPHA_BASE / ALPHA_BASE``
-times the paper's alpha.  It halves, for the rest of the solve, when an
+(:class:`AlphaSchedule`).  It starts at ``PAPER_ALPHA_BASE`` times the
+paper's alpha.  It halves, for the rest of the solve, when an
 oracle call fails in a way alpha can cause: a bound that assumes a small
 step (:class:`~lpreg.errors.StepBoundError`) or the boost budget fails
 after at least one progress step; before the first one nothing depends
@@ -45,11 +45,9 @@ MAX_MWU_P = 16.0
 
 TAU_BASE = 40.0       # tau = 40^p * d^{(p-2)(p-1)/(3p-2)}
 # The paper's alpha, d^{-(p^2-5p+2)/(p(3p-2))} / (1000 p), is the floor of
-# the step schedule; the schedule starts at the same formula with 1000
-# replaced by ALPHA_BASE, i.e. 1000 times larger.
+# the step schedule; the schedule starts PAPER_ALPHA_BASE times higher,
+# at d^{-(p^2-5p+2)/(p(3p-2))} / p.
 PAPER_ALPHA_BASE = 1000.0
-ALPHA_BASE = 1.0
-KAPPA_BASE = 1.0      # kappa = p * d^{1/p}
 
 
 def _tol(*vals) -> float:
@@ -69,7 +67,7 @@ class ResidualInstance:
 
 def mwu_constants(p: float, d: int) -> tuple[float, float, float]:
     """(kappa, alpha, tau) for dimension d; alpha is the paper's, the floor."""
-    kappa = KAPPA_BASE * p * d ** (1.0 / p)
+    kappa = p * d ** (1.0 / p)
     alpha = (d ** (-(p * p - 5 * p + 2) / (p * (3 * p - 2)))
              / (PAPER_ALPHA_BASE * p))
     tau = TAU_BASE ** p * d ** ((p - 2) * (p - 1) / (3 * p - 2))
@@ -80,11 +78,11 @@ def mwu_constants(p: float, d: int) -> tuple[float, float, float]:
 class AlphaSchedule:
     """The progress step of one solve, as a multiple of the paper's alpha.
 
-    ``ratio`` starts at PAPER_ALPHA_BASE / ALPHA_BASE and only ever halves,
-    never below 1 (the paper's alpha).
+    ``ratio`` starts at PAPER_ALPHA_BASE and only ever halves, never
+    below 1 (the paper's alpha).
     """
 
-    ratio: float = PAPER_ALPHA_BASE / ALPHA_BASE
+    ratio: float = PAPER_ALPHA_BASE
 
     def halve(self) -> bool:
         """Halve toward the floor; False when already at it."""
@@ -139,7 +137,6 @@ class MwuState:
     energy_err: float = 0.0
     progress_steps: int = 0     # this run's; the alpha rule reads them
     boost_steps: int = 0
-    dirty: bool = True
     _phi: float | None = None
 
     @property
@@ -154,13 +151,12 @@ class MwuState:
     def set_s(self, s: np.ndarray):
         self.s = s
         self._phi = None
-        self.dirty = True
 
     def weights_diag(self) -> np.ndarray:
         return self.base_r + self.s ** (self.p - 2.0)
 
     def refresh(self, phase: str):
-        """Re-solve the energy problem if the diagonal changed.
+        """Re-solve the energy problem at the current diagonal.
 
         Checks that the energy never decreased and that it stays below the
         bound implied by the existence assumption; breaking the latter means
@@ -168,8 +164,6 @@ class MwuState:
         Assertion bands widen by the solve's own value-error estimate so
         conditioning cannot masquerade as a broken invariant.
         """
-        if not self.dirty and self.z is not None:
-            return
         z, e, err = energy_solve(self.inst.A, self.weights_diag(), self.inst.g,
                                  self.counter, phase)
         band = _tol(e, self.energy or 0.0) + 4.0 * (err + self.energy_err)
@@ -182,7 +176,6 @@ class MwuState:
             raise InfeasibleError(
                 f"energy {e:.6g} exceeds {cap:.6g}; no feasible point exists")
         self.z, self.energy, self.energy_err = z, e, err
-        self.dirty = False
         self.az = self.inst.A.a @ z
 
 
@@ -259,9 +252,6 @@ def apply_boost(s: np.ndarray, sel: np.ndarray, v: np.ndarray, p: float):
 def boosting_step(state: MwuState) -> MwuState:
     """Raise weights on wide coordinates; the energy must jump by tau^{2/p}/16."""
     p, az = state.p, state.az
-    pnorm = float(np.sum(np.abs(az) ** p))
-    if pnorm < state.tau:
-        raise InvalidInputError("boost requires ||Az||_p^p >= tau")
     phi_old = state.potential()
     hypo = 2.0 ** p * state.kappa ** (-(p - 2.0)) * phi_old ** (1 - 2.0 / p)
     if hypo > state.tau / 4 * (1 + 1e-9):

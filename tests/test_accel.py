@@ -22,6 +22,7 @@ from lpreg.accel import (
 from lpreg.errors import (
     BisectionStallError,
     BudgetExceededError,
+    InvalidInputError,
     LpregError,
     NonFiniteError,
 )
@@ -89,6 +90,12 @@ class TestProxSolve:
         cert = prox_solve(prob, y, 1e-12, SolveCounter())
         assert prob.m_norm(cert.x - y) <= 1e-3  # tol^{1/(p-1)} scale
         assert cert.satisfied
+
+    def test_overflowing_center_residuals_raise(self):
+        # |u|^{p-2} of residuals near 1e200 is far beyond the float range.
+        prob = make_problem(40, 4, 14.0, 0)
+        with pytest.raises(InvalidInputError, match="overflow the exponent"):
+            ProxProblem(prob.A, prob.b, 14.0, prob.weights, np.full(4, 1e200))
 
     def test_certificate_and_independent_descent(self):
         prob = make_problem(50, 4, 4.0, 10)
@@ -192,6 +199,13 @@ class TestMetricPencil:
         prob.m_diag[0] = np.inf
         with pytest.raises(NonFiniteError):
             prob.metric_coords(np.ones(16), SolveCounter(), "metric")
+
+    def test_non_finite_rhs_raises(self):
+        pencil = family_problem("gaussian", 4.0).pencil()
+        v = np.ones(16)
+        v[5] = np.inf
+        with pytest.raises(NonFiniteError):
+            pencil.coords(v)
 
     def test_prox_ticks_once_per_distinct_tau(self, monkeypatch):
         prob = family_problem("planted_residual", 8.0)

@@ -5,7 +5,8 @@ in the package.  InvalidInputError is raised only at the API boundary, a
 QR is taken only by the cached factorization, only the driver and the
 reference oracle single out p = 2, only the driver makes a SolveCounter,
 which no layer below it takes by default, and no solver takes a round
-budget or a seed.
+budget or a seed.  Every allowlist entry names a function that exists,
+and every allowed message a raise that exists.
 
 No linter ships with the test environment, so this walks each module's
 syntax tree with the standard ``ast`` module instead.  A name counts as
@@ -131,15 +132,14 @@ BOUNDARY = {
     "linalg.read_vector", "problem.ProblemInstance.__post_init__",
 }
 # Functions allowed only the raises whose message source is listed:
-# harness.solve routes and checks the two support caps, and two checks
-# inside a solve guard runtime state no entry point can see.
+# harness.solve routes and checks the two support caps, and one check
+# inside a solve guards runtime state no entry point can see.
 CHECKS_BY_MESSAGE = {
     "harness.solve": {"f'unknown method {method!r}'",
                       "f'mwu requires p <= {MAX_MWU_P}'",
                       "f'accel requires p <= {MAX_ACCEL_P}'"},
     "accel.ProxProblem.__post_init__": {
         "'center residuals overflow the exponent'"},
-    "mwu.boosting_step": {"'boost requires ||Az||_p^p >= tau'"},
 }
 
 
@@ -377,3 +377,43 @@ def test_only_the_driver_budgets_rounds_and_only_solve_labels_seeds():
     assert stray == [], (
         "refine.MAX_ROUNDS is the one round budget and harness.solve "
         f"records the seed; no solver takes either: {stray}")
+
+
+def defined_functions(path: Path) -> set:
+    """Qualified names of the functions and methods defined in a module."""
+    names = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + [child.name]
+                if isinstance(child, ast.FunctionDef):
+                    names.add(".".join([path.stem] + inner))
+                visit(child, inner)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), [])
+    return names
+
+
+ALLOWLISTS = {
+    "BOUNDARY": BOUNDARY, "CHECKS_BY_MESSAGE": CHECKS_BY_MESSAGE,
+    "QR_ALLOWED": QR_ALLOWED, "P2_ALLOWED": P2_ALLOWED,
+    "COUNTER_MAKERS": COUNTER_MAKERS,
+    "COUNTER_DEFAULT_ALLOWED": COUNTER_DEFAULT_ALLOWED,
+    "SEED_PARAMETER_ALLOWED": SEED_PARAMETER_ALLOWED,
+}
+
+
+def test_no_allowlist_entry_is_stale():
+    paths = sorted(SRC.glob("*.py"))
+    defined = set().union(*map(defined_functions, paths))
+    raised = {(func, message) for path in paths
+              for func, message, _ in invalid_input_raises(path)}
+    stale = [f"{name}: {func}" for name, entries in ALLOWLISTS.items()
+             for func in entries if func not in defined]
+    stale += [f"CHECKS_BY_MESSAGE: {func}: {message}"
+              for func, messages in CHECKS_BY_MESSAGE.items()
+              for message in messages if (func, message) not in raised]
+    assert stale == [], (
+        "these allowlist entries name no function or raise in src/lpreg; "
+        f"drop them with the code they allowed: {stale}")

@@ -8,6 +8,7 @@ from lpreg.errors import (
     InvalidInputError,
     NonFiniteError,
     RankDeficientError,
+    SingularGramError,
 )
 from lpreg.linalg import (
     DenseMatrix,
@@ -101,6 +102,16 @@ class TestGramSolve:
         for bad in (np.inf, np.nan):
             with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
                 gram_solve_multi(A, np.array([1.0, bad]), np.ones(2))
+
+    def test_cholesky_raises_after_the_shifted_retry(self, monkeypatch):
+        # -I has a negative trace, so the shift makes it no less indefinite
+        # and the retry breaks down too.
+        calls = []
+        monkeypatch.setattr(linalg, "dpotrf", lambda *args, **kwargs: (
+            calls.append(1) or dpotrf(*args, **kwargs)))
+        with pytest.raises(SingularGramError):
+            linalg._cholesky(-np.eye(3), 10)
+        assert len(calls) == 2
 
 
 class TestLeverageScores:

@@ -299,8 +299,8 @@ class TestAlphaSchedule:
         _, floor, _ = mwu_constants(4.0, 8)
         start = floor * AlphaSchedule().ratio
         assert start == pytest.approx(
-            8 ** (-(16 - 20 + 2) / (4 * 10)) / (mwu.ALPHA_BASE * 4.0))
-        assert AlphaSchedule().ratio == mwu.PAPER_ALPHA_BASE / mwu.ALPHA_BASE
+            8 ** (-(16 - 20 + 2) / (4 * 10)) / 4.0)
+        assert AlphaSchedule().ratio == mwu.PAPER_ALPHA_BASE
 
     def test_output_failure_halves_and_still_certifies(self, monkeypatch):
         # the first three oracle runs that reach the output check fail it
@@ -318,7 +318,7 @@ class TestAlphaSchedule:
         assert rep.certified_gap <= 1e-6
         assert rep.phase_counts["alpha_halvings"] == 3
         assert rep.phase_counts["alpha_over_floor"] == pytest.approx(
-            mwu.PAPER_ALPHA_BASE / mwu.ALPHA_BASE / 8)
+            mwu.PAPER_ALPHA_BASE / 8)
 
     def test_alpha_never_drops_below_the_paper_value(self, monkeypatch):
         def failing(inst, y):
@@ -339,7 +339,7 @@ class TestAlphaSchedule:
             width_reduced_oracle(inst, counter,
                                  lewis_overestimates(inst.A, 4.0), schedule)
         _, floor, _ = mwu_constants(4.0, 4)
-        halvings = math.ceil(math.log2(mwu.PAPER_ALPHA_BASE / mwu.ALPHA_BASE))
+        halvings = math.ceil(math.log2(mwu.PAPER_ALPHA_BASE))
         assert schedule.ratio == 1.0
         assert counter.steps["alpha_halvings"] == halvings
         assert len(alphas) == halvings + 1
