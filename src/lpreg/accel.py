@@ -3,16 +3,20 @@
 The proximal subproblem adds an e p^p times p-th power of the distance in
 the metric induced by the weight overestimates.  Hessian stability makes
 that subproblem conditionally well-behaved: a relative-smoothness descent
-loop solves it, with each inner step reduced to a scalar root-find over a
-step scale tau, found by safeguarded Halley steps in log tau with brentq
-as the fallback.  Every system met at one proximal center lies in the fixed
+loop solves it, relative to phi(s) = ||s||_{H_c}^2 + C_p ||s||_M^p with a
+constant L that starts at ``PROX_L_START`` and doubles up to the theory's
+``PROX_L_THEORY`` whenever a trial step fails the smoothness inequality
+(a backtracked constant, as in Lu, Freund and Nesterov, SIAM J. Optim.
+2018).  Each inner step reduces to a scalar root-find over a step scale
+tau, found by safeguarded Halley steps in log tau with brentq as the
+fallback.  Every system met at one proximal center lies in the fixed
 pencil (A^T H_c A, A^T M A), so one generalized eigendecomposition per
-center (:class:`MetricPencil`) turns each tau probe into O(d) work.  The
-inner steps stay in the pencil's coordinates: one product with A T gives
-both gradients there, and an inverse-metric norm is a coordinate vector's
-length.  Costs are still charged in the paper's unit: each distinct probed
-tau, each inverse-metric norm and each momentum step counts as one Gram
-solve, and each pencil as one factorization.  The outer loop is a standard
+center (:class:`MetricPencil`) serves every L and turns each tau probe
+into O(d) work.  The inner steps stay in the pencil's coordinates: one
+product with A T gives both gradients there, and an inverse-metric norm is
+a coordinate vector's length.  Costs are still charged in the paper's
+unit: each distinct probed tau, each inverse-metric norm and each momentum
+step counts as one Gram solve, and each pencil as one factorization.  The outer loop is a standard
 accelerated proximal-point iteration with a step-scale search.  The driver
 answers p = 2 with its least-squares start, so every proximal problem of a
 solve has p > 2.
@@ -41,6 +45,15 @@ from .problem import ProblemInstance, pnorm
 from .refine import BracketSteps, certified_solve, lp_dual_bound
 
 PROX_ALPHA_SCALE = 1.0 / 128.0     # alpha = 1/(128 p^2)
+# The relative-smoothness constant of the inner descent: each proximal solve
+# starts at PROX_L_START and doubles it on every trial step that fails the
+# smoothness inequality; at PROX_L_THEORY, which Hessian stability proves,
+# steps are taken unchecked.
+PROX_L_START = 1.0
+PROX_L_THEORY = 4.0
+# The inequality is checked with this share of |f_reg(x)| to spare, a few
+# ulps, which covers the rounding of the two objective values it compares.
+MODEL_SLACK = 4.0 * sys.float_info.epsilon
 INNER_RATE_CONSTANT = 64.0 * math.e ** 2
 MS_BISECTION_CAP = 60
 # Stationarity slack of every proximal solve.  The unit problem keeps the
@@ -57,9 +70,9 @@ LN2 = math.log(2.0)
 SQUARE_SAFE = 2.0 ** -500
 # Largest supported exponent: C_p = e p^p and the step-scale powers leave
 # the float range as p grows.  At 60x4, eps 1e-6, four families and seeds
-# 0-2, p = 16 certifies all 12 instances (gaps 6e-11 to 1.2e-7, 3,608 to
-# 8,953 Gram solves, 28 to 95 factorizations).  At p = 32 all 8 of seeds
-# 0-1 stall in BudgetExceededError at gaps from 7.6e-5 to 1.5, five of them
+# 0-2, p = 16 certifies all 12 instances (gaps 8.6e-13 to 7.2e-7, 549 to
+# 1,496 Gram solves, 12 to 38 factorizations).  At p = 32 all 8 of seeds
+# 0-1 stall in BudgetExceededError at gaps from 4.6e-5 to 1.5, five of them
 # in round 1, where the proximal response pins its center.  The cap stays
 # until C_p and the step-scale power dist^(p-2) are carried in log form.
 MAX_ACCEL_P = 14.0
@@ -83,9 +96,11 @@ class MetricPencil:
     """Generalized eigenbasis of the pencil (A^T H_c A, A^T M A).
 
     ``t`` is a d x d basis with T^T (A^T M A) T = I and T^T (A^T H_c A) T
-    = diag(lam), ``lam`` clipped at 0.  So (8 A^T H_c A + c tau A^T M A)^{-1}
-    is T diag(1 / (8 lam + c tau)) T^T, and M^{-1} = T T^T.  ``at`` = A T
-    maps a row vector g to T^T A^T g in one product.
+    = diag(lam), ``lam`` clipped at 0.  So for the descent constant L,
+    (2 L A^T H_c A + (L c / 4) tau A^T M A)^{-1} is (4 / L) T diag(1 / (8 lam
+    + c tau)) T^T: every L is served by :meth:`scaled` with its
+    right-hand side scaled by 4 / L.  M^{-1} = T T^T.  ``at`` = A T maps a
+    row vector g to T^T A^T g in one product.
     """
 
     lam: np.ndarray
@@ -130,12 +145,23 @@ class MetricPencil:
 
 
 class ProxEval(NamedTuple):
-    """The proximal objective at one point x, from its image A (x - center)."""
+    """The proximal objective at one point x, from its image A (x - center).
+
+    ``s`` and ``g_img`` are n-vectors, so the smoothness inequality between
+    two points needs no product with A; ``grad`` and ``grad_phi`` are in
+    the pencil's coordinates.
+    """
 
     f_reg: float
     dist: float             # ||x - center||_M
+    s: np.ndarray           # A (x - center)
+    g_img: np.ndarray       # g_u + r M s, so grad f_reg = A^T g_img
     grad: np.ndarray        # T^T grad f_reg: pencil coordinates, M^{-1} norm
-    glin: np.ndarray        # T^T (grad f_reg - 4 grad of the surrogate)
+    grad_phi: np.ndarray    # T^T grad phi, phi = ||s||_{H_c}^2 + C_p ||s||_M^p
+
+    def glin(self, L: float) -> np.ndarray:
+        """T^T (grad f_reg - L grad phi), the linear term of the L-step."""
+        return self.grad - L * self.grad_phi
 
 
 @dataclass
@@ -144,10 +170,11 @@ class ProxProblem:
 
     The metric M = A^T W^{1-2/p} A is held through (A, weights, p) and
     never materialized.  Solves against it, and against the surrogate
-    Hessians 8 A^T H_c A + c tau M at the center, go through one
+    Hessians L (2 A^T H_c A + (c / 4) tau M) at the center, go through one
     :class:`MetricPencil`, built on first use from A's cached QR.  The
-    center's image A y and its residual A y - b are formed once, so a
-    point x enters only through A (x - y).
+    center's image A y, its residual A y - b and the Hessian weights 2 H_c
+    are formed once, so a point x enters only through A (x - y).  Callers
+    of :meth:`evaluate` silence overflow, which it leaves to its checks.
     """
 
     A: DenseMatrix
@@ -168,8 +195,8 @@ class ProxProblem:
                 self.u_center) ** (self.p - 2.0)
         if not np.all(np.isfinite(self._hess_center)):
             raise InvalidInputError("center residuals overflow the exponent")
+        self._hess2 = 2.0 * self._hess_center
         self._pencil = None
-        self._rows = np.empty((2, self.A.n))
 
     def pencil(self) -> MetricPencil:
         """The center's pencil, built on first use."""
@@ -189,29 +216,52 @@ class ProxProblem:
     def evaluate(self, s: np.ndarray) -> ProxEval:
         """The objective, distance and both gradients at x, from s = A (x - y).
 
-        With u = A x - b, g_u = p |u|^{p-2} u and r = p C_p dist^{p-2}, one
-        product of a 2 x n buffer with the pencil's A T gives T^T of both
-        grad f_reg = A^T (g_u + r M s) and glin = grad f_reg - 4 (2 A^T H_c s
-        + r A^T M s) = A^T (g_u - 8 H_c s - 3 r M s).
+        With u = A x - b, g_u = p |u|^{p-2} u and r = p C_p dist^{p-2}, the
+        two rows g_u + r M s and 2 H_c s + r M s are written in place into
+        one 2 x n buffer, whose one product with the pencil's A T gives
+        T^T grad f_reg and T^T grad phi.  f = sum |u|^{p-2} u^2 reuses the
+        one power.  The buffer is the evaluation's own: the smoothness check
+        reads ``g_img`` after later evaluations.
         """
         p = self.p
+        rows = np.empty((2, s.size))
+        g, h = rows
         u = self.u_center + s
         ms = self.m_diag * s
         dist = math.sqrt(float(s @ ms))
         r = p * self.cp * fpow(dist, p - 2.0)
-        rows = self._rows
-        with np.errstate(over="ignore"):
-            au = np.abs(u)
-            f_val = float((au ** p).sum())
-            g_u = p * au ** (p - 2.0) * u
-            np.add(g_u, r * ms, out=rows[0])
-            np.subtract(g_u, 8.0 * self._hess_center * s, out=rows[1])
-            rows[1] -= 3.0 * r * ms
+        np.abs(u, out=g)
+        np.power(g, p - 2.0, out=g)
+        g *= u
+        f_val = float(g @ u)
+        g *= p
+        np.multiply(ms, r, out=h)
+        g += h
+        np.multiply(self._hess2, s, out=u)
+        h += u
         grads = rows @ self.pencil().at
         if not np.isfinite(grads).all():
             raise NonFiniteError("proximal gradient not finite (overflow)")
-        return ProxEval(f_val + self.cp * fpow(dist, p), dist,
+        return ProxEval(f_val + self.cp * fpow(dist, p), dist, s, g,
                         grads[0], grads[1])
+
+    def model_holds(self, ev: ProxEval, trial: ProxEval, L: float) -> bool:
+        """Whether f_reg(x') <= f_reg(x) + <grad f_reg(x), x' - x> + L D_phi.
+
+        ``ev`` is at x and ``trial`` at x'; D_phi(x', x) is the Bregman
+        distance of phi.  With ds = s' - s every term is an n-vector
+        product: <grad f_reg(x), x' - x> = <g_img, ds>, and D_phi is
+        ||ds||_{H_c}^2 + C_p (dist'^p - dist^p) - r <M s, ds>.  No Gram
+        solve; a non-finite side fails.
+        """
+        p, cp = self.p, self.cp
+        ds = trial.s - ev.s
+        r = p * cp * fpow(ev.dist, p - 2.0)
+        d_phi = (float(ds @ (self._hess_center * ds))
+                 + cp * (fpow(trial.dist, p) - fpow(ev.dist, p))
+                 - r * float((self.m_diag * ev.s) @ ds))
+        bound = ev.f_reg + float(ev.g_img @ ds) + L * d_phi
+        return trial.f_reg <= bound + MODEL_SLACK * abs(ev.f_reg)
 
     def grad_f(self, x: np.ndarray) -> np.ndarray:
         u = self.A.a @ x - self.b
@@ -256,7 +306,9 @@ def _log_gap(pencil: MetricPencil, w: np.ndarray, z_exp: int, expo: float,
     """h = log(tau^expo / S(tau)) and its slope and curvature in log tau.
 
     ``w`` = z_unit / (8 lam + x), x = c tau, is the probe's coordinates for
-    z = 2^z_exp z_unit with max|z_unit| < 1, so S(tau) = 4^z_exp (w.w).
+    z = 2^z_exp z_unit with max|z_unit| < 1, so S(tau) = 4^z_exp (w.w); for
+    the descent constant L, z carries the step's factor 4 / L (see
+    :class:`MetricPencil`), so one denominator serves every L.
     With v = w x / (8 lam + x), so |v| <= |w|, and g = 2 (w.v) / (w.w), the
     slope is expo + g, between expo and expo + 2, and the curvature
     g - 6 (v.v) / (w.w) + g^2.
@@ -291,10 +343,11 @@ def _solve_inner_subproblem(prob: ProxProblem, z: np.ndarray, tau_seed: float,
                             counter: SolveCounter):
     """Pick tau >= 0 so that tau^{2/(p-2)} = ||s(tau)||_M^2; return (s, tau).
 
-    s(tau) minimizes <glin, s> + 4||s||_H^2 + 2 e p^{p+1} tau ||s||_M^2 for
-    p > 2.  The rhs comes in the center's pencil coordinates, z = T^T glin
-    (:attr:`ProxEval.glin`), and ||s(tau)||_M^2 = S(tau) = sum z_i^2 /
-    (8 lam_i + c tau)^2 costs O(d) per probe.  The search runs Halley's
+    s(tau) minimizes <glin_L, s> + L ||s||_H^2 + (L/2) p C_p tau ||s||_M^2
+    for p > 2 and the descent constant L, so s(tau) = -T (z / (8 lam + c
+    tau)) for the rhs z = (4 / L) T^T glin_L in the center's pencil
+    coordinates (:meth:`ProxEval.glin`), and ||s(tau)||_M^2 = S(tau) = sum
+    z_i^2 / (8 lam_i + c tau)^2 costs O(d) per probe.  The search runs Halley's
     method in log tau, from the seed, on the log gap h = log(tau^{2/(p-2)}
     / S(tau)) of :func:`_log_gap`: the Newton step ds becomes ds / (1 +
     ds h'' / (2 h')) while that denominator exceeds 1/2.  Powers of two
@@ -365,6 +418,7 @@ def _solve_inner_subproblem(prob: ProxProblem, z: np.ndarray, tau_seed: float,
     return -(pencil.t @ coords_at(tau)), tau
 
 
+@np.errstate(over="ignore")
 def prox_solve(prob: ProxProblem, x0: np.ndarray, tol: float,
                counter: SolveCounter) -> ProxCertificate:
     """Approximately minimize the proximal objective from x0.
@@ -373,8 +427,14 @@ def prox_solve(prob: ProxProblem, x0: np.ndarray, tol: float,
     relative-smoothness descent steps until the stationarity residual
     ||T^T grad|| in the inverse metric (one ``metric`` Gram solve) drops
     below e alpha p^{p+1} ||x - y||_M^{p-1} + tol, alpha = 1/(128 p^2).
-    Each step forms the image A (x - y) of its new point once; the
-    objective, the distance and both gradients come from it.
+    Each trial step minimizes <grad f_reg, x' - x> + L D_phi(x', x) and
+    forms the image A (x' - y) of its point once; the objective, the
+    distance and both gradients come from it.  L starts at
+    ``PROX_L_START``; a trial that fails :meth:`ProxProblem.model_holds`
+    is dropped (one ``prox_backtracks`` step), L doubles, and the trial is
+    recomputed from the same x and tau.  At ``PROX_L_THEORY`` steps are
+    not checked.  Every trial counts as one inner iteration.  Overflow
+    is silenced for the whole solve and left to the evaluator's checks.
     """
     p, y, a = prob.p, prob.center, prob.A.a
     scale = math.e * PROX_ALPHA_SCALE * p ** (p - 1.0)     # e alpha p^{p+1}
@@ -395,13 +455,20 @@ def prox_solve(prob: ProxProblem, x0: np.ndarray, tol: float,
     best_x, best_ev = x, ev
     cap = int(INNER_RATE_CONSTANT * max(math.log(1.0 / min(tol, 0.5)), 1.0)) + 8
     stall = 0
+    L = PROX_L_START
+    cert = certify(x, ev, 0, tau)
     for it in range(cap):
-        cert = certify(x, ev, it, tau)
         if cert.satisfied:
             return cert
-        step, tau = _solve_inner_subproblem(prob, ev.glin, tau, counter)
+        step, tau_new = _solve_inner_subproblem(
+            prob, (PROX_L_THEORY / L) * ev.glin(L), tau, counter)
         x_new = y + step
         ev_new = prob.evaluate(a @ (x_new - y))
+        if L < PROX_L_THEORY and not prob.model_holds(ev, ev_new, L):
+            L *= 2.0
+            counter.step("prox_backtracks")
+            continue
+        tau = tau_new
         if ev_new.f_reg < best_ev.f_reg:
             best_x, best_ev, stall = x_new, ev_new, 0
         else:
@@ -410,6 +477,7 @@ def prox_solve(prob: ProxProblem, x0: np.ndarray, tol: float,
         x, ev = (x_new, ev_new) if near_best else (best_x, best_ev)
         if stall >= 6:
             return cert
+        cert = certify(x, ev, it + 1, tau)
     return cert
 
 
@@ -502,8 +570,10 @@ def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
             prob_center, cert = respond(x_tilde)
         if _pins_center(prob_center, cert.dist):
             # The proximal response pins the center: x_tilde is stationary.
-            if prob_center.evaluate(
-                    A.a @ (cert.x - prob_center.center)).f_reg <= f_x:
+            with np.errstate(over="ignore"):
+                f_reg = prob_center.evaluate(
+                    A.a @ (cert.x - prob_center.center)).f_reg
+            if f_reg <= f_x:
                 x, f_x = cert.x, f(cert.x)
             break
         lam = lam_try
@@ -549,6 +619,7 @@ def solve_pnorm_accel(instance: ProblemInstance):
         A, b, p, counter = unit.A, unit.b, unit.p, unit.counter
         weights = lewis_overestimates(A, p)
         counter.step("prox_calls", 0)
+        counter.step("prox_backtracks", 0)
         counter.step("inner_iterations", 0)
 
         def lower_bound(xc):

@@ -338,8 +338,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
     the CSV).  Each row carries the Gram solves (the paper's unit) and the
     factorizations next to them.  With two or more dimensions the summary
     holds, per d, the mean Gram solves, their log-log slope, the mean
-    factorizations and, for solvers with a step schedule (``mwu``), the
-    mean number of alpha halvings.
+    factorizations and, for solvers with a step schedule, the mean number
+    of backoffs: alpha halvings (``mwu``) or rejected proximal trial steps
+    (``accel``).
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -392,10 +393,11 @@ def run_experiment(config: ExperimentConfig) -> dict:
             summary["mean_factorizations"] = [
                 float(np.mean([r.phase_counts["factorizations"]
                                for r in per_d[d]])) for d in ds]
-            if any("alpha_halvings" in r.phase_counts for r in ok):
-                summary["mean_alpha_halvings"] = [
-                    float(np.mean([r.phase_counts.get("alpha_halvings", 0)
-                                   for r in per_d[d]])) for d in ds]
+            for key in ("alpha_halvings", "prox_backtracks"):
+                if any(key in r.phase_counts for r in ok):
+                    summary[f"mean_{key}"] = [
+                        float(np.mean([r.phase_counts.get(key, 0)
+                                       for r in per_d[d]])) for d in ds]
     (out / "summary.json").write_text(json.dumps(summary, indent=2,
                                                  sort_keys=True))
     return summary

@@ -134,13 +134,18 @@ def line_search_lp(u: np.ndarray, w: np.ndarray, p: float):
 
 
 def weak_duality_bound(A: DenseMatrix, b: np.ndarray, Y: np.ndarray, q: float,
-                       counter: SolveCounter) -> float:
+                       counter: SolveCounter,
+                       residual: np.ndarray | None = None) -> float:
     """Best weak-duality lower bound on min ||Ax - b||_p, 1/p + 1/q = 1.
 
     Each candidate (a column of Y, or Y itself) is projected onto
     {y : A^T y = 0} by A's QR, one Gram solve each; for any such y,
-    -b^T y / ||y||_q <= ||Ax - b||_p at every x.  The best value over the
-    candidates is returned, and 0 when none is positive.
+    -b^T y / ||y||_q <= ||Ax - b||_p at every x.  Given the ``residual``
+    u = Ax - b of an iterate, each value is also capped by the
+    drift-charged u^T y / ||y||_q: the same value when A^T y = 0 holds
+    exactly, but it also charges the rounding drift x^T A^T y, and by
+    Hoelder it never exceeds ||u||_p.  The best value over the candidates
+    is returned, and 0 when none is positive.
     """
     Yhat = A.project_out(Y.reshape(A.n, -1))
     counter.tick(Yhat.shape[1], "certificate")
@@ -148,7 +153,10 @@ def weak_duality_bound(A: DenseMatrix, b: np.ndarray, Y: np.ndarray, q: float,
     for yhat in Yhat.T:
         denom = pnorm(yhat, q)
         if 0.0 < denom < math.inf:
-            best = max(best, -float(b @ yhat) / denom)
+            value = -float(b @ yhat)
+            if residual is not None:
+                value = min(value, float(residual @ yhat))
+            best = max(best, value / denom)
     return best
 
 
@@ -158,15 +166,18 @@ def lp_dual_bound(A: DenseMatrix, b: np.ndarray, x: np.ndarray, p: float,
 
     The candidate is the norm-dual vector of the residual at x; weak
     duality (:func:`weak_duality_bound`) makes the value a true lower
-    bound no matter how rough the candidate is.  The solvers call it on
-    the unit problem, whose residual is never zero.
+    bound no matter how rough the candidate is.  It is the smaller of
+    -b^T yhat / ||yhat||_q and the drift-charged (Ax - b)^T yhat /
+    ||yhat||_q for the one projected candidate yhat, so it is never above
+    either.  The solvers call it on the unit problem, whose residual is
+    never zero.
     """
     u = A.a @ x - b
     upn = pnorm(u, p)
     m = float(np.max(np.abs(u)))
     y = (np.abs(u) / m) ** (p - 1.0) * np.sign(u)
     y /= (upn / m) ** (p - 1.0)
-    return weak_duality_bound(A, b, y, p / (p - 1.0), counter)
+    return weak_duality_bound(A, b, y, p / (p - 1.0), counter, residual=u)
 
 
 @dataclass

@@ -32,6 +32,7 @@ from lpreg.linalg import DenseMatrix, SolveCounter, gram_solve_multi
 from lpreg.problem import ProblemInstance, pnorm
 
 from diagnostics import (
+    exact_residual_lp,
     hessian_stability_check,
     prox_f,
     prox_f_reg,
@@ -430,6 +431,11 @@ class CountingMatrix(np.ndarray):
         return getattr(ufunc, method)(*inputs, **kwargs)
 
 
+# (p, L) cases; the theory's L = 4 keeps the plain p id.
+GLIN_CASES = [pytest.param(p, L, id=f"{p}" if L == 4.0 else f"{p}-L{L:g}")
+              for L in (1.0, 2.0, 4.0) for p in (4.0, 8.0)]
+
+
 class TestInnerStep:
     @pytest.mark.parametrize("family", ["gaussian", "ill_conditioned"])
     @pytest.mark.parametrize("p", [4.0, 8.0])
@@ -446,10 +452,10 @@ class TestInnerStep:
         assert CountingMatrix.products <= cert.inner_iterations + 4
 
     @pytest.mark.parametrize("family", FAMILIES)
-    @pytest.mark.parametrize("p", [4.0, 8.0])
-    def test_glin_matches_separate_products(self, family, p):
-        # glin = grad f_reg - 4 grad h, with h the surrogate at the center:
-        # 2 ||x - y||_{H_c}^2 + C_p ||x - y||_M^p.
+    @pytest.mark.parametrize("p, L", GLIN_CASES)
+    def test_glin_matches_separate_products(self, family, p, L):
+        # glin(L) = grad f_reg - L grad phi, with phi the reference function
+        # at the center: ||x - y||_{H_c}^2 + C_p ||x - y||_M^p.
         # Both are in the pencil's coordinates, T^T times the gradient.
         prob = family_problem(family, p)
         a = prob.A.a
@@ -458,12 +464,12 @@ class TestInnerStep:
         ev = prob.evaluate(a @ (x - prob.center))
         step = x - prob.center
         dist = prob.m_norm(step)
-        grad_h = (2.0 * pencil.at.T @ (prob._hess_center * (a @ step))
-                  + p * prob.cp * dist ** (p - 2.0)
-                  * (pencil.at.T @ (prob.m_diag * (a @ step))))
-        ref = prox_grad_f_reg(prob, x, pencil.at) - 4.0 * grad_h
+        grad_phi = (2.0 * pencil.at.T @ (prob._hess_center * (a @ step))
+                    + p * prob.cp * dist ** (p - 2.0)
+                    * (pencil.at.T @ (prob.m_diag * (a @ step))))
+        ref = prox_grad_f_reg(prob, x, pencil.at) - L * grad_phi
         assert ev.dist == dist
-        assert np.linalg.norm(ev.glin - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(ev.glin(L) - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("p", [4.0, 8.0, 14.0])
@@ -480,6 +486,114 @@ class TestInnerStep:
         x0 = prob.center + np.random.default_rng(23).standard_normal(4)
         cert = prox_solve(prob, x0, 1e-12, SolveCounter())
         assert cert.dist == prob.m_norm(cert.x - prob.center)
+
+
+def smoothness_excess(prob, s, s_new, L):
+    """f_reg(x') - f_reg(x) - <grad f_reg(x), x' - x> - L D_phi(x', x).
+
+    x and x' are recovered from their images s = A (x - y) by least
+    squares, and every term is formed in x without ProxProblem.evaluate,
+    with phi(x) = ||A (x - y)||_{H_c}^2 + C_p ||x - y||_M^p.  Returns the
+    excess and f_reg(x).
+    """
+    a, y, p, cp = prob.A.a, prob.center, prob.p, prob.cp
+    x, x_new = (y + np.linalg.lstsq(a, v, rcond=None)[0] for v in (s, s_new))
+
+    def f_reg(v):
+        return prox_f(prob, v) + cp * prob.m_norm(v - y) ** p
+
+    def phi(v):
+        av = a @ (v - y)
+        return float(av @ (prob._hess_center * av)) + cp * prob.m_norm(v - y) ** p
+
+    av = a @ (x - y)
+    grad_phi = a.T @ (2.0 * prob._hess_center * av + p * cp
+                      * prob.m_norm(x - y) ** (p - 2.0) * prob.m_diag * av)
+    dx = x_new - x
+    bregman = phi(x_new) - phi(x) - float(grad_phi @ dx)
+    excess = (f_reg(x_new) - f_reg(x) - float(prox_grad_f_reg(prob, x) @ dx)
+              - L * bregman)
+    return excess, f_reg(x)
+
+
+class TestBacktrackedConstant:
+    # At this instance a trial step at L = 1 fails the smoothness
+    # inequality, and the solve backtracks to L = 2 and certifies.
+    BACKTRACKS = ("gaussian", 60, 4, 0)
+
+    def test_accepted_steps_meet_the_inequality(self, monkeypatch):
+        events = []
+        real_solve, real_holds = accel.prox_solve, ProxProblem.model_holds
+        real_glin = accel.ProxEval.glin
+
+        def solve(prob, *args, **kwargs):
+            events.append(("solve",))
+            return real_solve(prob, *args, **kwargs)
+
+        def holds(prob, ev, trial, L):
+            verdict = real_holds(prob, ev, trial, L)
+            events.append(("check", L, verdict, prob, ev.s, trial.s))
+            return verdict
+
+        def glin(ev, L):
+            events.append(("trial", L))
+            return real_glin(ev, L)
+
+        monkeypatch.setattr(accel, "prox_solve", solve)
+        monkeypatch.setattr(ProxProblem, "model_holds", holds)
+        monkeypatch.setattr(accel.ProxEval, "glin", glin)
+        inst = gen_instance(*self.BACKTRACKS, p=14.0, eps=1e-6)
+        _, rep = solve_pnorm_accel(inst)
+        L = None
+        for event in events:
+            if event[0] == "solve":
+                L = None
+            elif event[0] == "trial":
+                # each solve starts at 1; L only moves after a rejection
+                assert event[1] == (accel.PROX_L_START if L is None else L)
+                L = event[1]
+            else:
+                _, L_check, verdict, prob, s, s_new = event
+                assert L_check == L < accel.PROX_L_THEORY
+                if verdict:
+                    excess, f_reg = smoothness_excess(prob, s, s_new, L)
+                    assert excess <= 1e-12 * abs(f_reg)
+                else:
+                    L *= 2.0
+        checks = [e for e in events if e[0] == "check"]
+        backtracks = sum(not e[2] for e in checks)
+        assert backtracks == rep.phase_counts["prox_backtracks"] >= 1
+        assert {e[1] for e in events if e[0] == "trial"} <= {1.0, 2.0, 4.0}
+
+    def test_backtracking_instance_certifies(self):
+        inst = gen_instance(*self.BACKTRACKS, p=14.0, eps=1e-6)
+        x, rep = solve_pnorm_accel(inst)
+        assert rep.phase_counts["prox_backtracks"] >= 1
+        residual = exact_residual_lp(inst, x)
+        error = residual / min(oracle_opt(inst), residual) - 1.0
+        assert error <= rep.certified_gap <= 1e-6
+
+    def test_rejected_trial_keeps_x_and_tau(self, monkeypatch):
+        # A rejected trial is recomputed from the same point and step scale
+        # at twice the constant; it counts as an inner iteration.
+        calls = []
+        real = accel._solve_inner_subproblem
+
+        def recording(prob, z, tau_seed, counter):
+            calls.append((z.copy(), tau_seed))
+            return real(prob, z, tau_seed, counter)
+
+        monkeypatch.setattr(accel, "_solve_inner_subproblem", recording)
+        monkeypatch.setattr(ProxProblem, "model_holds",
+                            lambda prob, ev, trial, L: L >= 2.0)
+        prob = family_problem("gaussian", 8.0)
+        counter = SolveCounter()
+        cert = prox_solve(prob, prob.center, 1e-12, counter)
+        (z1, tau1), (z2, tau2) = calls[:2]
+        assert tau1 == tau2
+        assert not np.array_equal(z1, z2)
+        assert counter.steps["prox_backtracks"] == 1
+        assert cert.satisfied and cert.inner_iterations == len(calls)
 
 
 class TestStrongConvexity:

@@ -64,6 +64,18 @@ def test_conditioning_slice_certifies_truly_or_raises(decades, seed,
         assert gap >= error, (method, p, gap, error)
 
 
+def test_accel_certifies_at_its_stationarity_floor():
+    # accel's final x here is stationary enough that -b^T yhat / ||yhat||_q,
+    # which leaves out the rounding drift x^T A^T yhat, lies 9.7e-13 above
+    # the exactly evaluated residual, which raised BoundAboveObjectiveError;
+    # the drift-charged bound of lp_dual_bound stays below it.
+    inst = gen_instance("ill_conditioned", 160, 8, 0, p=8.0, eps=1e-6)
+    x, rep = solve(inst, "accel", seed=0)
+    residual = exact_residual_lp(inst, x)
+    error = residual / min(oracle_opt(inst), residual) - 1.0
+    assert error <= rep.certified_gap <= 1e-6
+
+
 def test_dual_multiplier_overflow_is_a_solver_error(monkeypatch):
     # At cond(A) 1e10 and eps 1e-12 the multipliers of dual's constrained
     # quadratic overflow: a singular stacked system, which must surface as

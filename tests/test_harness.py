@@ -319,8 +319,8 @@ class TestSolveDispatch:
         ("mwu", {"progress_steps", "boost_steps", "alpha_halvings",
                  "alpha_over_floor", "gamma_calls", "accepted_steps",
                  "certificate", "progress"}),
-        ("accel", {"prox_calls", "inner_iterations", "certificate", "metric",
-                   "prox", "ms"}),
+        ("accel", {"prox_calls", "prox_backtracks", "inner_iterations",
+                   "certificate", "metric", "prox", "ms"}),
         ("dual", {"oracle_calls", "accepted_steps", "recover",
                   "oracle_small", "certificate"}),
         ("linf", {"newton_steps", "line_search_evals", "certificate",
@@ -457,6 +457,16 @@ class TestRunExperiment:
                    for f in sorted((tmp_path / "out").glob("mwu_*.json"))]
         assert summary["mean_alpha_halvings"] == [
             float(r["phase_counts"]["alpha_halvings"]) for r in reports]
+
+    def test_accel_summary_reports_prox_backtracks(self, tmp_path):
+        cfg = self._config(tmp_path, sizes=[[16, 2], [32, 4]], seeds=[0])
+        summary = run_experiment(cfg)
+        assert summary["failures"] == 0
+        reports = [json.loads(f.read_text())
+                   for f in sorted((tmp_path / "out").glob("accel_*.json"))]
+        assert summary["mean_prox_backtracks"] == [
+            float(r["phase_counts"]["prox_backtracks"]) for r in reports]
+        assert "mean_alpha_halvings" not in summary
 
     def test_config_from_json(self, tmp_path):
         path = tmp_path / "cfg.json"

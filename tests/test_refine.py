@@ -29,6 +29,7 @@ from lpreg.refine import (
     newton_line_search,
     refine_to_accuracy,
     refinement_round,
+    weak_duality_bound,
 )
 
 from diagnostics import scalar_refine_bounds
@@ -264,6 +265,29 @@ class TestDualBound:
         x, rep = solve(inst, "accel", seed=0)
         lb = lp_dual_bound(A, b, x, 4.0, SolveCounter())
         assert pnorm(A.a @ x - b, 4.0) <= (1 + 1e-9) * lb
+
+    @pytest.mark.parametrize("family", ["gaussian", "ill_conditioned"])
+    @pytest.mark.parametrize("p", [3.0, 8.0])
+    def test_never_above_the_uncharged_bound(self, family, p):
+        # The drift-charged value can only lower -b^T yhat / ||yhat||_q,
+        # at the price of the same one certificate solve.
+        from lpreg.harness import gen_instance
+        inst = gen_instance(family, 160, 8, 0, p=p)
+        A, b = inst.A, inst.b
+        y0 = np.linalg.lstsq(A.a, b, rcond=None)[0]
+        rng = np.random.default_rng(13)
+        for scale in (1e-8, 1e-3, 1.0):
+            x = y0 + scale * rng.standard_normal(8)
+            u = A.a @ x - b
+            m = float(np.max(np.abs(u)))    # the candidate lp_dual_bound forms
+            y = (np.abs(u) / m) ** (p - 1.0) * np.sign(u)
+            y /= (pnorm(u, p) / m) ** (p - 1.0)
+            counter = SolveCounter()
+            lb = lp_dual_bound(A, b, x, p, counter)
+            plain = weak_duality_bound(A, b, y, p / (p - 1.0), SolveCounter())
+            assert 0.0 < lb <= plain
+            assert lb <= pnorm(u, p) * (1.0 + 1e-15)
+            assert counter.by_phase == {"certificate": 1}
 
 
 class TestRefinementRound:
