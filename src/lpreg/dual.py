@@ -124,15 +124,19 @@ def oracle_small(inst: DualInstance, counter: SolveCounter) -> np.ndarray:
 
 
 def primal_recover(A: DenseMatrix, b: np.ndarray, y_dual: np.ndarray,
-                   p: float, counter: SolveCounter) -> np.ndarray:
+                   p: float, counter: SolveCounter,
+                   incumbent: tuple | None = None) -> np.ndarray:
     """Primal point from a near-optimal dual iterate.
 
     Shifts b along sign(y)|y|^{p-2} and least-squares projects by A's QR,
     choosing the shift of either sign that minimizes the q-norm residual by
-    :func:`line_search_lp`.  The result is then polished by a few
-    reweighted least-squares steps, which squeezes out the first-order
-    error the projection inherits from the dual iterate.  The solver calls
-    it on the unit problem, whose residual is never zero.
+    :func:`line_search_lp`.  That fit is then polished by a few reweighted
+    least-squares steps, which squeeze out the first-order error the
+    projection inherits from the dual iterate.  ``incumbent`` is an
+    (x, ||Ax - b||_q) pair: when its residual is strictly below the fit's,
+    the polish starts from x instead (one ``warm_recoveries`` step), so the
+    result is never above the incumbent.  The solver calls it on the unit
+    problem, whose residual is never zero.
     """
     q = p / (p - 1.0)
     y = np.asarray(y_dual, dtype=float)
@@ -147,19 +151,25 @@ def primal_recover(A: DenseMatrix, b: np.ndarray, y_dual: np.ndarray,
     if lam == 0.0:
         lam = -line_search_lp(e0, -e1, q)[0]
     x_hat = sol[:, 0] + lam * sol[:, 1]
+    u = A.a @ x_hat - b
+    cur = pnorm(u, q)
+    if incumbent is not None and incumbent[1] < cur:
+        x_hat, cur = incumbent
+        u = A.a @ x_hat - b
+        counter.step("warm_recoveries")
 
     for _ in range(RECOVER_POLISH_STEPS):
-        u = A.a @ x_hat - b
-        cur = pnorm(u, q)
         floor = 1e-12 * float(np.max(np.abs(u)))
         wts = np.maximum(np.abs(u), floor) ** (q - 2.0)
         x_ls = gram_solve_multi(A, wts, A.a.T @ (wts * b),
                                 counter=counter, phase="recover")
         c_step, _ = line_search_lp(u, A.a @ (x_ls - x_hat), q)
         x_new = x_hat + c_step * (x_ls - x_hat)
-        if pnorm(A.a @ x_new - b, q) >= cur * (1.0 - 1e-14):
+        u_new = A.a @ x_new - b
+        value = pnorm(u_new, q)
+        if value >= cur * (1.0 - 1e-14):
             break
-        x_hat = x_new
+        x_hat, u, cur = x_new, u_new, value
     return x_hat
 
 
@@ -202,10 +212,14 @@ def solve_lq(instance: ProblemInstance):
     within eps/4 of its own weak-duality bound (:func:`lp_dual_bound`, one
     ``certificate`` solve; it never enters the bracket), when only y can
     close the gap.  The skip is off while eps/4 is within the driver's
-    rounding allowance, ``ROUNDING_PER_ENTRY * n``.  A round that finds no
-    step hands the dual side to the incumbent instead: y becomes x's
-    norm-dual residual vector, projected onto the constraints, when that is
-    shorter (one ``recover`` solve).
+    rounding allowance, ``ROUNDING_PER_ENTRY * n``.  Every recovery after
+    the first is handed the incumbent and ``hi``, so its polish starts from
+    x when x is below the fit from y (``warm_recoveries``).  A round that
+    finds no step hands the dual side to the incumbent instead: y becomes
+    x's norm-dual residual vector, projected onto the constraints, when
+    that is shorter (one ``recover`` solve).  When it is not, one cold
+    recovery from y runs (``stall_recoveries``), and the step gives up
+    unless that point is below ``hi``.
     """
     q = instance.p
     p = dual_exponent(q)
@@ -214,6 +228,8 @@ def solve_lq(instance: ProblemInstance):
         A, b, counter = unit.A, unit.b, unit.counter
         counter.step("oracle_calls", 0)
         counter.step("accepted_steps", 0)
+        counter.step("warm_recoveries", 0)
+        counter.step("stall_recoveries", 0)
         counter.tick(0, "certificate")
         may_skip = unit.eps / 4.0 > ROUNDING_PER_ENTRY * A.n
         # b is a unit vector orthogonal to range(A), so it is already the
@@ -261,15 +277,24 @@ def solve_lq(instance: ProblemInstance):
 
         def step(x, lo, hi):
             nonlocal recovered
+            incumbent, fallback = None, x
             if recovered:
                 if not advance(hi):
-                    return x if lift(x) else None
-                if may_skip and hi <= (1.0 + unit.eps / 4.0) * lp_dual_bound(
+                    if lift(x):
+                        return x
+                    # The polish from x can sit at a fixed point above the
+                    # best point; a cold one from the same y may go lower.
+                    counter.step("stall_recoveries")
+                    fallback = None
+                elif may_skip and hi <= (1.0 + unit.eps / 4.0) * lp_dual_bound(
                         A, b, x, q, counter):
                     return x
+                else:
+                    incumbent = (x, hi)
             recovered = True
-            x_hat = primal_recover(A, b, y, p, counter=counter)
-            return x_hat if pnorm(A.a @ x_hat - b, q) < hi else x
+            x_hat = primal_recover(A, b, y, p, counter=counter,
+                                   incumbent=incumbent)
+            return x_hat if pnorm(A.a @ x_hat - b, q) < hi else fallback
 
         return BracketSteps(lower_bound, step)
 

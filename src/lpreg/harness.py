@@ -340,7 +340,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     holds, per d, the mean Gram solves, their log-log slope, the mean
     factorizations and, for solvers with a step schedule, the mean number
     of backoffs: alpha halvings (``mwu``) or rejected proximal trial steps
-    (``accel``).
+    (``accel``); for ``dual``, the mean warm-started and stall recoveries.
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -393,7 +393,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
             summary["mean_factorizations"] = [
                 float(np.mean([r.phase_counts["factorizations"]
                                for r in per_d[d]])) for d in ds]
-            for key in ("alpha_halvings", "prox_backtracks"):
+            for key in ("alpha_halvings", "prox_backtracks",
+                        "warm_recoveries", "stall_recoveries"):
                 if any(key in r.phase_counts for r in ok):
                     summary[f"mean_{key}"] = [
                         float(np.mean([r.phase_counts.get(key, 0)

@@ -15,12 +15,19 @@ from lpreg.dual import (
     solve_lq,
     stack_instance,
 )
+from lpreg import harness
 from lpreg.errors import InvalidInputError, SingularGramError
 from lpreg.harness import FAMILIES, gen_instance, oracle_opt, solve
 from lpreg.linalg import DenseMatrix, SolveCounter
 from lpreg.problem import ProblemInstance, pnorm
+from lpreg.refine import ROUNDING_PER_ENTRY
 
-from diagnostics import dual_gamma_value, plant_dual_instance, solve_counters
+from diagnostics import (
+    dual_gamma_value,
+    exact_residual_lp,
+    plant_dual_instance,
+    solve_counters,
+)
 
 
 class TestDualReduce:
@@ -200,6 +207,29 @@ class TestPrimalRecover:
         assert lam == pytest.approx(ref.x, rel=1e-5)
         assert pnorm(A.a @ x - b, q) <= ref.fun * (1 + 1e-12)
 
+    @pytest.mark.parametrize("q", [1.1, 1.5])
+    def test_never_above_the_incumbent(self, q):
+        # The polish starts from the incumbent when it is strictly below the
+        # fit, and a polish step is taken only when it lowers the residual.
+        rng = np.random.default_rng(9)
+        p = dual_exponent(q)
+        starts = []
+        for trial in range(12):
+            A = DenseMatrix(rng.standard_normal((60, 4)))
+            b = rng.standard_normal(60)
+            y = b - A.a @ np.linalg.lstsq(A.a, b, rcond=None)[0]
+            x_near = primal_recover(A, b, y, p, SolveCounter())
+            noise = 10.0 ** -(2 * (trial % 4))
+            x_inc = x_near + noise * rng.standard_normal(4)
+            hi = pnorm(A.a @ x_inc - b, q)
+            counter = SolveCounter()
+            # a poor dual iterate, whose fit the polish cannot repair
+            x = primal_recover(A, b, rng.standard_normal(60), p, counter,
+                               incumbent=(x_inc, hi))
+            assert pnorm(A.a @ x - b, q) <= hi
+            starts.append(counter.steps.get("warm_recoveries", 0))
+        assert 0 in starts and 1 in starts
+
     def test_random_instance_matches_oracle(self):
         rng = np.random.default_rng(4)
         A = DenseMatrix(rng.standard_normal((80, 5)))
@@ -296,6 +326,47 @@ class TestSolveLq:
         _, rep = solve(inst, "dual", seed=0)
         assert rep.certified_gap <= 1e-8
         assert rep.residual_lp <= (1 + 1e-8) * oracle_opt(inst, tol=1e-10)
+
+    def test_stalled_warm_polish_falls_back_to_a_cold_recovery(self,
+                                                                monkeypatch):
+        # Here the polish started at the incumbent sits at a fixed point
+        # 1.6e-10 above the best point, refinement finds no step and the
+        # incumbent's dual vector is not shorter; without the cold recovery
+        # the solve stalls in BudgetExceededError.  Recovering cold every
+        # round certifies too, at 951 Gram solves, and the referee is the
+        # lower of the two points' exact residuals.
+        inst = gen_instance("ill_conditioned", 160, 8, 0, p=1.1, eps=1e-10)
+        x, rep = solve(inst, "dual", seed=0)
+        assert rep.phase_counts["stall_recoveries"] >= 1
+        assert rep.gram_solves < 951
+        residual = exact_residual_lp(inst, x)
+        recover = dual.primal_recover
+        monkeypatch.setattr(dual, "primal_recover",
+                            lambda *args, incumbent=None, **kw:
+                            recover(*args, **kw))
+        x_cold, _ = solve(inst, "dual", seed=0)
+        referee = min(residual, exact_residual_lp(inst, x_cold))
+        assert residual / referee - 1.0 <= rep.certified_gap <= 1e-10
+        # The float oracle_opt lies below both points, by less than the
+        # driver's rounding allowance.
+        error = residual / oracle_opt(inst) - 1.0
+        assert error <= rep.certified_gap + ROUNDING_PER_ENTRY * inst.A.n
+
+    @pytest.mark.parametrize("q, eps, recover", [(1.1, 1e-6, 40),
+                                                 (1.2, 1e-8, 45)])
+    def test_warm_polish_certifies_at_large_n(self, q, eps, recover,
+                                              monkeypatch):
+        # Polishing from the fit every round took 98 recover solves at
+        # q = 1.2; at q = 1.1 it stalled in BudgetExceededError.
+        monkeypatch.setattr(harness, "ORACLE_MAX_N", 1000)
+        monkeypatch.setattr(harness, "ORACLE_MAX_D", 32)
+        inst = gen_instance("gaussian", 1000, 32, 0, p=q, eps=eps)
+        x, rep = solve(inst, "dual", seed=0)
+        assert rep.phase_counts["warm_recoveries"] >= 1
+        assert rep.phase_counts["recover"] <= recover
+        residual = exact_residual_lp(inst, x)
+        error = residual / min(oracle_opt(inst), residual) - 1.0
+        assert error <= rep.certified_gap <= eps
 
     def test_stacked_instance_layout(self):
         rng = np.random.default_rng(6)

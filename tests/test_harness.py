@@ -321,8 +321,9 @@ class TestSolveDispatch:
                  "certificate", "progress"}),
         ("accel", {"prox_calls", "prox_backtracks", "inner_iterations",
                    "certificate", "metric", "prox", "ms"}),
-        ("dual", {"oracle_calls", "accepted_steps", "recover",
-                  "oracle_small", "certificate"}),
+        ("dual", {"oracle_calls", "accepted_steps", "warm_recoveries",
+                  "stall_recoveries", "recover", "oracle_small",
+                  "certificate"}),
         ("linf", {"newton_steps", "line_search_evals", "certificate",
                   "newton"}),
     ])
@@ -467,6 +468,22 @@ class TestRunExperiment:
         assert summary["mean_prox_backtracks"] == [
             float(r["phase_counts"]["prox_backtracks"]) for r in reports]
         assert "mean_alpha_halvings" not in summary
+
+    def test_dual_summary_reports_recoveries(self, tmp_path):
+        cfg = self._config(tmp_path, method="dual", p=1.2, eps=1e-8,
+                           family="ill_conditioned", sizes=[[60, 4], [160, 8]],
+                           seeds=[0])
+        summary = run_experiment(cfg)
+        assert summary["failures"] == 0
+        reports = [json.loads((tmp_path / "out" /
+                               f"dual_ill_conditioned_{n}x{d}_s0.json"
+                               ).read_text())
+                   for n, d in cfg.sizes]
+        for key in ("warm_recoveries", "stall_recoveries"):
+            assert summary[f"mean_{key}"] == [
+                float(r["phase_counts"][key]) for r in reports]
+        assert summary["mean_warm_recoveries"][-1] >= 1
+        assert "mean_prox_backtracks" not in summary
 
     def test_config_from_json(self, tmp_path):
         path = tmp_path / "cfg.json"
