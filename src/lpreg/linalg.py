@@ -17,8 +17,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import cho_solve
-from scipy.linalg.lapack import dpotrf, dtrtri
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 from .errors import (
     InvalidInputError,
@@ -182,7 +181,11 @@ def gram_solve_multi(A: DenseMatrix, w: np.ndarray, rhs: np.ndarray,
     if not np.isfinite(gram).all():
         raise NonFiniteError("Gram matrix not finite (weights or overflow)")
     ur = _cholesky(gram, A.n).T @ r
-    X = cho_solve((ur, False), B, check_finite=False)
+    # LAPACK's dpotrs, which cho_solve wraps, without the wrapper's checks;
+    # its info is nonzero only for an illegal argument.
+    X, info = dpotrs(ur, B, lower=0)
+    if info != 0:
+        raise SingularGramError(f"dpotrs rejected argument {-info}")
     if counter is not None:
         counter.tick(B.shape[1], phase)
         counter.factorizations += 1

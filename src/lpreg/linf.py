@@ -29,6 +29,9 @@ SMOOTHING_DENOM = 20.0      # t = gap scale / (20 log m)
 # softmax weights underflow.
 NEWTON_DAMPING = 1e-8
 MAX_NEWTON_STEPS = 400       # per outer round
+MACHINE_EPS = float(np.finfo(float).eps)
+# best_linf_bound's top clusters: rows within (1 - theta) of the max residual
+CLUSTER_THETAS = (0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 1e-4)
 
 
 def lse_eval(u: np.ndarray, t: float):
@@ -39,11 +42,13 @@ def lse_eval(u: np.ndarray, t: float):
     max(u) <= value <= max(u) + t log(len(u)) is asserted on every call.
     """
     u = np.asarray(u, dtype=float)
-    m = float(np.max(u))
-    e = np.exp((u - m) / t)
-    s = float(np.sum(e))
+    m = float(u.max())
+    pi = u - m          # a new buffer, then worked in place
+    pi /= t
+    np.exp(pi, out=pi)
+    s = float(pi.sum())
     value = m + t * math.log(s)
-    pi = e / s
+    pi /= s
     if not (m - 1e-12 <= value <= m + t * math.log(len(u)) + 1e-12):
         raise PotentialViolationError("smoothing sandwich failed")
     return value, pi
@@ -59,23 +64,24 @@ def _envelope_start(z: np.ndarray, jd: np.ndarray, t: float) -> float:
     c_env + t / (b - a) log(-a / b), which is returned when positive.
     Otherwise c_env is returned, or t / max|jd| when c_env is 0.
     """
-    top = np.flatnonzero(z == np.max(z))
-    i = top[np.argmax(jd[top])]
-    c, a, b = 0.0, float(np.min(jd[top])), float(jd[i])
+    top = (z == z.max()).nonzero()[0]
+    slopes = jd[top]
+    i = top[slopes.argmax()]
+    c, a, b = 0.0, float(slopes.min()), float(jd[i])
     while b < 0.0:
         # The next line to overtake line i; one with a larger slope exists,
         # since jd stacks a vector and its negative.
-        faster = np.flatnonzero(jd > b)
+        faster = (jd > b).nonzero()[0]
         cross = (z[i] - z[faster]) / (jd[faster] - b)
-        first = float(np.min(cross))
+        first = float(cross.min())
         tied = faster[cross == first]
-        i = tied[np.argmax(jd[tied])]
+        i = tied[jd[tied].argmax()]
         c, a, b = max(c, first), b, float(jd[i])
     if a < 0.0 < b:
         start = c + t / (b - a) * (math.log(-a) - math.log(b))
         if 0.0 < start < math.inf:
             return start
-    return c if c > 0.0 else t / float(np.max(np.abs(jd)))
+    return c if c > 0.0 else t / float(np.abs(jd).max())
 
 
 def line_search_lse(z: np.ndarray, jd: np.ndarray, t: float, at0: tuple,
@@ -100,15 +106,17 @@ def line_search_lse(z: np.ndarray, jd: np.ndarray, t: float, at0: tuple,
         raise NonFiniteError("line-search slope not finite at step 0")
     if slope >= 0.0:
         return 0.0, val
-    resolution = LINE_SEARCH_ULPS * np.finfo(float).eps * float(np.abs(z).max())
+    resolution = LINE_SEARCH_ULPS * MACHINE_EPS * float(np.abs(z).max())
     curv = (float(pi @ jd2) - slope * slope) / t
     c = min(_envelope_start(z, jd, t),
             -slope / curv if curv > 0.0 else math.inf)
+    point = np.empty_like(z)
 
     def probe(c):
         nonlocal val
         counter.step("line_search_evals")
-        val, pi = lse_eval(z + c * jd, t)
+        np.add(z, np.multiply(jd, c, out=point), out=point)
+        val, pi = lse_eval(point, t)
         slope, spread = float(pi @ jd), float(pi @ jd2)
         # spread is 0 only where jd^2 underflows: nothing is resolved there
         return slope, (spread - slope * slope) / t, (
@@ -126,9 +134,11 @@ def best_linf_bound(A: DenseMatrix, b: np.ndarray, x: np.ndarray,
     residuals at temperatures 0.3 and 0.1 times the max residual (lower
     ones never gave the best bound), and least-squares multipliers
     restricted to the top residual cluster (the near-active rows of an
-    almost-optimal point).  :func:`weak_duality_bound` projects them all,
-    so the value returned is a valid weak-duality bound.  The solver calls
-    it on the unit problem, whose residual is never zero.
+    almost-optimal point), by one nnls per distinct cluster: the clusters
+    shrink as the threshold tightens, so one that drops no row repeats the
+    previous column.  :func:`weak_duality_bound` projects them all, so the
+    value returned is a valid weak-duality bound.  The solver calls it on
+    the unit problem, whose residual is never zero.
     """
     u = A.a @ x - b
     hi = float(np.max(np.abs(u)))
@@ -139,8 +149,17 @@ def best_linf_bound(A: DenseMatrix, b: np.ndarray, x: np.ndarray,
         _, pi = lse_eval(stacked, scale * hi)
         candidates.append(pi[:n] - pi[n:])
     signs = np.sign(u)
-    for theta in (0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 1e-4):
+    size, cand = -1, None
+    for theta in CLUSTER_THETAS:
         idx = np.flatnonzero(np.abs(u) >= (1.0 - theta) * hi)
+        if idx.size == size:
+            # The clusters are nested, so the same size is the same set
+            # and nnls would give the same column.  Repeating it keeps the
+            # candidate matrix, and so the projection's bits, unchanged.
+            if cand is not None:
+                candidates.append(cand)
+            continue
+        size, cand = idx.size, None
         rows = (A.a[idx] * signs[idx][:, None]).T        # d x |I|
         weight = float(np.mean(np.linalg.norm(rows, axis=0))) + 1e-300
         system = np.vstack([rows, weight * np.ones((1, idx.size))])
@@ -198,11 +217,14 @@ def linf_regress(instance: ProblemInstance):
             t = (t_shrink * max(eps * lo, (hi - lo) / 8.0)
                  / (SMOOTHING_DENOM * math.log(2 * n)))
             u = A.a @ x - b
+            # (u, -u) and (A step, -A step), rewritten in place each step
+            z, jd = np.empty(2 * n), np.empty(2 * n)
             for _ in range(MAX_NEWTON_STEPS):
-                z = np.concatenate([u, -u])
+                z[:n] = u
+                np.negative(u, out=z[n:])
                 val, pi = lse_eval(z, t)
                 grad = A.a.T @ (pi[:n] - pi[n:])
-                if float(np.linalg.norm(grad)) <= 1e-15:
+                if math.sqrt(grad @ grad) <= 1e-15:
                     break
                 # The Hessian is A^T diag((pi+ + pi-)/t) A - grad grad^T / t;
                 # its Newton step is a multiple of this one.
@@ -210,16 +232,16 @@ def linf_regress(instance: ProblemInstance):
                 step = -gram_solve_multi(A, dtil + NEWTON_DAMPING, grad,
                                          counter=counter, phase="newton")
                 counter.step("newton_steps")
-                a_step = A.a @ step
-                jd = np.concatenate([a_step, -a_step])
+                jd[:n] = A.a @ step
+                np.negative(jd[:n], out=jd[n:])
                 c, val_c = line_search_lse(z, jd, t, (val, pi), counter)
                 if not val_c < val * (1.0 - 1e-15):
                     break
                 x = x + c * step
                 u = A.a @ x - b
-                if float(np.max(np.abs(u))) <= (1.0 + eps / 4.0) * lo:
+                if float(np.abs(u).max()) <= (1.0 + eps / 4.0) * lo:
                     break
-            if not float(np.max(np.abs(u))) < hi:
+            if not float(np.abs(u).max()) < hi:
                 # no lower max residual at this temperature: sharpen it
                 # before giving up
                 t_shrink *= 0.25

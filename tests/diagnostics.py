@@ -4,7 +4,9 @@ Each diagnostic checks an inequality the solvers rely on (Hessian
 stability of the proximal objective and its gradient, uniform convexity of the p-th power,
 the scalar refinement sandwich, the gamma-solver contract, the weighted
 norm sandwich, the self-consistency of row weights) from the outside, so
-the solver modules carry no code that production never runs.  The
+the solver modules carry no code that production never runs.
+:func:`reference_linf_bound` is ``best_linf_bound`` without its reuse of
+equal clusters, the reference the reuse is checked against.  The
 planted generators build oracle inputs around a known feasible point, and
 :func:`solve_counters` shows a test the counter each solve creates.
 """
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.optimize import nnls
 
 from lpreg import refine
 from lpreg.dual import DualInstance, stack_instance
@@ -25,6 +28,7 @@ from lpreg.lewis import (
     row_scale,
 )
 from lpreg.linalg import DenseMatrix, SolveCounter, leverage_scores
+from lpreg.linf import CLUSTER_THETAS, lse_eval
 from lpreg.mwu import ResidualInstance
 from lpreg.problem import ProblemInstance, pnorm
 
@@ -218,6 +222,43 @@ def norm_sandwich_check(A: DenseMatrix, w: LewisOverestimate, x: np.ndarray):
     weighted = float(np.linalg.norm((wf ** expo) * ax))
     upper = float(w.mass ** expo * lp)
     return lp, weighted, upper
+
+
+def reference_linf_bound(A: DenseMatrix, b: np.ndarray, x: np.ndarray,
+                         counter: SolveCounter) -> float:
+    """``linf.best_linf_bound`` with one nnls for every theta.
+
+    The same softmax and cluster candidates, in the same order, with nnls
+    run afresh on every cluster even where it repeats the previous one.
+    """
+    u = A.a @ x - b
+    hi = float(np.max(np.abs(u)))
+    n = A.n
+    stacked = np.concatenate([u, -u])
+    candidates = []
+    for scale in (0.3, 0.1):
+        _, pi = lse_eval(stacked, scale * hi)
+        candidates.append(pi[:n] - pi[n:])
+    signs = np.sign(u)
+    for theta in CLUSTER_THETAS:
+        idx = np.flatnonzero(np.abs(u) >= (1.0 - theta) * hi)
+        rows = (A.a[idx] * signs[idx][:, None]).T
+        weight = float(np.mean(np.linalg.norm(rows, axis=0))) + 1e-300
+        system = np.vstack([rows, weight * np.ones((1, idx.size))])
+        target = np.zeros(A.d + 1)
+        target[-1] = weight
+        try:
+            mu, _ = nnls(system, target, maxiter=10 * (idx.size + A.d))
+        except RuntimeError:
+            continue
+        total = float(np.sum(mu))
+        if total <= 0:
+            continue
+        cand = np.zeros(n)
+        cand[idx] = signs[idx] * mu / total
+        candidates.append(cand)
+    return refine.weak_duality_bound(A, b, np.column_stack(candidates), 1.0,
+                                     counter)
 
 
 def reg_lewis_residual(A: DenseMatrix, rw: RegularizedLewisWeights):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 import lpreg.harness as harness
 import lpreg.linalg as linalg
@@ -102,6 +103,25 @@ class TestGramSolve:
         for bad in (np.inf, np.nan):
             with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
                 gram_solve_multi(A, np.array([1.0, bad]), np.ones(2))
+
+    @pytest.mark.parametrize("columns", [None, 1, 5])
+    def test_same_bits_as_cho_solve(self, columns):
+        # dpotrs is the routine cho_solve wraps, so the direct call changes
+        # no bit of the solution.
+        rng = np.random.default_rng(7)
+        A = random_matrix(160, 8, 7)
+        w = rng.uniform(1e-6, 10.0, size=160)
+        rhs = rng.standard_normal(8 if columns is None else (8, columns))
+        q, r = A.qr
+        ur = linalg._cholesky((q * w[:, None]).T @ q, A.n).T @ r
+        expect = cho_solve((ur, False), rhs, check_finite=False)
+        assert np.array_equal(gram_solve_multi(A, w, rhs), expect)
+
+    def test_dpotrs_argument_error_raises(self, monkeypatch):
+        monkeypatch.setattr(linalg, "dpotrs", lambda *args, **kwargs: (
+            dpotrs(*args, **kwargs)[0], -2))
+        with pytest.raises(SingularGramError):
+            gram_solve_multi(random_matrix(20, 4, 0), np.ones(20), np.ones(4))
 
     def test_cholesky_raises_after_the_shifted_retry(self, monkeypatch):
         # -I has a negative trace, so the shift makes it no less indefinite

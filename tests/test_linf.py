@@ -15,6 +15,8 @@ from lpreg.linf import line_search_lse, linf_regress, lse_eval
 from lpreg.problem import ProblemInstance
 from lpreg.refine import weak_duality_bound
 
+from diagnostics import reference_linf_bound
+
 
 def stacked(u, du):
     """The linf Newton step's search data: z = (u, -u), jd = (du, -du)."""
@@ -58,6 +60,14 @@ def kink_at_zero_line(seed=13, n=40):
 
 
 LINES = {"random": random_line, "tied": tied_line, "kink_at_zero": kink_at_zero_line}
+
+
+def textbook_lse(u, t):
+    """m + t log(sum exp((u - m)/t)) and exp((u - m)/t) / s, m = max u."""
+    m = float(np.max(u))
+    e = np.exp((u - m) / t)
+    s = float(np.sum(e))
+    return m + t * math.log(s), e / s
 
 
 def lse_quad_form(J: np.ndarray, pi: np.ndarray, t: float, v: np.ndarray) -> float:
@@ -142,6 +152,23 @@ class TestLseEval:
         ref = np.exp(u / 0.3)
         assert np.allclose(grad, ref / ref.sum())
 
+    @pytest.mark.parametrize("t", [1e-300, 1e-12, 1e-3, 0.7, 1e12, 1e300])
+    def test_same_bits_as_the_textbook_form(self, t):
+        # The in-place buffer computes the same operations in the same
+        # order, so the value and every weight match to the bit, also
+        # where the exponents underflow to 0 or all round to 1.
+        rng = np.random.default_rng(21)
+        for scale in (1e-8, 1.0, 1e8):
+            u = scale * rng.standard_normal(int(rng.integers(2, 700)))
+            kept = u.copy()
+            with np.errstate(over="ignore", under="ignore"):
+                value, pi = lse_eval(u, t)
+                expect_value, expect_pi = textbook_lse(u, t)
+            assert value == expect_value
+            assert np.array_equal(pi, expect_pi)
+            assert np.array_equal(u, kept)
+            assert pi is not u
+
 
 class TestHessianForms:
     def test_constant_direction_vanishes(self):
@@ -223,6 +250,41 @@ class TestLinfDualBound:
                 dropped.append(pi[:A.n] - pi[A.n:])
             assert weak_duality_bound(A, b, np.column_stack(dropped),
                                       1.0, SolveCounter()) <= value
+
+
+class TestClusterReuse:
+    @pytest.mark.parametrize("family", ["gaussian", "coherent_rows",
+                                        "planted_residual"])
+    def test_same_bound_as_one_nnls_per_theta(self, family, monkeypatch):
+        # At every iterate of a 160x8 solve the bound equals the
+        # reference's bit for bit, and nnls runs once per distinct cluster.
+        nnls_calls = []
+        nnls = linf.nnls
+        monkeypatch.setattr(linf, "nnls", lambda *args, **kwargs: (
+            nnls_calls.append(1) or nnls(*args, **kwargs)))
+        checked = distinct_total = theta_total = 0
+        bound = linf.best_linf_bound
+
+        def compared(A, b, x, counter):
+            nonlocal checked, distinct_total, theta_total
+            before = len(nnls_calls)
+            value = bound(A, b, x, counter)
+            u = A.a @ x - b
+            hi = float(np.max(np.abs(u)))
+            sizes = {int(np.count_nonzero(np.abs(u) >= (1.0 - theta) * hi))
+                     for theta in linf.CLUSTER_THETAS}
+            assert len(nnls_calls) - before == len(sizes)
+            distinct_total += len(sizes)
+            theta_total += len(linf.CLUSTER_THETAS)
+            assert value == reference_linf_bound(A, b, x, SolveCounter())
+            checked += 1
+            return value
+
+        monkeypatch.setattr(linf, "best_linf_bound", compared)
+        for eps in (1e-3, 1e-4):
+            linf_regress(gen_instance(family, 160, 8, 0, p=math.inf, eps=eps))
+        assert checked > 0
+        assert distinct_total < theta_total
 
 
 class TestLinfRegress:
@@ -357,6 +419,32 @@ class TestLineSearch:
         assert c == pytest.approx(softmax_root(z, jd, t), rel=1e-9)
         assert val == lse_eval(z + c * jd, t)[0]
         assert 12 < counter.steps["line_search_evals"] < refine.LINE_SEARCH_PROBES
+
+    @pytest.mark.parametrize("t", [1.0, 1e-3, 1e-6])
+    @pytest.mark.parametrize("case", sorted(LINES))
+    def test_every_probe_is_a_fresh_evaluation(self, case, t, monkeypatch):
+        # The probe writes z + c jd into one buffer per search; each probe,
+        # and the returned value, must equal lse_eval at a freshly formed
+        # point, so nothing of one probe reaches the next.
+        z, jd = LINES[case]()
+        kept = z.copy(), jd.copy()
+        probes = []
+        search = linf.newton_line_search
+
+        def recording(probe, c):
+            def checked(c):
+                out = probe(c)
+                probes.append((c, out))
+                return out
+            return search(checked, c)
+
+        monkeypatch.setattr(linf, "newton_line_search", recording)
+        c, val = line_search_lse(z, jd, t, lse_eval(z, t), SolveCounter())
+        assert probes
+        for c_k, (slope, _, _) in probes:
+            assert slope == float(lse_eval(z + c_k * jd, t)[1] @ jd)
+        assert val == lse_eval(z + c * jd, t)[0]
+        assert np.array_equal(z, kept[0]) and np.array_equal(jd, kept[1])
 
     def test_ascent_direction_returns_zero(self):
         z, jd = random_line()
