@@ -30,7 +30,7 @@ from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh, solve_triangular
+from scipy.linalg.lapack import dsygvd, dtrtrs
 from scipy.optimize import brentq
 
 from .errors import (
@@ -39,7 +39,7 @@ from .errors import (
     NonFiniteError,
     SingularGramError,
 )
-from .lewis import WEIGHT_FLOOR, LewisOverestimate, lewis_overestimates
+from .lewis import LewisOverestimate, lewis_overestimates
 from .linalg import DenseMatrix, SolveCounter
 from .problem import ProblemInstance, pnorm
 from .refine import BracketSteps, certified_solve, lp_dual_bound
@@ -56,8 +56,11 @@ PROX_L_THEORY = 4.0
 MODEL_SLACK = 4.0 * sys.float_info.epsilon
 INNER_RATE_CONSTANT = 64.0 * math.e ** 2
 MS_BISECTION_CAP = 60
-# Stationarity slack of every proximal solve.  The unit problem keeps the
-# function error at most 1, so no error-scaled slack is ever larger.
+# Stationarity slack of every proximal solve, absolute.  It does not follow
+# the objective's scale, which the unit problem makes small at large p: at
+# p 12 and eps 1e-10 (gaussian 160x8), f is 6.4e-9 and the last halving
+# target 6.3e-17, so a proximal solve is satisfied at once and its response
+# pins the center (ROADMAP item 1).
 PROX_TOL = 1e-14
 # The step-scale root is held to brentq's relative tolerance in tau; the
 # Newton search stops at a step this small in log tau.
@@ -114,18 +117,24 @@ class MetricPencil:
         """Eigendecompose in the QR basis of A = Q R, then map back by R^{-1}.
 
         Working with Q^T H Q and Q^T M Q keeps the conditioning of A out of
-        the eigenproblem; only the triangular solve sees it.
+        the eigenproblem; only the triangular solve sees it.  LAPACK is
+        called directly, without scipy's wrappers and their checks: dsygvd
+        is the driver ``scipy.linalg.eigh`` picks for a full generalized
+        problem, and dtrtrs the one ``solve_triangular`` calls on R, which
+        ``scipy.linalg.qr`` returns in Fortran order.
         """
         q, r = qr
         gh = q.T @ (h[:, None] * q)
         gm = q.T @ (m[:, None] * q)
         if not (np.isfinite(gh).all() and np.isfinite(gm).all()):
             raise NonFiniteError("pencil Gram matrix not finite (weights or overflow)")
-        try:
-            lam, w = eigh(gh, gm, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise SingularGramError("metric pencil eigendecomposition failed") from exc
-        t = solve_triangular(r, w, check_finite=False)
+        lam, w, info = dsygvd(gh, gm, uplo="L", jobz="V")
+        if info != 0:
+            raise SingularGramError(
+                f"metric pencil eigendecomposition failed (dsygvd info {info})")
+        t, info = dtrtrs(r, w)
+        if info != 0:
+            raise SingularGramError(f"R singular at column {info - 1}")
         return cls(np.maximum(lam, 0.0), t, q @ w, c)
 
     def coords(self, v: np.ndarray) -> np.ndarray:
@@ -136,20 +145,20 @@ class MetricPencil:
         return self.t.T @ v
 
     @cached_property
-    def _lam8(self) -> np.ndarray:
+    def lam8(self) -> np.ndarray:
         return 8.0 * self.lam
 
     def scaled(self, z: np.ndarray, tau: float) -> np.ndarray:
         """Eigenbasis coordinates of the tau-step for rhs coordinates z."""
-        return z / (self._lam8 + self.c * tau)
+        return z / (self.lam8 + self.c * tau)
 
 
 class ProxEval(NamedTuple):
     """The proximal objective at one point x, from its image A (x - center).
 
-    ``s`` and ``g_img`` are n-vectors, so the smoothness inequality between
-    two points needs no product with A; ``grad`` and ``grad_phi`` are in
-    the pencil's coordinates.
+    ``s``, ``g_img`` and ``ms`` are n-vectors, so the smoothness inequality
+    between two points needs no product with A; ``grad`` and ``grad_phi``
+    are in the pencil's coordinates.
     """
 
     f_reg: float
@@ -158,6 +167,8 @@ class ProxEval(NamedTuple):
     g_img: np.ndarray       # g_u + r M s, so grad f_reg = A^T g_img
     grad: np.ndarray        # T^T grad f_reg: pencil coordinates, M^{-1} norm
     grad_phi: np.ndarray    # T^T grad phi, phi = ||s||_{H_c}^2 + C_p ||s||_M^p
+    ms: np.ndarray          # M s
+    r: float                # p C_p dist^{p-2}
 
     def glin(self, L: float) -> np.ndarray:
         """T^T (grad f_reg - L grad phi), the linear term of the L-step."""
@@ -168,13 +179,15 @@ class ProxEval(NamedTuple):
 class ProxProblem:
     """One proximal subproblem: f(x) + C_p ||x - center||_M^p.
 
-    The metric M = A^T W^{1-2/p} A is held through (A, weights, p) and
-    never materialized.  Solves against it, and against the surrogate
-    Hessians L (2 A^T H_c A + (c / 4) tau M) at the center, go through one
-    :class:`MetricPencil`, built on first use from A's cached QR.  The
-    center's image A y, its residual A y - b and the Hessian weights 2 H_c
-    are formed once, so a point x enters only through A (x - y).  Callers
-    of :meth:`evaluate` silence overflow, which it leaves to its checks.
+    The metric M = A^T W^{1-2/p} A, for weights computed at this p, is held
+    through A and the row weights ``weights.metric_diag``, formed once per
+    set of weights, and never materialized.  Solves against it, and
+    against the surrogate Hessians L (2 A^T H_c A + (c / 4) tau M) at the
+    center, go through one :class:`MetricPencil`, built on first use from
+    A's cached QR.  The center's image A y, its residual A y - b and the
+    Hessian weights 2 H_c are formed once, so a point x enters only through
+    A (x - y).  Callers of :meth:`evaluate` silence overflow, which it
+    leaves to its checks.
     """
 
     A: DenseMatrix
@@ -185,8 +198,7 @@ class ProxProblem:
 
     def __post_init__(self):
         self.cp = reg_coefficient(self.p)
-        self.m_diag = np.maximum(self.weights.weights, WEIGHT_FLOOR) ** (
-            1.0 - 2.0 / self.p)
+        self.m_diag = self.weights.metric_diag
         self.center = np.asarray(self.center, dtype=float)
         self.a_center = self.A.a @ self.center
         self.u_center = self.a_center - self.b
@@ -221,29 +233,29 @@ class ProxProblem:
         one 2 x n buffer, whose one product with the pencil's A T gives
         T^T grad f_reg and T^T grad phi.  f = sum |u|^{p-2} u^2 reuses the
         one power.  The buffer is the evaluation's own: the smoothness check
-        reads ``g_img`` after later evaluations.
+        reads ``g_img``, ``ms`` and ``r`` after later evaluations.
         """
         p = self.p
         rows = np.empty((2, s.size))
         g, h = rows
         u = self.u_center + s
         ms = self.m_diag * s
-        dist = math.sqrt(float(s @ ms))
+        dist = math.sqrt(float(s.dot(ms)))
         r = p * self.cp * fpow(dist, p - 2.0)
         np.abs(u, out=g)
         np.power(g, p - 2.0, out=g)
         g *= u
-        f_val = float(g @ u)
+        f_val = float(g.dot(u))
         g *= p
         np.multiply(ms, r, out=h)
         g += h
         np.multiply(self._hess2, s, out=u)
         h += u
-        grads = rows @ self.pencil().at
+        grads = rows @ (self._pencil or self.pencil()).at
         if not np.isfinite(grads).all():
             raise NonFiniteError("proximal gradient not finite (overflow)")
         return ProxEval(f_val + self.cp * fpow(dist, p), dist, s, g,
-                        grads[0], grads[1])
+                        grads[0], grads[1], ms, r)
 
     def model_holds(self, ev: ProxEval, trial: ProxEval, L: float) -> bool:
         """Whether f_reg(x') <= f_reg(x) + <grad f_reg(x), x' - x> + L D_phi.
@@ -251,17 +263,23 @@ class ProxProblem:
         ``ev`` is at x and ``trial`` at x'; D_phi(x', x) is the Bregman
         distance of phi.  With ds = s' - s every term is an n-vector
         product: <grad f_reg(x), x' - x> = <g_img, ds>, and D_phi is
-        ||ds||_{H_c}^2 + C_p (dist'^p - dist^p) - r <M s, ds>.  No Gram
-        solve; a non-finite side fails.
+        ||ds||_{H_c}^2 + C_p (dist'^p - dist^p) - r <M s, ds>, with r and
+        M s as ``evaluate`` formed them at x.  No Gram solve; a non-finite
+        side fails.
         """
         p, cp = self.p, self.cp
         ds = trial.s - ev.s
-        r = p * cp * fpow(ev.dist, p - 2.0)
-        d_phi = (float(ds @ (self._hess_center * ds))
+        d_phi = (float(ds.dot(self._hess_center * ds))
                  + cp * (fpow(trial.dist, p) - fpow(ev.dist, p))
-                 - r * float((self.m_diag * ev.s) @ ds))
-        bound = ev.f_reg + float(ev.g_img @ ds) + L * d_phi
+                 - ev.r * float(ev.ms.dot(ds)))
+        bound = ev.f_reg + float(ev.g_img.dot(ds)) + L * d_phi
         return trial.f_reg <= bound + MODEL_SLACK * abs(ev.f_reg)
+
+    @cached_property
+    def pin_threshold(self) -> float:
+        """1e-15 (1 + ||y||_M): a response this close leaves the center put."""
+        ac = self.a_center
+        return 1e-15 * (1.0 + math.sqrt(float(ac @ (self.m_diag * ac))))
 
     def grad_f(self, x: np.ndarray) -> np.ndarray:
         u = self.A.a @ x - self.b
@@ -301,28 +319,30 @@ def _newton_accepts(tau_new: float, lo: float, hi: float, ds: float,
     return lo == 0.0 or hi == math.inf or abs(ds) <= 0.5 * abs(ds_prev)
 
 
-def _log_gap(pencil: MetricPencil, w: np.ndarray, z_exp: int, expo: float,
-             tau: float):
+def _log_gap(pencil: MetricPencil, z_unit: np.ndarray, z_exp: int,
+             expo: float, tau: float):
     """h = log(tau^expo / S(tau)) and its slope and curvature in log tau.
 
-    ``w`` = z_unit / (8 lam + x), x = c tau, is the probe's coordinates for
-    z = 2^z_exp z_unit with max|z_unit| < 1, so S(tau) = 4^z_exp (w.w); for
+    The probe's coordinates are w = z_unit / (8 lam + x), x = c tau, for z =
+    2^z_exp z_unit with max|z_unit| < 1, so S(tau) = 4^z_exp (w.w); for
     the descent constant L, z carries the step's factor 4 / L (see
     :class:`MetricPencil`), so one denominator serves every L.
     With v = w x / (8 lam + x), so |v| <= |w|, and g = 2 (w.v) / (w.w), the
     slope is expo + g, between expo and expo + 2, and the curvature
     g - 6 (v.v) / (w.w) + g^2.
     """
-    c = pencil.c
+    x = pencil.c * tau
+    den = pencil.lam8 + x
+    w = z_unit / den
     # |w| <= 1 / (c tau): only a probe with c tau below SQUARE_SAFE can
     # square w past the float range.
-    s_unit = float(w @ w) if c * tau >= SQUARE_SAFE else math.inf
+    s_unit = float(w.dot(w)) if x >= SQUARE_SAFE else math.inf
     s_exp = z_exp                                   # S(tau) = s_unit 4^s_exp
     if not 0.0 < s_unit < math.inf:
         # The squares leave the float range: rescale w by a power of two.
         w_exp = math.frexp(float(abs(w).max()))[1]
         w = np.ldexp(w, -w_exp)
-        s_unit, s_exp = float(w @ w), z_exp + w_exp
+        s_unit, s_exp = float(w.dot(w)), z_exp + w_exp
     lhs = fpow(tau, expo)
     if not (math.isfinite(lhs) and 0.0 < s_unit < math.inf):
         raise BisectionStallError(f"step-scale gap not finite at tau {tau:.3g}")
@@ -334,9 +354,9 @@ def _log_gap(pencil: MetricPencil, w: np.ndarray, z_exp: int, expo: float,
         value = math.log(m_l / m_s) + (e_l - e_s - 2 * s_exp) * LN2
     else:                                           # tau^expo underflows
         value = expo * math.log(tau) - math.log(s_unit) - 2 * s_exp * LN2
-    v = w * pencil.scaled(c * tau, tau)
-    g = 2.0 * float(w @ v) / s_unit
-    return value, expo + g, g - 6.0 * float(v @ v) / s_unit + g * g
+    v = w * (x / den)
+    g = 2.0 * float(w.dot(v)) / s_unit
+    return value, expo + g, g - 6.0 * float(v.dot(v)) / s_unit + g * g
 
 
 def _solve_inner_subproblem(prob: ProxProblem, z: np.ndarray, tau_seed: float,
@@ -369,27 +389,30 @@ def _solve_inner_subproblem(prob: ProxProblem, z: np.ndarray, tau_seed: float,
     expo = 2.0 / (prob.p - 2.0)
     # S(tau) <= ||z||^2 / (c tau)^2, so the gap is positive from half of
     # tau_up on; the factor 2 keeps rounding from hiding that sign.
-    log_up = LN2 + (0.5 * math.log(float(z_unit @ z_unit)) + z_exp * LN2
+    log_up = LN2 + (0.5 * math.log(float(z_unit.dot(z_unit))) + z_exp * LN2
                     - math.log(pencil.c)) / (1.0 + expo / 2.0)
     tau_up = max(math.exp(min(log_up, 690.0)), TAU_MIN)
     probed = set()
     lo, hi = 0.0, math.inf          # probed taus with h < 0 and h >= 0
 
-    def coords_at(tau, coords=z):
+    def log_gap(tau):
+        """:func:`_log_gap` at tau; ticks a new tau, updates the bracket."""
+        nonlocal lo, hi
         if tau not in probed:
             counter.tick(1, "prox")
-        probed.add(tau)
-        return pencil.scaled(coords, tau)
-
-    def log_gap(tau):
-        """:func:`_log_gap` at tau; updates the bracket."""
-        nonlocal lo, hi
-        h = _log_gap(pencil, coords_at(tau, z_unit), z_exp, expo, tau)
+            probed.add(tau)
+        h = _log_gap(pencil, z_unit, z_exp, expo, tau)
         if h[0] < 0.0:
             lo = tau
         else:
             hi = tau
         return h
+
+    def step_at(tau):
+        """(s(tau), tau), ticking a tau no probe has counted."""
+        if tau not in probed:
+            counter.tick(1, "prox")
+        return -(pencil.t @ pencil.scaled(z, tau)), tau
 
     tau = min(max(tau_seed, TAU_MIN), tau_up)
     ds_prev = math.inf
@@ -400,22 +423,21 @@ def _solve_inner_subproblem(prob: ProxProblem, z: np.ndarray, tau_seed: float,
         if halley > 0.5:
             ds /= halley
         if abs(ds) <= TAU_RTOL:
-            return -(pencil.t @ coords_at(tau)), tau
+            return step_at(tau)
         tau_new = min(max(tau * math.exp(min(ds, 700.0)), TAU_MIN), tau_up)
         if not _newton_accepts(tau_new, lo, hi, ds, ds_prev):
             break
         tau, ds_prev = tau_new, ds
     while lo == 0.0:
         if hi == TAU_MIN:                           # the root underflows
-            return -(pencil.t @ coords_at(hi)), hi
+            return step_at(hi)
         log_gap(max(hi / 4.0, TAU_MIN))
     while hi == math.inf:
         if lo >= tau_up:
             raise BisectionStallError("no upper bracket for the step scale")
         log_gap(min(4.0 * lo, tau_up))
-    tau = brentq(lambda t: log_gap(t)[0], lo, hi, xtol=1e-300, rtol=TAU_RTOL,
-                 maxiter=300)
-    return -(pencil.t @ coords_at(tau)), tau
+    return step_at(brentq(lambda t: log_gap(t)[0], lo, hi, xtol=1e-300,
+                          rtol=TAU_RTOL, maxiter=300))
 
 
 @np.errstate(over="ignore")
@@ -443,7 +465,7 @@ def prox_solve(prob: ProxProblem, x0: np.ndarray, tol: float,
 
     def certify(x, ev, it, tau):
         counter.tick(1, "metric")
-        return ProxCertificate(x, math.sqrt(float(ev.grad @ ev.grad)),
+        return ProxCertificate(x, math.sqrt(float(ev.grad.dot(ev.grad))),
                                scale * ev.dist ** (p - 1.0) + tol, it, tau,
                                ev.dist)
 
@@ -479,12 +501,6 @@ def prox_solve(prob: ProxProblem, x0: np.ndarray, tol: float,
             return cert
         cert = certify(x, ev, it + 1, tau)
     return cert
-
-
-def _pins_center(prob: ProxProblem, dist: float) -> bool:
-    """Whether a proximal response at distance dist leaves the center put."""
-    ac = prob.a_center
-    return dist <= 1e-15 * (1.0 + math.sqrt(float(ac @ (prob.m_diag * ac))))
 
 
 def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
@@ -549,7 +565,7 @@ def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
             if acc_weight == 0.0:
                 # x_tilde has no lambda dependence; set the scale directly,
                 # unless the response pins the center (handled below).
-                if _pins_center(prob_center, cert.dist):
+                if cert.dist <= prob_center.pin_threshold:
                     break
                 denom = p * cp * fpow(max(cert.dist, 1e-30), p - 2.0)
                 if not (math.isfinite(denom) and denom > 0.0):
@@ -568,7 +584,7 @@ def ms_accelerate(A: DenseMatrix, b: np.ndarray, p: float,
             if not np.all(np.isfinite(x_tilde)):
                 break
             prob_center, cert = respond(x_tilde)
-        if _pins_center(prob_center, cert.dist):
+        if cert.dist <= prob_center.pin_threshold:
             # The proximal response pins the center: x_tilde is stationary.
             with np.errstate(over="ignore"):
                 f_reg = prob_center.evaluate(
@@ -622,8 +638,17 @@ def solve_pnorm_accel(instance: ProblemInstance):
         counter.step("prox_backtracks", 0)
         counter.step("inner_iterations", 0)
 
+        # The driver bounds each iterate; ms_accelerate's first check bounds
+        # the same x, and the x it returns through a check is the driver's
+        # next iterate.  A one-entry cache keyed on a copy of x's bytes, so
+        # that an x changed in place misses, bounds each iterate once.
+        last = [None, None]
+
         def lower_bound(xc):
-            return lp_dual_bound(A, b, xc, p, counter=counter)
+            key = xc.tobytes()
+            if key != last[0]:
+                last[:] = key, lp_dual_bound(A, b, xc, p, counter=counter)
+            return last[1]
 
         def step(x, lo, hi):
             x_new = halve_error(A, b, p, weights, x, max(hi ** p - lo ** p, 1e-300),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +52,12 @@ class LewisOverestimate:
     @property
     def mass(self) -> float:
         return float(np.sum(self.weights))
+
+    @cached_property
+    def metric_diag(self) -> np.ndarray:
+        """Row weights W^{1-2/p} of the metric A^T W^{1-2/p} A, formed once
+        and shared, read-only, by every proximal problem on these weights."""
+        return row_scale(self.weights, 1.0 - 2.0 / self.p)
 
 
 @dataclass

@@ -6,7 +6,9 @@ the scalar refinement sandwich, the gamma-solver contract, the weighted
 norm sandwich, the self-consistency of row weights) from the outside, so
 the solver modules carry no code that production never runs.
 :func:`reference_linf_bound` is ``best_linf_bound`` without its reuse of
-equal clusters, the reference the reuse is checked against.  The
+equal clusters, the reference the reuse is checked against, and
+:func:`reference_log_gap` is ``accel``'s step-scale probe as it was before
+its denominator was shared, the reference the probe is checked against.  The
 planted generators build oracle inputs around a known feasible point, and
 :func:`solve_counters` shows a test the counter each solve creates.
 """
@@ -17,9 +19,13 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import nnls
 
-from lpreg import refine
+from lpreg import accel, refine
 from lpreg.dual import DualInstance, stack_instance
-from lpreg.errors import InvalidInputError, NoConvergenceError
+from lpreg.errors import (
+    BisectionStallError,
+    InvalidInputError,
+    NoConvergenceError,
+)
 from lpreg.lewis import (
     WEIGHT_FLOOR,
     LewisOverestimate,
@@ -149,6 +155,34 @@ def prox_grad_f_reg(prob, x: np.ndarray, basis=None) -> np.ndarray:
     r = p * prob.cp * prob.m_norm(x - prob.center) ** (p - 2.0)
     basis = a if basis is None else basis
     return basis.T @ (p * np.abs(u) ** (p - 2.0) * u + r * ms)
+
+
+def reference_log_gap(pencil, w: np.ndarray, z_exp: int, expo: float,
+                      tau: float):
+    """``accel._log_gap`` from the coordinates w = z_unit / (8 lam + c tau).
+
+    It forms 8 lam + c tau again, through ``pencil.scaled``, for the
+    slope's v = w c tau / (8 lam + c tau), and c tau three times.
+    """
+    c = pencil.c
+    s_unit = float(w @ w) if c * tau >= accel.SQUARE_SAFE else math.inf
+    s_exp = z_exp
+    if not 0.0 < s_unit < math.inf:
+        w_exp = math.frexp(float(abs(w).max()))[1]
+        w = np.ldexp(w, -w_exp)
+        s_unit, s_exp = float(w @ w), z_exp + w_exp
+    lhs = accel.fpow(tau, expo)
+    if not (math.isfinite(lhs) and 0.0 < s_unit < math.inf):
+        raise BisectionStallError(f"step-scale gap not finite at tau {tau:.3g}")
+    if lhs > 0.0:
+        m_l, e_l = math.frexp(lhs)
+        m_s, e_s = math.frexp(s_unit)
+        value = math.log(m_l / m_s) + (e_l - e_s - 2 * s_exp) * accel.LN2
+    else:
+        value = expo * math.log(tau) - math.log(s_unit) - 2 * s_exp * accel.LN2
+    v = w * pencil.scaled(c * tau, tau)
+    g = 2.0 * float(w @ v) / s_unit
+    return value, expo + g, g - 6.0 * float(v @ v) / s_unit + g * g
 
 
 def strong_convexity_check(y: np.ndarray, delta: np.ndarray, p: float) -> bool:

@@ -1,17 +1,20 @@
-"""Print one SHA-256 fingerprint per solve of a benchmark batch.
+"""Print two SHA-256 fingerprints per solve of a benchmark batch.
 
 Run from the repository root:
 
     python3 tests/fingerprint.py --workload linf --seeds 0 1 2
 
-Each line is ``<workload> <seed> <case index> <tag> <digest>``.  The
-digest covers the returned ``x`` (its bytes), ``gram_solves``, the sorted
-``phase_counts`` and ``certified_gap``; a solve that raises ``LpregError``
-is hashed over the error's type and message instead.  Two checkouts whose
-outputs are the same bits print the same lines, so ``diff`` of the two
-outputs is the check.  The batches come from ``perfbench.workloads``,
-which is only read.  OpenBLAS, OpenMP and MKL are pinned to one thread
-so the bits do not depend on the machine's core count.
+Each line is ``<workload> <seed> <case index> <tag> <outputs> <counts>``.
+The first digest covers what the solve returns: the bytes of ``x`` and
+``certified_gap``.  The second covers what it cost: ``gram_solves`` and
+the sorted ``phase_counts``.  A solve that raises ``LpregError`` is hashed
+over the error's type and message instead, in both columns.  Two checkouts
+whose outputs are the same bits print the same lines, so ``diff`` of the
+two outputs is the check; a change that moves counts but not bits shows
+as a difference in the last column only.  The batches come from
+``perfbench.workloads``, which is only read.  OpenBLAS, OpenMP and MKL
+are pinned to one thread so the bits do not depend on the machine's core
+count.
 """
 import os
 
@@ -31,28 +34,27 @@ from lpreg.errors import LpregError  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
 
-def digest(x, report) -> str:
-    """SHA-256 over x's bytes, the Gram count, phase counts and the gap."""
-    h = hashlib.sha256()
-    h.update(x.tobytes())
-    h.update(repr(report.gram_solves).encode())
-    h.update(repr(sorted(report.phase_counts.items())).encode())
-    h.update(repr(report.certified_gap).encode())
-    return h.hexdigest()
+def digests(x, report) -> tuple:
+    """SHA-256 over x's bytes and the gap; SHA-256 over the counts."""
+    outputs = hashlib.sha256(x.tobytes())
+    outputs.update(repr(report.certified_gap).encode())
+    counts = hashlib.sha256(repr(report.gram_solves).encode())
+    counts.update(repr(sorted(report.phase_counts.items())).encode())
+    return outputs.hexdigest(), counts.hexdigest()
 
 
 def fingerprints(name: str, seed: int):
-    """Yield (case index, tag, digest) for every case of one batch."""
+    """Yield (case index, tag, outputs digest, counts digest) per case."""
     workload = workloads.WORKLOADS[name]
     for i, case in enumerate(workloads.build_batch(workload, seed)):
         try:
             x, report = harness.solve(case.instance, workload.method,
                                       seed=case.solve_seed)
-            value = digest(x, report)
+            values = digests(x, report)
         except LpregError as exc:
-            value = hashlib.sha256(
-                f"{type(exc).__name__}: {exc}".encode()).hexdigest()
-        yield i, case.tag, value
+            values = (hashlib.sha256(
+                f"{type(exc).__name__}: {exc}".encode()).hexdigest(),) * 2
+        yield i, case.tag, *values
 
 
 def main(argv=None) -> int:
@@ -62,8 +64,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     args = parser.parse_args(argv)
     for seed in args.seeds:
-        for i, tag, value in fingerprints(args.workload, seed):
-            print(f"{args.workload} {seed} {i} {tag} {value}", flush=True)
+        for i, tag, outputs, counts in fingerprints(args.workload, seed):
+            print(f"{args.workload} {seed} {i} {tag} {outputs} {counts}",
+                  flush=True)
     return 0
 
 

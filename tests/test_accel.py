@@ -5,7 +5,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
+from scipy.linalg import eigh, solve_triangular
 from scipy.optimize import brentq, minimize
 
 import lpreg.accel as accel
@@ -25,6 +25,7 @@ from lpreg.errors import (
     InvalidInputError,
     LpregError,
     NonFiniteError,
+    SingularGramError,
 )
 from lpreg.harness import FAMILIES, gen_instance, oracle_opt
 from lpreg.lewis import lewis_overestimates
@@ -37,6 +38,7 @@ from diagnostics import (
     prox_f,
     prox_f_reg,
     prox_grad_f_reg,
+    reference_log_gap,
     strong_convexity_check,
 )
 
@@ -209,16 +211,23 @@ class TestMetricPencil:
             pencil.coords(v)
 
     def test_prox_ticks_once_per_distinct_tau(self, monkeypatch):
+        # Each probe's log gap and the returned step's coordinates are
+        # recorded by their tau.
         prob = family_problem("planted_residual", 8.0)
         glin = np.random.default_rng(3).standard_normal(16)
         probed = []
-        scaled = MetricPencil.scaled
+        scaled, log_gap = MetricPencil.scaled, accel._log_gap
 
         def recording(self, z, tau):
             probed.append(tau)
             return scaled(self, z, tau)
 
+        def recording_gap(pencil, z_unit, z_exp, expo, tau):
+            probed.append(tau)
+            return log_gap(pencil, z_unit, z_exp, expo, tau)
+
         monkeypatch.setattr(MetricPencil, "scaled", recording)
+        monkeypatch.setattr(accel, "_log_gap", recording_gap)
         counter = SolveCounter()
         _, tau = _solve_inner_subproblem(
             prob, prob.pencil().coords(glin), 1.0, counter)
@@ -227,6 +236,27 @@ class TestMetricPencil:
         assert counter.by_phase == {"prox": len(set(probed))}
         assert counter.gram_solves == len(set(probed))
         assert counter.factorizations == 0      # prox_solve counts the pencil
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("p", [4.0, 8.0])
+    def test_dsygvd_matches_eigh(self, family, p):
+        # The direct LAPACK calls give scipy's eigh and solve_triangular bits.
+        prob = family_problem(family, p)
+        pencil = prob.pencil()
+        q, r = prob.A.qr
+        gh = q.T @ (prob._hess_center[:, None] * q)
+        gm = q.T @ (prob.m_diag[:, None] * q)
+        lam, w = eigh(gh, gm)
+        assert pencil.lam.tobytes() == np.maximum(lam, 0.0).tobytes()
+        assert pencil.t.tobytes() == solve_triangular(r, w).tobytes()
+        assert pencil.at.tobytes() == (q @ w).tobytes()
+
+    def test_indefinite_metric_is_a_singular_gram(self):
+        prob = family_problem("gaussian", 4.0)
+        with pytest.raises(SingularGramError, match="dsygvd") as info:
+            MetricPencil.build(prob.A.qr, prob._hess_center, -prob.m_diag,
+                               1.0)
+        assert not isinstance(info.value, np.linalg.LinAlgError)
 
     def test_one_factorization_per_prox_center(self):
         prob = family_problem("coherent_rows", 4.0)
@@ -274,8 +304,7 @@ def probe_at(prob, glin, tau):
     z = pencil.coords(glin)
     z_exp = math.frexp(float(abs(z).max()))[1]
     z_unit = np.ldexp(z, -z_exp)
-    return accel._log_gap(pencil, pencil.scaled(z_unit, tau), z_exp,
-                          2.0 / (prob.p - 2.0), tau)
+    return accel._log_gap(pencil, z_unit, z_exp, 2.0 / (prob.p - 2.0), tau)
 
 
 def bracket_brentq_probes(prob, glin, tau):
@@ -366,6 +395,37 @@ class TestStepScaleSearch:
                       ) / (2.0 * h)
                 floor = 4.0 * np.finfo(float).eps * slope / h
                 assert abs(curv - fd) <= 1e-6 * abs(curv) + floor
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("p", [3.0, 4.0, 8.0, 14.0])
+    def test_probe_matches_reference(self, family, p):
+        # Bit for bit from TAU_MIN to the search's upper end: below
+        # SQUARE_SAFE / c the coordinates are rescaled, and at p = 3, where
+        # tau^expo = tau^2, the power underflows below about 1.5e-162.
+        prob = family_problem(family, p)
+        pencil = prob.pencil()
+        glin = np.random.default_rng(1).standard_normal(16)
+        expo = 2.0 / (p - 2.0)
+        rescaled = underflowed = 0
+        for scale in GLIN_SCALES:
+            z = pencil.coords(scale * glin)
+            z_exp = math.frexp(float(abs(z).max()))[1]
+            z_unit = np.ldexp(z, -z_exp)
+            _, root = _solve_inner_subproblem(prob, z, 1.0, SolveCounter())
+            log_up = math.log(2.0) + (
+                0.5 * math.log(float(z_unit @ z_unit)) + z_exp * math.log(2.0)
+                - math.log(pencil.c)) / (1.0 + expo / 2.0)
+            tau_up = max(math.exp(min(log_up, 690.0)), accel.TAU_MIN)
+            taus = [*np.geomspace(accel.TAU_MIN, tau_up, 300), root]
+            for tau in map(float, taus):
+                ref = reference_log_gap(pencil, pencil.scaled(z_unit, tau),
+                                        z_exp, expo, tau)
+                new = accel._log_gap(pencil, z_unit, z_exp, expo, tau)
+                assert [v.hex() for v in new] == [v.hex() for v in ref]
+                rescaled += pencil.c * tau < accel.SQUARE_SAFE
+                underflowed += accel.fpow(tau, expo) == 0.0
+        assert rescaled > 0
+        assert (underflowed > 0) == (p == 3.0)
 
     @pytest.mark.parametrize("k", [1e-100, 1e-150, 1e-200, 1e-300])
     def test_tiny_linear_term(self, k):
@@ -594,6 +654,57 @@ class TestBacktrackedConstant:
         assert not np.array_equal(z1, z2)
         assert counter.steps["prox_backtracks"] == 1
         assert cert.satisfied and cert.inner_iterations == len(calls)
+
+
+class TestBoundCache:
+    INSTANCE = ("gaussian", 160, 8, 0)
+
+    def test_no_iterate_is_bounded_twice(self, monkeypatch):
+        points = []
+        real = accel.lp_dual_bound
+
+        def recording(A, b, x, p, counter):
+            points.append(x.tobytes())
+            return real(A, b, x, p, counter)
+
+        monkeypatch.setattr(accel, "lp_dual_bound", recording)
+        inst = gen_instance(*self.INSTANCE, p=4.0, eps=1e-6)
+        _, rep = solve_pnorm_accel(inst)
+        assert len(points) == len(set(points))
+        assert rep.phase_counts["certificate"] == len(points) > 1
+
+    def test_cached_bound_is_fresh_and_never_stale(self, monkeypatch):
+        # The solve's own lower bound, called again after the solve.
+        captured, calls = {}, []
+        real_solve, real_bound = accel.certified_solve, accel.lp_dual_bound
+
+        def capture(instance, method, make_steps):
+            def steps_of(unit):
+                captured["unit"], captured["steps"] = unit, make_steps(unit)
+                return captured["steps"]
+            return real_solve(instance, method, steps_of)
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real_bound(*args, **kwargs)
+
+        monkeypatch.setattr(accel, "certified_solve", capture)
+        monkeypatch.setattr(accel, "lp_dual_bound", counting)
+        solve_pnorm_accel(gen_instance(*self.INSTANCE, p=4.0, eps=1e-6))
+        unit, lower_bound = captured["unit"], captured["steps"].lower_bound
+
+        def fresh(z):
+            return real_bound(unit.A, unit.b, z, unit.p, SolveCounter()).hex()
+
+        z = 1e-3 * np.random.default_rng(2).standard_normal(8)
+        before = len(calls)
+        first = lower_bound(z).hex()
+        assert lower_bound(z.copy()).hex() == first == fresh(z)
+        assert len(calls) == before + 1
+        z[0] += 1e-3                    # the caller's x, changed in place
+        moved = lower_bound(z).hex()
+        assert len(calls) == before + 2
+        assert moved == fresh(z) != first
 
 
 class TestStrongConvexity:
