@@ -214,7 +214,13 @@ def solve_lq(instance: ProblemInstance):
     close the gap.  The skip is off while eps/4 is within the driver's
     rounding allowance, ``ROUNDING_PER_ENTRY * n``.  Every recovery after
     the first is handed the incumbent and ``hi``, so its polish starts from
-    x when x is below the fit from y (``warm_recoveries``).  A round that
+    x when x is below the fit from y (``warm_recoveries``), unless the
+    last recovery was such a warm one, it returned no point below its
+    ``hi``, and ``lo`` has risen by at most eps/4 (relative) since the
+    previous round: then x is where that polish stalled and y has barely
+    moved, so the recovery runs cold from y (``stall_recoveries``).  This
+    rule reads only the bracket, not the bits of the Lewis weights behind
+    y.  A round that
     finds no step hands the dual side to the incumbent instead: y becomes
     x's norm-dual residual vector, projected onto the constraints, when
     that is shorter (one ``recover`` solve).  When it is not, one cold
@@ -236,6 +242,7 @@ def solve_lq(instance: ProblemInstance):
         # minimum-norm point of A^T y = 0, b^T y = 1.
         y = b / float(b @ b)
         recovered, nu_prev = False, None
+        warm_stalled, lo_prev = False, 0.0
 
         def lower_bound(x):
             return -float((A.a @ x - b) @ y) / pnorm(y, p)
@@ -276,8 +283,10 @@ def solve_lq(instance: ProblemInstance):
             return True
 
         def step(x, lo, hi):
-            nonlocal recovered
+            nonlocal recovered, warm_stalled, lo_prev
             incumbent, fallback = None, x
+            lo_flat = lo <= (1.0 + unit.eps / 4.0) * lo_prev
+            lo_prev = lo
             if recovered:
                 if not advance(hi):
                     if lift(x):
@@ -289,12 +298,18 @@ def solve_lq(instance: ProblemInstance):
                 elif may_skip and hi <= (1.0 + unit.eps / 4.0) * lp_dual_bound(
                         A, b, x, q, counter):
                     return x
+                elif warm_stalled and lo_flat:
+                    # The last warm polish stalled at x and y has barely
+                    # moved, so a warm one would stall there again.
+                    counter.step("stall_recoveries")
                 else:
                     incumbent = (x, hi)
             recovered = True
             x_hat = primal_recover(A, b, y, p, counter=counter,
                                    incumbent=incumbent)
-            return x_hat if pnorm(A.a @ x_hat - b, q) < hi else fallback
+            lower = pnorm(A.a @ x_hat - b, q) < hi
+            warm_stalled = incumbent is not None and not lower
+            return x_hat if lower else fallback
 
         return BracketSteps(lower_bound, step)
 

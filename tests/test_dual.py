@@ -6,6 +6,7 @@ from scipy import optimize
 from scipy.linalg import null_space
 
 import lpreg.dual as dual
+import lpreg.lewis as lewis
 from lpreg.dual import (
     DualInstance,
     dual_exponent,
@@ -351,6 +352,35 @@ class TestSolveLq:
         # driver's rounding allowance.
         error = residual / oracle_opt(inst) - 1.0
         assert error <= rep.certified_gap + ROUNDING_PER_ENTRY * inst.A.n
+
+    @pytest.mark.parametrize("tol", [5e-4, 1e-3, 5e-3, 1e-2, 1e-1])
+    def test_stall_rule_certifies_at_every_lewis_tolerance(self, tol,
+                                                           monkeypatch):
+        # Without the stall rule, 4 of these 5 tolerances raise
+        # BudgetExceededError at gap 1.62e-10 on this instance; only 1e-3
+        # certifies.  The referee is the one of the test above.
+        monkeypatch.setattr(lewis, "REG_LEWIS_TOL", tol)
+        inst = gen_instance("ill_conditioned", 160, 8, 0, p=1.1, eps=1e-10)
+        x, rep = solve(inst, "dual", seed=0)
+        assert rep.phase_counts["stall_recoveries"] >= 1
+        assert rep.gram_solves < 951
+        residual = exact_residual_lp(inst, x)
+        recover = dual.primal_recover
+        monkeypatch.setattr(dual, "primal_recover",
+                            lambda *args, incumbent=None, **kw:
+                            recover(*args, **kw))
+        x_cold, _ = solve(inst, "dual", seed=0)
+        referee = min(residual, exact_residual_lp(inst, x_cold))
+        assert residual / referee - 1.0 <= rep.certified_gap <= 1e-10
+
+    def test_stall_rule_keeps_the_warm_path_while_lo_rises(self):
+        # Every warm polish here is followed by a round whose lower bound
+        # rises by more than eps/4, so no recovery runs cold; recovering
+        # cold after each stalled warm polish would run 3 of the 8 cold.
+        inst = gen_instance("gaussian", 1000, 32, 0, p=1.2, eps=1e-8)
+        _, rep = solve(inst, "dual", seed=0)
+        assert rep.phase_counts["stall_recoveries"] == 0
+        assert rep.phase_counts["warm_recoveries"] == 8
 
     @pytest.mark.parametrize("q, eps, recover", [(1.1, 1e-6, 40),
                                                  (1.2, 1e-8, 45)])
