@@ -213,19 +213,18 @@ def solve_lq(instance: ProblemInstance):
     ``certificate`` solve; it never enters the bracket), when only y can
     close the gap.  The skip is off while eps/4 is within the driver's
     rounding allowance, ``ROUNDING_PER_ENTRY * n``.  Every recovery after
-    the first is handed the incumbent and ``hi``, so its polish starts from
-    x when x is below the fit from y (``warm_recoveries``), unless the
-    last recovery was such a warm one, it returned no point below its
-    ``hi``, and ``lo`` has risen by at most eps/4 (relative) since the
-    previous round: then x is where that polish stalled and y has barely
-    moved, so the recovery runs cold from y (``stall_recoveries``).  This
-    rule reads only the bracket, not the bits of the Lewis weights behind
-    y.  A round that
-    finds no step hands the dual side to the incumbent instead: y becomes
-    x's norm-dual residual vector, projected onto the constraints, when
-    that is shorter (one ``recover`` solve).  When it is not, one cold
-    recovery from y runs (``stall_recoveries``), and the step gives up
-    unless that point is below ``hi``.
+    the first but the cold ones below is handed the incumbent and ``hi``,
+    so its polish starts from x when x is below the fit from y
+    (``warm_recoveries``).  When the last recovery was such a warm one and
+    returned no point below its ``hi``, and ``lo`` has risen by at most
+    eps/4 (relative) since the previous round, the polish would stall at x
+    again: the recovery runs cold from y instead (``stall_recoveries``).
+    That rule reads only the bracket, not the bits of the Lewis weights
+    behind y.  A round that finds no step hands the dual side to the
+    incumbent instead: y becomes x's norm-dual residual vector, projected
+    onto the constraints, when that is shorter (one ``recover`` solve).
+    When it is not, one cold recovery from y runs (``stall_recoveries``),
+    and the step gives up unless that point is below ``hi``.
     """
     q = instance.p
     p = dual_exponent(q)
@@ -299,7 +298,7 @@ def solve_lq(instance: ProblemInstance):
                         A, b, x, q, counter):
                     return x
                 elif warm_stalled and lo_flat:
-                    # The last warm polish stalled at x and y has barely
+                    # The last warm polish stalled at x and lo has barely
                     # moved, so a warm one would stall there again.
                     counter.step("stall_recoveries")
                 else:

@@ -28,8 +28,9 @@ WEIGHT_FLOOR = 1e-14
 DOMINATION_TOL = 1e-8
 # reg_lewis stops once max_i |log((c_i + sigma_i) / (c_i + w_i))| is this
 # small.  The map contracts by 1 - q/2 <= 1/2 in that metric, so c + w is
-# then within a factor exp(2 * REG_LEWIS_TOL) of its exact fixed point.
-REG_LEWIS_TOL = 1e-3
+# then within a factor exp(2 * REG_LEWIS_TOL) = exp(0.2) ~ 1.22 of its
+# exact fixed point: the constant factor the lq oracle needs.
+REG_LEWIS_TOL = 1e-1
 
 
 def half_minus_inv(p: float) -> float:

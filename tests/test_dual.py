@@ -374,9 +374,9 @@ class TestSolveLq:
         assert residual / referee - 1.0 <= rep.certified_gap <= 1e-10
 
     def test_stall_rule_keeps_the_warm_path_while_lo_rises(self):
-        # Every warm polish here is followed by a round whose lower bound
-        # rises by more than eps/4, so no recovery runs cold; recovering
-        # cold after each stalled warm polish would run 3 of the 8 cold.
+        # Warm polishes here stall while the lower bound still rises by
+        # more than eps/4 per round, so the rule keeps the warm path; a
+        # rule without the lo gate runs 3 of the 8 recoveries cold.
         inst = gen_instance("gaussian", 1000, 32, 0, p=1.2, eps=1e-8)
         _, rep = solve(inst, "dual", seed=0)
         assert rep.phase_counts["stall_recoveries"] == 0

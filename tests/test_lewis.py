@@ -166,7 +166,7 @@ class TestRegLewisStop:
         A = gen_instance(family, 200, 6, 3).A
         rw = reg_lewis(A, regularizer(kind, 200), q)
         rel, _, _ = reg_lewis_residual(A, rw)
-        assert rel <= 2e-3
+        assert rel <= 2 * lewis.REG_LEWIS_TOL
 
     def test_huge_regularizer_takes_one_leverage_computation(self, monkeypatch):
         calls = count_leverage(monkeypatch)
@@ -190,7 +190,7 @@ class TestRegLewisStop:
 
     def test_dual_solve_takes_a_third_of_the_fixed_count(self, monkeypatch):
         # gaussian 1000x32 at q = 1.5: 84 leverage computations under the
-        # fixed-count schedule, 13 with the stop rule.
+        # fixed-count schedule, 7 with the stop rule.
         inst = gen_instance("gaussian", 1000, 32, 0, p=1.5, eps=1e-8)
         calls = count_leverage(monkeypatch)
         _, rep = solve(inst, "dual")
