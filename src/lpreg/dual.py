@@ -207,8 +207,9 @@ def solve_lq(instance: ProblemInstance):
     rounding drift x^T A^T y that 1/||y||_p leaves out, with the same
     rounded residual that ``hi`` is measured on.  The first step recovers
     a primal point from y; each later one advances y by one
-    :func:`refinement_round` on ||y||_p^p, whose proposals are the
-    reweighted oracle's points, and recovers again unless the incumbent is
+    :func:`refinement_round` on ||y||_p^p down to hi^-p, with nu from that
+    round's own gap, whose proposals are the reweighted oracle's points,
+    and recovers again unless the incumbent is
     within eps/4 of its own weak-duality bound (:func:`lp_dual_bound`, one
     ``certificate`` solve; it never enters the bracket), when only y can
     close the gap.  The skip is off while eps/4 is within the driver's
@@ -240,24 +241,24 @@ def solve_lq(instance: ProblemInstance):
         # b is a unit vector orthogonal to range(A), so it is already the
         # minimum-norm point of A^T y = 0, b^T y = 1.
         y = b / float(b @ b)
-        recovered, nu_prev = False, None
+        recovered = False
         warm_stalled, lo_prev = False, 0.0
 
         def lower_bound(x):
             return -float((A.a @ x - b) @ y) / pnorm(y, p)
 
         def advance(hi):
-            nonlocal y, nu_prev
+            nonlocal y
 
             def propose(nu, g, R):
                 z = dual_step(A, b, p, y, nu, g, R, counter)
                 return z - y, z - y
 
-            out = refinement_round(y, p, hi ** -p, nu_prev, propose, counter,
+            out = refinement_round(y, p, hi ** -p, propose, counter,
                                    "oracle_calls")
             if out is None:
                 return False
-            c_star, direction, nu_prev = out
+            c_star, direction = out
             y = y + c_star * direction
             # kill constraint drift: A^T y = 0 and b^T y = 1 again
             y_a = A.project_out(y)

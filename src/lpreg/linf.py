@@ -135,8 +135,9 @@ def best_linf_bound(A: DenseMatrix, b: np.ndarray, x: np.ndarray,
     ones never gave the best bound), and least-squares multipliers
     restricted to the top residual cluster (the near-active rows of an
     almost-optimal point), by one nnls per distinct cluster: the clusters
-    shrink as the threshold tightens, so one that drops no row repeats the
-    previous column.  :func:`weak_duality_bound` projects them all, so the
+    shrink as the threshold tightens, so one that drops no row is the
+    previous one and adds no column.  :func:`weak_duality_bound` projects
+    each candidate once and charges it at the residual u = Ax - b, so the
     value returned is a valid weak-duality bound.  The solver calls it on
     the unit problem, whose residual is never zero.
     """
@@ -149,17 +150,13 @@ def best_linf_bound(A: DenseMatrix, b: np.ndarray, x: np.ndarray,
         _, pi = lse_eval(stacked, scale * hi)
         candidates.append(pi[:n] - pi[n:])
     signs = np.sign(u)
-    size, cand = -1, None
+    size = -1
     for theta in CLUSTER_THETAS:
         idx = np.flatnonzero(np.abs(u) >= (1.0 - theta) * hi)
         if idx.size == size:
-            # The clusters are nested, so the same size is the same set
-            # and nnls would give the same column.  Repeating it keeps the
-            # candidate matrix, and so the projection's bits, unchanged.
-            if cand is not None:
-                candidates.append(cand)
+            # The clusters are nested, so the same size is the same set.
             continue
-        size, cand = idx.size, None
+        size = idx.size
         rows = (A.a[idx] * signs[idx][:, None]).T        # d x |I|
         weight = float(np.mean(np.linalg.norm(rows, axis=0))) + 1e-300
         system = np.vstack([rows, weight * np.ones((1, idx.size))])
@@ -175,7 +172,8 @@ def best_linf_bound(A: DenseMatrix, b: np.ndarray, x: np.ndarray,
         cand = np.zeros(n)
         cand[idx] = signs[idx] * mu / total
         candidates.append(cand)
-    return weak_duality_bound(A, b, np.column_stack(candidates), 1.0, counter)
+    return weak_duality_bound(A, b, np.column_stack(candidates), 1.0, counter,
+                              u)
 
 
 def linf_regress(instance: ProblemInstance):
@@ -224,8 +222,6 @@ def linf_regress(instance: ProblemInstance):
                 np.negative(u, out=z[n:])
                 val, pi = lse_eval(z, t)
                 grad = A.a.T @ (pi[:n] - pi[n:])
-                if math.sqrt(grad @ grad) <= 1e-15:
-                    break
                 # The Hessian is A^T diag((pi+ + pi-)/t) A - grad grad^T / t;
                 # its Newton step is a multiple of this one.
                 dtil = (pi[:n] + pi[n:]) / t

@@ -134,18 +134,17 @@ def line_search_lp(u: np.ndarray, w: np.ndarray, p: float):
 
 
 def weak_duality_bound(A: DenseMatrix, b: np.ndarray, Y: np.ndarray, q: float,
-                       counter: SolveCounter,
-                       residual: np.ndarray | None = None) -> float:
+                       counter: SolveCounter, residual: np.ndarray) -> float:
     """Best weak-duality lower bound on min ||Ax - b||_p, 1/p + 1/q = 1.
 
     Each candidate (a column of Y, or Y itself) is projected onto
     {y : A^T y = 0} by A's QR, one Gram solve each; for any such y,
-    -b^T y / ||y||_q <= ||Ax - b||_p at every x.  Given the ``residual``
-    u = Ax - b of an iterate, each value is also capped by the
-    drift-charged u^T y / ||y||_q: the same value when A^T y = 0 holds
-    exactly, but it also charges the rounding drift x^T A^T y, and by
-    Hoelder it never exceeds ||u||_p.  The best value over the candidates
-    is returned, and 0 when none is positive.
+    -b^T y / ||y||_q <= ||Ax - b||_p at every x.  Each value is capped by
+    the drift-charged u^T y / ||y||_q at the ``residual`` u = Ax - b of
+    the iterate: the same value when A^T y = 0 holds exactly, but it also
+    charges the rounding drift x^T A^T y, and by Hoelder it never exceeds
+    ||u||_p.  The best value over the candidates is returned, and 0 when
+    none is positive.
     """
     Yhat = A.project_out(Y.reshape(A.n, -1))
     counter.tick(Yhat.shape[1], "certificate")
@@ -153,9 +152,7 @@ def weak_duality_bound(A: DenseMatrix, b: np.ndarray, Y: np.ndarray, q: float,
     for yhat in Yhat.T:
         denom = pnorm(yhat, q)
         if 0.0 < denom < math.inf:
-            value = -float(b @ yhat)
-            if residual is not None:
-                value = min(value, float(residual @ yhat))
+            value = min(-float(b @ yhat), float(residual @ yhat))
             best = max(best, value / denom)
     return best
 
@@ -177,7 +174,7 @@ def lp_dual_bound(A: DenseMatrix, b: np.ndarray, x: np.ndarray, p: float,
     m = float(np.max(np.abs(u)))
     y = (np.abs(u) / m) ** (p - 1.0) * np.sign(u)
     y /= (upn / m) ** (p - 1.0)
-    return weak_duality_bound(A, b, y, p / (p - 1.0), counter, residual=u)
+    return weak_duality_bound(A, b, y, p / (p - 1.0), counter, u)
 
 
 @dataclass
@@ -298,25 +295,24 @@ def certified_solve(instance: ProblemInstance, method: str,
     return x, report
 
 
-def refinement_round(u: np.ndarray, p: float, floor: float, nu_prev,
+def refinement_round(u: np.ndarray, p: float, floor: float,
                      propose: Callable, counter: SolveCounter, calls_key: str):
-    """One refinement round on sum |u|^p; returns (c, direction, nu) or None.
+    """One refinement round on sum |u|^p; returns (c, direction) or None.
 
     ``propose(nu, g, r)`` returns (direction, image): a step in the
-    caller's coordinates and what it adds to u; r is the resistance
-    array.  nu starts at min(f(u) - floor, 4 nu_prev); it halves when the
+    caller's coordinates and what it adds to u; g is the gradient and r
+    the resistance array at u.  The callers' u (a unit residual, or
+    ``dual``'s y with b^T y = 1) is never zero, so neither is g.  nu
+    starts at the round's own gap f(u) - floor; it halves when the
     proposal is infeasible or gives no decrease, at most ROUND_RETRIES
-    times, and the round gives up once nu underflows to 0.  The
-    exact line-search point u + c image is accepted once it falls below
+    times, and the round gives up once nu underflows to 0.  The exact
+    line-search point u + c image is accepted once it falls below
     f(u) (1 - 1e-15).  Proposals are ticked as ``calls_key`` and
     acceptances as ``"accepted_steps"`` on the counter's steps.
     """
     g, r = bregman_terms(u, p)
-    if not np.any(g):
-        return None
     f_cur = float(np.sum(np.abs(u) ** p))
-    gap = max(f_cur - floor, 1e-300)
-    nu = gap if nu_prev is None else min(gap, 4.0 * nu_prev)
+    nu = max(f_cur - floor, 1e-300)
     for _ in range(ROUND_RETRIES):
         if not nu > 0.0:
             return None
@@ -331,7 +327,7 @@ def refinement_round(u: np.ndarray, p: float, floor: float, nu_prev,
         c_star, f_new = line_search_lp(u, image, p)
         if f_new < f_cur * (1.0 - 1e-15):
             counter.step("accepted_steps")
-            return c_star, direction, nu
+            return c_star, direction
         nu /= 2.0
     return None
 
@@ -339,30 +335,28 @@ def refinement_round(u: np.ndarray, p: float, floor: float, nu_prev,
 def refine_steps(unit: UnitProblem, solver: Callable) -> BracketSteps:
     """Iterative-refinement steps driven by a residual-step solver.
 
-    Each step is one :func:`refinement_round` whose proposals are the
-    directions ``solver(nu, g, R)``, ticked as ``gamma_calls`` on the
-    solve's counter.
+    Each step is one :func:`refinement_round` from the bracket's floor
+    lo^p, whose proposals are the directions ``solver(nu, g, R)``, ticked
+    as ``gamma_calls`` on the solve's counter; nothing carries from one
+    round to the next.
     """
     A, b, p, counter = unit.A, unit.b, unit.p, unit.counter
     counter.step("gamma_calls", 0)
     counter.step("accepted_steps", 0)
-    nu_prev = None
 
     def lower_bound(x):
         return lp_dual_bound(A, b, x, p, counter)
 
     def step(x, lo, hi):
-        nonlocal nu_prev
-
         def propose(nu, g, R):
             delta = solver(nu, g, R)
             return delta, A.a @ delta
 
-        out = refinement_round(A.a @ x - b, p, lo ** p, nu_prev, propose,
-                               counter, "gamma_calls")
+        out = refinement_round(A.a @ x - b, p, lo ** p, propose, counter,
+                               "gamma_calls")
         if out is None:
             return None
-        c_star, delta, nu_prev = out
+        c_star, delta = out
         return x + c_star * delta
 
     return BracketSteps(lower_bound, step)

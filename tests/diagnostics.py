@@ -5,8 +5,10 @@ stability of the proximal objective and its gradient, uniform convexity of the p
 the scalar refinement sandwich, the gamma-solver contract, the weighted
 norm sandwich, the self-consistency of row weights) from the outside, so
 the solver modules carry no code that production never runs.
-:func:`reference_linf_bound` is ``best_linf_bound`` without its reuse of
-equal clusters, the reference the reuse is checked against, and
+:func:`reference_linf_bound` is ``best_linf_bound`` with its repeated
+clusters found row by row, the reference its size test is checked against,
+:func:`uncharged_bound` is ``refine.weak_duality_bound`` without its drift
+charge, the reference the charge is checked against, and
 :func:`reference_log_gap` is ``accel``'s step-scale probe as it was before
 its denominator was shared, the reference the probe is checked against.  The
 planted generators build oracle inputs around a known feasible point, and
@@ -260,10 +262,12 @@ def norm_sandwich_check(A: DenseMatrix, w: LewisOverestimate, x: np.ndarray):
 
 def reference_linf_bound(A: DenseMatrix, b: np.ndarray, x: np.ndarray,
                          counter: SolveCounter) -> float:
-    """``linf.best_linf_bound`` with one nnls for every theta.
+    """``linf.best_linf_bound`` with clusters compared row by row.
 
-    The same softmax and cluster candidates, in the same order, with nnls
-    run afresh on every cluster even where it repeats the previous one.
+    The same softmax and cluster candidates, in the same order.  A cluster
+    whose rows equal the previous cluster's is skipped, as there, but the
+    rows are compared instead of only the sizes, and nnls runs afresh on
+    every other one.
     """
     u = A.a @ x - b
     hi = float(np.max(np.abs(u)))
@@ -274,8 +278,12 @@ def reference_linf_bound(A: DenseMatrix, b: np.ndarray, x: np.ndarray,
         _, pi = lse_eval(stacked, scale * hi)
         candidates.append(pi[:n] - pi[n:])
     signs = np.sign(u)
+    previous = None
     for theta in CLUSTER_THETAS:
         idx = np.flatnonzero(np.abs(u) >= (1.0 - theta) * hi)
+        if previous is not None and np.array_equal(idx, previous):
+            continue
+        previous = idx
         rows = (A.a[idx] * signs[idx][:, None]).T
         weight = float(np.mean(np.linalg.norm(rows, axis=0))) + 1e-300
         system = np.vstack([rows, weight * np.ones((1, idx.size))])
@@ -292,7 +300,23 @@ def reference_linf_bound(A: DenseMatrix, b: np.ndarray, x: np.ndarray,
         cand[idx] = signs[idx] * mu / total
         candidates.append(cand)
     return refine.weak_duality_bound(A, b, np.column_stack(candidates), 1.0,
-                                     counter)
+                                     counter, u)
+
+
+def uncharged_bound(A: DenseMatrix, b: np.ndarray, Y: np.ndarray,
+                    q: float) -> float:
+    """``refine.weak_duality_bound`` without the drift charge.
+
+    Each column of Y is projected off range(A) by A's QR and valued at
+    -b^T y / ||y||_q alone, as if A^T y = 0 held exactly; the best value,
+    or 0 when none is positive.  Nothing is ticked.
+    """
+    best = 0.0
+    for yhat in A.project_out(Y.reshape(A.n, -1)).T:
+        denom = pnorm(yhat, q)
+        if 0.0 < denom < math.inf:
+            best = max(best, -float(b @ yhat) / denom)
+    return best
 
 
 def reg_lewis_residual(A: DenseMatrix, rw: RegularizedLewisWeights):

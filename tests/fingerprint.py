@@ -1,10 +1,11 @@
-"""Print two SHA-256 fingerprints per solve of a benchmark batch.
+"""Print two SHA-256 fingerprints per solve of benchmark batches.
 
 Run from the repository root:
 
-    python3 tests/fingerprint.py --workload linf --seeds 0 1 2
+    python3 tests/fingerprint.py --workload mwu accel dual_large linf --seeds 0 1 2
 
-Each line is ``<workload> <seed> <case index> <tag> <outputs> <counts>``.
+Each line is ``<workload> <seed> <case index> <tag> <outputs> <counts>``,
+workload by workload in the order given, and seed by seed within each.
 The first digest covers what the solve returns: the bytes of ``x`` and
 ``certified_gap``.  The second covers what it cost: ``gram_solves`` and
 the sorted ``phase_counts``.  A solve that raises ``LpregError`` is hashed
@@ -59,14 +60,15 @@ def fingerprints(name: str, seed: int):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True,
+    parser.add_argument("--workload", nargs="+", required=True,
                         choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     args = parser.parse_args(argv)
-    for seed in args.seeds:
-        for i, tag, outputs, counts in fingerprints(args.workload, seed):
-            print(f"{args.workload} {seed} {i} {tag} {outputs} {counts}",
-                  flush=True)
+    for name in args.workload:
+        for seed in args.seeds:
+            for i, tag, outputs, counts in fingerprints(name, seed):
+                print(f"{name} {seed} {i} {tag} {outputs} {counts}",
+                      flush=True)
     return 0
 
 

@@ -7,7 +7,6 @@ module-scoped fixtures.
 import math
 import time
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,7 +304,7 @@ def test_criterion_09_scalar_grids():
 
 def test_criterion_10_iteration_scaling(tmp_path):
     started = time.perf_counter()
-    out = Path("build") / "acceptance_scaling"
+    out = tmp_path / "acceptance_scaling"
     cfg = ExperimentConfig(
         method="mwu", p=4.0, eps=1e-3, family="gaussian",
         sizes=[[160, 8], [320, 16], [640, 32], [1280, 64]],

@@ -215,9 +215,10 @@ class TestLinfDualBound:
         Y = np.hstack([cands, -cands])
         for q, p in ((1.0, math.inf), (4.0 / 3.0, 4.0)):
             opt = oracle_opt(ProblemInstance(A, b, p), tol=1e-9)
-            singles = [weak_duality_bound(A, b, Y[:, k], q, SolveCounter())
+            # charged at the residual -b of x = 0
+            singles = [weak_duality_bound(A, b, Y[:, k], q, SolveCounter(), -b)
                        for k in range(Y.shape[1])]
-            multi = weak_duality_bound(A, b, Y, q, SolveCounter())
+            multi = weak_duality_bound(A, b, Y, q, SolveCounter(), -b)
             assert multi == pytest.approx(max(singles), rel=1e-12)
             assert 0.0 < multi <= opt * (1 + 1e-9)
             assert all(lb <= opt * (1 + 1e-9) for lb in singles)
@@ -249,7 +250,7 @@ class TestLinfDualBound:
                 pi = lse_eval(stacked, scale * hi)[1]
                 dropped.append(pi[:A.n] - pi[A.n:])
             assert weak_duality_bound(A, b, np.column_stack(dropped),
-                                      1.0, SolveCounter()) <= value
+                                      1.0, SolveCounter(), u) <= value
 
 
 class TestClusterReuse:
@@ -257,7 +258,8 @@ class TestClusterReuse:
                                         "planted_residual"])
     def test_same_bound_as_one_nnls_per_theta(self, family, monkeypatch):
         # At every iterate of a 160x8 solve the bound equals the
-        # reference's bit for bit, and nnls runs once per distinct cluster.
+        # reference's, which compares clusters row by row, bit for bit,
+        # and nnls runs once per distinct cluster.
         nnls_calls = []
         nnls = linf.nnls
         monkeypatch.setattr(linf, "nnls", lambda *args, **kwargs: (
@@ -285,6 +287,45 @@ class TestClusterReuse:
             linf_regress(gen_instance(family, 160, 8, 0, p=math.inf, eps=eps))
         assert checked > 0
         assert distinct_total < theta_total
+
+    @pytest.mark.parametrize("family", ["gaussian", "coherent_rows",
+                                        "planted_residual"])
+    def test_one_certificate_solve_per_distinct_candidate(self, family,
+                                                          monkeypatch):
+        # At every iterate of a 160x8 solve the bound ticks the two
+        # softmax candidates and one column per distinct cluster whose
+        # nnls total is positive; a repeated cluster is not projected.
+        totals = []
+        nnls = linf.nnls
+
+        def recording(*args, **kwargs):
+            mu, rnorm = nnls(*args, **kwargs)
+            totals.append(float(np.sum(mu)))
+            return mu, rnorm
+
+        monkeypatch.setattr(linf, "nnls", recording)
+        checked = repeated = 0
+        bound = linf.best_linf_bound
+
+        def counted(A, b, x, counter):
+            nonlocal checked, repeated
+            totals.clear()
+            before = counter.by_phase.get("certificate", 0)
+            value = bound(A, b, x, counter)
+            u = A.a @ x - b
+            hi = float(np.max(np.abs(u)))
+            clusters = {tuple(np.flatnonzero(np.abs(u) >= (1.0 - theta) * hi))
+                        for theta in linf.CLUSTER_THETAS}
+            assert len(totals) == len(clusters)
+            positive = sum(total > 0 for total in totals)
+            assert counter.by_phase["certificate"] - before == 2 + positive
+            repeated += len(linf.CLUSTER_THETAS) - len(clusters)
+            checked += 1
+            return value
+
+        monkeypatch.setattr(linf, "best_linf_bound", counted)
+        linf_regress(gen_instance(family, 160, 8, 0, p=math.inf, eps=1e-3))
+        assert checked > 0 and repeated > 0
 
 
 class TestLinfRegress:

@@ -29,10 +29,9 @@ from lpreg.refine import (
     newton_line_search,
     refine_to_accuracy,
     refinement_round,
-    weak_duality_bound,
 )
 
-from diagnostics import scalar_refine_bounds
+from diagnostics import scalar_refine_bounds, uncharged_bound
 
 
 class TestBregmanTerms:
@@ -284,7 +283,7 @@ class TestDualBound:
             y /= (pnorm(u, p) / m) ** (p - 1.0)
             counter = SolveCounter()
             lb = lp_dual_bound(A, b, x, p, counter)
-            plain = weak_duality_bound(A, b, y, p / (p - 1.0), SolveCounter())
+            plain = uncharged_bound(A, b, y, p / (p - 1.0))
             assert 0.0 < lb <= plain
             assert lb <= pnorm(u, p) * (1.0 + 1e-15)
             assert counter.by_phase == {"certificate": 1}
@@ -295,8 +294,9 @@ class TestRefinementRound:
     P = 4.0
 
     @pytest.mark.parametrize("k", [0, 1, 3])
-    @pytest.mark.parametrize("floor, nu_prev", [(0.0, None), (1.0, 0.25)])
-    def test_nu_halves_per_infeasible_proposal(self, k, floor, nu_prev):
+    @pytest.mark.parametrize("floor", [0.0, 1.0])
+    def test_nu_halves_per_infeasible_proposal(self, k, floor):
+        # nu starts at the round's own gap f(u) - floor on every call.
         u, p = self.U, self.P
         seen = []
 
@@ -307,13 +307,12 @@ class TestRefinementRound:
             return -u, -u                 # toward the minimizer u = 0
 
         counter = SolveCounter()
-        c, direction, nu = refinement_round(u, p, floor, nu_prev, propose,
-                                            counter, "calls")
-        f_u = float(np.sum(np.abs(u) ** p))
-        start = f_u - floor if nu_prev is None else min(f_u - floor, 4 * nu_prev)
+        c, direction = refinement_round(u, p, floor, propose, counter,
+                                        "calls")
+        start = float(np.sum(np.abs(u) ** p)) - floor
         assert len(seen) == k + 1
         assert counter.steps == {"calls": k + 1, "accepted_steps": 1}
-        assert seen[0] == start and nu == start / 2 ** k
+        assert seen == [start / 2 ** j for j in range(k + 1)]
         assert np.array_equal(direction, -u)
         assert c == pytest.approx(1.0, abs=1e-9)
 
@@ -326,7 +325,7 @@ class TestRefinementRound:
             return u, u                   # away from the minimizer
 
         counter = SolveCounter()
-        assert refinement_round(u, p, 0.0, None, propose, counter,
+        assert refinement_round(u, p, 0.0, propose, counter,
                                 "calls") is None
         assert len(seen) == ROUND_RETRIES == counter.steps["calls"]
         assert "accepted_steps" not in counter.steps
@@ -344,7 +343,7 @@ class TestRefinementRound:
 
         counter = SolveCounter()
         f_u = float(np.sum(np.abs(u) ** p))
-        assert refinement_round(u, p, f_u, None, propose, counter,
+        assert refinement_round(u, p, f_u, propose, counter,
                                 "calls") is None
         assert seen[0] == 1e-300 and min(seen) > 0.0
         assert len(seen) == counter.steps["calls"] < ROUND_RETRIES
