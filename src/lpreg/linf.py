@@ -142,7 +142,8 @@ def best_linf_bound(A: DenseMatrix, b: np.ndarray, x: np.ndarray,
     the unit problem, whose residual is never zero.
     """
     u = A.a @ x - b
-    hi = float(np.max(np.abs(u)))
+    mag = np.abs(u)
+    hi = float(mag.max())
     n = A.n
     stacked = np.concatenate([u, -u])
     candidates = []
@@ -152,7 +153,7 @@ def best_linf_bound(A: DenseMatrix, b: np.ndarray, x: np.ndarray,
     signs = np.sign(u)
     size = -1
     for theta in CLUSTER_THETAS:
-        idx = np.flatnonzero(np.abs(u) >= (1.0 - theta) * hi)
+        idx = np.flatnonzero(mag >= (1.0 - theta) * hi)
         if idx.size == size:
             # The clusters are nested, so the same size is the same set.
             continue
