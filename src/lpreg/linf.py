@@ -2,9 +2,11 @@
 
 The max-residual objective is replaced by a temperature-t soft maximum of
 the stacked vector (Ax-b, -(Ax-b)); the smoothed function is minimized by
-Newton steps with an exact line search (:func:`line_search_lse`).  An
-l1-dual projection certifies the upper/lower bracket, and the temperature
-is retuned as the bracket shrinks.
+Newton steps with an exact line search (:func:`line_search_lse`), whose
+probes take Halley's step on the slope and whose last probe's softmax
+starts the next Newton step.  An l1-dual projection certifies the
+upper/lower bracket, and the temperature is retuned as the bracket
+shrinks.
 """
 from __future__ import annotations
 
@@ -86,18 +88,24 @@ def _envelope_start(z: np.ndarray, jd: np.ndarray, t: float) -> float:
 
 def line_search_lse(z: np.ndarray, jd: np.ndarray, t: float, at0: tuple,
                     counter: SolveCounter):
-    """Minimize lse_t(z + c jd) over c >= 0; returns (c, value at c).
+    """Minimize lse_t(z + c jd) over c >= 0; returns (c, lse_eval there).
 
-    ``at0`` is lse_eval(z, t); 0 and its value come back when the slope
-    there is non-negative, so also when jd is 0.  Otherwise this is
+    ``at0`` is lse_eval(z, t); (0, at0) comes back when the slope there is
+    non-negative, so also when jd is 0.  Otherwise this is
     :func:`refine.newton_line_search` from :func:`_envelope_start`, or
     from the Newton step at 0 when that is shorter (near a smoothed
-    optimum; at a kink the curvature at 0 is 0 to rounding).  Each probe
-    is one :func:`lse_eval`, ticked as ``line_search_evals``, whose
-    softmax pi gives the slope pi.jd, the curvature
-    (pi.jd^2 - (pi.jd)^2) / t and the resolution
+    optimum; at a kink the curvature at 0 is 0 to rounding), and the
+    (value, softmax) pair returned is that of the last probe, at c.  Each
+    probe is one :func:`lse_eval`, ticked as ``line_search_evals``, whose
+    softmax pi gives the slope s = pi.jd, the curvature
+    f'' = (pi.jd^2 - s^2) / t, the third derivative
+    f''' = (pi.jd^3 - 3 s pi.jd^2 + 2 s^3) / t^2 and the resolution
     ``LINE_SEARCH_ULPS * eps * max|z| / sqrt(pi.jd^2)``, the move that
-    shifts the entries carrying the softmax weight by that many ulps.
+    shifts the entries carrying the softmax weight by that many ulps.  The
+    probe reports the curvature f'' times Halley's factor
+    1 - s f''' / (2 f''^2) while that factor is above 1/2, and f'' itself
+    otherwise, so the search's Newton step on the slope is Halley's step
+    and never more than twice Newton's.
     """
     val, pi = at0
     jd2 = jd * jd
@@ -105,25 +113,36 @@ def line_search_lse(z: np.ndarray, jd: np.ndarray, t: float, at0: tuple,
     if not math.isfinite(slope):
         raise NonFiniteError("line-search slope not finite at step 0")
     if slope >= 0.0:
-        return 0.0, val
+        return 0.0, at0
     resolution = LINE_SEARCH_ULPS * MACHINE_EPS * float(np.abs(z).max())
     curv = (float(pi @ jd2) - slope * slope) / t
     c = min(_envelope_start(z, jd, t),
             -slope / curv if curv > 0.0 else math.inf)
+    jd3 = jd2 * jd
     point = np.empty_like(z)
+    at_c = at0
 
     def probe(c):
-        nonlocal val
+        nonlocal at_c
         counter.step("line_search_evals")
         np.add(z, np.multiply(jd, c, out=point), out=point)
-        val, pi = lse_eval(point, t)
+        at_c = lse_eval(point, t)
+        pi = at_c[1]
         slope, spread = float(pi @ jd), float(pi @ jd2)
+        var = spread - slope * slope
+        factor = 1.0
+        if var > 0.0:
+            # Halley's s f''' / (2 f''^2) is s k3 / (2 var^2): t cancels
+            k3 = float(pi @ jd3) - 3.0 * slope * spread + 2.0 * slope ** 3
+            halley = 1.0 - 0.5 * (slope / var) * (k3 / var)
+            if halley > 0.5:
+                factor = halley
         # spread is 0 only where jd^2 underflows: nothing is resolved there
-        return slope, (spread - slope * slope) / t, (
+        return slope, var / t * factor, (
             resolution / math.sqrt(spread) if spread > 0.0 else math.inf)
 
     c = newton_line_search(probe, c)
-    return c, val
+    return c, at_c
 
 
 def best_linf_bound(A: DenseMatrix, b: np.ndarray, x: np.ndarray,
@@ -187,11 +206,12 @@ def linf_regress(instance: ProblemInstance):
     :func:`line_search_lse`.  The exact Hessian's Sherman-Morrison step
     lies along the same direction, so the line search alone fixes the step
     length: it starts next to the kink of the max envelope along the step
-    and finishes by refine's safeguarded Newton search at the root's
-    rounding resolution.  The bracket [lower bound, max residual] comes from the
-    softmax dual candidates and drives both the temperature schedule and
-    termination; a round that does not lower the max residual sharpens the
-    temperature.  An exponent other than inf is invalid input.
+    and finishes by refine's safeguarded Newton search, on Halley-corrected
+    curvatures, at the root's rounding resolution.  The bracket [lower
+    bound, max residual] comes from the softmax dual candidates and drives
+    both the temperature schedule and termination; a round that does not
+    lower the max residual sharpens the temperature.  An exponent other
+    than inf is invalid input.
     """
     if instance.p != math.inf:
         raise InvalidInputError("linf requires p = inf")
@@ -210,7 +230,11 @@ def linf_regress(instance: ProblemInstance):
 
             Each step is one Gram solve and one :func:`line_search_lse`,
             which reuses the softmax at x for the slope at 0 and returns
-            the soft maximum at its point for the descent test.
+            the soft maximum and softmax of its last probe.  That value
+            is the descent test's, and that softmax the next step's: the
+            probe's point z + c jd differs from the next z, formed from
+            the recomputed residual, only by rounding.  So lse_eval runs
+            outside the line search once per call, at the x passed in.
             """
             nonlocal t_shrink
             t = (t_shrink * max(eps * lo, (hi - lo) / 8.0)
@@ -218,10 +242,10 @@ def linf_regress(instance: ProblemInstance):
             u = A.a @ x - b
             # (u, -u) and (A step, -A step), rewritten in place each step
             z, jd = np.empty(2 * n), np.empty(2 * n)
+            z[:n] = u
+            np.negative(u, out=z[n:])
+            val, pi = lse_eval(z, t)
             for _ in range(MAX_NEWTON_STEPS):
-                z[:n] = u
-                np.negative(u, out=z[n:])
-                val, pi = lse_eval(z, t)
                 grad = A.a.T @ (pi[:n] - pi[n:])
                 # The Hessian is A^T diag((pi+ + pi-)/t) A - grad grad^T / t;
                 # its Newton step is a multiple of this one.
@@ -231,13 +255,17 @@ def linf_regress(instance: ProblemInstance):
                 counter.step("newton_steps")
                 jd[:n] = A.a @ step
                 np.negative(jd[:n], out=jd[n:])
-                c, val_c = line_search_lse(z, jd, t, (val, pi), counter)
+                c, (val_c, pi_c) = line_search_lse(z, jd, t, (val, pi),
+                                                   counter)
                 if not val_c < val * (1.0 - 1e-15):
                     break
                 x = x + c * step
                 u = A.a @ x - b
                 if float(np.abs(u).max()) <= (1.0 + eps / 4.0) * lo:
                     break
+                z[:n] = u
+                np.negative(u, out=z[n:])
+                val, pi = val_c, pi_c
             if not float(np.abs(u).max()) < hi:
                 # no lower max residual at this temperature: sharpen it
                 # before giving up

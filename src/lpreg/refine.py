@@ -73,7 +73,9 @@ def newton_line_search(probe: Callable, c: float) -> float:
 
     ``probe(c)`` returns the slope, the curvature and the resolution (the
     move below which the slope's sign is rounding noise) at c; c > 0 is
-    the first probe.  The probes' signs keep a bracket, which is bisected,
+    the first probe.  The curvature is used only through the step
+    -slope / curvature it implies, so a probe may return a corrected one
+    (:func:`linf.line_search_lse` returns Halley's).  The probes' signs keep a bracket, which is bisected,
     or doubled while it has no upper end, unless :func:`_newton_accepts`
     the Newton step (a curvature of 0, inf or nan gives none).  Returns
     the probe where the bracket or the Newton step is at most

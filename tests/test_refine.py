@@ -171,7 +171,7 @@ class TestLineSearch:
         ref = optimize.minimize_scalar(f, bounds=(0.0, 4.0), method="bounded",
                                        options={"xatol": 1e-14})
         root = optimize.brentq(slope, 0.0, 4.0, xtol=1e-300, rtol=8.9e-16)
-        c, val = line_search_lse(z, jd, t, lse_eval(z, t), SolveCounter())
+        c, (val, _) = line_search_lse(z, jd, t, lse_eval(z, t), SolveCounter())
         assert val == f(c)
         assert val <= ref.fun + 1e-14 * abs(ref.fun)
         assert c == pytest.approx(ref.x, rel=1e-5)
