@@ -107,7 +107,7 @@ def line_search_lse(z: np.ndarray, jd: np.ndarray, t: float, at0: tuple,
     otherwise, so the search's Newton step on the slope is Halley's step
     and never more than twice Newton's.
     """
-    val, pi = at0
+    pi = at0[1]
     jd2 = jd * jd
     slope = float(pi @ jd)
     if not math.isfinite(slope):
